@@ -16,8 +16,6 @@ from .grid import (
     SingularBlock,
     TensorField,
     VectorField,
-    apply_micro_hard_mask,
-    assemble_block,
     discrete_curl,
     shape_gradients,
 )
@@ -51,5 +49,3 @@ from .solver import (
     time_step,
 )
 from .tensors import MaterialParams, NonSkewInput, axl, curl_from_gradient, decompose, elasticity_apply
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -210,11 +210,8 @@ def sweep(scenario: Scenario, parameter: str, values, out_dir=".", quiet=True):
 
 
 def _load_scenario(path) -> Scenario:
-    try:
-        with open(path) as f:
-            text = f.read()
-    except OSError as e:
-        raise e
+    with open(path) as f:
+        text = f.read()
     return parse_scenario(text)
 
 
@@ -282,7 +279,8 @@ def build_parser():
     p = sub.add_parser("korn", help="estimate the coercivity constant on the scenario grid")
     p.add_argument("config", help="scenario JSON file")
     p.add_argument("--no-bc", action="store_true", help="drop all tangential boundary conditions")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="bound on the eigenvector residual ||K x - lambda M x|| (default 1e-8)")
     p.set_defaults(func=_cmd_korn)
 
     p = sub.add_parser("oracle-check", help="run the oracle self-test suite")

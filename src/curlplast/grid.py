@@ -18,13 +18,13 @@ the plain Euclidean norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 
-from .tensors import PROJ_DEVSYM, PROJ_SYM, curl_from_gradient, elasticity_matrix
+from .tensors import PROJ_SYM, MaterialParams, curl_from_gradient, elasticity_matrix
 
 FACES = ("xmin", "xmax", "ymin", "ymax", "zmin", "zmax")
 
@@ -292,22 +292,6 @@ def discrete_curl(grid: Grid, P: TensorField):
     return curl_from_gradient(G)
 
 
-def apply_micro_hard_mask(grid: Grid, boundary: BoundaryConfig, P: TensorField) -> TensorField:
-    """Zero the components of p not parallel to the face normal on micro-hard faces.
-
-    On a face with outward normal e_k every row of p must be parallel to the
-    normal, so all entries outside column k vanish.  Idempotent.
-    """
-    out = P.values.copy()
-    for face in boundary.micro_hard_faces:
-        axis, _ = face_axis_side(face)
-        nodes = grid.nodes_on_face(face)
-        keep = np.zeros(3, dtype=bool)
-        keep[axis] = True
-        out[np.ix_(nodes, [0, 1, 2], np.nonzero(~keep)[0])] = 0.0
-    return TensorField(out)
-
-
 # --------------------------------------------------------------------------
 # constant algebraic kernels for the kron-composed assembly
 
@@ -342,31 +326,38 @@ def _sel(b):
 _SEL = [_sel(b) for b in range(3)]
 
 
+def _gradient_pairs(fem):
+    """A[a][b] = D_a' W D_b: the weighted pairing of two partial derivatives."""
+    W = sp.diags(fem.w_gp)
+    return [[(fem.D[a].T @ W @ fem.D[b]).tocsr() for b in range(3)] for a in range(3)]
+
+
 def _symmetrized(K):
     K = K.tocsr()
     return 0.5 * (K + K.T)
 
 
 class Blocks:
-    """All assembled full-space operators for one grid and material.
+    """All assembled full-space operators for one grid and elastic moduli.
 
     p-blocks act on row-major nodal tensors flattened to length 9N; u-blocks
     on nodal vectors flattened to length 3N.  Two assemblies of the defect
     (curl-curl) form are provided: 'curlcurl' composes the discrete row-wise
     curl with itself, 'skewgrad' uses the pointwise identity
     <Curl X, Curl Y> = 2 sum_i <skew grad X_i, grad Y_i>; they agree to
-    roundoff and feed the formulation-equivalence tests.
+    roundoff.  The skew-gradient form is the reference the formulation-parity
+    check and the microforce balance compare against, so it is assembled on
+    first use only.
     """
 
     def __init__(self, grid: Grid, params):
         self.grid = grid
-        self.params = params
         fem = fem_operators(grid)
         self.fem = fem
         W = sp.diags(fem.w_gp)
         E0, D = fem.E0, fem.D
         self.M0 = _symmetrized((E0.T @ W @ E0).tocsr())
-        A = [[(D[a].T @ W @ D[b]).tocsr() for b in range(3)] for a in range(3)]
+        A = _gradient_pairs(fem)
         ME = [(D[b].T @ W @ E0).tocsr() for b in range(3)]
 
         Chat = elasticity_matrix(params)
@@ -379,7 +370,6 @@ class Blocks:
         self.K_up = -sum(sp.kron(ME[b], sp.csr_matrix(_SEL[b].T @ Chat)) for b in range(3)).tocsr()
         self.K_pp_el = _symmetrized(sp.kron(self.M0, sp.csr_matrix(Chat)))
         self.K_sym = _symmetrized(sp.kron(self.M0, sp.csr_matrix(PROJ_SYM)))
-        self.K_devsym = _symmetrized(sp.kron(self.M0, sp.csr_matrix(PROJ_DEVSYM)))
         self.M_cons = _symmetrized(sp.kron(self.M0, sp.eye(9)))
         self.m_lump = np.repeat(fem.w_node, 9)
 
@@ -389,13 +379,17 @@ class Blocks:
             for a2 in range(3)
         )
         self.K_curl_cc = _symmetrized(K_cc)
+
+    @cached_property
+    def K_curl_sg(self):
+        A = _gradient_pairs(self.fem)
         I3 = np.eye(3)
         K_sg = sum(sp.kron(A[b][b], sp.eye(9)) for b in range(3)) - sum(
             sp.kron(A[a][b], sp.csr_matrix(np.kron(I3, np.outer(I3[b], I3[a]))))
             for a in range(3)
             for b in range(3)
         )
-        self.K_curl_sg = _symmetrized(K_sg)
+        return _symmetrized(K_sg)
 
     def K_curl(self, route="curlcurl"):
         if route == "curlcurl":
@@ -411,12 +405,13 @@ class Blocks:
 
 
 @lru_cache(maxsize=8)
-def _blocks_cache(grid: Grid, params):
-    return Blocks(grid, params)
+def _blocks_cache(grid: Grid, mu, lam):
+    return Blocks(grid, MaterialParams(mu=mu, lam=lam))
 
 
 def build_blocks(grid: Grid, params) -> Blocks:
-    return _blocks_cache(grid, params)
+    """Cached blocks; they depend on the material only through mu and lam."""
+    return _blocks_cache(grid, params.mu, params.lam)
 
 
 # --------------------------------------------------------------------------
@@ -558,28 +553,3 @@ def dirichlet_mask(grid: Grid, boundary: BoundaryConfig) -> np.ndarray:
         mask[grid.nodes_on_face(face)] = True
     return mask.ravel()
 
-
-def assemble_block(grid: Grid, boundary: BoundaryConfig, which: str, params, symmetric=False):
-    """One constrained block of the bilinear form.
-
-    which is one of 'K_uu', 'K_up', 'K_pp_elastic', 'K_pp_curl', 'K_pp_sym',
-    'M_p'.  u-blocks are restricted to the free displacement dofs, p-blocks
-    to the admissible reduced coordinates ('M_p' returns the lumped weight of
-    each reduced coordinate).
-    """
-    blocks = build_blocks(grid, params)
-    basis = build_p_basis(grid, boundary.micro_hard_faces, "sym_sl" if symmetric else "sl")
-    free = ~dirichlet_mask(grid, boundary)
-    if which == "K_uu":
-        return blocks.K_uu[np.ix_(free, free)].tocsr()
-    if which == "K_up":
-        return (blocks.K_up @ basis.B)[free].tocsr()
-    if which == "K_pp_elastic":
-        return _symmetrized(basis.B.T @ blocks.K_pp_el @ basis.B)
-    if which == "K_pp_curl":
-        return _symmetrized(basis.B.T @ blocks.K_curl_cc @ basis.B)
-    if which == "K_pp_sym":
-        return _symmetrized(basis.B.T @ blocks.K_sym @ basis.B)
-    if which == "M_p":
-        return basis.scatter_per_node(blocks.fem.w_node)
-    raise ValueError(f"unknown block tag {which!r}")

@@ -23,7 +23,7 @@ whose complementarity with the plastic increment the solver certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,9 +91,6 @@ class ModelVariant:
     @property
     def k2_eff(self):
         return self.params.k2 if self.tag in _ISOTROPIC else 0.0
-
-    def with_route(self, route):
-        return replace(self, curl_route=route)
 
     def flow_projector(self, X):
         """Pointwise projection onto the flow direction space."""

@@ -60,12 +60,14 @@ def _require(cond, message):
         raise ValidationError(message)
 
 
-def _get(d, key, typ, message=None, default=None, required=True):
+def _get(d, key, message=None):
     if key not in d:
-        if required:
-            raise ValidationError(message or f"missing required field '{key}'")
-        return default
+        raise ValidationError(message or f"missing required field '{key}'")
     return d[key]
+
+
+def _is_finite_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x)
 
 
 def _as_floats(x, n, what):
@@ -89,23 +91,28 @@ def parse_scenario(text: str) -> Scenario:
     return scenario_from_dict(doc)
 
 
+_TOP_LEVEL = {"version", "variant", "material", "grid", "boundary", "load_program", "solver", "output"}
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
-    version = _get(doc, "version", int, "missing required field 'version'")
+    unknown = set(doc) - _TOP_LEVEL
+    _require(not unknown, f"unknown top-level fields: {sorted(unknown)}")
+    version = _get(doc, "version", "missing required field 'version'")
     _require(version == SCHEMA_VERSION, f"unsupported config version {version!r}, expected {SCHEMA_VERSION}")
 
-    tag = _get(doc, "variant", str)
+    tag = _get(doc, "variant")
     _require(isinstance(tag, str) and tag in VARIANT_TAGS,
              f"variant must be one of {', '.join(VARIANT_TAGS)}")
 
-    mat = _get(doc, "material", dict)
+    mat = _get(doc, "material")
     _require(isinstance(mat, dict), "material must be an object")
     known = {"mu", "lambda", "kappa", "k1", "k2", "Lc", "sigma_y"}
     unknown = set(mat) - known
     _require(not unknown, f"unknown material fields: {sorted(unknown)}")
     try:
         params = MaterialParams(
-            mu=float(_get(mat, "mu", float, "material.mu is required")),
-            lam=float(_get(mat, "lambda", float, "material.lambda is required")),
+            mu=float(_get(mat, "mu", "material.mu is required")),
+            lam=float(_get(mat, "lambda", "material.lambda is required")),
             k1=float(mat.get("k1", 0.0)),
             k2=float(mat.get("k2", 0.0)),
             Lc=float(mat.get("Lc", 0.0)),
@@ -115,32 +122,31 @@ def scenario_from_dict(doc: dict) -> Scenario:
     except (TypeError, ValueError) as e:
         raise ValidationError(f"material: {e}") from e
 
-    route = doc.get("curl_assembly", "curlcurl")
     try:
-        variant = ModelVariant(tag, params, curl_route=route)
+        variant = ModelVariant(tag, params)
     except ValueError as e:
         raise ValidationError(str(e)) from e
 
-    gspec = _get(doc, "grid", dict)
+    gspec = _get(doc, "grid")
     _require(isinstance(gspec, dict), "grid must be an object")
-    cells = _get(gspec, "cells", list, "grid.cells is required")
+    cells = _get(gspec, "cells", "grid.cells is required")
     try:
         n = tuple(int(v) for v in cells)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError("grid.cells must be three integers")
     _require(len(n) == 3 and all(v >= 1 for v in n), "grid.cells must be three integers >= 1")
     if "spacing" in gspec:
         h = _as_floats(gspec["spacing"], 3, "grid.spacing")
     else:
-        size = _as_floats(_get(gspec, "size", list, "grid needs 'spacing' or 'size'"), 3, "grid.size")
+        size = _as_floats(_get(gspec, "size", "grid needs 'spacing' or 'size'"), 3, "grid.size")
         h = tuple(s / c for s, c in zip(size, n))
     _require(all(v > 0 for v in h), "grid spacing must be positive")
     origin = _as_floats(gspec.get("origin", (0.0, 0.0, 0.0)), 3, "grid.origin")
     grid = Grid(n, h, origin)
 
-    bspec = _get(doc, "boundary", dict)
+    bspec = _get(doc, "boundary")
     _require(isinstance(bspec, dict), "boundary must be an object")
-    gamma = _get(bspec, "gamma_faces", list, "boundary.gamma_faces is required")
+    gamma = _get(bspec, "gamma_faces", "boundary.gamma_faces is required")
     _require(isinstance(gamma, list) and gamma, "boundary.gamma_faces must be a non-empty list")
     for f in gamma:
         _require(f in FACES, f"unknown face {f!r} in gamma_faces, expected one of {FACES}")
@@ -155,21 +161,20 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _require(len(rows) == 3, "boundary.dirichlet.matrix must be 3x3")
     dirichlet = tuple(rows)
 
-    prog = _get(doc, "load_program", list, "load_program is required")
+    prog = _get(doc, "load_program", "load_program is required")
     _require(isinstance(prog, list) and prog, "load_program must be a non-empty list")
     steps = []
     prev_level = -np.inf
     for i, entry in enumerate(prog):
         _require(isinstance(entry, dict), f"load_program[{i}] must be an object")
         level = entry.get("level")
-        _require(isinstance(level, (int, float)) and np.isfinite(level),
-                 f"load_program[{i}].level must be a finite number")
+        _require(_is_finite_number(level), f"load_program[{i}].level must be a finite number")
         _require(level > prev_level, "load_program levels must be strictly increasing")
         prev_level = level
-        amp = float(entry.get("amplitude", 0.0))
-        _require(np.isfinite(amp), f"load_program[{i}].amplitude must be finite")
+        amp = entry.get("amplitude", 0.0)
+        _require(_is_finite_number(amp), f"load_program[{i}].amplitude must be a finite number")
         bf = _as_floats(entry.get("body_force", (0.0, 0.0, 0.0)), 3, f"load_program[{i}].body_force")
-        steps.append(LoadStep(float(level), amp, bf))
+        steps.append(LoadStep(float(level), float(amp), bf))
 
     sspec = doc.get("solver", {})
     _require(isinstance(sspec, dict), "solver must be an object")
@@ -180,16 +185,20 @@ def scenario_from_dict(doc: dict) -> Scenario:
     try:
         solver = SolverConfig(**{k: (int(v) if k.startswith(("max", "vi", "seed")) else float(v))
                                  for k, v in sspec.items()})
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"solver: {e}") from e
 
     ospec = doc.get("output", {})
     _require(isinstance(ospec, dict), "output must be an object")
-    output = OutputConfig(
-        csv=str(ospec.get("csv", "timeseries.csv")),
-        vtk_dir=ospec.get("vtk_dir", None),
-        vtk_stride=int(ospec.get("vtk_stride", 1)),
-    )
+    csv = ospec.get("csv", "timeseries.csv")
+    vtk_dir = ospec.get("vtk_dir", None)
+    _require(isinstance(csv, str), "output.csv must be a string")
+    _require(vtk_dir is None or isinstance(vtk_dir, str), "output.vtk_dir must be a string")
+    try:
+        vtk_stride = int(ospec.get("vtk_stride", 1))
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("output.vtk_stride must be an integer")
+    output = OutputConfig(csv, vtk_dir, vtk_stride)
     return Scenario(variant, grid, boundary, dirichlet, tuple(steps), solver, output)
 
 
@@ -199,7 +208,6 @@ def canonical_dict(s: Scenario) -> dict:
     out = {
         "version": SCHEMA_VERSION,
         "variant": s.variant.tag,
-        "curl_assembly": s.variant.curl_route,
         "material": {"mu": p.mu, "lambda": p.lam, "k1": p.k1, "k2": p.k2,
                      "Lc": p.Lc, "sigma_y": p.sigma_y},
         "grid": {"cells": list(s.grid.n), "spacing": list(s.grid.h), "origin": list(s.grid.origin)},

@@ -60,7 +60,6 @@ class SolverConfig:
     max_cg: int = 20000
     max_fista: int = 100000
     lipschitz_safety: float = 1.1
-    dt_schedule: tuple[float, ...] | None = None  # bookkeeping only; steps are load-driven
     vi_probes: int = 0
     seed: int = 0
 
@@ -181,7 +180,6 @@ class DiscreteProblem:
         A_pp = self.blocks.K_pp_el + mu * variant.params.Lc ** 2 * self.blocks.K_curl(variant.curl_route)
         if variant.k1_eff:
             A_pp = A_pp + mu * variant.k1_eff * self.blocks.K_sym
-        self.A_pp_full = A_pp.tocsr()
         B = self.basis.B
         self.A_hat = 0.5 * ((B.T @ A_pp @ B) + (B.T @ A_pp @ B).T).tocsr()
         self.S_up = (self.blocks.K_up @ B).tocsr()  # u-rows, reduced p-columns
@@ -268,14 +266,11 @@ class DiscreteProblem:
 
     # -- dissipation bookkeeping --------------------------------------------
 
-    def node_increment_norms(self, dc):
-        return self.basis.node_norms(dc)
-
     def dissipation_value(self, dc, gamma_prev):
         """Lumped-quadrature value of the incremental dissipation functional."""
         if not self.variant.has_dissipation:
             return 0.0
-        n = self.node_increment_norms(dc)
+        n = self.basis.node_norms(dc)
         sy = self.variant.params.sigma_y
         val = sy * float(self.w_node @ n)
         if self.variant.isotropic:
@@ -286,7 +281,7 @@ class DiscreteProblem:
     def _prox_reduced(self, x, c_prev, tau, gamma_prev):
         """Exact nodewise prox in reduced coordinates (uniform threshold tau)."""
         d = x - c_prev
-        n = self.node_increment_norms(d)
+        n = self.basis.node_norms(d)
         m = shrink_magnitude(self.variant, n, tau, gamma_prev)
         factor = np.where(n > 0.0, m / np.maximum(n, 1e-300), 0.0)
         return c_prev + d * self.basis.scatter_per_node(factor)
@@ -345,10 +340,6 @@ class DiscreteProblem:
         """b - A c in reduced coordinates: the weighted weak generalized stress."""
         return -np.asarray(self.S_up.T @ U) - np.asarray(self.A_hat @ c)
 
-    def eshelby_reduced(self, U, c):
-        """Projected nodal generalized stress in reduced coordinates (per unit weight)."""
-        return self.smooth_residual_reduced(U, c) / self.w_seg
-
     def kkt_check(self, U, c, dc, gamma_new, active_tol=1e-12):
         """Discrete complementarity of the flow law at every node.
 
@@ -360,7 +351,7 @@ class DiscreteProblem:
         if not self.variant.has_dissipation:
             return 0.0, 0.0, 0.0
         sy = self.variant.params.sigma_y
-        T = self.eshelby_reduced(U, c)
+        T = self.smooth_residual_reduced(U, c) / self.w_seg
         tn = self.basis.node_norms(T)
         dn = self.basis.node_norms(dc)
         radius = sy + self.variant.params.mu * self.variant.k2_eff * gamma_new
@@ -485,7 +476,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep,
             raise NoConvergence("outer alternation", cfg.max_outer, u_res, cfg.tol_cg)
 
     dc = c - c_prev
-    dn = problem.node_increment_norms(dc)
+    dn = problem.basis.node_norms(dc)
     # gamma tracks the accumulated plastic multiplier; the micromorphic field
     # is elastic, so nothing accumulates there
     gamma_new = gamma_prev + dn if variant.has_dissipation else gamma_prev

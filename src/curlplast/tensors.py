@@ -112,6 +112,9 @@ class MaterialParams:
     kappa: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        for name in ("mu", "lam", "k1", "k2", "Lc", "sigma_y"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
         if not 3.0 * self.lam + 2.0 * self.mu > 0.0:
@@ -119,10 +122,10 @@ class MaterialParams:
         kappa = self.lam + 2.0 * self.mu / 3.0
         if self.kappa is None:
             object.__setattr__(self, "kappa", kappa)
-        elif abs(self.kappa - kappa) > 1e-12 * max(abs(kappa), self.mu):
+        elif not abs(self.kappa - kappa) <= 1e-12 * max(abs(kappa), self.mu):
             raise ValueError("kappa inconsistent with lam + 2*mu/3")
         for name in ("k1", "k2", "Lc", "sigma_y"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be nonnegative")
 
     @property
@@ -150,16 +153,14 @@ def elasticity_matrix(params: MaterialParams):
     return C
 
 
-# 9x9 projectors on row-major vec(X), used by the assembly.
-def _build_projectors():
+# 9x9 projector onto the symmetric part of row-major vec(X), used by the assembly.
+def _sym_projector():
     P_sym = np.zeros((9, 9))
     for i in range(3):
         for j in range(3):
             P_sym[3 * i + j, 3 * i + j] += 0.5
             P_sym[3 * i + j, 3 * j + i] += 0.5
-    v = IDENTITY.reshape(9)
-    P_tr = np.outer(v, v) / 3.0
-    return P_sym, np.eye(9) - P_tr, P_sym - P_tr
+    return P_sym
 
 
-PROJ_SYM, PROJ_DEV, PROJ_DEVSYM = _build_projectors()
+PROJ_SYM = _sym_projector()

@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from curlplast.grid import FACES, Grid, TensorField
+from curlplast.grid import FACES, Grid, TensorField, build_blocks, build_p_basis
 from curlplast.korn import KornProblem, ZeroField, estimate_min_quotient, korn_quotient
-from curlplast.tensors import cross_matrix
+from curlplast.solver import NoConvergence
+from curlplast.tensors import MaterialParams, cross_matrix
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def constant_field(grid, M):
@@ -91,3 +100,30 @@ class TestMinQuotient:
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             estimate_min_quotient(KornProblem(Grid.unit_cube(2)), 0.0)
+
+    def test_close_eigenvalues_match_dense_solve(self):
+        # one cell with one constrained face: the two smallest eigenvalues
+        # are 0.09431 and 0.09609, 2% apart
+        g = Grid.unit_cube(1)
+        blocks = build_blocks(g, MaterialParams(mu=1.0, lam=0.0))
+        B = build_p_basis(g, ("zmin",), "none").B
+        K = (B.T @ (blocks.K_sym + blocks.K_curl_cc) @ B).toarray()
+        M = (B.T @ blocks.M_cons @ B).toarray()
+        dense = scipy.linalg.eigh(K, M, eigvals_only=True)
+        assert dense[1] < 1.02 * dense[0]
+        lam = estimate_min_quotient(KornProblem(g, ("zmin",)), 1e-8)
+        assert lam == pytest.approx(dense[0], rel=1e-8)
+
+    def test_no_convergence_reports_the_residual(self):
+        with pytest.raises(NoConvergence) as info:
+            estimate_min_quotient(KornProblem(Grid.unit_cube(3), FACES), 1e-8, max_iterations=2)
+        assert info.value.iterations == 2
+        assert np.isfinite(info.value.residual) and info.value.residual > info.value.tol
+
+
+def test_package_import_leaves_sparse_linalg_unloaded():
+    # scenario runs never need scipy.sparse.linalg; loading it with the
+    # package would raise their peak memory
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, curlplast; sys.exit('scipy.sparse.linalg' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

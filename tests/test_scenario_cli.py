@@ -37,6 +37,22 @@ def base_doc(**overrides):
     return doc
 
 
+# one edit of base_doc() per input that must be rejected with exit code 2
+INVALID_EDITS = {
+    "Lc_nan": lambda d: d["material"].update(Lc=float("nan")),
+    "sigma_y_infinite": lambda d: d["material"].update(sigma_y=float("inf")),
+    "kappa_nan": lambda d: d["material"].update(kappa=float("nan")),
+    "vtk_dir_number": lambda d: d.update(output={"vtk_dir": 5}),
+    "csv_number": lambda d: d.update(output={"csv": 7}),
+    "vtk_stride_text": lambda d: d.update(output={"vtk_stride": "every"}),
+    "max_cg_overflow": lambda d: d.update(solver={"max_cg": 1e999}),
+    "level_bool": lambda d: d["load_program"][0].update(level=True),
+    "amplitude_text": lambda d: d["load_program"][0].update(amplitude="x"),
+    "misspelt_solver": lambda d: d.update(solvr={"tol_cg": 1e-3}),
+    "curl_assembly": lambda d: d.update(curl_assembly="skewgrad"),
+}
+
+
 def elastic_doc():
     return base_doc(load_program=[{"level": 1, "amplitude": 1e-5}, {"level": 2, "amplitude": 2e-5}])
 
@@ -261,6 +277,15 @@ class TestCliEntry:
         cfg = self.write(tmp_path, doc)
         assert main(["--quiet", "run", cfg]) == 2
         assert "k1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(INVALID_EDITS))
+    def test_invalid_input_exit_code(self, tmp_path, capsys, case):
+        doc = base_doc()
+        INVALID_EDITS[case](doc)
+        cfg = self.write(tmp_path, doc)
+        assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
