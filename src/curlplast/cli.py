@@ -19,7 +19,7 @@ from .grid import Grid
 from .korn import KornProblem, estimate_min_quotient
 from .models import SimState, sigma_nodal, eshelby_stress
 from .oracles import selftest
-from .scenario import ParseError, Scenario, ValidationError, parse_scenario
+from .scenario import Scenario, ValidationError, parse_scenario
 from .solver import DiscreteProblem, NoConvergence, time_step
 from .tensors import dev
 from .vtk_io import write_structured_points
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as e:
+    except ValueError as e:  # ParseError and ValidationError included
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NoConvergence as e:

@@ -478,12 +478,17 @@ class PBasis:
     offsets: np.ndarray
     mode: str
 
+    def __post_init__(self):
+        self._dims = np.diff(self.offsets)
+        self._nodes = np.nonzero(self._dims > 0)[0]
+        self._starts = self.offsets[self._nodes]
+
     @property
     def size(self):
         return int(self.offsets[-1])
 
     def dims(self):
-        return np.diff(self.offsets)
+        return self._dims
 
     def to_full(self, c):
         return np.asarray(self.B @ c)
@@ -493,9 +498,7 @@ class PBasis:
 
     def segment_starts(self):
         """Column starts of the nonempty per-node segments, plus their node ids."""
-        dims = self.dims()
-        nodes = np.nonzero(dims > 0)[0]
-        return self.offsets[nodes], nodes
+        return self._starts, self._nodes
 
     def node_norms(self, c):
         """Frobenius norm of each node's tensor from reduced coordinates."""
@@ -507,7 +510,7 @@ class PBasis:
 
     def scatter_per_node(self, per_node):
         """Repeat a per-node array onto the reduced coordinates."""
-        return np.repeat(per_node, self.dims())
+        return np.repeat(per_node, self._dims)
 
 
 def build_p_basis(grid: Grid, micro_hard_faces, mode="sl") -> PBasis:

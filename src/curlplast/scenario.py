@@ -179,7 +179,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     sspec = doc.get("solver", {})
     _require(isinstance(sspec, dict), "solver must be an object")
     known = {"tol_outer", "tol_cg", "tol_fista", "max_outer", "max_cg", "max_fista",
-             "lipschitz_safety", "vi_probes", "seed"}
+             "vi_probes", "seed"}
     unknown = set(sspec) - known
     _require(not unknown, f"unknown solver fields: {sorted(unknown)}")
     try:
@@ -224,7 +224,6 @@ def canonical_dict(s: Scenario) -> dict:
             "tol_outer": s.solver.tol_outer, "tol_cg": s.solver.tol_cg,
             "tol_fista": s.solver.tol_fista, "max_outer": s.solver.max_outer,
             "max_cg": s.solver.max_cg, "max_fista": s.solver.max_fista,
-            "lipschitz_safety": s.solver.lipschitz_safety,
             "vi_probes": s.solver.vi_probes, "seed": s.solver.seed,
         },
         "output": {"csv": s.output.csv, "vtk_stride": s.output.vtk_stride,

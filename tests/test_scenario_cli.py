@@ -50,6 +50,7 @@ INVALID_EDITS = {
     "amplitude_text": lambda d: d["load_program"][0].update(amplitude="x"),
     "misspelt_solver": lambda d: d.update(solvr={"tol_cg": 1e-3}),
     "curl_assembly": lambda d: d.update(curl_assembly="skewgrad"),
+    "lipschitz_safety": lambda d: d.update(solver={"lipschitz_safety": 1.1}),
 }
 
 
@@ -314,6 +315,13 @@ class TestCliEntry:
         assert "lambda_min" in out and "korn_constant" in out
         assert main(["korn", cfg, "--no-bc"]) == 0
         assert "no constant exists" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["0", "nan", "-1"])
+    def test_korn_invalid_tol_exit_code(self, tmp_path, capsys, tol):
+        cfg = self.write(tmp_path, elastic_doc())
+        assert main(["korn", cfg, "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_oracle_check_subcommand(self, capsys):
         assert main(["--quiet", "oracle-check"]) == 0

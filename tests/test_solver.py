@@ -153,6 +153,38 @@ class TestOneNodeMinimization:
             c0=np.zeros(4), step=0.5, tol=1e-12, maxiter=100)
         assert np.all(c == 0.0) and its == 1
 
+    def test_one_matvec_and_one_prox_per_iteration(self):
+        rng = np.random.default_rng(7)
+        n = 6
+        Q = rng.standard_normal((n, n))
+        A = Q @ Q.T + np.eye(n)
+        b = rng.standard_normal(n)
+        w = np.full(n, 0.7)
+        step = 1.0 / (np.linalg.eigvalsh(A / 0.7).max() * 1.1)
+        calls = {"matvec": 0, "prox": 0}
+
+        def matvec(v):
+            calls["matvec"] += 1
+            return A @ v
+
+        def prox(z):
+            calls["prox"] += 1
+            nz = np.linalg.norm(z)
+            return z * (max(0.0, nz - 0.1 * step) / nz) if nz > 0 else z
+
+        _, its = accelerated_prox_gradient(
+            matvec=matvec, b=b, w=w, prox=prox, c0=np.zeros(n),
+            step=step, tol=1e-12, maxiter=100000)
+        assert its > 1
+        assert calls == {"matvec": its, "prox": its}
+
+    def test_nan_matvec_fails_fast(self):
+        with pytest.raises(NoConvergence) as err:
+            accelerated_prox_gradient(
+                matvec=lambda v: np.full_like(v, np.nan), b=np.ones(4), w=np.ones(4),
+                prox=lambda z: z, c0=np.zeros(4), step=0.5, tol=1e-12, maxiter=100000)
+        assert err.value.iterations == 1
+
 
 class TestSolveU:
     def test_affine_reproduction_exact(self):
@@ -182,6 +214,16 @@ class TestSolveU:
         b = rng.standard_normal(prob.K_ff.shape[0])
         x, _ = prob.pcg(prob.K_ff, b, np.zeros_like(b), 1e-10, 10000, prob.jacobi_ff)
         assert np.linalg.norm(b - prob.K_ff @ x) <= 1e-10 * np.linalg.norm(b)
+
+    def test_cg_nan_operator_fails_fast(self):
+        grid = Grid.unit_cube(2)
+        prob = DiscreteProblem(grid, BoundaryConfig(("zmin",)), KIN, None, TIGHT)
+        A = prob.K_ff.copy()
+        A.data[:] = np.nan
+        b = np.ones(A.shape[0])
+        with pytest.raises(NoConvergence) as err:
+            prob.pcg(A, b, np.zeros_like(b), 1e-10, 20000, prob.jacobi_ff)
+        assert err.value.iterations <= 1
 
 
 class TestSolveP:
