@@ -2,10 +2,18 @@
 
 Displacements and the plastic distortion are stored at nodes; all nine
 tensor components share one scalar trilinear space, which is H1-conforming
-and therefore conforming for the row-wise curl.  Quadratic-form blocks are
-assembled by composing sparse point-evaluation and point-gradient operators
-with constant 9x9 (or 3x3) algebraic kernels, so every block is exact for
-the 2x2x2 Gauss rule and trivially symmetric after one symmetrization pass.
+and therefore conforming for the row-wise curl.
+
+Quadratic-form blocks (Blocks) are Kronecker products of scalar nodal
+pairings with constant 9x9 (or 3x3) algebraic kernels.  On the uniform grid
+each scalar pairing is in turn the Kronecker product of three exact 1D
+tridiagonal factors (mass, stiffness, derivative-mass), one per axis, so the
+blocks equal the 2x2x2 Gauss-rule assembly without storing its roundoff in
+analytically zero entries.  Blocks are assembled on first use.
+
+FemOperators, the sparse value and gradient operators at the Gauss points,
+serve the pointwise fields (Cauchy stress, discrete curl) and are the
+reference the block assembly is tested against; no block uses them.
 
 Pointwise constraints on the plastic field (trace-free, symmetric, rows
 parallel to the outward normal on micro-hard faces) are realized through a
@@ -293,7 +301,7 @@ def discrete_curl(grid: Grid, P: TensorField):
 
 
 # --------------------------------------------------------------------------
-# constant algebraic kernels for the kron-composed assembly
+# Kronecker-composed assembly: constant algebraic kernels and exact 1D factors
 
 def _curl_kernels():
     """C_a with (C_a)[3i+k, 3i+b] = eps_{kab}: curl from the a-th derivative."""
@@ -326,10 +334,25 @@ def _sel(b):
 _SEL = [_sel(b) for b in range(3)]
 
 
-def _gradient_pairs(fem):
-    """A[a][b] = D_a' W D_b: the weighted pairing of two partial derivatives."""
-    W = sp.diags(fem.w_gp)
-    return [[(fem.D[a].T @ W @ fem.D[b]).tocsr() for b in range(3)] for a in range(3)]
+def _factors_1d(n, h):
+    """Exact 1D factors (M, K, G) of n linear cells of size h, n + 1 nodes.
+
+    M[i, j] = int phi_i phi_j, K[i, j] = int phi_i' phi_j' and
+    G[i, j] = int phi_i' phi_j; the 2-point Gauss rule integrates all three
+    exactly.  G keeps only its two end diagonal entries: the interior ones
+    are zero and are not stored.
+    """
+    cells = np.full(n + 1, 2.0)  # cells touching each node
+    cells[0] = cells[-1] = 1.0
+    off = np.ones(n)
+    M = sp.diags([h / 6.0 * off, h / 3.0 * cells, h / 6.0 * off], [-1, 0, 1], format="csr")
+    K = sp.diags([-off / h, cells / h, -off / h], [-1, 0, 1], format="csr")
+    i = np.arange(n)
+    rows = np.concatenate([i, i + 1, [0, n]])
+    cols = np.concatenate([i + 1, i, [0, n]])
+    vals = np.concatenate([-0.5 * off, 0.5 * off, [-0.5, 0.5]])
+    G = sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
+    return M, K, G
 
 
 def _symmetrized(K):
@@ -341,51 +364,111 @@ class Blocks:
     """All assembled full-space operators for one grid and elastic moduli.
 
     p-blocks act on row-major nodal tensors flattened to length 9N; u-blocks
-    on nodal vectors flattened to length 3N.  Two assemblies of the defect
+    on nodal vectors flattened to length 3N.  Every block is a sum of
+    Kronecker products of a scalar nodal pairing with a constant 9x9 (or
+    3x3) algebraic kernel, and every scalar pairing is itself a Kronecker
+    product of the exact 1D factors of _factors_1d, one per axis:
+
+    - M0 = int phi_I phi_J: M on all three axes;
+    - _pair(a, a) = int d_a phi_I d_a phi_J: K on axis a, M on the others;
+    - _pair(a, b) = int d_a phi_I d_b phi_J, a != b: G on axis a, G' on
+      axis b, M on the third;
+    - ME[b] = int d_b phi_I phi_J: G on axis b, M on the others;
+    - w_node, the lumped (row-sum) weights: the product of the 1D row sums.
+
+    The blocks equal the 2x2x2 Gauss-point assembly, and analytically zero
+    entries are never stored.  Each block is assembled on first use, so a
+    run pays only for the blocks it reads.  Two assemblies of the defect
     (curl-curl) form are provided: 'curlcurl' composes the discrete row-wise
     curl with itself, 'skewgrad' uses the pointwise identity
     <Curl X, Curl Y> = 2 sum_i <skew grad X_i, grad Y_i>; they agree to
-    roundoff.  The skew-gradient form is the reference the formulation-parity
-    check and the microforce balance compare against, so it is assembled on
-    first use only.
+    roundoff.
     """
 
     def __init__(self, grid: Grid, params):
         self.grid = grid
-        fem = fem_operators(grid)
-        self.fem = fem
-        W = sp.diags(fem.w_gp)
-        E0, D = fem.E0, fem.D
-        self.M0 = _symmetrized((E0.T @ W @ E0).tocsr())
-        A = _gradient_pairs(fem)
-        ME = [(D[b].T @ W @ E0).tocsr() for b in range(3)]
+        self._chat = elasticity_matrix(params)
+        self._1d = []
+        for n, h in zip(grid.n, grid.h):
+            M, K, G = _factors_1d(n, h)
+            self._1d.append({"M": M, "K": K, "G": G, "Gt": G.T.tocsr()})
 
-        Chat = elasticity_matrix(params)
-        K_uu = sum(
-            sp.kron(A[b][b2], sp.csr_matrix(_SEL[b].T @ Chat @ _SEL[b2]))
+    def _scalar(self, names):
+        """Scalar nodal pairing from one named 1D factor per axis, x first.
+
+        Nodes are numbered x fastest, so the pairing is kron(z, kron(y, x)).
+        """
+        x, y, z = (f[name] for f, name in zip(self._1d, names))
+        return sp.kron(z, sp.kron(y, x, format="csr"), format="csr")
+
+    def _pair(self, a, b):
+        names = ["M"] * 3
+        if a == b:
+            names[a] = "K"
+        else:
+            names[a], names[b] = "G", "Gt"
+        return self._scalar(names)
+
+    def _pairs(self):
+        return [[self._pair(a, b) for b in range(3)] for a in range(3)]
+
+    @cached_property
+    def M0(self):
+        return self._scalar("MMM")
+
+    @cached_property
+    def w_node(self):
+        x, y, z = (np.asarray(f["M"].sum(axis=1)).ravel() for f in self._1d)
+        return np.kron(z, np.kron(y, x))
+
+    @cached_property
+    def m_lump(self):
+        return np.repeat(self.w_node, 9)
+
+    @cached_property
+    def K_uu(self):
+        A = self._pairs()
+        K = sum(
+            sp.kron(A[b][b2], sp.csr_matrix(_SEL[b].T @ self._chat @ _SEL[b2]), format="csr")
             for b in range(3)
             for b2 in range(3)
         )
-        self.K_uu = _symmetrized(K_uu)
-        self.K_up = -sum(sp.kron(ME[b], sp.csr_matrix(_SEL[b].T @ Chat)) for b in range(3)).tocsr()
-        self.K_pp_el = _symmetrized(sp.kron(self.M0, sp.csr_matrix(Chat)))
-        self.K_sym = _symmetrized(sp.kron(self.M0, sp.csr_matrix(PROJ_SYM)))
-        self.M_cons = _symmetrized(sp.kron(self.M0, sp.eye(9)))
-        self.m_lump = np.repeat(fem.w_node, 9)
+        return _symmetrized(K)
 
-        K_cc = sum(
-            sp.kron(A[a][a2], sp.csr_matrix(_CURL_K[a].T @ _CURL_K[a2]))
+    @cached_property
+    def K_up(self):
+        ME = [self._scalar(["G" if d == b else "M" for d in range(3)]) for b in range(3)]
+        return -sum(sp.kron(ME[b], sp.csr_matrix(_SEL[b].T @ self._chat), format="csr") for b in range(3))
+
+    # kron of the symmetric M0 with a symmetric kernel is exactly symmetric
+    @cached_property
+    def K_pp_el(self):
+        return sp.kron(self.M0, sp.csr_matrix(self._chat), format="csr")
+
+    @cached_property
+    def K_sym(self):
+        return sp.kron(self.M0, sp.csr_matrix(PROJ_SYM), format="csr")
+
+    @cached_property
+    def M_cons(self):
+        return sp.kron(self.M0, sp.eye(9), format="csr")
+
+    @cached_property
+    def K_curl_cc(self):
+        A = self._pairs()
+        K = sum(
+            sp.kron(A[a][a2], sp.csr_matrix(_CURL_K[a].T @ _CURL_K[a2]), format="csr")
             for a in range(3)
             for a2 in range(3)
         )
-        self.K_curl_cc = _symmetrized(K_cc)
+        return _symmetrized(K)
 
     @cached_property
     def K_curl_sg(self):
-        A = _gradient_pairs(self.fem)
+        A = self._pairs()
         I3 = np.eye(3)
-        K_sg = sum(sp.kron(A[b][b], sp.eye(9)) for b in range(3)) - sum(
-            sp.kron(A[a][b], sp.csr_matrix(np.kron(I3, np.outer(I3[b], I3[a]))))
+        K_sg = sum(sp.kron(A[b][b], sp.eye(9), format="csr") for b in range(3)) - sum(
+            sp.kron(A[a][b], sp.csr_matrix(np.kron(I3, np.outer(I3[b], I3[a]))), format="csr")
             for a in range(3)
             for b in range(3)
         )
@@ -400,8 +483,7 @@ class Blocks:
 
     def body_force_vector(self, f):
         """Assembled load for a constant body force, flattened (3N,)."""
-        nodal = np.asarray(self.fem.E0.T @ self.fem.w_gp)
-        return np.outer(nodal, np.asarray(f, dtype=float)).ravel()
+        return np.outer(self.w_node, np.asarray(f, dtype=float)).ravel()
 
 
 @lru_cache(maxsize=8)

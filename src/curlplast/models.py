@@ -149,10 +149,11 @@ def total_energy(grid: Grid, variant: ModelVariant, state: SimState, body_force=
     elastic = 0.5 * (uf @ (blocks.K_uu @ uf)) + uf @ (blocks.K_up @ p9) + 0.5 * (
         p9 @ (blocks.K_pp_el @ p9)
     )
-    defect = 0.5 * mu * variant.params.Lc ** 2 * (p9 @ (blocks.K_curl(variant.curl_route) @ p9))
+    Lc = variant.params.Lc
+    defect = 0.5 * mu * Lc ** 2 * (p9 @ (blocks.K_curl(variant.curl_route) @ p9)) if Lc else 0.0
     if variant.isotropic:
         g = state.gamma.values
-        hardening = 0.5 * mu * variant.params.k2 * float(blocks.fem.w_node @ (g * g))
+        hardening = 0.5 * mu * variant.params.k2 * float(blocks.w_node @ (g * g))
     else:
         hardening = 0.5 * mu * variant.k1_eff * (p9 @ (blocks.K_sym @ p9))
     load = 0.0
@@ -174,7 +175,8 @@ def smooth_residual_p(grid: Grid, variant: ModelVariant, u: VectorField, p: Tens
     mu = variant.params.mu
     b_p = -(blocks.K_up.T @ uf)
     r = b_p - blocks.K_pp_el @ p9
-    r -= mu * variant.params.Lc ** 2 * (blocks.K_curl(variant.curl_route) @ p9)
+    if variant.params.Lc:
+        r -= mu * variant.params.Lc ** 2 * (blocks.K_curl(variant.curl_route) @ p9)
     if variant.k1_eff:
         r -= mu * variant.k1_eff * (blocks.K_sym @ p9)
     return np.asarray(r)
@@ -188,9 +190,8 @@ def eshelby_stress(grid: Grid, variant: ModelVariant, u: VectorField, p: TensorF
     the same weights, so the result is exactly the driving force of the
     discrete flow problem.
     """
-    fem = fem_operators(grid)
     r = smooth_residual_p(grid, variant, u, p)
-    return (r / np.repeat(fem.w_node, 9)).reshape(-1, 3, 3)
+    return (r / build_blocks(grid, variant.params).m_lump).reshape(-1, 3, 3)
 
 
 def sigma_nodal(grid: Grid, params: MaterialParams, u: VectorField, p: TensorField):

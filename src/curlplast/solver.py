@@ -188,13 +188,17 @@ class DiscreteProblem:
 
         self.blocks = build_blocks(grid, variant.params)
         self.basis = build_p_basis(grid, boundary.micro_hard_faces, "sym_sl" if variant.symmetric else "sl")
-        mu = variant.params.mu
-        A_pp = self.blocks.K_pp_el + mu * variant.params.Lc ** 2 * self.blocks.K_curl(variant.curl_route)
+        mu, Lc = variant.params.mu, variant.params.Lc
+        A_pp = self.blocks.K_pp_el
+        if Lc:
+            A_pp = A_pp + mu * Lc ** 2 * self.blocks.K_curl(variant.curl_route)
         if variant.k1_eff:
             A_pp = A_pp + mu * variant.k1_eff * self.blocks.K_sym
         B = self.basis.B
-        self.A_hat = 0.5 * ((B.T @ A_pp @ B) + (B.T @ A_pp @ B).T).tocsr()
+        A_red = B.T @ A_pp @ B
+        self.A_hat = 0.5 * (A_red + A_red.T).tocsr()
         self.S_up = (self.blocks.K_up @ B).tocsr()  # u-rows, reduced p-columns
+        self.S_pu = self.S_up.T.tocsr()  # reduced p-rows, u-columns
 
         self.presc = dirichlet_mask(grid, boundary)
         self.free = ~self.presc
@@ -206,7 +210,7 @@ class DiscreteProblem:
         d = self.K_ff.diagonal()
         self.jacobi_ff = 1.0 / np.where(d > 0.0, d, 1.0)
 
-        self.w_node = self.blocks.fem.w_node
+        self.w_node = self.blocks.w_node
         self.w_seg = self.basis.scatter_per_node(self.w_node)
         self.dirichlet_matrix = None if dirichlet_matrix is None else np.asarray(dirichlet_matrix, dtype=float)
         self._coords = grid.node_coords()
@@ -319,7 +323,7 @@ class DiscreteProblem:
         """
         tol = tol or self.config.tol_fista
         maxiter = maxiter or self.config.max_fista
-        b = -np.asarray(self.S_up.T @ U)
+        b = -np.asarray(self.S_pu @ U)
         t = 1.0 / self.lipschitz()
         # the size of one full gradient step off zero bounds the minimizer
         # scale; it floors the relative test when the increment is tiny
@@ -333,17 +337,19 @@ class DiscreteProblem:
     # -- functional evaluation ------------------------------------------------
 
     def objective(self, U, c, c_prev, gamma_prev, F):
+        """The step functional J and its dissipation term, which scales the descent test."""
         smooth = (
             0.5 * float(U @ (self.blocks.K_uu @ U))
             + float(U @ (self.S_up @ c))
             + 0.5 * float(c @ (self.A_hat @ c))
             - float(F @ U)
         )
-        return smooth + self.dissipation_value(c - c_prev, gamma_prev)
+        dissipation = self.dissipation_value(c - c_prev, gamma_prev)
+        return smooth + dissipation, dissipation
 
     def smooth_residual_reduced(self, U, c):
         """b - A c in reduced coordinates: the weighted weak generalized stress."""
-        return -np.asarray(self.S_up.T @ U) - np.asarray(self.A_hat @ c)
+        return -np.asarray(self.S_pu @ U) - np.asarray(self.A_hat @ c)
 
     def kkt_check(self, r_hat, dc, gamma_new, active_tol=1e-12):
         """Discrete complementarity of the flow law at every node.
@@ -377,16 +383,19 @@ class DiscreteProblem:
             mis = 1.0
         return float(worst), float(mis), float(active.mean())
 
-    def vi_residual(self, U, c, c_prev, gamma_prev, F, probes=1000, rng=None):
+    def vi_residual(self, U, c, c_prev, gamma_prev, F, probes=1000, rng=None, r_hat=None):
         """Worst normalized violation of the incremental inequality.
 
         Random admissible directions (free displacement part, reduced plastic
         part) plus the two canonical probes along +/- the computed increment;
-        nonnegative values up to roundoff certify the minimizer.
+        nonnegative values up to roundoff certify the minimizer.  r_hat is
+        smooth_residual_reduced(U, c) when the caller already holds it.
         """
         rng = rng or np.random.default_rng(self.config.seed)
         r_u = (np.asarray(self.blocks.K_uu @ U) + np.asarray(self.S_up @ c) - F)[self.free]
-        r_p = np.asarray(self.S_up.T @ U) + np.asarray(self.A_hat @ c)
+        if r_hat is None:
+            r_hat = self.smooth_residual_reduced(U, c)
+        r_p = -r_hat
         dc = c - c_prev
         j0 = self.dissipation_value(dc, gamma_prev)
         size = max(weighted_norm(dc, self.w_seg), 1e-8)
@@ -449,7 +458,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep):
         U[problem.free] = x[:nf]
         c = x[nf:]
         outer = 1
-        J = problem.objective(U, c, c_prev, gamma_prev, F)
+        J, _ = problem.objective(U, c, c_prev, gamma_prev, F)
     else:
         J_prev = np.inf
         u_scale = None
@@ -465,8 +474,8 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep):
                               np.linalg.norm(problem.K_fg @ U[problem.presc]),
                               np.linalg.norm(problem.S_f @ c), 1e-300)
             u_res = np.linalg.norm(r_f) / u_scale
-            J = problem.objective(U, c, c_prev, gamma_prev, F)
-            scale_J = abs(J) + problem.dissipation_value(c - c_prev, gamma_prev) + 1e-300
+            J, dissipation = problem.objective(U, c, c_prev, gamma_prev, F)
+            scale_J = abs(J) + dissipation + 1e-300
             if np.isfinite(J_prev):
                 uphill = max(uphill, (J - J_prev) / scale_J)
             if u_res <= cfg.tol_cg and J_prev - J <= cfg.tol_outer * scale_J:
@@ -494,7 +503,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep):
     vi = None
     if cfg.vi_probes:
         rng = np.random.default_rng(cfg.seed + int(round(load.level * 1e6)) % (2 ** 31))
-        vi = problem.vi_residual(U, c, c_prev, gamma_prev, F, cfg.vi_probes, rng)
+        vi = problem.vi_residual(U, c, c_prev, gamma_prev, F, cfg.vi_probes, rng, r_hat)
     report = StepReport(
         energy=energy,
         dissipation_increment=float(r_hat @ dc),

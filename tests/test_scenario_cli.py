@@ -4,7 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from curlplast import grid as grid_module
 from curlplast.cli import apply_sweep_value, main, run_scenario, sweep
+from curlplast.grid import FACES, Grid, build_blocks
+from curlplast.korn import KornProblem, estimate_min_quotient
 from curlplast.oracles import radial_return_0d
 from curlplast.scenario import (
     ParseError,
@@ -146,6 +149,19 @@ class TestRunScenario:
         assert info["arrays"]["plastic_distortion"] == 9
         assert info["arrays"]["gamma"] == 1
         assert info["arrays"]["dev_eshelby_norm"] == 1
+
+    def test_runs_assemble_no_gauss_point_operators(self, tmp_path):
+        grid_module._fem_cache.cache_clear()
+        grid_module._blocks_cache.cache_clear()
+        estimate_min_quotient(KornProblem(Grid.unit_cube(2), FACES))
+        run_scenario(parse_scenario(json.dumps(base_doc())), str(tmp_path / "gradient"))
+        assert grid_module._fem_cache.cache_info().currsize == 0
+        # Lc = 0 leaves the curl-curl block unassembled
+        doc = base_doc(material={"mu": 70.0, "lambda": 100.0, "k1": 0.5, "Lc": 0.0, "sigma_y": 0.3})
+        s = parse_scenario(json.dumps(doc))
+        run_scenario(s, str(tmp_path / "local"))
+        assert "K_curl_cc" not in vars(build_blocks(s.grid, s.variant.params))
+        assert grid_module._fem_cache.cache_info().currsize == 0
 
     def test_bitwise_determinism(self, tmp_path):
         doc = base_doc()
