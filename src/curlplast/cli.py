@@ -88,7 +88,8 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
             raise NoConvergence(f"step {k + 1}: {e.what}", e.iterations, e.residual, e.tol) from e
         cumulative += report.dissipation_functional
         sig_e = eshelby_stress(scenario.grid, scenario.variant, state.u, state.p)
-        max_dev = float(np.max(np.linalg.norm(dev(sig_e), axis=(1, 2))))
+        dev_norm = np.linalg.norm(dev(sig_e), axis=(1, 2))
+        max_dev = float(np.max(dev_norm))
         sig = sigma_nodal(scenario.grid, scenario.variant.params, state.u, state.p)
         sig12.append(float(np.max(np.abs(sig[:, 0, 1]))))
         row = TimeSeriesRow(
@@ -115,7 +116,7 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
                 os.path.join(vtk_dir, f"fields_{k + 1:04d}.vtk"),
                 scenario.grid,
                 scalars={"gamma": state.gamma.values,
-                         "dev_eshelby_norm": np.linalg.norm(dev(sig_e), axis=(1, 2))},
+                         "dev_eshelby_norm": dev_norm},
                 vectors={"displacement": state.u.values},
                 fields={"plastic_distortion": state.p.values.reshape(-1, 9)},
                 title=f"load level {load.level}",

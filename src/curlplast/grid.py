@@ -583,11 +583,17 @@ class PBasis:
         return self._starts, self._nodes
 
     def node_norms(self, c):
-        """Frobenius norm of each node's tensor from reduced coordinates."""
+        """Frobenius norm of each node's tensor from reduced coordinates.
+
+        c may carry leading dimensions (a block of vectors, one per row); the
+        node axis replaces its last axis.
+        """
         starts, nodes = self.segment_starts()
-        out = np.zeros(len(self.offsets) - 1)
+        out = np.zeros(c.shape[:-1] + (len(self.offsets) - 1,))
         if len(starts):
-            out[nodes] = np.sqrt(np.add.reduceat(c * c, starts))
+            # reduce over the first axis of the transpose: for a vector this
+            # is the plain indexing, which costs less per call than out[..., nodes]
+            out.T[nodes] = np.sqrt(np.add.reduceat((c * c).T, starts))
         return out
 
     def scatter_per_node(self, per_node):

@@ -70,6 +70,14 @@ def _is_finite_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x)
 
 
+def _as_int(x, what):
+    """x as an int: booleans and non-integral numbers are refused, not truncated."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    _require(isinstance(x, int) and not isinstance(x, bool), f"{what} must be an integer")
+    return x
+
+
 def _as_floats(x, n, what):
     try:
         out = [float(v) for v in x]
@@ -178,12 +186,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     sspec = doc.get("solver", {})
     _require(isinstance(sspec, dict), "solver must be an object")
-    known = {"tol_outer", "tol_cg", "tol_fista", "max_outer", "max_cg", "max_fista",
-             "vi_probes", "seed"}
-    unknown = set(sspec) - known
+    integers = {"max_outer", "max_cg", "max_fista", "vi_probes", "seed"}
+    unknown = set(sspec) - integers - {"tol_outer", "tol_cg", "tol_fista"}
     _require(not unknown, f"unknown solver fields: {sorted(unknown)}")
     try:
-        solver = SolverConfig(**{k: (int(v) if k.startswith(("max", "vi", "seed")) else float(v))
+        solver = SolverConfig(**{k: (_as_int(v, k) if k in integers else float(v))
                                  for k, v in sspec.items()})
     except (TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"solver: {e}") from e

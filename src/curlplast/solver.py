@@ -57,6 +57,11 @@ class InfeasibleBC(ValueError):
 # 1.08-1.10x lambda_max on 4^3-8^3 grids
 LIPSCHITZ_SAFETY = 1.1
 
+# VI probes drawn and scored per block: enough rows that numpy, not the
+# interpreter, does the work, and a fixed count so that the memory of the
+# certificate does not grow with the number of probes
+VI_PROBE_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -76,6 +81,9 @@ class SolverConfig:
         for name in ("max_outer", "max_cg", "max_fista"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        for name in ("vi_probes", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -285,16 +293,20 @@ class DiscreteProblem:
     # -- dissipation bookkeeping --------------------------------------------
 
     def dissipation_value(self, dc, gamma_prev):
-        """Lumped-quadrature value of the incremental dissipation functional."""
+        """Lumped-quadrature value of the incremental dissipation functional.
+
+        dc may be a block of increments, one per row; the result is then one
+        value per row.
+        """
         if not self.variant.has_dissipation:
             return 0.0
         n = self.basis.node_norms(dc)
         sy = self.variant.params.sigma_y
-        val = sy * float(self.w_node @ n)
+        val = sy * (n @ self.w_node)
         if self.variant.isotropic:
             h = self.variant.params.mu * self.variant.params.k2
-            val += 0.5 * h * float(self.w_node @ ((gamma_prev + n) ** 2 - gamma_prev ** 2))
-        return val
+            val = val + 0.5 * h * (((gamma_prev + n) ** 2 - gamma_prev ** 2) @ self.w_node)
+        return float(val) if np.ndim(val) == 0 else val
 
     def _prox_reduced(self, x, c_prev, tau, gamma_prev):
         """Exact nodewise prox in reduced coordinates (uniform threshold tau)."""
@@ -390,34 +402,40 @@ class DiscreteProblem:
         part) plus the two canonical probes along +/- the computed increment;
         nonnegative values up to roundoff certify the minimizer.  r_hat is
         smooth_residual_reduced(U, c) when the caller already holds it.
+
+        A probe is one row [dv, dq] of a standard normal draw, scaled to the
+        w-norm of the increment.  Probes are drawn and scored VI_PROBE_BLOCK
+        rows at a time; numpy's Generator gives the same values for one
+        (k, n) draw as for k draws of n, so the probes do not depend on the
+        block size.
         """
         rng = rng or np.random.default_rng(self.config.seed)
         r_u = (np.asarray(self.blocks.K_uu @ U) + np.asarray(self.S_up @ c) - F)[self.free]
         if r_hat is None:
             r_hat = self.smooth_residual_reduced(U, c)
-        r_p = -r_hat
+        r = np.concatenate([r_u, -r_hat])
+        nf = r_u.size
         dc = c - c_prev
         j0 = self.dissipation_value(dc, gamma_prev)
         size = max(weighted_norm(dc, self.w_seg), 1e-8)
-        worst = np.inf
-        nf = int(self.free.sum())
-        m = self.basis.size
-        directions = [(np.zeros(nf), -dc), (np.zeros(nf), dc.copy())]
-        for _ in range(probes):
-            dv = rng.standard_normal(nf)
-            dq = rng.standard_normal(m)
-            nrm = np.sqrt(dv @ dv + dq @ dq)
-            if nrm > 0:
-                dv *= size / nrm
-                dq *= size / nrm
-            directions.append((dv, dq))
-        for dv, dq in directions:
-            lin = float(r_u @ dv) + float(r_p @ dq)
-            jq = self.dissipation_value(dc + dq, gamma_prev)
+
+        def worst_of(D):
+            lin = D @ r
+            jq = self.dissipation_value(dc + D[:, nf:], gamma_prev)
             viol = lin + jq - j0
-            scale = abs(lin) + jq + j0 + 1e-300
-            worst = min(worst, viol / scale)
-        return float(worst)
+            scale = np.abs(lin) + jq + j0 + 1e-300
+            return float(np.min(viol / scale))
+
+        canonical = np.zeros((2, r.size))
+        canonical[0, nf:] = -dc
+        canonical[1, nf:] = dc
+        worst = worst_of(canonical)
+        for start in range(0, probes, VI_PROBE_BLOCK):
+            D = rng.standard_normal((min(VI_PROBE_BLOCK, probes - start), r.size))
+            nrm = np.sqrt(np.einsum("ij,ij->i", D, D))
+            D *= np.divide(size, nrm, out=np.ones_like(nrm), where=nrm > 0.0)[:, None]
+            worst = min(worst, worst_of(D))
+        return worst
 
     # -- monolithic (micromorphic) path ----------------------------------------
 

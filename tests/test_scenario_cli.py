@@ -54,6 +54,11 @@ INVALID_EDITS = {
     "misspelt_solver": lambda d: d.update(solvr={"tol_cg": 1e-3}),
     "curl_assembly": lambda d: d.update(curl_assembly="skewgrad"),
     "lipschitz_safety": lambda d: d.update(solver={"lipschitz_safety": 1.1}),
+    "vi_probes_negative": lambda d: d.update(solver={"vi_probes": -5}),
+    "seed_negative": lambda d: d.update(solver={"seed": -1}),
+    "vi_probes_fraction": lambda d: d.update(solver={"vi_probes": 2.7}),
+    "max_cg_bool": lambda d: d.update(solver={"max_cg": True}),
+    "seed_text": lambda d: d.update(solver={"seed": "7"}),
 }
 
 
@@ -68,6 +73,11 @@ class TestParsing:
         assert s.grid.n == (2, 2, 2)
         assert s.boundary.micro_hard_faces == ("zmin", "zmax")  # defaults to gamma
         assert s.solver.tol_outer == 1e-10  # documented default
+
+    def test_integral_float_is_an_integer_field(self):
+        s = parse_scenario(json.dumps(base_doc(solver={"vi_probes": 1000.0, "max_cg": 50.0})))
+        assert s.solver.vi_probes == 1000 and isinstance(s.solver.vi_probes, int)
+        assert s.solver.max_cg == 50 and isinstance(s.solver.max_cg, int)
 
     def test_defaults_for_solver_and_output(self):
         s = parse_scenario(json.dumps(base_doc()))

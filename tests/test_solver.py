@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from curlplast.solver import (
     prox_dissipation,
     shrink_magnitude,
     time_step,
+    weighted_norm,
 )
 from curlplast.tensors import MaterialParams, dev, norm, sym
 
@@ -422,6 +425,96 @@ class TestTimeStep:
         object.__setattr__(relaxed, "curl_route", "curlcurl")
         with pytest.raises(SingularBlock):
             DiscreteProblem(grid, BoundaryConfig(("zmin",)), relaxed, None, TIGHT)
+
+
+def vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng, r_hat=None):
+    """The certificate with every probe drawn and scored on its own: the
+    reference for DiscreteProblem.vi_residual's blocked scoring."""
+    r_u = (np.asarray(prob.blocks.K_uu @ U) + np.asarray(prob.S_up @ c) - F)[prob.free]
+    if r_hat is None:
+        r_hat = prob.smooth_residual_reduced(U, c)
+    r_p = -r_hat
+    dc = c - c_prev
+    j0 = prob.dissipation_value(dc, gamma_prev)
+    size = max(weighted_norm(dc, prob.w_seg), 1e-8)
+    nf = int(prob.free.sum())
+    m = prob.basis.size
+    directions = [(np.zeros(nf), -dc), (np.zeros(nf), dc.copy())]
+    for _ in range(probes):
+        dv = rng.standard_normal(nf)
+        dq = rng.standard_normal(m)
+        nrm = np.sqrt(dv @ dv + dq @ dq)
+        if nrm > 0:
+            dv *= size / nrm
+            dq *= size / nrm
+        directions.append((dv, dq))
+    worst = np.inf
+    for dv, dq in directions:
+        lin = float(r_u @ dv) + float(r_p @ dq)
+        jq = prob.dissipation_value(dc + dq, gamma_prev)
+        viol = lin + jq - j0
+        scale = abs(lin) + jq + j0 + 1e-300
+        worst = min(worst, viol / scale)
+    return float(worst)
+
+
+def vi_case(name):
+    """(problem, U, c, c_prev, gamma_prev, F) after a solved step on a 3^3 grid."""
+    grid = Grid.unit_cube(3)
+    a = 3 * PARAMS.sigma_y / (np.sqrt(2) * PARAMS.mu)
+    if name == "micromorphic":
+        prob = DiscreteProblem(grid, BoundaryConfig(("zmin",)), ModelVariant("micromorphic", PARAMS),
+                               None, SolverConfig(tol_cg=1e-12))
+        loads = [LoadStep(1.0, 0.0, (0.0, 0.0, -5.0))]
+    elif name == "kin_spin_micro_hard":
+        D = np.zeros((3, 3))
+        D[0, 2] = 1.0
+        prob = DiscreteProblem(grid, BoundaryConfig(("zmin", "zmax")), KIN, D, TIGHT)
+        loads = [LoadStep(1.0, a), LoadStep(2.0, 2 * a)]
+    else:
+        var = ModelVariant("iso_irrot", MaterialParams(mu=80.0, lam=110.0, k2=0.4, sigma_y=0.3))
+        prob = DiscreteProblem(grid, full_dirichlet(), var, SHEAR01, TIGHT)
+        loads = [LoadStep(1.0, a), LoadStep(2.0, 2 * a)]
+    prev = state = SimState.zeros(grid)
+    for load in loads:
+        prev = state
+        state, _ = time_step(prob, prev, load)
+    U = state.u.values.reshape(-1)
+    c = prob.basis.to_reduced(state.p.values.reshape(-1))
+    c_prev = prob.basis.to_reduced(prev.p.values.reshape(-1))
+    F = prob.blocks.body_force_vector(loads[-1].body_force)
+    return prob, U, c, c_prev, prev.gamma.values, F
+
+
+@pytest.fixture(scope="module", params=["kin_spin_micro_hard", "iso_irrot", "micromorphic"])
+def solved_step(request):
+    return vi_case(request.param)
+
+
+class TestVIResidual:
+    @pytest.mark.parametrize("probes", [0, 1, 64, 65, 130])
+    def test_blocks_match_per_probe_reference(self, solved_step, probes):
+        prob, U, c, c_prev, gamma_prev, F = solved_step
+        rng_ref, rng = np.random.default_rng(17), np.random.default_rng(17)
+        want = vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng_ref)
+        got = prob.vi_residual(U, c, c_prev, gamma_prev, F, probes, rng)
+        assert abs(got - want) <= 1e-14
+        # the same number of draws: the next probe set starts at the same place
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_peak_memory_does_not_grow_with_probe_count(self):
+        prob, U, c, c_prev, gamma_prev, F = vi_case("iso_irrot")
+        r_hat = prob.smooth_residual_reduced(U, c)
+
+        def peak(probes):
+            tracemalloc.start()
+            try:
+                prob.vi_residual(U, c, c_prev, gamma_prev, F, probes, np.random.default_rng(0), r_hat)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1000) <= 2 * peak(64)
 
 
 class TestMicromorphic:
