@@ -3,8 +3,9 @@
 The plastic distortion is a trace-free, generally non-symmetric nodal tensor
 field; its row-wise curl carries a quadratic defect energy, a symmetric
 local backstress provides kinematic hardening, and each load step solves an
-incremental variational inequality by alternating conjugate-gradient and
-proximal-gradient block minimizations.
+incremental variational inequality by accelerated proximal gradient in the
+plastic field, the displacement eliminated by inner conjugate-gradient
+solves.
 """
 
 __version__ = "0.1.0"

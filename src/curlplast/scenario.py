@@ -139,8 +139,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _require(isinstance(gspec, dict), "grid must be an object")
     cells = _get(gspec, "cells", "grid.cells is required")
     try:
-        n = tuple(int(v) for v in cells)
-    except (TypeError, ValueError, OverflowError):
+        n = tuple(_as_int(v, "grid.cells") for v in cells)
+    except TypeError:
         raise ValidationError("grid.cells must be three integers")
     _require(len(n) == 3 and all(v >= 1 for v in n), "grid.cells must be three integers >= 1")
     if "spacing" in gspec:
@@ -201,11 +201,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     vtk_dir = ospec.get("vtk_dir", None)
     _require(isinstance(csv, str), "output.csv must be a string")
     _require(vtk_dir is None or isinstance(vtk_dir, str), "output.vtk_dir must be a string")
-    try:
-        vtk_stride = int(ospec.get("vtk_stride", 1))
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError("output.vtk_stride must be an integer")
-    output = OutputConfig(csv, vtk_dir, vtk_stride)
+    output = OutputConfig(csv, vtk_dir, _as_int(ospec.get("vtk_stride", 1), "output.vtk_stride"))
     return Scenario(variant, grid, boundary, dirichlet, tuple(steps), solver, output)
 
 

@@ -4,18 +4,26 @@ Each load step minimizes the jointly convex functional
 
     J(u, p) = 1/2 a((u,p),(u,p)) - <load, u> + sum_j w_j D_inc(p_j - p_j^prev)
 
-by alternating exact block solves: a Jacobi-preconditioned conjugate
-gradient solve in u and an accelerated proximal-gradient solve in p.  The
-nonsmooth term is the lumped (nodal) quadrature of the one-homogeneous
-dissipation, so its proximal map is an exact per-node shrinkage.  Because
-the dissipation is one-homogeneous the time-step size cancels and steps are
-parameterized by load increments.
+over the plastic field alone: u enters J through one fixed linear solve with
+the free displacement block K_ff, so it is eliminated and an accelerated
+proximal-gradient (FISTA) iteration runs on the reduced functional
+c -> min_u J(u, c), whose smooth part has the Schur complement
+S = A_hat - S_f' K_ff^-1 S_f as its operator.  Each gradient solves for u
+with a warm-started, Jacobi-preconditioned conjugate gradient whose
+tolerance tightens with the FISTA step (Schmidt, Le Roux & Bach, "Convergence
+rates of inexact proximal-gradient methods", NIPS 2011).  The nonsmooth term
+is the lumped (nodal) quadrature of the one-homogeneous dissipation, so its
+proximal map is an exact per-node shrinkage.  Because the dissipation is
+one-homogeneous the time-step size cancels and steps are parameterized by
+load increments.
 
 The p iteration runs in the lumped-mass metric: gradients are divided by
 the nodal weights and the shrinkage threshold becomes uniform across nodes,
 which both preconditions the iteration and keeps the prox closed-form.
-Each p iteration makes one A_hat product and one prox, and stops on the
-gradient-mapping residual of the step it has just taken.
+Each p iteration makes one A_hat product, one inner displacement solve and
+one prox, and stops on the gradient-mapping residual of the step it has
+just taken.  S <= A_hat in the Loewner order, so the step 1/L(A_hat) is safe
+for the reduced functional too.
 """
 
 from __future__ import annotations
@@ -62,6 +70,17 @@ LIPSCHITZ_SAFETY = 1.1
 # certificate does not grow with the number of probes
 VI_PROBE_BLOCK = 64
 
+# Most VI probes a step may ask for: a million probes already take about a
+# minute per step on a 6^3 grid
+VI_PROBES_MAX = 10 ** 6
+
+# Inner displacement solves of the reduced p iteration: the first gradient
+# of a solve_p call is solved to tol_cg; later ones to
+# max(tol_cg, min(INNER_TOL_CAP, INNER_TOL_FACTOR * ||y_k - y_k-1||_w / ||y_k||_w)),
+# errors that shrink with the FISTA steps
+INNER_TOL_FACTOR = 0.1
+INNER_TOL_CAP = 1e-3
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -84,6 +103,8 @@ class SolverConfig:
         for name in ("vi_probes", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.vi_probes > VI_PROBES_MAX:
+            raise ValueError(f"vi_probes must be at most {VI_PROBES_MAX}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +129,9 @@ class StepReport:
     cg_iterations: int
     fista_iterations: int
     objective: float
-    objective_increase: float = 0.0  # worst uphill move of the alternation, if any
+    # worst relative rise of J from one pass to the next; the confirming pass
+    # starts from the returned c, so anything above roundoff is an uphill move
+    objective_increase: float = 0.0
 
 
 def shrink_magnitude(variant: ModelVariant, znorm, tau, gamma_prev):
@@ -316,7 +339,7 @@ class DiscreteProblem:
         factor = np.where(n > 0.0, m / np.maximum(n, 1e-300), 0.0)
         return c_prev + d * self.basis.scatter_per_node(factor)
 
-    # -- block solves --------------------------------------------------------
+    # -- displacement and plastic solves ---------------------------------------
 
     def solve_u(self, U, c, F, tol=None, maxiter=None):
         """CG solve of the displacement block at fixed plastic field (in place)."""
@@ -327,24 +350,49 @@ class DiscreteProblem:
         U[self.free] = x
         return U, its
 
-    def solve_p(self, U, c_prev, c0, gamma_prev, tol=None, maxiter=None):
-        """Accelerated proximal-gradient solve of the plastic block.
+    def solve_p(self, U, c_prev, c0, gamma_prev, F=None, tol=None, maxiter=None):
+        """Accelerated proximal-gradient solve of the step in c, with u eliminated.
 
-        Runs in the lumped-mass metric, in which the nodal shrinkage has one
-        uniform threshold; the prox is exact per node.
+        Minimizes c -> min_u J(u, c) from c0.  Each gradient at an
+        extrapolated point y is A_hat y + S_pu U after solve_u(U, y, F), the
+        Jacobi PCG solve of K_ff u_f = F_f - K_fg U_g - S_f y warm-started
+        from the previous u_f.  The first inner solve meets tol_cg, later
+        ones the looser INNER_TOL_* schedule.  U's free part is the warm
+        start of the first inner solve and holds the last one on return (in
+        place); F is the body force vector, zero if None.  Runs in the
+        lumped-mass metric, in which the nodal shrinkage has one uniform
+        threshold; the prox is exact per node.  Returns c and the pair (FISTA
+        iterations, inner CG iterations).
         """
         tol = tol or self.config.tol_fista
         maxiter = maxiter or self.config.max_fista
-        b = -np.asarray(self.S_pu @ U)
+        tol_cg, w = self.config.tol_cg, self.w_seg
+        if F is None:
+            F = np.zeros_like(U)
         t = 1.0 / self.lipschitz()
-        # the size of one full gradient step off zero bounds the minimizer
-        # scale; it floors the relative test when the increment is tiny
-        data_scale = t * weighted_norm(b / self.w_seg, self.w_seg)
-        return accelerated_prox_gradient(
-            matvec=lambda v: np.asarray(self.A_hat @ v), b=b, w=self.w_seg,
+        # the size of one full gradient step off zero at the entry U bounds
+        # the minimizer scale; it floors the relative test when the increment
+        # is tiny
+        data_scale = t * weighted_norm(np.asarray(self.S_pu @ U) / w, w)
+        y_last = None
+        cg_its = 0
+
+        def gradient(y):
+            nonlocal y_last, cg_its
+            tol_in = tol_cg
+            if y_last is not None:
+                move = weighted_norm(y - y_last, w) / max(weighted_norm(y, w), 1e-300)
+                tol_in = max(tol_cg, min(INNER_TOL_CAP, INNER_TOL_FACTOR * move))
+            y_last = y
+            cg_its += self.solve_u(U, y, F, tol_in)[1]
+            return -self.smooth_residual_reduced(U, y)
+
+        c, its = accelerated_prox_gradient(
+            matvec=gradient, b=0.0, w=w,
             prox=lambda z: self._prox_reduced(z, c_prev, t, gamma_prev),
             c0=c0, step=t, tol=tol, maxiter=maxiter,
-            scale_floor=max(weighted_norm(c_prev, self.w_seg), data_scale))
+            scale_floor=max(weighted_norm(c_prev, w), data_scale))
+        return c, (its, cg_its)
 
     # -- functional evaluation ------------------------------------------------
 
@@ -478,12 +526,14 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep):
         outer = 1
         J, _ = problem.objective(U, c, c_prev, gamma_prev, F)
     else:
+        # pass 1 solves the step; pass 2 restarts from its c with an exact
+        # first gradient and confirms that J no longer descends
         J_prev = np.inf
         u_scale = None
         for outer in range(1, cfg.max_outer + 1):
+            c, (its_p, its_in) = problem.solve_p(U, c_prev, c, gamma_prev, F, cfg.tol_fista, cfg.max_fista)
             U, its_u = problem.solve_u(U, c, F, cfg.tol_cg, cfg.max_cg)
-            cg_total += its_u
-            c, its_p = problem.solve_p(U, c_prev, c, gamma_prev, cfg.tol_fista, cfg.max_fista)
+            cg_total += its_in + its_u
             fista_total += its_p
             r_f = (problem.K_ff @ U[problem.free] + problem.K_fg @ U[problem.presc]
                    + problem.S_f @ c - F[problem.free])
@@ -500,7 +550,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep):
                 break
             J_prev = J
         else:
-            raise NoConvergence("outer alternation", cfg.max_outer, u_res, cfg.tol_cg)
+            raise NoConvergence("outer passes", cfg.max_outer, u_res, cfg.tol_cg)
 
     dc = c - c_prev
     dn = problem.basis.node_norms(dc)

@@ -8,19 +8,45 @@ one FIELD block for tensor components.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .grid import Grid
+
+
+# trailing zeros of a "%.12e" mantissa, with its '.' when nothing is left
+_MANTISSA_ZEROS = re.compile(r"\.?0+(?=e)")
+_TINY = np.finfo(float).tiny
 
 
 def _fmt(x):
     return np.format_float_scientific(x, precision=12, trim="-")
 
 
+def _format_values(values):
+    """Each value as _fmt writes it, from one "%.12e" pass and one regex.
+
+    Two kinds of value go through _fmt itself: nonzero subnormals, which it
+    writes with their shortest unique digits, and values whose 13-digit
+    rounding is one digit times a power of ten, for which it keeps the bare
+    '.' when the rounding dropped digits ("1.e+00" for 1.00000000000004).
+    """
+    values = np.asarray(values, dtype=float).reshape(-1)
+    words = _MANTISSA_ZEROS.sub("", ("%.12e " * values.size) % tuple(values.tolist())).split()
+    a = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = a / 10.0 ** np.floor(np.log10(a))
+        one_digit = np.isfinite(m) & (np.abs(m - np.rint(m)) < 1e-11 * m)
+    for i in np.flatnonzero(((a > 0.0) & (a < _TINY)) | one_digit):
+        words[i] = _fmt(values[i])
+    return words
+
+
 def _write_rows(f, data, per_line):
-    flat = np.asarray(data, dtype=float).reshape(-1, per_line)
-    for row in flat:
-        f.write(" ".join(_fmt(v) for v in row) + "\n")
+    words = _format_values(data)
+    row = " ".join(["%s"] * per_line) + "\n"
+    f.write((row * (len(words) // per_line)) % tuple(words))
 
 
 def write_structured_points(path, grid: Grid, scalars=None, vectors=None, fields=None, title="snapshot"):

@@ -123,7 +123,20 @@ class TestMinQuotient:
 
 def test_package_import_leaves_sparse_linalg_unloaded():
     # scenario runs never need scipy.sparse.linalg; loading it with the
-    # package would raise their peak memory
+    # package, or in a plastic step, would raise their peak memory
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, curlplast; sys.exit('scipy.sparse.linalg' in sys.modules)"
+    code = (
+        "import sys, numpy as np, curlplast\n"
+        "from curlplast.grid import BoundaryConfig, Grid\n"
+        "from curlplast.models import ModelVariant, SimState\n"
+        "from curlplast.solver import DiscreteProblem, LoadStep, time_step\n"
+        "from curlplast.tensors import MaterialParams\n"
+        "var = ModelVariant('kin_spin', MaterialParams(mu=80.0, lam=110.0, k1=0.5, Lc=0.2, sigma_y=0.3))\n"
+        "grid = Grid.unit_cube(2)\n"
+        "D = np.zeros((3, 3)); D[0, 2] = 1.0\n"
+        "prob = DiscreteProblem(grid, BoundaryConfig(('zmin', 'zmax')), var, D)\n"
+        "state, rep = time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.02))\n"
+        "assert rep.active_node_fraction > 0.0\n"
+        "sys.exit('scipy.sparse.linalg' in sys.modules)"
+    )
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

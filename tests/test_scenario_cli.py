@@ -16,6 +16,7 @@ from curlplast.scenario import (
     canonical_text,
     parse_scenario,
 )
+from curlplast.solver import VI_PROBES_MAX
 from curlplast.tensors import MaterialParams, sym
 from curlplast.vtk_io import read_structured_points_header
 
@@ -59,6 +60,10 @@ INVALID_EDITS = {
     "vi_probes_fraction": lambda d: d.update(solver={"vi_probes": 2.7}),
     "max_cg_bool": lambda d: d.update(solver={"max_cg": True}),
     "seed_text": lambda d: d.update(solver={"seed": "7"}),
+    "cells_fraction": lambda d: d["grid"].update(cells=[2.7, 2, 2]),
+    "vtk_stride_fraction": lambda d: d.update(output={"vtk_stride": 1.9}),
+    "vtk_stride_bool": lambda d: d.update(output={"vtk_stride": True}),
+    "vi_probes_huge": lambda d: d.update(solver={"vi_probes": 1e300}),
 }
 
 
@@ -73,6 +78,12 @@ class TestParsing:
         assert s.grid.n == (2, 2, 2)
         assert s.boundary.micro_hard_faces == ("zmin", "zmax")  # defaults to gamma
         assert s.solver.tol_outer == 1e-10  # documented default
+
+    def test_vi_probes_bound(self):
+        s = parse_scenario(json.dumps(base_doc(solver={"vi_probes": VI_PROBES_MAX})))
+        assert s.solver.vi_probes == VI_PROBES_MAX
+        with pytest.raises(ValidationError, match="vi_probes must be at most"):
+            parse_scenario(json.dumps(base_doc(solver={"vi_probes": VI_PROBES_MAX + 1})))
 
     def test_integral_float_is_an_integer_field(self):
         s = parse_scenario(json.dumps(base_doc(solver={"vi_probes": 1000.0, "max_cg": 50.0})))

@@ -232,7 +232,7 @@ class TestSolveU:
 class TestSolveP:
     def test_vanishing_yield_stress_gives_smooth_minimizer(self):
         # with no dissipation threshold the prox is the identity and the
-        # block solve returns the unconstrained quadratic minimizer
+        # solve in c, u eliminated, returns the joint quadratic minimizer
         import scipy.sparse.linalg as spla
 
         grid = Grid.unit_cube(2)
@@ -243,8 +243,10 @@ class TestSolveP:
         U = prob.lift(1e-3)
         z = np.zeros(prob.basis.size)
         c, _ = prob.solve_p(U, z, z, np.zeros(grid.node_count))
-        b = -np.asarray(prob.S_up.T @ U)
-        c_direct = spla.spsolve(prob.A_hat.tocsc(), b)
+        K, _ = prob.monolithic_matrix()
+        U_g = U[prob.presc]
+        rhs = np.concatenate([-(prob.K_fg @ U_g), -np.asarray(prob.S_g.T @ U_g)])
+        c_direct = spla.spsolve(K.tocsc(), rhs)[int(prob.free.sum()):]
         assert np.abs(c - c_direct).max() < 1e-10 * np.abs(c_direct).max()
 
     def test_huge_yield_stress_freezes_plastic_field(self):
@@ -361,6 +363,24 @@ class TestTimeStep:
             # block descent: the objective never increases beyond tolerance
             assert rep.objective_increase <= 1e-9
         assert rep.active_node_fraction > 0.1
+
+    def test_gradient_run_steps_take_at_most_three_passes(self):
+        # u is eliminated inside solve_p, so a step is one solve plus one
+        # confirming pass started from its result
+        grid = Grid.unit_cube(4)
+        bc = BoundaryConfig(("zmin", "zmax"))
+        D = np.zeros((3, 3))
+        D[0, 2] = 1.0
+        cfg = SolverConfig(tol_outer=1e-11, tol_cg=1e-11, tol_fista=1e-10)
+        prob = DiscreteProblem(grid, bc, KIN, D, cfg)
+        state = SimState.zeros(grid)
+        a_y = PARAMS.sigma_y / (np.sqrt(2) * PARAMS.mu)
+        plastic = 0
+        for k, a in enumerate(np.linspace(0, 5 * a_y, 8)[1:]):
+            state, rep = time_step(prob, state, LoadStep(float(k + 1), float(a)))
+            assert rep.outer_iterations <= 3
+            plastic += rep.active_node_fraction > 0.0
+        assert plastic >= 4
 
     def test_perturbed_state_violates_inequality(self):
         grid = Grid.unit_cube(3)
