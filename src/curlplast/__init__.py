@@ -17,14 +17,11 @@ from .grid import (
     SingularBlock,
     TensorField,
     VectorField,
-    discrete_curl,
-    shape_gradients,
 )
 from .korn import KornProblem, ZeroField, estimate_min_quotient, korn_quotient
 from .models import (
     ModelVariant,
     SimState,
-    cauchy_stress,
     eshelby_stress,
     incremental_dissipation,
     total_energy,

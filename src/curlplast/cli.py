@@ -59,9 +59,6 @@ class RunResult:
     reports: list
     sigma12_max: list  # per step, feeds the apparent hardening slope
 
-    def final_state(self) -> SimState:
-        return self.states[-1]
-
 
 def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False) -> RunResult:
     """Drive the solver over the load program and write CSV/VTK outputs.
@@ -136,7 +133,11 @@ SWEEP_PARAMS = ("Lc", "k1", "k2", "grid")
 
 
 def apply_sweep_value(scenario: Scenario, parameter: str, value) -> Scenario:
-    """Scenario copy with one swept parameter replaced; validates applicability."""
+    """Scenario copy with one swept parameter replaced; validates applicability.
+
+    An inadmissible value raises ValidationError, which sweep records as a
+    failed row.
+    """
     if parameter not in SWEEP_PARAMS:
         raise ValidationError(f"sweep parameter must be one of {SWEEP_PARAMS}")
     var = scenario.variant
@@ -145,14 +146,17 @@ def apply_sweep_value(scenario: Scenario, parameter: str, value) -> Scenario:
     if parameter == "k2" and not var.isotropic:
         raise ValidationError(f"k2 does not apply to variant {var.tag}")
     if parameter == "grid":
-        n = int(value)
-        if n < 1:
+        if not (float(value).is_integer() and value >= 1):
             raise ValidationError("grid sweep values must be positive integers")
+        n = int(value)
         size = tuple(c * h for c, h in zip(scenario.grid.n, scenario.grid.h))
         grid = Grid((n, n, n), tuple(s / n for s in size), scenario.grid.origin)
         return replace(scenario, grid=grid)
-    params = replace(var.params, **{parameter: float(value)}, kappa=None)
-    return replace(scenario, variant=replace(var, params=params))
+    try:
+        params = replace(var.params, **{parameter: float(value)}, kappa=None)
+        return replace(scenario, variant=replace(var, params=params))
+    except ValueError as e:  # MaterialParams or ModelVariant admissibility
+        raise ValidationError(f"{parameter}={value}: {e}") from e
 
 
 def hardening_slope(rows, sigma12):

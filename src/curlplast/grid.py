@@ -9,11 +9,9 @@ pairings with constant 9x9 (or 3x3) algebraic kernels.  On the uniform grid
 each scalar pairing is in turn the Kronecker product of three exact 1D
 tridiagonal factors (mass, stiffness, derivative-mass), one per axis, so the
 blocks equal the 2x2x2 Gauss-rule assembly without storing its roundoff in
-analytically zero entries.  Blocks are assembled on first use.
-
-FemOperators, the sparse value and gradient operators at the Gauss points,
-serve the pointwise fields (Cauchy stress, discrete curl) and are the
-reference the block assembly is tested against; no block uses them.
+analytically zero entries.  Blocks are assembled on first use.  The
+Gauss-point assembly itself is kept only as a test reference
+(tests/gauss_reference.py).
 
 Pointwise constraints on the plastic field (trace-free, symmetric, rows
 parallel to the outward normal on micro-hard faces) are realized through a
@@ -27,18 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 
-from .tensors import PROJ_SYM, MaterialParams, curl_from_gradient, elasticity_matrix
+from .tensors import PROJ_SYM, MaterialParams, elasticity_matrix
 
 FACES = ("xmin", "xmax", "ymin", "ymax", "zmin", "zmax")
-
-
-class IndexOutOfRange(IndexError):
-    pass
 
 
 class SingularBlock(ValueError):
@@ -108,21 +101,6 @@ class Grid:
         ijk = self.node_ijk()
         bound = 0 if side == 0 else self.n[axis]
         return np.nonzero(ijk[:, axis] == bound)[0]
-
-    def cell_nodes(self):
-        """(cell_count, 8) node indices, corner order bx + 2 by + 4 bz."""
-        nxc, nyc, nzc = self.n
-        cz, cy, cx = np.meshgrid(range(nzc), range(nyc), range(nxc), indexing="ij")
-        cx, cy, cz = cx.ravel(), cy.ravel(), cz.ravel()
-        corners = []
-        for bz, by, bx in product((0, 1), (0, 1), (0, 1)):
-            corners.append(self.node_index(cx + bx, cy + by, cz + bz))
-        # product iterates bz slowest here; reorder to bx + 2by + 4bz
-        order = [4 * bz + 2 * by + bx for bz, by, bx in product((0, 1), (0, 1), (0, 1))]
-        out = np.empty((self.cell_count, 8), dtype=np.int64)
-        for col, dest in enumerate(order):
-            out[:, dest] = corners[col]
-        return out
 
 
 @dataclass(frozen=True)
@@ -205,102 +183,6 @@ class ScalarField:
 
 
 # --------------------------------------------------------------------------
-# trilinear shape functions and point operators
-
-_GP1 = 1.0 / np.sqrt(3.0)
-_CORNERS = np.array([[bx, by, bz] for bz in (0, 1) for by in (0, 1) for bx in (0, 1)])
-_CORNERS = _CORNERS[np.argsort(_CORNERS[:, 0] + 2 * _CORNERS[:, 1] + 4 * _CORNERS[:, 2])]
-_SIGNS = 2 * _CORNERS - 1  # reference corners in {-1, 1}^3
-_GAUSS = _GP1 * _SIGNS.astype(float)  # 2x2x2 points, same ordering as corners
-
-
-def _shape_tables(h):
-    """Values and physical gradients of the 8 trilinear shapes at the Gauss points."""
-    vals = np.empty((8, 8))
-    grads = np.empty((8, 8, 3))
-    for g, xi in enumerate(_GAUSS):
-        for a, s in enumerate(_SIGNS):
-            f = 0.5 * (1.0 + xi * s)
-            vals[g, a] = f.prod()
-            for d in range(3):
-                rest = np.prod([f[e] for e in range(3) if e != d])
-                grads[g, a, d] = 0.5 * s[d] * rest * (2.0 / h[d])
-    return vals, grads
-
-
-def shape_gradients(grid: Grid, cell: int):
-    """Physical trilinear shape gradients, (8 gauss points, 8 nodes, 3).
-
-    Identical for every cell of the uniform grid; the cell index is only
-    validated.  Exact for trilinear fields.
-    """
-    if not 0 <= int(cell) < grid.cell_count:
-        raise IndexOutOfRange(f"cell {cell} outside 0..{grid.cell_count - 1}")
-    return _shape_tables(grid.h)[1]
-
-
-class FemOperators:
-    """Sparse point-evaluation/gradient operators at the Gauss points.
-
-    E0 maps nodal scalars to values at all cell_count * 8 Gauss points; D[k]
-    maps to the k-th partial derivative.  w_gp are quadrature weights and
-    w_node the lumped (row-sum) nodal weights.
-    """
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        vals, grads = _shape_tables(grid.h)
-        cells = grid.cell_nodes()
-        ncell = grid.cell_count
-        ngp = ncell * 8
-        rows = np.repeat(np.arange(ngp), 8)
-        cols = np.broadcast_to(cells[:, None, :], (ncell, 8, 8)).reshape(-1)
-
-        def build(table):
-            data = np.broadcast_to(table, (ncell, 8, 8)).reshape(-1)
-            M = sp.coo_matrix((data, (rows, cols)), shape=(ngp, grid.node_count))
-            return M.tocsr()
-
-        self.E0 = build(vals)
-        self.D = [build(grads[:, :, k]) for k in range(3)]
-        self.w_gp = np.full(ngp, np.prod(grid.h) / 8.0)
-        self.w_node = np.asarray(self.E0.T @ self.w_gp)
-        # Gauss point coordinates (cell-major, corner ordering)
-        base = grid.node_coords()[cells[:, 0]]
-        local = (1.0 + _GAUSS) / 2.0 * np.asarray(grid.h)
-        self.gp_coords = (base[:, None, :] + local[None, :, :]).reshape(ngp, 3)
-
-    def values_at_gps(self, nodal):
-        """Nodal (N, m) -> per-Gauss-point (G, m)."""
-        return self.E0 @ nodal
-
-    def gradients_at_gps(self, nodal):
-        """Nodal (N, m) -> (G, m, 3) partial derivatives."""
-        return np.stack([Dk @ nodal for Dk in self.D], axis=-1)
-
-
-@lru_cache(maxsize=8)
-def _fem_cache(grid: Grid):
-    return FemOperators(grid)
-
-
-def fem_operators(grid: Grid) -> FemOperators:
-    return _fem_cache(grid)
-
-
-def discrete_curl(grid: Grid, P: TensorField):
-    """Row-wise curl of the trilinear interpolant at every Gauss point.
-
-    Returns (cell_count * 8, 3, 3); exact whenever each component of P is a
-    polynomial of degree at most one per variable.
-    """
-    fem = fem_operators(grid)
-    flat = P.values.reshape(grid.node_count, 9)
-    G = fem.gradients_at_gps(flat).reshape(-1, 3, 3, 3)
-    return curl_from_gradient(G)
-
-
-# --------------------------------------------------------------------------
 # Kronecker-composed assembly: constant algebraic kernels and exact 1D factors
 
 def _curl_kernels():
@@ -378,11 +260,8 @@ class Blocks:
 
     The blocks equal the 2x2x2 Gauss-point assembly, and analytically zero
     entries are never stored.  Each block is assembled on first use, so a
-    run pays only for the blocks it reads.  Two assemblies of the defect
-    (curl-curl) form are provided: 'curlcurl' composes the discrete row-wise
-    curl with itself, 'skewgrad' uses the pointwise identity
-    <Curl X, Curl Y> = 2 sum_i <skew grad X_i, grad Y_i>; they agree to
-    roundoff.
+    run pays only for the blocks it reads.  The defect form K_curl_cc
+    composes the discrete row-wise curl with itself.
     """
 
     def __init__(self, grid: Grid, params):
@@ -462,24 +341,6 @@ class Blocks:
             for a2 in range(3)
         )
         return _symmetrized(K)
-
-    @cached_property
-    def K_curl_sg(self):
-        A = self._pairs()
-        I3 = np.eye(3)
-        K_sg = sum(sp.kron(A[b][b], sp.eye(9), format="csr") for b in range(3)) - sum(
-            sp.kron(A[a][b], sp.csr_matrix(np.kron(I3, np.outer(I3[b], I3[a]))), format="csr")
-            for a in range(3)
-            for b in range(3)
-        )
-        return _symmetrized(K_sg)
-
-    def K_curl(self, route="curlcurl"):
-        if route == "curlcurl":
-            return self.K_curl_cc
-        if route == "skewgrad":
-            return self.K_curl_sg
-        raise ValueError(f"unknown curl assembly route {route!r}")
 
     def body_force_vector(self, f):
         """Assembled load for a constant body force, flattened (3N,)."""

@@ -50,11 +50,17 @@ class KornProblem:
 
 
 def _operators(problem: KornProblem):
+    """Basis of the constrained space and the quotient's forms reduced onto it.
+
+    Returns (basis, Khat, Mhat) with Khat = B'(K_sym + ls^2 K_curl)B and
+    Mhat = B' M_cons B, both CSR.
+    """
     blocks = build_blocks(problem.grid, _UNIT)
     basis = build_p_basis(problem.grid, problem.gamma_faces, "none")
     ls2 = problem.length_scale ** 2
-    K = blocks.K_sym + ls2 * blocks.K_curl_cc
-    return blocks, basis, K.tocsr()
+    K = (blocks.K_sym + ls2 * blocks.K_curl_cc).tocsr()
+    B = basis.B
+    return basis, (B.T @ K @ B).tocsr(), (B.T @ blocks.M_cons @ B).tocsr()
 
 
 def _roundoff_floor(K, x):
@@ -70,13 +76,11 @@ def korn_quotient(problem: KornProblem, P: TensorField) -> float:
     (at or below the accumulated-roundoff floor) are flushed to exactly 0,
     so exact kernel members such as constant skew fields report 0.0.
     """
-    blocks, basis, K = _operators(problem)
+    basis, Khat, Mhat = _operators(problem)
     x = basis.to_reduced(P.values.reshape(-1))
-    M = basis.B.T @ blocks.M_cons @ basis.B
-    denom = float(x @ (M @ x))
+    denom = float(x @ (Mhat @ x))
     if denom <= 0.0:
         raise ZeroField("field vanishes on the constrained space")
-    Khat = basis.B.T @ K @ basis.B
     num = float(x @ (Khat @ x))
     if abs(num) <= _roundoff_floor(Khat, x):
         return 0.0
@@ -105,9 +109,7 @@ def estimate_min_quotient(problem: KornProblem, tol: float = 1e-8,
     # the package needs it, so scenario runs do not load it
     from scipy.sparse.linalg import lobpcg
 
-    blocks, basis, K = _operators(problem)
-    Khat = (basis.B.T @ K @ basis.B).tocsr()
-    Mhat = (basis.B.T @ blocks.M_cons @ basis.B).tocsr()
+    basis, Khat, Mhat = _operators(problem)
     n = Khat.shape[0]
     if n == 0:
         raise ZeroField("constrained space is empty")

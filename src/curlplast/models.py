@@ -27,15 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    ScalarField,
-    TensorField,
-    VectorField,
-    build_blocks,
-    fem_operators,
-)
-from .tensors import MaterialParams, dev, norm, sym, trace
+from .grid import Grid, ScalarField, TensorField, VectorField, build_blocks
+from .tensors import MaterialParams, dev, norm, sym
 
 VARIANT_TAGS = ("kin_spin", "iso_spin", "iso_irrot", "kin_irrot", "micromorphic")
 
@@ -48,21 +41,17 @@ _SYMMETRIC = ("iso_irrot", "kin_irrot")
 class ModelVariant:
     """One model formulation: parameter admissibility, energy and flow data.
 
-    curl_route selects the assembly of the defect bilinear form: 'curlcurl'
-    composes the discrete curl with itself, 'skewgrad' assembles the
-    equivalent skew-gradient pairing (the microforce-balance form); the two
-    routes exist to demonstrate that the formulations coincide.
+    The tag fixes the constraint on the plastic field, the hardening and the
+    flow law; params holds the moduli.  Every variant uses the same defect
+    form, the discrete curl composed with itself (Blocks.K_curl_cc).
     """
 
     tag: str
     params: MaterialParams
-    curl_route: str = "curlcurl"
 
     def __post_init__(self):
         if self.tag not in VARIANT_TAGS:
             raise ValueError(f"unknown variant {self.tag!r}, expected one of {VARIANT_TAGS}")
-        if self.curl_route not in ("curlcurl", "skewgrad"):
-            raise ValueError(f"unknown curl_route {self.curl_route!r}")
         p = self.params
         if self.tag in _KINEMATIC and not p.k1 > 0.0:
             raise ValueError(f"{self.tag} requires k1 > 0")
@@ -126,16 +115,6 @@ class EnergySplit:
         return abs(self.elastic) + abs(self.defect) + abs(self.hardening) + abs(self.load)
 
 
-def cauchy_stress(grid: Grid, params: MaterialParams, u: VectorField, p: TensorField):
-    """Stress 2 mu sym(grad u - p) + lam tr(grad u - p) 1 at every Gauss point."""
-    fem = fem_operators(grid)
-    gu = fem.gradients_at_gps(u.values)  # (G, i, k) = d u_i / d x_k
-    pv = fem.values_at_gps(p.values.reshape(-1, 9)).reshape(-1, 3, 3)
-    e = gu - pv
-    t = trace(e)[:, None, None]
-    return 2.0 * params.mu * sym(e) + params.lam * t * np.eye(3)
-
-
 def total_energy(grid: Grid, variant: ModelVariant, state: SimState, body_force=None) -> EnergySplit:
     """Stored energy split (elastic, defect, hardening) and the load term.
 
@@ -150,7 +129,7 @@ def total_energy(grid: Grid, variant: ModelVariant, state: SimState, body_force=
         p9 @ (blocks.K_pp_el @ p9)
     )
     Lc = variant.params.Lc
-    defect = 0.5 * mu * Lc ** 2 * (p9 @ (blocks.K_curl(variant.curl_route) @ p9)) if Lc else 0.0
+    defect = 0.5 * mu * Lc ** 2 * (p9 @ (blocks.K_curl_cc @ p9)) if Lc else 0.0
     if variant.isotropic:
         g = state.gamma.values
         hardening = 0.5 * mu * variant.params.k2 * float(blocks.w_node @ (g * g))
@@ -162,58 +141,36 @@ def total_energy(grid: Grid, variant: ModelVariant, state: SimState, body_force=
     return EnergySplit(float(elastic), float(defect), float(hardening), load)
 
 
-def smooth_residual_p(grid: Grid, variant: ModelVariant, u: VectorField, p: TensorField):
-    """Assembled residual of the smooth energy w.r.t. the plastic dofs, (9N,).
-
-    Equals the weak pairing of the generalized stress with every nodal test
-    tensor: sigma enters through the elastic coupling, the double curl through
-    the defect block and the backstress through the hardening block.
-    """
-    blocks = build_blocks(grid, variant.params)
-    p9 = p.values.reshape(-1)
-    uf = u.values.reshape(-1)
-    mu = variant.params.mu
-    b_p = -(blocks.K_up.T @ uf)
-    r = b_p - blocks.K_pp_el @ p9
-    if variant.params.Lc:
-        r -= mu * variant.params.Lc ** 2 * (blocks.K_curl(variant.curl_route) @ p9)
-    if variant.k1_eff:
-        r -= mu * variant.k1_eff * (blocks.K_sym @ p9)
-    return np.asarray(r)
+def _elastic_residual(blocks, u: VectorField, p: TensorField):
+    """-(K_up' u) - K_pp_el p: the Cauchy stress paired with every nodal test tensor, (9N,)."""
+    return -(blocks.K_up.T @ u.values.reshape(-1)) - blocks.K_pp_el @ p.values.reshape(-1)
 
 
 def eshelby_stress(grid: Grid, variant: ModelVariant, u: VectorField, p: TensorField):
     """Nodal generalized stress by lumped weak recovery, (N, 3, 3).
 
-    The Cauchy stress is projected to nodes with the lumped mass, the double
-    curl and backstress contributions are the assembled residuals divided by
-    the same weights, so the result is exactly the driving force of the
-    discrete flow problem.
+    The assembled residual of the smooth energy with respect to the plastic
+    dofs pairs the generalized stress with every nodal test tensor: sigma
+    enters through the elastic coupling, the double curl through the defect
+    block and the backstress through the hardening block.  Dividing by the
+    lumped weights gives exactly the driving force of the discrete flow
+    problem.
     """
-    r = smooth_residual_p(grid, variant, u, p)
-    return (r / build_blocks(grid, variant.params).m_lump).reshape(-1, 3, 3)
+    blocks = build_blocks(grid, variant.params)
+    mu = variant.params.mu
+    p9 = p.values.reshape(-1)
+    r = _elastic_residual(blocks, u, p)
+    if variant.params.Lc:
+        r -= mu * variant.params.Lc ** 2 * (blocks.K_curl_cc @ p9)
+    if variant.k1_eff:
+        r -= mu * variant.k1_eff * (blocks.K_sym @ p9)
+    return (r / blocks.m_lump).reshape(-1, 3, 3)
 
 
 def sigma_nodal(grid: Grid, params: MaterialParams, u: VectorField, p: TensorField):
     """Lumped nodal projection of the Cauchy stress, (N, 3, 3)."""
     blocks = build_blocks(grid, params)
-    b_p = -(blocks.K_up.T @ u.values.reshape(-1)) - blocks.K_pp_el @ p.values.reshape(-1)
-    return (np.asarray(b_p) / blocks.m_lump).reshape(-1, 3, 3)
-
-
-def tau_p_microforce(grid: Grid, variant: ModelVariant, u: VectorField, p: TensorField):
-    """Deviatoric microstress via the microforce balance, (N, 3, 3).
-
-    Built from the Cauchy stress deviator plus the weak divergence of the
-    third-order microstress, assembled through the skew-gradient pairing;
-    coincides with dev sym of the weak generalized stress.
-    """
-    blocks = build_blocks(grid, variant.params)
-    mu = variant.params.mu
-    sig = sigma_nodal(grid, variant.params, u, p)
-    cc = (blocks.K_curl_sg @ p.values.reshape(-1)) / blocks.m_lump
-    div_m = -mu * variant.params.Lc ** 2 * cc.reshape(-1, 3, 3)
-    return dev(sig) + dev(sym(div_m))
+    return (_elastic_residual(blocks, u, p) / blocks.m_lump).reshape(-1, 3, 3)
 
 
 def yield_value(variant: ModelVariant, Sigma, gamma=0.0):

@@ -176,13 +176,6 @@ class PolyTensorField:
             )
         return PolyTensorField(rows)
 
-    def div(self):
-        """Row-wise divergence as a polynomial 3-vector."""
-        e = self.entries
-        return poly_vector(
-            [e[i, 0].diff(0) + e[i, 1].diff(1) + e[i, 2].diff(2) for i in range(3)]
-        )
-
 
 def curl_of_vector(v):
     """curl of a polynomial vector field, as a polynomial 3-vector."""

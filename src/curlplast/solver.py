@@ -222,7 +222,7 @@ class DiscreteProblem:
         mu, Lc = variant.params.mu, variant.params.Lc
         A_pp = self.blocks.K_pp_el
         if Lc:
-            A_pp = A_pp + mu * Lc ** 2 * self.blocks.K_curl(variant.curl_route)
+            A_pp = A_pp + mu * Lc ** 2 * self.blocks.K_curl_cc
         if variant.k1_eff:
             A_pp = A_pp + mu * variant.k1_eff * self.blocks.K_sym
         B = self.basis.B

@@ -128,11 +128,6 @@ class MaterialParams:
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be nonnegative")
 
-    @property
-    def ellipticity(self):
-        """Largest m0 with <X, C X> >= m0 |sym X|^2 for all X."""
-        return min(2.0 * self.mu, 3.0 * self.kappa)
-
 
 def elasticity_apply(params: MaterialParams, X):
     """Isotropic stiffness C X = 2 mu sym X + lam tr(X) 1."""

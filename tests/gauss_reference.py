@@ -1,0 +1,184 @@
+"""Gauss-point reference assembly, independent of the 1D-factor blocks.
+
+The package assembles every quadratic form from exact 1D Kronecker factors
+(curlplast.grid.Blocks).  This module rebuilds the same forms, and the
+pointwise fields the tests probe, from sparse value and gradient operators
+at the 2x2x2 Gauss points of every cell, so the tests compare two
+independent assemblies.  It also assembles the defect form a second way,
+through the skew-gradient (microforce) pairing
+
+    <Curl X, Curl Y> = 2 sum_i <skew grad X_i, grad Y_i>,
+
+which criterion 11 and the microforce identification run against the
+package's curl-curl form.  Test support only: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import product
+
+import numpy as np
+import scipy.sparse as sp
+
+from curlplast.grid import _CURL_K, _SEL, Grid, TensorField, VectorField, build_blocks
+from curlplast.models import ModelVariant, sigma_nodal
+from curlplast.tensors import PROJ_SYM, MaterialParams, curl_from_gradient, dev, elasticity_matrix, sym, trace
+
+_GP1 = 1.0 / np.sqrt(3.0)
+_CORNERS = np.array([[bx, by, bz] for bz in (0, 1) for by in (0, 1) for bx in (0, 1)])
+_CORNERS = _CORNERS[np.argsort(_CORNERS[:, 0] + 2 * _CORNERS[:, 1] + 4 * _CORNERS[:, 2])]
+_SIGNS = 2 * _CORNERS - 1  # reference corners in {-1, 1}^3
+_GAUSS = _GP1 * _SIGNS.astype(float)  # 2x2x2 points, same ordering as corners
+
+
+def _shape_tables(h):
+    """Values and physical gradients of the 8 trilinear shapes at the Gauss points."""
+    vals = np.empty((8, 8))
+    grads = np.empty((8, 8, 3))
+    for g, xi in enumerate(_GAUSS):
+        for a, s in enumerate(_SIGNS):
+            f = 0.5 * (1.0 + xi * s)
+            vals[g, a] = f.prod()
+            for d in range(3):
+                rest = np.prod([f[e] for e in range(3) if e != d])
+                grads[g, a, d] = 0.5 * s[d] * rest * (2.0 / h[d])
+    return vals, grads
+
+
+def cell_nodes(grid: Grid):
+    """(cell_count, 8) node indices, corner order bx + 2 by + 4 bz."""
+    nxc, nyc, nzc = grid.n
+    cz, cy, cx = np.meshgrid(range(nzc), range(nyc), range(nxc), indexing="ij")
+    cx, cy, cz = cx.ravel(), cy.ravel(), cz.ravel()
+    out = np.empty((grid.cell_count, 8), dtype=np.int64)
+    for bz, by, bx in product((0, 1), (0, 1), (0, 1)):
+        out[:, bx + 2 * by + 4 * bz] = grid.node_index(cx + bx, cy + by, cz + bz)
+    return out
+
+
+class FemOperators:
+    """Sparse point-evaluation/gradient operators at the Gauss points.
+
+    E0 maps nodal scalars to values at all cell_count * 8 Gauss points; D[k]
+    maps to the k-th partial derivative.  w_gp are quadrature weights and
+    w_node the lumped (row-sum) nodal weights.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        vals, grads = _shape_tables(grid.h)
+        cells = cell_nodes(grid)
+        ncell = grid.cell_count
+        ngp = ncell * 8
+        rows = np.repeat(np.arange(ngp), 8)
+        cols = np.broadcast_to(cells[:, None, :], (ncell, 8, 8)).reshape(-1)
+
+        def build(table):
+            data = np.broadcast_to(table, (ncell, 8, 8)).reshape(-1)
+            M = sp.coo_matrix((data, (rows, cols)), shape=(ngp, grid.node_count))
+            return M.tocsr()
+
+        self.E0 = build(vals)
+        self.D = [build(grads[:, :, k]) for k in range(3)]
+        self.w_gp = np.full(ngp, np.prod(grid.h) / 8.0)
+        self.w_node = np.asarray(self.E0.T @ self.w_gp)
+        # Gauss point coordinates (cell-major, corner ordering)
+        base = grid.node_coords()[cells[:, 0]]
+        local = (1.0 + _GAUSS) / 2.0 * np.asarray(grid.h)
+        self.gp_coords = (base[:, None, :] + local[None, :, :]).reshape(ngp, 3)
+
+    def values_at_gps(self, nodal):
+        """Nodal (N, m) -> per-Gauss-point (G, m)."""
+        return self.E0 @ nodal
+
+    def gradients_at_gps(self, nodal):
+        """Nodal (N, m) -> (G, m, 3) partial derivatives."""
+        return np.stack([Dk @ nodal for Dk in self.D], axis=-1)
+
+
+@lru_cache(maxsize=8)
+def fem_operators(grid: Grid) -> FemOperators:
+    return FemOperators(grid)
+
+
+def discrete_curl(grid: Grid, P: TensorField):
+    """Row-wise curl of the trilinear interpolant at every Gauss point.
+
+    Returns (cell_count * 8, 3, 3); exact whenever each component of P is a
+    polynomial of degree at most one per variable.
+    """
+    fem = fem_operators(grid)
+    flat = P.values.reshape(grid.node_count, 9)
+    G = fem.gradients_at_gps(flat).reshape(-1, 3, 3, 3)
+    return curl_from_gradient(G)
+
+
+def cauchy_stress(grid: Grid, params: MaterialParams, u: VectorField, p: TensorField):
+    """Stress 2 mu sym(grad u - p) + lam tr(grad u - p) 1 at every Gauss point."""
+    fem = fem_operators(grid)
+    gu = fem.gradients_at_gps(u.values)  # (G, i, k) = d u_i / d x_k
+    pv = fem.values_at_gps(p.values.reshape(-1, 9)).reshape(-1, 3, 3)
+    e = gu - pv
+    t = trace(e)[:, None, None]
+    return 2.0 * params.mu * sym(e) + params.lam * t * np.eye(3)
+
+
+def _gauss_pairings(grid):
+    """M0 = E0' W E0, A[a][b] = D_a' W D_b and ME[b] = D_b' W E0 by sparse products."""
+    fem = fem_operators(grid)
+    W = sp.diags(fem.w_gp)
+    E0, D = fem.E0, fem.D
+    M0 = E0.T @ W @ E0
+    A = [[D[a].T @ W @ D[b] for b in range(3)] for a in range(3)]
+    ME = [D[b].T @ W @ E0 for b in range(3)]
+    return fem, M0, A, ME
+
+
+def gauss_point_blocks(grid, params):
+    """Reference assembly of every Blocks member through the Gauss-point operators.
+
+    Each scalar pairing is D_a' W D_b (or E0' W E0, D_b' W E0) composed by
+    sparse products, with the quadrature weights W of the 2x2x2 rule.
+    """
+    fem, M0, A, ME = _gauss_pairings(grid)
+    C = elasticity_matrix(params)
+    return {
+        "K_uu": sum(sp.kron(A[b][b2], _SEL[b].T @ C @ _SEL[b2]) for b in range(3) for b2 in range(3)),
+        "K_up": -sum(sp.kron(ME[b], _SEL[b].T @ C) for b in range(3)),
+        "K_pp_el": sp.kron(M0, C),
+        "K_sym": sp.kron(M0, PROJ_SYM),
+        "M_cons": sp.kron(M0, np.eye(9)),
+        "K_curl_cc": sum(sp.kron(A[a][a2], _CURL_K[a].T @ _CURL_K[a2]) for a in range(3) for a2 in range(3)),
+        "m_lump": np.repeat(fem.w_node, 9),
+    }
+
+
+@lru_cache(maxsize=8)
+def skewgrad_curl_form(grid: Grid):
+    """The defect form assembled through the skew-gradient pairing, (9N, 9N) CSR.
+
+    sum_b A[b][b] (x) I9 - sum_{a,b} A[a][b] (x) (I3 (x) e_b e_a'): the
+    Gauss-point discretization of 2 sum_i <skew grad X_i, grad Y_i>.
+    """
+    _, _, A, _ = _gauss_pairings(grid)
+    I3 = np.eye(3)
+    K = sum(sp.kron(A[b][b], np.eye(9)) for b in range(3)) - sum(
+        sp.kron(A[a][b], np.kron(I3, np.outer(I3[b], I3[a]))) for a in range(3) for b in range(3)
+    )
+    return K.tocsr()
+
+
+def tau_p_microforce(grid: Grid, variant: ModelVariant, u: VectorField, p: TensorField):
+    """Deviatoric microstress via the microforce balance, (N, 3, 3).
+
+    Built from the Cauchy stress deviator plus the weak divergence of the
+    third-order microstress, assembled through the skew-gradient pairing;
+    coincides with dev sym of the weak generalized stress.
+    """
+    blocks = build_blocks(grid, variant.params)
+    mu = variant.params.mu
+    sig = sigma_nodal(grid, variant.params, u, p)
+    cc = (skewgrad_curl_form(grid) @ p.values.reshape(-1)) / blocks.m_lump
+    div_m = -mu * variant.params.Lc ** 2 * cc.reshape(-1, 3, 3)
+    return dev(sig) + dev(sym(div_m))

@@ -2,25 +2,21 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from gauss_reference import discrete_curl, fem_operators, gauss_point_blocks, skewgrad_curl_form
+
 from curlplast.grid import (
-    _CURL_K,
-    _SEL,
     FACES,
     BoundaryConfig,
     Grid,
-    IndexOutOfRange,
     TensorField,
     allowed_columns,
     build_blocks,
     build_p_basis,
     dirichlet_mask,
-    discrete_curl,
-    fem_operators,
-    shape_gradients,
 )
 from curlplast.models import ModelVariant
 from curlplast.solver import DiscreteProblem
-from curlplast.tensors import PROJ_SYM, MaterialParams, cross_matrix, elasticity_matrix
+from curlplast.tensors import MaterialParams, cross_matrix
 
 PARAMS = MaterialParams(mu=80.0, lam=110.0, k1=0.5, k2=0.4, Lc=0.2, sigma_y=0.3)
 KIN = ModelVariant("kin_spin", PARAMS)
@@ -81,13 +77,6 @@ class TestShapeGradients:
             errs.append(np.max(np.abs(grad - exact)))
         assert errs[1] < 0.7 * errs[0]
 
-    def test_index_validation(self):
-        g = Grid.unit_cube(2)
-        tab = shape_gradients(g, 0)
-        assert tab.shape == (8, 8, 3)
-        with pytest.raises(IndexOutOfRange):
-            shape_gradients(g, 8)
-
     def test_lumped_weights(self):
         g = Grid((2, 2, 2), (0.5, 0.5, 0.5))
         fem = fem_operators(g)
@@ -124,34 +113,6 @@ class TestDiscreteCurl:
         assert np.max(np.abs(c - 2 * A)) < 1e-12
 
 
-def gauss_point_blocks(grid, params):
-    """Reference assembly of every Blocks member through the Gauss-point operators.
-
-    Each scalar pairing is D_a' W D_b (or E0' W E0, D_b' W E0) composed by
-    sparse products, with the quadrature weights W of the 2x2x2 rule.
-    """
-    fem = fem_operators(grid)
-    W = sp.diags(fem.w_gp)
-    E0, D = fem.E0, fem.D
-    M0 = E0.T @ W @ E0
-    A = [[D[a].T @ W @ D[b] for b in range(3)] for a in range(3)]
-    ME = [D[b].T @ W @ E0 for b in range(3)]
-    C = elasticity_matrix(params)
-    I3 = np.eye(3)
-    return {
-        "K_uu": sum(sp.kron(A[b][b2], _SEL[b].T @ C @ _SEL[b2]) for b in range(3) for b2 in range(3)),
-        "K_up": -sum(sp.kron(ME[b], _SEL[b].T @ C) for b in range(3)),
-        "K_pp_el": sp.kron(M0, C),
-        "K_sym": sp.kron(M0, PROJ_SYM),
-        "M_cons": sp.kron(M0, np.eye(9)),
-        "K_curl_cc": sum(sp.kron(A[a][a2], _CURL_K[a].T @ _CURL_K[a2]) for a in range(3) for a2 in range(3)),
-        "K_curl_sg": sum(sp.kron(A[b][b], np.eye(9)) for b in range(3)) - sum(
-            sp.kron(A[a][b], np.kron(I3, np.outer(I3[b], I3[a]))) for a in range(3) for b in range(3)
-        ),
-        "m_lump": np.repeat(fem.w_node, 9),
-    }
-
-
 class TestAssembly:
     @pytest.mark.parametrize("grid", [Grid((3, 4, 5), (0.3, 0.7, 0.11), origin=(0.5, -1.0, 2.0)),
                                       Grid((1, 1, 1), (1.0, 1.0, 1.0))])
@@ -171,7 +132,7 @@ class TestAssembly:
 
     def test_exact_symmetry(self):
         bl = build_blocks(Grid.unit_cube(2), PARAMS)
-        for K in (bl.K_uu, bl.K_pp_el, bl.K_curl_cc, bl.K_curl_sg, bl.K_sym, bl.M_cons):
+        for K in (bl.K_uu, bl.K_pp_el, bl.K_curl_cc, bl.K_sym, bl.M_cons):
             assert (K != K.T).nnz == 0
 
     def test_translation_invariance(self):
@@ -180,8 +141,10 @@ class TestAssembly:
         assert np.max(np.abs(bl.K_uu @ U)) < 1e-12 * np.abs(bl.K_uu).max()
 
     def test_curl_routes_agree(self):
-        bl = build_blocks(Grid.unit_cube(2), PARAMS)
-        diff = np.abs(bl.K_curl_cc - bl.K_curl_sg).max()
+        # the curl-curl form equals the Gauss-point skew-gradient pairing
+        grid = Grid((3, 4, 5), (0.3, 0.7, 0.11), origin=(0.5, -1.0, 2.0))
+        bl = build_blocks(grid, PARAMS)
+        diff = np.abs(bl.K_curl_cc - skewgrad_curl_form(grid)).max()
         assert diff < 1e-12 * np.abs(bl.K_curl_cc).max()
 
     def test_curl_block_on_constant_skew(self):

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
+from gauss_reference import cauchy_stress, tau_p_microforce
 
 from curlplast.grid import Grid, ScalarField, TensorField, VectorField
 from curlplast.models import (
     ModelVariant,
     SimState,
-    cauchy_stress,
     eshelby_stress,
     incremental_dissipation,
     sigma_nodal,
-    tau_p_microforce,
     total_energy,
     yield_value,
 )

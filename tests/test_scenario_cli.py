@@ -172,17 +172,14 @@ class TestRunScenario:
         assert info["arrays"]["dev_eshelby_norm"] == 1
 
     def test_runs_assemble_no_gauss_point_operators(self, tmp_path):
-        grid_module._fem_cache.cache_clear()
         grid_module._blocks_cache.cache_clear()
         estimate_min_quotient(KornProblem(Grid.unit_cube(2), FACES))
         run_scenario(parse_scenario(json.dumps(base_doc())), str(tmp_path / "gradient"))
-        assert grid_module._fem_cache.cache_info().currsize == 0
         # Lc = 0 leaves the curl-curl block unassembled
         doc = base_doc(material={"mu": 70.0, "lambda": 100.0, "k1": 0.5, "Lc": 0.0, "sigma_y": 0.3})
         s = parse_scenario(json.dumps(doc))
         run_scenario(s, str(tmp_path / "local"))
         assert "K_curl_cc" not in vars(build_blocks(s.grid, s.variant.params))
-        assert grid_module._fem_cache.cache_info().currsize == 0
 
     def test_bitwise_determinism(self, tmp_path):
         doc = base_doc()
@@ -297,6 +294,22 @@ class TestSweep:
         assert results[0]["status"] == "ok"
         assert results[1]["status"].startswith("failed")
 
+    def test_inadmissible_material_values_recorded_not_fatal(self, tmp_path):
+        # negative, zero (kin_spin needs k1 > 0) and non-finite k1
+        s = parse_scenario(json.dumps(base_doc()))
+        results = sweep(s, "k1", [0.5, 0.0, -1.0, float("nan")], str(tmp_path))
+        assert [r["status"] == "ok" for r in results] == [True, False, False, False]
+        assert all(r["status"].startswith("failed") for r in results[1:])
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        assert len(lines) == 1 + 4
+
+    def test_non_integral_grid_values_recorded_not_fatal(self, tmp_path):
+        s = parse_scenario(json.dumps(base_doc()))
+        results = sweep(s, "grid", [2.7, float("nan"), float("inf")], str(tmp_path))
+        assert all(r["status"].startswith("failed") for r in results)
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3
+
 
 class TestCliEntry:
     def write(self, tmp_path, doc, name="config.json"):
@@ -368,3 +381,10 @@ class TestCliEntry:
         assert main(["--quiet", "--out", str(tmp_path), "sweep", cfg,
                      "--param", "Lc", "--values", "0.0,0.1"]) == 0
         assert (tmp_path / "summary.csv").exists()
+
+    def test_sweep_inadmissible_value_exit_code(self, tmp_path):
+        cfg = self.write(tmp_path, elastic_doc())
+        assert main(["--quiet", "--out", str(tmp_path), "sweep", cfg,
+                     "--param", "Lc", "--values", "0.1,-1"]) == 3
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curlplast.grid import FACES, BoundaryConfig, Grid, SingularBlock, TensorField
-from curlplast.models import ModelVariant, SimState, sigma_nodal
+from curlplast.models import ModelVariant, SimState, eshelby_stress, sigma_nodal
 from curlplast.oracles import radial_return_0d
 from curlplast.solver import (
     DiscreteProblem,
@@ -442,9 +442,29 @@ class TestTimeStep:
         relaxed = object.__new__(ModelVariant)  # bypass admissibility to hit the guard
         object.__setattr__(relaxed, "tag", "kin_spin")
         object.__setattr__(relaxed, "params", MaterialParams(mu=80.0, lam=110.0, sigma_y=0.3))
-        object.__setattr__(relaxed, "curl_route", "curlcurl")
         with pytest.raises(SingularBlock):
             DiscreteProblem(grid, BoundaryConfig(("zmin",)), relaxed, None, TIGHT)
+
+
+class TestStressRecoveries:
+    @pytest.mark.parametrize("tag, boundary", [
+        ("kin_spin", BoundaryConfig(("zmin", "zmax"))),
+        ("iso_irrot", full_dirichlet()),
+    ])
+    def test_full_space_recovery_matches_reduced_residual(self, tag, boundary):
+        # the nodal generalized stress written to the CSV and VTK output and
+        # the reduced residual certified by KKT and the VI probes are one stress
+        grid = Grid.unit_cube(3)
+        shear = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        prob = DiscreteProblem(grid, boundary, ModelVariant(tag, PARAMS), shear, TIGHT)
+        state, report = time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.02))
+        assert report.active_node_fraction > 0.0
+        U = state.u.values.reshape(-1)
+        c = prob.basis.to_reduced(state.p.values.reshape(-1))
+        r_hat = prob.smooth_residual_reduced(U, c)
+        sig_e = eshelby_stress(grid, prob.variant, state.u, state.p)
+        got = prob.basis.to_reduced(sig_e.reshape(-1) * prob.blocks.m_lump)
+        assert np.abs(got - r_hat).max() <= 1e-12 * np.abs(r_hat).max()
 
 
 def vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng, r_hat=None):
