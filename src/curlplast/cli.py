@@ -20,7 +20,7 @@ from .korn import KornProblem, estimate_min_quotient
 from .models import SimState, sigma_nodal, eshelby_stress
 from .oracles import selftest
 from .scenario import Scenario, ValidationError, parse_scenario
-from .solver import DiscreteProblem, NoConvergence, time_step
+from .solver import DiscreteProblem, NoConvergence, extrapolate, time_step
 from .tensors import dev
 from .vtk_io import write_structured_points
 
@@ -64,7 +64,9 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
     """Drive the solver over the load program and write CSV/VTK outputs.
 
     The micromorphic variant has no history, so its program collapses to the
-    final load level: exactly one step is executed and reported.
+    final load level: exactly one step is executed and reported.  Each step
+    is offered the extrapolation of the last three states (the zero state
+    at level 0 included) to its level as a starting guess.
     """
     problem = DiscreteProblem(scenario.grid, scenario.boundary, scenario.variant,
                               scenario.dirichlet_array(), scenario.solver)
@@ -72,6 +74,7 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
     if not scenario.variant.has_dissipation and len(program) > 1:
         program = (program[-1],)
     state = SimState.zeros(scenario.grid)
+    recent = [state]  # the newest states, for the starting guess
     rows, states, reports, sig12 = [], [], [], []
     cumulative = 0.0
     vtk_dir = None
@@ -80,9 +83,10 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
         os.makedirs(vtk_dir, exist_ok=True)
     for k, load in enumerate(program):
         try:
-            state, report = time_step(problem, state, load)
+            state, report = time_step(problem, state, load, extrapolate(recent, load.level))
         except NoConvergence as e:
             raise NoConvergence(f"step {k + 1}: {e.what}", e.iterations, e.residual, e.tol) from e
+        recent = recent[-2:] + [state]
         cumulative += report.dissipation_functional
         sig_e = eshelby_stress(scenario.grid, scenario.variant, state.u, state.p)
         dev_norm = np.linalg.norm(dev(sig_e), axis=(1, 2))

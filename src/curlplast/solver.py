@@ -8,14 +8,21 @@ over the plastic field alone: u enters J through one fixed linear solve with
 the free displacement block K_ff, so it is eliminated and an accelerated
 proximal-gradient (FISTA) iteration runs on the reduced functional
 c -> min_u J(u, c), whose smooth part has the Schur complement
-S = A_hat - S_f' K_ff^-1 S_f as its operator.  Each gradient solves for u
-with a warm-started, Jacobi-preconditioned conjugate gradient whose
-tolerance tightens with the FISTA step (Schmidt, Le Roux & Bach, "Convergence
-rates of inexact proximal-gradient methods", NIPS 2011).  The nonsmooth term
-is the lumped (nodal) quadrature of the one-homogeneous dissipation, so its
-proximal map is an exact per-node shrinkage.  Because the dissipation is
-one-homogeneous the time-step size cancels and steps are parameterized by
-load increments.
+S = A_hat - S_f' K_ff^-1 S_f as its operator.  Each gradient at y is
+A_hat y + S_f' u_f + S_g' U_g, where u_f solves K_ff u_f = F_f - K_fg U_g - S_f y
+by a warm-started, Jacobi-preconditioned conjugate gradient whose tolerance
+tightens with the FISTA step (Schmidt, Le Roux & Bach, "Convergence rates of
+inexact proximal-gradient methods", NIPS 2011); the parts fixed by the
+prescribed displacement, F_f - K_fg U_g and S_g' U_g, are formed once per
+solve.  The step functional is strictly convex, so its minimizer moves
+continuously with the load and a step may start from a guess extrapolated
+from the previous steps.  It starts there only when the guess gives a lower
+J than the previous plastic field, u recovered at each by one loose solve;
+a poor guess costs that solve and falls back to the previous field.  The
+nonsmooth term is the lumped (nodal) quadrature of the one-homogeneous
+dissipation, so its proximal map is an exact per-node shrinkage.  Because
+the dissipation is one-homogeneous the time-step size cancels and steps are
+parameterized by load increments.
 
 The p iteration runs in the lumped-mass metric: gradients are divided by
 the nodal weights and the shrinkage threshold becomes uniform across nodes,
@@ -29,6 +36,7 @@ for the reduced functional too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,6 +140,9 @@ class StepReport:
     # worst relative rise of J from one pass to the next; the confirming pass
     # starts from the returned c, so anything above roundoff is an uphill move
     objective_increase: float = 0.0
+    # the first pass started from the caller's guess, which lowered J below
+    # its value at the previous plastic field
+    started_from_guess: bool = False
 
 
 def shrink_magnitude(variant: ModelVariant, znorm, tau, gamma_prev):
@@ -229,15 +240,17 @@ class DiscreteProblem:
         A_red = B.T @ A_pp @ B
         self.A_hat = 0.5 * (A_red + A_red.T).tocsr()
         self.S_up = (self.blocks.K_up @ B).tocsr()  # u-rows, reduced p-columns
-        self.S_pu = self.S_up.T.tocsr()  # reduced p-rows, u-columns
 
         self.presc = dirichlet_mask(grid, boundary)
         self.free = ~self.presc
-        K_uu = self.blocks.K_uu.tocsr()
-        self.K_ff = K_uu[self.free][:, self.free].tocsr()
-        self.K_fg = K_uu[self.free][:, self.presc].tocsr()
+        K_free_rows = self.blocks.K_uu.tocsr()[self.free]
+        self.K_ff = K_free_rows[:, self.free].tocsr()
+        self.K_fg = K_free_rows[:, self.presc].tocsr()
         self.S_f = self.S_up[self.free].tocsr()
         self.S_g = self.S_up[self.presc].tocsr()
+        # reduced p-rows, free and prescribed u-columns
+        self.S_pf = self.S_f.T.tocsr()
+        self.S_pg = self.S_g.T.tocsr()
         d = self.K_ff.diagonal()
         self.jacobi_ff = 1.0 / np.where(d > 0.0, d, 1.0)
 
@@ -354,44 +367,51 @@ class DiscreteProblem:
         """Accelerated proximal-gradient solve of the step in c, with u eliminated.
 
         Minimizes c -> min_u J(u, c) from c0.  Each gradient at an
-        extrapolated point y is A_hat y + S_pu U after solve_u(U, y, F), the
-        Jacobi PCG solve of K_ff u_f = F_f - K_fg U_g - S_f y warm-started
-        from the previous u_f.  The first inner solve meets tol_cg, later
-        ones the looser INNER_TOL_* schedule.  U's free part is the warm
-        start of the first inner solve and holds the last one on return (in
-        place); F is the body force vector, zero if None.  Runs in the
-        lumped-mass metric, in which the nodal shrinkage has one uniform
-        threshold; the prox is exact per node.  Returns c and the pair (FISTA
-        iterations, inner CG iterations).
+        extrapolated point y is A_hat y + S_pf u_f + S_pg U_g, where u_f is
+        the Jacobi PCG solution of K_ff u_f = F_f - K_fg U_g - S_f y
+        warm-started from the previous u_f.  F_f - K_fg U_g and S_pg U_g do
+        not depend on y and are formed once per call.  The first inner solve
+        meets tol_cg, later ones the looser INNER_TOL_* schedule.  U's free
+        part is the warm start of the first inner solve and holds the last
+        one on return (in place); F is the body force vector, zero if None.
+        Runs in the lumped-mass metric, in which the nodal shrinkage has one
+        uniform threshold; the prox is exact per node.  Returns c and the pair
+        (FISTA iterations, inner CG iterations).
         """
         tol = tol or self.config.tol_fista
         maxiter = maxiter or self.config.max_fista
-        tol_cg, w = self.config.tol_cg, self.w_seg
-        if F is None:
-            F = np.zeros_like(U)
+        tol_cg, max_cg, w = self.config.tol_cg, self.config.max_cg, self.w_seg
+        U_g = U[self.presc]
+        rhs_fixed = -np.asarray(self.K_fg @ U_g)
+        if F is not None:
+            rhs_fixed += F[self.free]
+        grad_fixed = np.asarray(self.S_pg @ U_g)
+        u_f = U[self.free]
         t = 1.0 / self.lipschitz()
         # the size of one full gradient step off zero at the entry U bounds
         # the minimizer scale; it floors the relative test when the increment
         # is tiny
-        data_scale = t * weighted_norm(np.asarray(self.S_pu @ U) / w, w)
+        data_scale = t * weighted_norm((np.asarray(self.S_pf @ u_f) + grad_fixed) / w, w)
         y_last = None
         cg_its = 0
 
         def gradient(y):
-            nonlocal y_last, cg_its
+            nonlocal u_f, y_last, cg_its
             tol_in = tol_cg
             if y_last is not None:
                 move = weighted_norm(y - y_last, w) / max(weighted_norm(y, w), 1e-300)
                 tol_in = max(tol_cg, min(INNER_TOL_CAP, INNER_TOL_FACTOR * move))
             y_last = y
-            cg_its += self.solve_u(U, y, F, tol_in)[1]
-            return -self.smooth_residual_reduced(U, y)
+            u_f, its = self.pcg(self.K_ff, rhs_fixed - self.S_f @ y, u_f, tol_in, max_cg, self.jacobi_ff)
+            cg_its += its
+            return np.asarray(self.A_hat @ y) + np.asarray(self.S_pf @ u_f) + grad_fixed
 
         c, its = accelerated_prox_gradient(
             matvec=gradient, b=0.0, w=w,
             prox=lambda z: self._prox_reduced(z, c_prev, t, gamma_prev),
             c0=c0, step=t, tol=tol, maxiter=maxiter,
             scale_floor=max(weighted_norm(c_prev, w), data_scale))
+        U[self.free] = u_f
         return c, (its, cg_its)
 
     # -- functional evaluation ------------------------------------------------
@@ -409,7 +429,8 @@ class DiscreteProblem:
 
     def smooth_residual_reduced(self, U, c):
         """b - A c in reduced coordinates: the weighted weak generalized stress."""
-        return -np.asarray(self.S_pu @ U) - np.asarray(self.A_hat @ c)
+        coupling = np.asarray(self.S_pf @ U[self.free]) + np.asarray(self.S_pg @ U[self.presc])
+        return -coupling - np.asarray(self.A_hat @ c)
 
     def kkt_check(self, r_hat, dc, gamma_new, active_tol=1e-12):
         """Discrete complementarity of the flow law at every node.
@@ -495,8 +516,39 @@ class DiscreteProblem:
         return self._monolithic
 
 
-def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep):
-    """Advance one load step; returns the new state and its report."""
+def extrapolate(history, level):
+    """Lagrange extrapolation of u and p to pseudo-time level, or None.
+
+    history lists states oldest first, the zero state at t = 0 included.
+    The polynomial runs through the newest three states of distinct t, or
+    two when only two exist; with a single one there is no guess.  gamma is
+    the newest state's: a guess is only a starting point, and gamma is not
+    part of it.
+    """
+    nodes = []
+    for state in reversed(history):
+        if all(state.t != s.t for s in nodes):
+            nodes.append(state)
+        if len(nodes) == 3:
+            break
+    if len(nodes) < 2:
+        return None
+    ts = [s.t for s in nodes]
+    weights = [prod((level - tj) / (ti - tj) for tj in ts if tj != ti) for ti in ts]
+    u = sum(wt * s.u.values for wt, s in zip(weights, nodes))
+    p = sum(wt * s.p.values for wt, s in zip(weights, nodes))
+    return SimState(VectorField(u), TensorField(p), nodes[0].gamma, level)
+
+
+def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, guess: SimState | None = None):
+    """Advance one load step; returns the new state and its report.
+
+    guess, a state near the step's solution, is only a starting point.  A
+    dissipative step recovers u at the previous plastic field and at the
+    guess's, each by a solve warm-started from the guess's u, and starts
+    from whichever gives the lower step functional.  The monolithic
+    (micromorphic) solve ignores it.
+    """
     cfg = problem.config
     variant = problem.variant
     if not np.all(np.isfinite([load.level, load.amplitude, *load.body_force])):
@@ -510,13 +562,14 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep):
     c = c_prev.copy()
     cg_total = fista_total = 0
     uphill = 0.0
+    from_guess = False
 
     if not variant.has_dissipation:
         # single monolithic SPD solve replaces the flow law
         K, precond = problem.monolithic_matrix()
         rhs = np.concatenate([
             F[problem.free] - problem.K_fg @ U[problem.presc],
-            -np.asarray(problem.S_g.T @ U[problem.presc]),
+            -np.asarray(problem.S_pg @ U[problem.presc]),
         ])
         x0 = np.concatenate([U[problem.free], c])
         x, cg_total = problem.pcg(K, rhs, x0, cfg.tol_cg, cfg.max_cg, precond)
@@ -526,6 +579,22 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep):
         outer = 1
         J, _ = problem.objective(U, c, c_prev, gamma_prev, F)
     else:
+        if guess is not None:
+            # u is recovered at both starts only to the loosest inner
+            # tolerance.  J is quadratic in u and least at the exact solve,
+            # so each value exceeds its minimum over u by a second-order
+            # amount, which bounds how much worse than c_prev the start chosen
+            # can be; pass 1's first inner solve meets tol_cg from it
+            tol_start = max(cfg.tol_cg, INNER_TOL_CAP)
+            U[problem.free] = guess.u.values.reshape(-1)[problem.free]
+            c_guess = problem.basis.to_reduced(guess.p.values.reshape(-1))
+            U_guess, its_guess = problem.solve_u(U.copy(), c_guess, F, tol_start, cfg.max_cg)
+            U, its_prev = problem.solve_u(U, c, F, tol_start, cfg.max_cg)
+            cg_total += its_guess + its_prev
+            J_start, _ = problem.objective(U, c, c_prev, gamma_prev, F)
+            J_guess, _ = problem.objective(U_guess, c_guess, c_prev, gamma_prev, F)
+            if J_guess < J_start:
+                U, c, from_guess = U_guess, c_guess, True
         # pass 1 solves the step; pass 2 restarts from its c with an exact
         # first gradient and confirms that J no longer descends
         J_prev = np.inf
@@ -548,9 +617,13 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep):
                 uphill = max(uphill, (J - J_prev) / scale_J)
             if u_res <= cfg.tol_cg and J_prev - J <= cfg.tol_outer * scale_J:
                 break
+            descent = (J_prev - J) / scale_J  # inf after a single pass
             J_prev = J
         else:
-            raise NoConvergence("outer passes", cfg.max_outer, u_res, cfg.tol_cg)
+            # report the criterion that failed
+            if u_res > cfg.tol_cg:
+                raise NoConvergence("outer passes", cfg.max_outer, u_res, cfg.tol_cg)
+            raise NoConvergence("outer passes", cfg.max_outer, descent, cfg.tol_outer)
 
     dc = c - c_prev
     dn = problem.basis.node_norms(dc)
@@ -585,5 +658,6 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep):
         fista_iterations=fista_total,
         objective=J,
         objective_increase=uphill,
+        started_from_guess=from_guess,
     )
     return state, report

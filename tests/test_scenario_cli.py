@@ -16,7 +16,8 @@ from curlplast.scenario import (
     canonical_text,
     parse_scenario,
 )
-from curlplast.solver import VI_PROBES_MAX
+from curlplast.models import SimState
+from curlplast.solver import VI_PROBES_MAX, DiscreteProblem, time_step
 from curlplast.tensors import MaterialParams, sym
 from curlplast.vtk_io import read_structured_points_header
 
@@ -180,6 +181,34 @@ class TestRunScenario:
         s = parse_scenario(json.dumps(doc))
         run_scenario(s, str(tmp_path / "local"))
         assert "K_curl_cc" not in vars(build_blocks(s.grid, s.variant.params))
+
+    @staticmethod
+    def run_with_and_without_guesses(tmp_path, amplitudes):
+        doc = base_doc(load_program=[{"level": k + 1, "amplitude": float(a)} for k, a in enumerate(amplitudes)],
+                       solver={"tol_outer": 1e-13, "tol_cg": 1e-12, "tol_fista": 1e-12})
+        s = parse_scenario(json.dumps(doc))
+        res = run_scenario(s, str(tmp_path))
+        problem = DiscreteProblem(s.grid, s.boundary, s.variant, s.dirichlet_array(), s.solver)
+        state = SimState.zeros(s.grid)
+        for load, report in zip(s.load_program, res.reports):
+            state, plain = time_step(problem, state, load)
+            for name in ("elastic", "defect", "hardening"):
+                a, b = getattr(report.energy, name), getattr(plain.energy, name)
+                assert abs(a - b) <= 1e-9 * plain.energy.magnitude(), name
+            assert abs(report.dissipation_functional - plain.dissipation_functional) <= 1e-9 * plain.energy.magnitude()
+        return [r.started_from_guess for r in res.reports]
+
+    def test_monotone_ramp_starts_from_the_guess_from_step_three(self, tmp_path):
+        # every step flows; the first has no guess and the second only a
+        # linear one through the zero state
+        started = self.run_with_and_without_guesses(tmp_path, 0.004 * np.arange(1, 7))
+        assert not started[0]
+        assert all(started[2:])
+
+    def test_load_reversal_rejects_the_guess(self, tmp_path):
+        a_y = 0.3 / (np.sqrt(2) * 80.0)
+        started = self.run_with_and_without_guesses(tmp_path, a_y * np.array([1.5, 2.0, 2.5, 3.0, 2.0, 1.0]))
+        assert started[3] and not started[4]
 
     def test_bitwise_determinism(self, tmp_path):
         doc = base_doc()
@@ -357,6 +386,15 @@ class TestCliEntry:
         doc["solver"] = {"max_outer": 1, "max_fista": 2, "tol_fista": 1e-16}
         cfg = self.write(tmp_path, doc)
         assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == 3
+
+    def test_outer_pass_limit_exit_code(self, tmp_path, capsys):
+        # a dissipative step needs a solve pass and a confirming pass
+        doc = base_doc()
+        doc["solver"] = {"max_outer": 1}
+        cfg = self.write(tmp_path, doc)
+        assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "step 1: outer passes did not converge" in err and "residual inf" in err
 
     def test_korn_subcommand(self, tmp_path, capsys):
         cfg = self.write(tmp_path, elastic_doc())

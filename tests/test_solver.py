@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from curlplast.grid import FACES, BoundaryConfig, Grid, SingularBlock, TensorField
+from curlplast.grid import FACES, BoundaryConfig, Grid, ScalarField, SingularBlock, TensorField, VectorField
 from curlplast.models import ModelVariant, SimState, eshelby_stress, sigma_nodal
 from curlplast.oracles import radial_return_0d
 from curlplast.solver import (
@@ -13,6 +13,7 @@ from curlplast.solver import (
     NoConvergence,
     SolverConfig,
     accelerated_prox_gradient,
+    extrapolate,
     prox_dissipation,
     shrink_magnitude,
     time_step,
@@ -435,6 +436,19 @@ class TestTimeStep:
         with pytest.raises(NoConvergence):
             time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.05))
 
+    def test_outer_pass_limit_reports_the_descent_test(self):
+        # the recovered u meets tol_cg after a single pass, so the test that
+        # fails is the confirming pass's descent, inf before any second pass
+        grid = Grid.unit_cube(2)
+        cfg = SolverConfig(max_outer=1)
+        prob = DiscreteProblem(grid, BoundaryConfig(("zmin", "zmax")), KIN, SHEAR01, cfg)
+        with pytest.raises(NoConvergence) as info:
+            time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.05))
+        e = info.value
+        assert e.what == "outer passes"
+        assert e.tol == cfg.tol_outer
+        assert e.residual > e.tol
+
     def test_coercivity_guard(self):
         grid = Grid.unit_cube(2)
         bad = MaterialParams(mu=80.0, lam=110.0, k1=0.5, sigma_y=0.3)
@@ -444,6 +458,82 @@ class TestTimeStep:
         object.__setattr__(relaxed, "params", MaterialParams(mu=80.0, lam=110.0, sigma_y=0.3))
         with pytest.raises(SingularBlock):
             DiscreteProblem(grid, BoundaryConfig(("zmin",)), relaxed, None, TIGHT)
+
+
+def field_state(grid, t, coeffs):
+    """State whose u and p are the polynomial sum_k coeffs[k] t^k (gamma zero)."""
+    u = sum(a * t ** k for k, a in enumerate(coeffs[0]))
+    p = sum(a * t ** k for k, a in enumerate(coeffs[1]))
+    return SimState(VectorField(u), TensorField(p), ScalarField.zeros(grid), t)
+
+
+class TestStartingGuess:
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_extrapolation_is_exact_for_polynomial_states(self, degree):
+        grid = Grid.unit_cube(2)
+        rng = np.random.default_rng(3)
+        coeffs = ([rng.standard_normal((grid.node_count, 3)) for _ in range(degree + 1)],
+                  [rng.standard_normal((grid.node_count, 3, 3)) for _ in range(degree + 1)])
+        # the zero state, off the polynomial, is the fourth distinct t, and a
+        # repeated t is skipped
+        history = [SimState.zeros(grid)] + [field_state(grid, t, coeffs) for t in (0.5, 1.5, 1.5, 2.0)]
+        guess = extrapolate(history, 3.25)
+        exact = field_state(grid, 3.25, coeffs)
+        assert guess.t == 3.25
+        assert np.allclose(guess.u.values, exact.u.values, rtol=1e-12, atol=1e-12)
+        assert np.allclose(guess.p.values, exact.p.values, rtol=1e-12, atol=1e-12)
+
+    def test_the_zero_state_counts_as_a_point(self):
+        grid = Grid.unit_cube(2)
+        rng = np.random.default_rng(4)
+        coeffs = ([0.0, rng.standard_normal((grid.node_count, 3))],
+                  [0.0, rng.standard_normal((grid.node_count, 3, 3))])
+        guess = extrapolate([SimState.zeros(grid), field_state(grid, 0.5, coeffs)], 2.0)
+        assert np.allclose(guess.p.values, field_state(grid, 2.0, coeffs).p.values, rtol=1e-14, atol=0.0)
+
+    def test_single_usable_state_gives_no_guess(self):
+        grid = Grid.unit_cube(2)
+        zero = SimState.zeros(grid)
+        assert extrapolate([zero], 1.0) is None
+        assert extrapolate([zero, SimState.zeros(grid)], 1.0) is None  # one distinct t
+
+    @staticmethod
+    def gradient_ramp():
+        grid = Grid.unit_cube(4)
+        D = np.zeros((3, 3))
+        D[0, 2] = 1.0
+        cfg = SolverConfig(tol_outer=1e-11, tol_cg=1e-11, tol_fista=1e-10)
+        prob = DiscreteProblem(grid, BoundaryConfig(("zmin", "zmax")), KIN, D, cfg)
+        a_y = PARAMS.sigma_y / (np.sqrt(2) * PARAMS.mu)
+        loads = [LoadStep(float(k + 1), float(a)) for k, a in enumerate(np.linspace(0, 5 * a_y, 8)[1:])]
+        history = [SimState.zeros(grid)]
+        for load in loads[:5]:
+            history.append(time_step(prob, history[-1], load)[0])
+        return prob, history, loads[5]
+
+    @staticmethod
+    def assert_same_state(a, b, tol=1e-9):
+        for name in ("u", "p", "gamma"):
+            x, y = getattr(a, name).values, getattr(b, name).values
+            assert np.max(np.abs(x - y)) <= tol * np.max(np.abs(y)), name
+
+    def test_good_guess_is_taken_and_saves_iterations(self):
+        prob, history, load = self.gradient_ramp()
+        ref, ref_rep = time_step(prob, history[-1], load)
+        assert ref_rep.active_node_fraction > 0.0 and not ref_rep.started_from_guess
+        state, rep = time_step(prob, history[-1], load, extrapolate(history, load.level))
+        assert rep.started_from_guess
+        assert rep.fista_iterations < ref_rep.fista_iterations
+        self.assert_same_state(state, ref)
+
+    def test_bad_guess_is_rejected(self):
+        prob, history, load = self.gradient_ramp()
+        ref, _ = time_step(prob, history[-1], load)
+        good = extrapolate(history, load.level)
+        bad = SimState(good.u, TensorField(5.0 * good.p.values), good.gamma, good.t)
+        state, rep = time_step(prob, history[-1], load, bad)
+        assert not rep.started_from_guess
+        self.assert_same_state(state, ref)
 
 
 class TestStressRecoveries:
