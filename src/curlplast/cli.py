@@ -111,7 +111,8 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
             states.append(state)
         if not quiet:
             print(f"step {row.step}: level {row.level} active {row.active_fraction:.3f} "
-                  f"outer {report.outer_iterations}")
+                  f"outer {report.outer_iterations} objective_increase {report.objective_increase:.3e} "
+                  f"started_from_guess {report.started_from_guess}")
         if vtk_dir and (k % scenario.output.vtk_stride == 0 or k == len(program) - 1):
             write_structured_points(
                 os.path.join(vtk_dir, f"fields_{k + 1:04d}.vtk"),

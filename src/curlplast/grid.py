@@ -4,27 +4,29 @@ Displacements and the plastic distortion are stored at nodes; all nine
 tensor components share one scalar trilinear space, which is H1-conforming
 and therefore conforming for the row-wise curl.
 
-Quadratic-form blocks (Blocks) are Kronecker products of scalar nodal
-pairings with constant 9x9 (or 3x3) algebraic kernels.  On the uniform grid
-each scalar pairing is in turn the Kronecker product of three exact 1D
-tridiagonal factors (mass, stiffness, derivative-mass), one per axis, so the
-blocks equal the 2x2x2 Gauss-rule assembly without storing its roundoff in
-analytically zero entries.  Blocks are assembled on first use.  The
-Gauss-point assembly itself is kept only as a test reference
-(tests/gauss_reference.py).
+Every quadratic form (Blocks) is described once, as a list of Kronecker
+terms: a scalar nodal pairing times a constant 9x9 (or 3x3) algebraic
+kernel.  On the uniform grid each scalar pairing is in turn the Kronecker
+product of three exact 1D tridiagonal factors (mass, stiffness,
+derivative-mass), one per axis, so the forms equal the 2x2x2 Gauss-rule
+assembly without storing its roundoff in analytically zero entries.  One
+assembler turns a term list into a sparse matrix between two nodal spaces,
+full nodal components or the reduced coordinates below.  The Gauss-point
+assembly itself is kept only as a test reference (tests/gauss_reference.py).
 
 Pointwise constraints on the plastic field (trace-free, symmetric, rows
 parallel to the outward normal on micro-hard faces) are realized through a
-per-node orthonormal basis of the admissible subspace; the sparse matrix B
-stacking those bases converts between full nodal tensors (9 dofs per node)
-and reduced coordinates, in which the Frobenius norm of a nodal tensor is
-the plain Euclidean norm.
+per-node orthonormal basis of the admissible subspace, shared by all nodes
+of one type; the sparse matrix B stacking those bases converts between full
+nodal tensors (9 dofs per node) and reduced coordinates, in which the
+Frobenius norm of a nodal tensor is the plain Euclidean norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -216,131 +218,197 @@ def _sel(b):
 _SEL = [_sel(b) for b in range(3)]
 
 
-def _factors_1d(n, h):
-    """Exact 1D factors (M, K, G) of n linear cells of size h, n + 1 nodes.
+# Roundoff bound factor: an assembled entry, or a quadratic-form value, at or
+# below ROUNDOFF times the sum of the magnitudes of its summands is
+# indistinguishable from zero at double precision
+ROUNDOFF = 64.0 * np.finfo(float).eps
 
-    M[i, j] = int phi_i phi_j, K[i, j] = int phi_i' phi_j' and
-    G[i, j] = int phi_i' phi_j; the 2-point Gauss rule integrates all three
-    exactly.  G keeps only its two end diagonal entries: the interior ones
-    are zero and are not stored.
+_MASS = ("M", "M", "M")
+
+
+def _pair_names(a, b):
+    """1D factors, x first, of the scalar pairing int d_a phi_I d_b phi_J."""
+    names = ["M"] * 3
+    if a == b:
+        names[a] = "K"
+    else:
+        names[a], names[b] = "G", "Gt"
+    return tuple(names)
+
+
+def _factors_1d(n, h):
+    """Exact 1D factors of n linear cells of size h, n + 1 nodes, as dense arrays.
+
+    M[i, j] = int phi_i phi_j, K[i, j] = int phi_i' phi_j', G[i, j] =
+    int phi_i' phi_j and Gt = G'; the 2-point Gauss rule integrates all of
+    them exactly.  Each is tridiagonal.
     """
     cells = np.full(n + 1, 2.0)  # cells touching each node
     cells[0] = cells[-1] = 1.0
-    off = np.ones(n)
-    M = sp.diags([h / 6.0 * off, h / 3.0 * cells, h / 6.0 * off], [-1, 0, 1], format="csr")
-    K = sp.diags([-off / h, cells / h, -off / h], [-1, 0, 1], format="csr")
-    i = np.arange(n)
-    rows = np.concatenate([i, i + 1, [0, n]])
-    cols = np.concatenate([i + 1, i, [0, n]])
-    vals = np.concatenate([-0.5 * off, 0.5 * off, [-0.5, 0.5]])
-    G = sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
-    return M, K, G
+    lower, upper = np.diag(np.ones(n), -1), np.diag(np.ones(n), 1)
+    M = h / 6.0 * (lower + upper) + h / 3.0 * np.diag(cells)
+    K = (np.diag(cells) - lower - upper) / h
+    G = 0.5 * (lower - upper)
+    G[0, 0], G[n, n] = -0.5, 0.5
+    return {"M": M, "K": K, "G": G, "Gt": G.T}
 
 
-def _symmetrized(K):
-    K = K.tocsr()
-    return 0.5 * (K + K.T)
+def _nodal_space(space, node_count):
+    """(size, first coordinate of each node, node types, per-type bases).
+
+    An int k is the identity on k components per node; a PBasis has one
+    (m, 9) basis with orthonormal rows per node type.
+    """
+    if isinstance(space, PBasis):
+        return space.size, space.offsets[:-1].astype(np.int32), space.node_type, space.type_bases
+    first = space * np.arange(node_count, dtype=np.int32)
+    return space * node_count, first, np.zeros(node_count, dtype=np.intp), [np.eye(space)]
 
 
 class Blocks:
-    """All assembled full-space operators for one grid and elastic moduli.
+    """The quadratic forms of one grid and elastic moduli, as Kronecker term lists.
 
-    p-blocks act on row-major nodal tensors flattened to length 9N; u-blocks
-    on nodal vectors flattened to length 3N.  Every block is a sum of
-    Kronecker products of a scalar nodal pairing with a constant 9x9 (or
-    3x3) algebraic kernel, and every scalar pairing is itself a Kronecker
-    product of the exact 1D factors of _factors_1d, one per axis:
+    Every form is described once, in terms[name]: a list of (names, kernel)
+    terms, each the Kronecker product of a scalar nodal pairing with a
+    constant algebraic kernel (9x9 on tensors, 3x3 on vectors, 3x9 for the
+    coupling).  The scalar pairing is in turn a product of the exact 1D
+    factors of _factors_1d, one named per axis, x first:
 
-    - M0 = int phi_I phi_J: M on all three axes;
-    - _pair(a, a) = int d_a phi_I d_a phi_J: K on axis a, M on the others;
-    - _pair(a, b) = int d_a phi_I d_b phi_J, a != b: G on axis a, G' on
+    - MMM is int phi_I phi_J;
+    - _pair_names(a, a) is int d_a phi_I d_a phi_J: K on axis a, M on the others;
+    - _pair_names(a, b), a != b, is int d_a phi_I d_b phi_J: G on axis a, Gt on
       axis b, M on the third;
-    - ME[b] = int d_b phi_I phi_J: G on axis b, M on the others;
-    - w_node, the lumped (row-sum) weights: the product of the 1D row sums.
+    - G on axis b and M on the others is int d_b phi_I phi_J (K_up).
 
-    The blocks equal the 2x2x2 Gauss-point assembly, and analytically zero
-    entries are never stored.  Each block is assembled on first use, so a
-    run pays only for the blocks it reads.  The defect form K_curl_cc
-    composes the discrete row-wise curl with itself.
+    assemble() is the one assembler: it turns any term list into CSR
+    between two nodal spaces, the identity or a PBasis's per-node bases, so
+    callers get reduced operators without forming a full-space block.  The
+    full-space blocks below are the same call with identity bases, each
+    assembled on first use: DiscreteProblem reads K_uu, and the
+    post-processing in models.py reads the others.  Every form equals the 2x2x2 Gauss-point assembly, and analytically
+    zero entries are never stored.  The defect form K_curl_cc composes the
+    discrete row-wise curl with itself.
     """
 
     def __init__(self, grid: Grid, params):
         self.grid = grid
-        self._chat = elasticity_matrix(params)
-        self._1d = []
-        for n, h in zip(grid.n, grid.h):
-            M, K, G = _factors_1d(n, h)
-            self._1d.append({"M": M, "K": K, "G": G, "Gt": G.T.tocsr()})
+        chat = elasticity_matrix(params)
+        self._1d = [_factors_1d(n, h) for n, h in zip(grid.n, grid.h)]
+        self.terms = {
+            "K_uu": [(_pair_names(b, b2), _SEL[b].T @ chat @ _SEL[b2]) for b in range(3) for b2 in range(3)],
+            "K_up": [(tuple("G" if d == b else "M" for d in range(3)), -_SEL[b].T @ chat) for b in range(3)],
+            "K_pp_el": [(_MASS, chat)],
+            "K_sym": [(_MASS, PROJ_SYM)],
+            "M_cons": [(_MASS, np.eye(9))],
+            "K_curl_cc": [(_pair_names(a, a2), _CURL_K[a].T @ _CURL_K[a2]) for a in range(3) for a2 in range(3)],
+        }
 
-    def _scalar(self, names):
-        """Scalar nodal pairing from one named 1D factor per axis, x first.
+    def form(self, **weights):
+        """Term list of sum over names of weight * terms[name]; zero weights drop out."""
+        return [(names, w * kernel) for name, w in weights.items() if w for names, kernel in self.terms[name]]
 
-        Nodes are numbered x fastest, so the pairing is kron(z, kron(y, x)).
+    def assemble(self, terms, rows, cols=None):
+        """CSR matrix of sum_t kron(pairing_t, kernel_t) between two nodal spaces.
+
+        rows and cols are nodal spaces (see _nodal_space); the block of node
+        pair (I, J) is sum_t pairing_t[I, J] V_I kernel_t V_J'.  For each of
+        the 27 stencil offsets, the pairings of all node pairs are products
+        of 1D-factor entries, and each (row type, column type) group of pairs
+        is one dense product of those pairings with the kernels reduced once
+        per type pair.  An entry within ROUNDOFF * sum_t |pairing_t| |V_I|
+        |kernel_t| |V_J|' of zero is analytically zero and is not stored.
+        cols=None assembles a symmetric form on rows: only node pairs with
+        J >= I are computed, the lower half mirrors them and the diagonal
+        blocks are symmetrized, so the result is exactly symmetric.
+        Indices are int32.
         """
-        x, y, z = (f[name] for f, name in zip(self._1d, names))
-        return sp.kron(z, sp.kron(y, x, format="csr"), format="csr")
-
-    def _pair(self, a, b):
-        names = ["M"] * 3
-        if a == b:
-            names[a] = "K"
-        else:
-            names[a], names[b] = "G", "Gt"
-        return self._scalar(names)
-
-    def _pairs(self):
-        return [[self._pair(a, b) for b in range(3)] for a in range(3)]
-
-    @cached_property
-    def M0(self):
-        return self._scalar("MMM")
+        grid = self.grid
+        nx, ny, _ = grid.node_shape
+        symmetric = cols is None
+        n_rows, r_first, r_type, r_bases = _nodal_space(rows, grid.node_count)
+        n_cols, c_first, c_type, c_bases = (n_rows, r_first, r_type, r_bases) if symmetric \
+            else _nodal_space(cols, grid.node_count)
+        kernels = np.array([kernel for _, kernel in terms], dtype=float)
+        reduced = {}  # (row type, column type) -> reduced kernels and their magnitudes
+        for tr, Vr in enumerate(r_bases):
+            for tc, Vc in enumerate(c_bases):
+                if len(Vr) and len(Vc):
+                    R = (Vr @ kernels @ Vc.T).reshape(len(terms), -1)
+                    R_abs = (np.abs(Vr) @ np.abs(kernels) @ np.abs(Vc).T).reshape(len(terms), -1)
+                    reduced[tr, tc] = R, R_abs, len(Vr), len(Vc)
+        once, mirrored = [], []  # entries stored as computed; J > I entries of a symmetric form
+        for dz, dy, dx in product((-1, 0, 1), repeat=3):
+            shift = dx + nx * (dy + ny * dz)
+            if symmetric and shift < 0:
+                continue
+            ix, iy, iz = (np.arange(max(0, -d), n + 1 - max(0, d)) for n, d in zip(grid.n, (dx, dy, dz)))
+            node = (ix + nx * (iy[:, None] + ny * iz[:, None, None])).ravel()
+            col = node + shift
+            pairing = np.empty((node.size, len(terms)))
+            for t, (names, _) in enumerate(terms):
+                fx, fy, fz = (np.diagonal(f[name], d) for f, name, d in zip(self._1d, names, (dx, dy, dz)))
+                pairing[:, t] = (fz[:, None, None] * fy[:, None] * fx).ravel()
+            group = r_type[node] * len(c_bases) + c_type[col]
+            for g in np.unique(group):
+                key = divmod(int(g), len(c_bases))
+                if key not in reduced:
+                    continue
+                R, R_abs, mr, mc = reduced[key]
+                sel = group == g
+                S = pairing[sel]
+                vals = (S @ R).reshape(-1, mr, mc)
+                bound = ROUNDOFF * (np.abs(S) @ R_abs).reshape(-1, mr, mc)
+                if symmetric and shift == 0:
+                    vals = 0.5 * (vals + vals.transpose(0, 2, 1))
+                    bound = 0.5 * (bound + bound.transpose(0, 2, 1))
+                k, a, b = np.nonzero(np.abs(vals) > bound)
+                entry = (r_first[node[sel]][k] + a.astype(np.int32),
+                         c_first[col[sel]][k] + b.astype(np.int32), vals[k, a, b])
+                (mirrored if symmetric and shift > 0 else once).append(entry)
+        parts = once + mirrored + [(c, r, v) for r, c, v in mirrored]
+        if not parts:
+            return sp.csr_matrix((n_rows, n_cols))
+        r, c, v = (np.concatenate(x) for x in zip(*parts))
+        # the pieces are copied; release them before the CSR copy, which
+        # sets the peak memory of the assembly
+        del once, mirrored, parts
+        return sp.csr_matrix((v, (r, c)), shape=(n_rows, n_cols))
 
     @cached_property
     def w_node(self):
-        x, y, z = (np.asarray(f["M"].sum(axis=1)).ravel() for f in self._1d)
+        x, y, z = (f["M"].sum(axis=1) for f in self._1d)
         return np.kron(z, np.kron(y, x))
 
     @cached_property
     def m_lump(self):
         return np.repeat(self.w_node, 9)
 
+    # full-space blocks: p-blocks act on row-major nodal tensors flattened to
+    # length 9N, u-blocks on nodal vectors flattened to length 3N
+
     @cached_property
     def K_uu(self):
-        A = self._pairs()
-        K = sum(
-            sp.kron(A[b][b2], sp.csr_matrix(_SEL[b].T @ self._chat @ _SEL[b2]), format="csr")
-            for b in range(3)
-            for b2 in range(3)
-        )
-        return _symmetrized(K)
+        return self.assemble(self.terms["K_uu"], 3)
 
     @cached_property
     def K_up(self):
-        ME = [self._scalar(["G" if d == b else "M" for d in range(3)]) for b in range(3)]
-        return -sum(sp.kron(ME[b], sp.csr_matrix(_SEL[b].T @ self._chat), format="csr") for b in range(3))
+        return self.assemble(self.terms["K_up"], 3, 9)
 
-    # kron of the symmetric M0 with a symmetric kernel is exactly symmetric
     @cached_property
     def K_pp_el(self):
-        return sp.kron(self.M0, sp.csr_matrix(self._chat), format="csr")
+        return self.assemble(self.terms["K_pp_el"], 9)
 
     @cached_property
     def K_sym(self):
-        return sp.kron(self.M0, sp.csr_matrix(PROJ_SYM), format="csr")
+        return self.assemble(self.terms["K_sym"], 9)
 
     @cached_property
     def M_cons(self):
-        return sp.kron(self.M0, sp.eye(9), format="csr")
+        return self.assemble(self.terms["M_cons"], 9)
 
     @cached_property
     def K_curl_cc(self):
-        A = self._pairs()
-        K = sum(
-            sp.kron(A[a][a2], sp.csr_matrix(_CURL_K[a].T @ _CURL_K[a2]), format="csr")
-            for a in range(3)
-            for a2 in range(3)
-        )
-        return _symmetrized(K)
+        return self.assemble(self.terms["K_curl_cc"], 9)
 
     def body_force_vector(self, f):
         """Assembled load for a constant body force, flattened (3N,)."""
@@ -413,18 +481,32 @@ def _node_basis(allowed, mode):
 class PBasis:
     """Per-node orthonormal bases of the admissible plastic subspace.
 
-    B is (9N, M) with orthonormal columns grouped node by node; offsets has
-    length N + 1 and offsets[j]:offsets[j+1] indexes node j's coordinates.
+    Nodes that allow the same tensor columns share a node type:
+    type_bases[t] is an (m_t, 9) array with orthonormal rows, and node j's
+    coordinates are the components of its tensor along the rows of
+    type_bases[node_type[j]].  offsets has length N + 1 and
+    offsets[j]:offsets[j+1] indexes node j's coordinates; B is the (9N, M)
+    matrix stacking the transposed bases node by node.
     """
 
-    B: sp.csr_matrix
-    offsets: np.ndarray
+    node_type: np.ndarray
+    type_bases: list
     mode: str
 
     def __post_init__(self):
-        self._dims = np.diff(self.offsets)
+        self._dims = np.array([len(V) for V in self.type_bases])[self.node_type]
+        self.offsets = np.concatenate([[0], np.cumsum(self._dims)])
         self._nodes = np.nonzero(self._dims > 0)[0]
         self._starts = self.offsets[self._nodes]
+        rows, cols, data = [], [], []
+        for t, V in enumerate(self.type_bases):
+            nodes = np.nonzero(self.node_type == t)[0]
+            r, k = np.nonzero(V)
+            rows.append((9 * nodes[:, None] + k).ravel())
+            cols.append((self.offsets[nodes][:, None] + r).ravel())
+            data.append(np.tile(V[r, k], len(nodes)))
+        shape = (9 * len(self.node_type), self.size)
+        self.B = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
 
     @property
     def size(self):
@@ -463,39 +545,15 @@ class PBasis:
 
 
 def build_p_basis(grid: Grid, micro_hard_faces, mode="sl") -> PBasis:
-    """Assemble the sparse basis matrix for the given pointwise constraints.
+    """Per-node bases of the admissible subspace under the pointwise constraints.
 
     mode 'sl' keeps trace-free tensors (8 dofs at free nodes), 'sym_sl'
     symmetric trace-free (5 dofs), 'none' only the micro-hard mask (9 dofs).
     """
     allowed = allowed_columns(grid, micro_hard_faces)
-    cases = {}
-    for j in range(grid.node_count):
-        cases.setdefault(tuple(allowed[j]), []).append(j)
-    dims = np.zeros(grid.node_count, dtype=np.int64)
-    basis_for = {}
-    for key in cases:
-        basis_for[key] = _node_basis(np.asarray(key), mode)
-        for j in cases[key]:
-            dims[j] = len(basis_for[key])
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    rows, cols, data = [], [], []
-    for key, nodes in cases.items():
-        vecs = basis_for[key]
-        if not vecs:
-            continue
-        V = np.asarray(vecs)  # (m, 9)
-        nz = np.nonzero(V)
-        for j in nodes:
-            rows.append(9 * j + nz[1])
-            cols.append(offsets[j] + nz[0])
-            data.append(V[nz])
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data)
-    B = sp.coo_matrix((data, (rows, cols)), shape=(9 * grid.node_count, int(offsets[-1])))
-    return PBasis(B.tocsr(), offsets, mode)
+    types, node_type = np.unique(allowed, axis=0, return_inverse=True)
+    bases = [np.reshape(_node_basis(key, mode), (-1, 9)) for key in types]
+    return PBasis(node_type.ravel(), bases, mode)
 
 
 def dirichlet_mask(grid: Grid, boundary: BoundaryConfig) -> np.ndarray:

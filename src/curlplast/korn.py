@@ -22,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Grid, TensorField, build_blocks, build_p_basis
+from .grid import ROUNDOFF, Grid, TensorField, build_blocks, build_p_basis
 from .solver import NoConvergence
 from .tensors import MaterialParams, cross_matrix
 
 # material values are irrelevant for the unit-coefficient blocks; any
-# admissible moduli give the same K_sym / K_curl / mass operators
+# admissible moduli give the same K_sym / K_curl_cc / mass operators
 _UNIT = MaterialParams(mu=1.0, lam=0.0)
 
 
@@ -52,21 +52,20 @@ class KornProblem:
 def _operators(problem: KornProblem):
     """Basis of the constrained space and the quotient's forms reduced onto it.
 
-    Returns (basis, Khat, Mhat) with Khat = B'(K_sym + ls^2 K_curl)B and
-    Mhat = B' M_cons B, both CSR.
+    Returns (basis, Khat, Mhat) with Khat = B'(K_sym + ls^2 K_curl_cc)B and
+    Mhat = B' M_cons B, both CSR and assembled straight into the reduced
+    coordinates.
     """
     blocks = build_blocks(problem.grid, _UNIT)
     basis = build_p_basis(problem.grid, problem.gamma_faces, "none")
-    ls2 = problem.length_scale ** 2
-    K = (blocks.K_sym + ls2 * blocks.K_curl_cc).tocsr()
-    B = basis.B
-    return basis, (B.T @ K @ B).tocsr(), (B.T @ blocks.M_cons @ B).tocsr()
+    Khat = blocks.assemble(blocks.form(K_sym=1.0, K_curl_cc=problem.length_scale ** 2), basis)
+    return basis, Khat, blocks.assemble(blocks.terms["M_cons"], basis)
 
 
 def _roundoff_floor(K, x):
     """Upper bound for the roundoff in x' K x; form values below it are zero."""
     ax = np.abs(x)
-    return 64.0 * np.finfo(float).eps * float(ax @ np.abs(K) @ ax)
+    return ROUNDOFF * float(ax @ np.abs(K) @ ax)
 
 
 def korn_quotient(problem: KornProblem, P: TensorField) -> float:

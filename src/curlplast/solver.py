@@ -231,15 +231,9 @@ class DiscreteProblem:
         self.blocks = build_blocks(grid, variant.params)
         self.basis = build_p_basis(grid, boundary.micro_hard_faces, "sym_sl" if variant.symmetric else "sl")
         mu, Lc = variant.params.mu, variant.params.Lc
-        A_pp = self.blocks.K_pp_el
-        if Lc:
-            A_pp = A_pp + mu * Lc ** 2 * self.blocks.K_curl_cc
-        if variant.k1_eff:
-            A_pp = A_pp + mu * variant.k1_eff * self.blocks.K_sym
-        B = self.basis.B
-        A_red = B.T @ A_pp @ B
-        self.A_hat = 0.5 * (A_red + A_red.T).tocsr()
-        self.S_up = (self.blocks.K_up @ B).tocsr()  # u-rows, reduced p-columns
+        terms = self.blocks.form(K_pp_el=1.0, K_curl_cc=mu * Lc ** 2, K_sym=mu * variant.k1_eff)
+        self.A_hat = self.blocks.assemble(terms, self.basis)
+        self.S_up = self.blocks.assemble(self.blocks.terms["K_up"], 3, self.basis)  # u-rows, reduced p-columns
 
         self.presc = dirichlet_mask(grid, boundary)
         self.free = ~self.presc
@@ -306,7 +300,14 @@ class DiscreteProblem:
         raise NoConvergence("conjugate gradients", maxiter, res, tol)
 
     def lipschitz(self):
-        """Upper bound for the largest eigenvalue of the mass-scaled p operator."""
+        """Estimate of the largest eigenvalue of the mass-scaled p operator, padded.
+
+        30 power iterations on diag(w_seg)^-1 A_hat approach lambda_max from
+        below, so the Rayleigh quotient they end on is a lower estimate, not
+        a bound.  It is multiplied by LIPSCHITZ_SAFETY, a margin that covered
+        the gap on the grids where it was measured but is not proven to
+        cover it; a guaranteed bound is still open.
+        """
         if self._lipschitz is None:
             m = self.basis.size
             if m == 0:

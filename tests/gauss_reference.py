@@ -1,11 +1,12 @@
 """Gauss-point reference assembly, independent of the 1D-factor blocks.
 
 The package assembles every quadratic form from exact 1D Kronecker factors
-(curlplast.grid.Blocks).  This module rebuilds the same forms, and the
-pointwise fields the tests probe, from sparse value and gradient operators
-at the 2x2x2 Gauss points of every cell, so the tests compare two
-independent assemblies.  It also assembles the defect form a second way,
-through the skew-gradient (microforce) pairing
+(curlplast.grid.Blocks), straight into the coordinates its caller uses.
+This module rebuilds the same forms, and the pointwise fields the tests
+probe, from sparse value and gradient operators at the 2x2x2 Gauss points
+of every cell, and reduces them by sparse products with the basis matrix,
+so the tests compare two independent assemblies.  It also assembles the
+defect form a second way, through the skew-gradient (microforce) pairing
 
     <Curl X, Curl Y> = 2 sum_i <skew grad X_i, grad Y_i>,
 
@@ -152,6 +153,21 @@ def gauss_point_blocks(grid, params):
         "K_curl_cc": sum(sp.kron(A[a][a2], _CURL_K[a].T @ _CURL_K[a2]) for a in range(3) for a2 in range(3)),
         "m_lump": np.repeat(fem.w_node, 9),
     }
+
+
+def reduced_reference(grid, variant, basis, curl_form=None):
+    """A_hat and S_up of DiscreteProblem, reduced from the Gauss-point blocks.
+
+    B'(K_pp_el + mu Lc^2 K_curl_cc + mu k1 K_sym)B, symmetrized, and K_up B by
+    sparse products with the basis matrix B; curl_form, when given, stands in
+    for K_curl_cc.
+    """
+    ref = gauss_point_blocks(grid, variant.params)
+    mu, Lc = variant.params.mu, variant.params.Lc
+    curl = ref["K_curl_cc"] if curl_form is None else curl_form
+    B = basis.B
+    A_hat = (B.T @ (ref["K_pp_el"] + mu * Lc ** 2 * curl + mu * variant.k1_eff * ref["K_sym"]) @ B).tocsr()
+    return 0.5 * (A_hat + A_hat.T), (ref["K_up"] @ B).tocsr()
 
 
 @lru_cache(maxsize=8)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gauss_reference import discrete_curl, fem_operators, gauss_point_blocks, skewgrad_curl_form
+from gauss_reference import discrete_curl, fem_operators, gauss_point_blocks, reduced_reference, skewgrad_curl_form
 
+from curlplast import korn
 from curlplast.grid import (
     FACES,
     BoundaryConfig,
@@ -14,6 +15,7 @@ from curlplast.grid import (
     build_p_basis,
     dirichlet_mask,
 )
+from curlplast.korn import KornProblem
 from curlplast.models import ModelVariant
 from curlplast.solver import DiscreteProblem
 from curlplast.tensors import MaterialParams, cross_matrix
@@ -125,10 +127,45 @@ class TestAssembly:
     def test_run_operators_store_no_roundoff_fill(self):
         # analytically zero entries must not be stored as roundoff
         bc = BoundaryConfig(("zmin", "zmax"))
-        prob = DiscreteProblem(Grid.unit_cube(4), bc, KIN)
-        for name in ("A_hat", "K_ff", "S_up"):
-            data = np.abs(getattr(prob, name).data)
+        grid = Grid.unit_cube(4)
+        operators = {}
+        for variant in (KIN, ModelVariant("kin_irrot", PARAMS)):
+            prob = DiscreteProblem(grid, bc, variant)
+            operators.update({f"{variant.tag} {name}": getattr(prob, name) for name in ("A_hat", "K_ff", "S_up")})
+        _, operators["Khat"], operators["Mhat"] = korn._operators(KornProblem(grid, FACES))
+        for name, K in operators.items():
+            data = np.abs(K.data)
             assert np.all(data > 1e-14 * data.max()), name
+
+    @pytest.mark.parametrize("mode, faces", [("sl", ("zmin", "zmax")), ("sym_sl", ()),
+                                             ("sym_sl", ("xmin", "ymax")), ("none", ("xmin", "ymin", "zmax"))])
+    def test_direct_reduction_matches_gauss_point_reduction(self, mode, faces):
+        # the operators assembled straight into reduced coordinates equal the
+        # Gauss-point blocks reduced by sparse products, B' K B, whose roundoff
+        # at analytic zeros (below 1e-16 of the largest entry; the smallest
+        # true entry is above 5e-5) is dropped before the nonzeros are counted
+        grid = Grid((3, 4, 5), (0.3, 0.7, 0.11), origin=(0.5, -1.0, 2.0))
+
+        def check(name, K, ref, symmetric=True):
+            ref = ref.tocsr()
+            ref.data[np.abs(ref.data) <= 1e-14 * np.abs(ref.data).max()] = 0.0
+            ref.eliminate_zeros()
+            assert K.nnz == ref.nnz, name
+            assert np.abs(K - ref).max() <= 1e-14 * np.abs(ref).max(), name
+            assert not symmetric or (K != K.T).nnz == 0, name
+
+        if mode != "none":
+            variant = ModelVariant("kin_spin" if mode == "sl" else "kin_irrot", PARAMS)
+            prob = DiscreteProblem(grid, BoundaryConfig(("zmin",), faces), variant)
+            assert prob.basis.mode == mode
+            A_ref, S_ref = reduced_reference(grid, variant, prob.basis)
+            check("A_hat", prob.A_hat, A_ref)
+            check("S_up", prob.S_up, S_ref, symmetric=False)
+        ref = gauss_point_blocks(grid, PARAMS)
+        basis, Khat, Mhat = korn._operators(KornProblem(grid, faces, 0.7))
+        B = basis.B
+        check("Khat", Khat, B.T @ (ref["K_sym"] + 0.49 * ref["K_curl_cc"]) @ B)
+        check("Mhat", Mhat, B.T @ ref["M_cons"] @ B)
 
     def test_exact_symmetry(self):
         bl = build_blocks(Grid.unit_cube(2), PARAMS)

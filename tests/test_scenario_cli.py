@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from curlplast import grid as grid_module
+from curlplast import korn
 from curlplast.cli import apply_sweep_value, main, run_scenario, sweep
 from curlplast.grid import FACES, Grid, build_blocks
 from curlplast.korn import KornProblem, estimate_min_quotient
@@ -175,6 +176,9 @@ class TestRunScenario:
     def test_runs_assemble_no_gauss_point_operators(self, tmp_path):
         grid_module._blocks_cache.cache_clear()
         estimate_min_quotient(KornProblem(Grid.unit_cube(2), FACES))
+        # korn assembles its two forms straight into reduced coordinates
+        assembled = vars(build_blocks(Grid.unit_cube(2), korn._UNIT))
+        assert not {"K_sym", "K_curl_cc", "M_cons"} & set(assembled)
         run_scenario(parse_scenario(json.dumps(base_doc())), str(tmp_path / "gradient"))
         # Lc = 0 leaves the curl-curl block unassembled
         doc = base_doc(material={"mu": 70.0, "lambda": 100.0, "k1": 0.5, "Lc": 0.0, "sigma_y": 0.3})
@@ -209,6 +213,23 @@ class TestRunScenario:
         a_y = 0.3 / (np.sqrt(2) * 80.0)
         started = self.run_with_and_without_guesses(tmp_path, a_y * np.array([1.5, 2.0, 2.5, 3.0, 2.0, 1.0]))
         assert started[3] and not started[4]
+
+    def test_progress_line_reports_uphill_moves_and_guesses(self, tmp_path, capsys):
+        doc = base_doc(load_program=[{"level": k, "amplitude": 0.004 * k} for k in range(1, 5)])
+        s = parse_scenario(json.dumps(doc))
+        res = run_scenario(s, str(tmp_path / "loud"), quiet=False)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(res.reports)
+        for line, report in zip(lines, res.reports):
+            fields = line.split()
+            assert fields[fields.index("objective_increase") + 1] == f"{report.objective_increase:.3e}"
+            assert fields[fields.index("started_from_guess") + 1] == str(report.started_from_guess)
+        assert {r.started_from_guess for r in res.reports} == {False, True}
+        # the progress line is stdout only: the CSV is the same without it
+        run_scenario(s, str(tmp_path / "quiet"))
+        assert capsys.readouterr().out == ""
+        loud, quiet = ((tmp_path / d / "timeseries.csv").read_bytes() for d in ("loud", "quiet"))
+        assert loud == quiet
 
     def test_bitwise_determinism(self, tmp_path):
         doc = base_doc()
