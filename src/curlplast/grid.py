@@ -284,8 +284,9 @@ class Blocks:
     between two nodal spaces, the identity or a PBasis's per-node bases, so
     callers get reduced operators without forming a full-space block.  The
     full-space blocks below are the same call with identity bases, each
-    assembled on first use: DiscreteProblem reads K_uu, and the
-    post-processing in models.py reads the others.  Every form equals the 2x2x2 Gauss-point assembly, and analytically
+    assembled on first use and read by models.py; DiscreteProblem also
+    reads K_uu, and korn assembles M_cons straight into reduced coordinates.
+    Every form equals the 2x2x2 Gauss-point assembly, and analytically
     zero entries are never stored.  The defect form K_curl_cc composes the
     discrete row-wise curl with itself.
     """
@@ -401,10 +402,6 @@ class Blocks:
     @cached_property
     def K_sym(self):
         return self.assemble(self.terms["K_sym"], 9)
-
-    @cached_property
-    def M_cons(self):
-        return self.assemble(self.terms["M_cons"], 9)
 
     @cached_property
     def K_curl_cc(self):

@@ -10,6 +10,7 @@ is versioned; see the README for a worked example.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,32 +61,40 @@ def _require(cond, message):
         raise ValidationError(message)
 
 
+def _object(d, what, known):
+    """d, checked to be an object whose fields are all in known."""
+    _require(isinstance(d, dict), f"{what} must be an object")
+    unknown = set(d) - known
+    _require(not unknown, f"unknown {what} fields: {sorted(unknown)}")
+    return d
+
+
 def _get(d, key, message=None):
     if key not in d:
         raise ValidationError(message or f"missing required field '{key}'")
     return d[key]
 
 
-def _is_finite_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x)
+def _as_float(x, what):
+    """x as a float: strings, booleans and numbers beyond the float range are refused."""
+    _require(isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max,
+             f"{what} must be a finite number")
+    return float(x)
 
 
 def _as_int(x, what):
-    """x as an int: booleans and non-integral numbers are refused, not truncated."""
+    """x as an int: booleans, non-integral numbers and integers beyond 64 bits are refused, not truncated."""
     if isinstance(x, float) and x.is_integer():
-        return int(x)
-    _require(isinstance(x, int) and not isinstance(x, bool), f"{what} must be an integer")
+        x = int(x)
+    _require(isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.maxsize,
+             f"{what} must be a 64-bit integer")
     return x
 
 
 def _as_floats(x, n, what):
-    try:
-        out = [float(v) for v in x]
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be a list of {n} numbers")
-    _require(len(out) == n, f"{what} must have {n} entries")
-    _require(all(np.isfinite(out)), f"{what} must be finite")
-    return tuple(out)
+    """x as a tuple of n floats: a list of finite numbers, never a string of digits."""
+    _require(isinstance(x, (list, tuple)) and len(x) == n, f"{what} must be a list of {n} finite numbers")
+    return tuple(_as_float(v, f"each entry of {what}") for v in x)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -103,31 +112,23 @@ _TOP_LEVEL = {"version", "variant", "material", "grid", "boundary", "load_progra
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    unknown = set(doc) - _TOP_LEVEL
-    _require(not unknown, f"unknown top-level fields: {sorted(unknown)}")
+    _object(doc, "top-level", _TOP_LEVEL)
     version = _get(doc, "version", "missing required field 'version'")
-    _require(version == SCHEMA_VERSION, f"unsupported config version {version!r}, expected {SCHEMA_VERSION}")
+    _require(version == SCHEMA_VERSION and not isinstance(version, bool),
+             f"unsupported config version {version!r}, expected {SCHEMA_VERSION}")
 
     tag = _get(doc, "variant")
     _require(isinstance(tag, str) and tag in VARIANT_TAGS,
              f"variant must be one of {', '.join(VARIANT_TAGS)}")
 
-    mat = _get(doc, "material")
-    _require(isinstance(mat, dict), "material must be an object")
-    known = {"mu", "lambda", "kappa", "k1", "k2", "Lc", "sigma_y"}
-    unknown = set(mat) - known
-    _require(not unknown, f"unknown material fields: {sorted(unknown)}")
+    mat = _object(_get(doc, "material"), "material", {"mu", "lambda", "kappa", "k1", "k2", "Lc", "sigma_y"})
+    for key in ("mu", "lambda"):
+        _get(mat, key, f"material.{key} is required")
+    m = {key: _as_float(v, f"material.{key}") for key, v in mat.items()}
     try:
-        params = MaterialParams(
-            mu=float(_get(mat, "mu", "material.mu is required")),
-            lam=float(_get(mat, "lambda", "material.lambda is required")),
-            k1=float(mat.get("k1", 0.0)),
-            k2=float(mat.get("k2", 0.0)),
-            Lc=float(mat.get("Lc", 0.0)),
-            sigma_y=float(mat.get("sigma_y", 0.0)),
-            kappa=float(mat["kappa"]) if "kappa" in mat else None,
-        )
-    except (TypeError, ValueError) as e:
+        params = MaterialParams(mu=m["mu"], lam=m["lambda"], k1=m.get("k1", 0.0), k2=m.get("k2", 0.0),
+                                Lc=m.get("Lc", 0.0), sigma_y=m.get("sigma_y", 0.0), kappa=m.get("kappa"))
+    except ValueError as e:
         raise ValidationError(f"material: {e}") from e
 
     try:
@@ -135,8 +136,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     except ValueError as e:
         raise ValidationError(str(e)) from e
 
-    gspec = _get(doc, "grid")
-    _require(isinstance(gspec, dict), "grid must be an object")
+    gspec = _object(_get(doc, "grid"), "grid", {"cells", "size", "spacing", "origin"})
     cells = _get(gspec, "cells", "grid.cells is required")
     try:
         n = tuple(_as_int(v, "grid.cells") for v in cells)
@@ -152,51 +152,42 @@ def scenario_from_dict(doc: dict) -> Scenario:
     origin = _as_floats(gspec.get("origin", (0.0, 0.0, 0.0)), 3, "grid.origin")
     grid = Grid(n, h, origin)
 
-    bspec = _get(doc, "boundary")
-    _require(isinstance(bspec, dict), "boundary must be an object")
+    bspec = _object(_get(doc, "boundary"), "boundary", {"gamma_faces", "micro_hard_faces", "dirichlet"})
     gamma = _get(bspec, "gamma_faces", "boundary.gamma_faces is required")
     _require(isinstance(gamma, list) and gamma, "boundary.gamma_faces must be a non-empty list")
-    for f in gamma:
-        _require(f in FACES, f"unknown face {f!r} in gamma_faces, expected one of {FACES}")
-    hard = bspec.get("micro_hard_faces", None)
-    if hard is not None:
-        for f in hard:
-            _require(f in FACES, f"unknown face {f!r} in micro_hard_faces, expected one of {FACES}")
-        hard = tuple(hard)
-    boundary = BoundaryConfig(tuple(gamma), hard)
-    dmat = bspec.get("dirichlet", {}).get("matrix", ((0.0,) * 3,) * 3)
-    rows = [_as_floats(r, 3, "boundary.dirichlet.matrix rows") for r in dmat]
-    _require(len(rows) == 3, "boundary.dirichlet.matrix must be 3x3")
-    dirichlet = tuple(rows)
+    hard = bspec.get("micro_hard_faces")  # None: the gamma faces
+    _require(hard is None or isinstance(hard, list), "boundary.micro_hard_faces must be a list")
+    for key, faces in (("gamma_faces", gamma), ("micro_hard_faces", hard or [])):
+        for f in faces:
+            _require(f in FACES, f"unknown face {f!r} in {key}, expected one of {FACES}")
+    boundary = BoundaryConfig(tuple(gamma), None if hard is None else tuple(hard))
+    dspec = _object(bspec.get("dirichlet", {}), "boundary.dirichlet", {"matrix"})
+    dmat = dspec.get("matrix", ((0.0,) * 3,) * 3)
+    _require(isinstance(dmat, (list, tuple)) and len(dmat) == 3, "boundary.dirichlet.matrix must be 3x3")
+    dirichlet = tuple(_as_floats(r, 3, "boundary.dirichlet.matrix rows") for r in dmat)
 
     prog = _get(doc, "load_program", "load_program is required")
     _require(isinstance(prog, list) and prog, "load_program must be a non-empty list")
     steps = []
     prev_level = -np.inf
     for i, entry in enumerate(prog):
-        _require(isinstance(entry, dict), f"load_program[{i}] must be an object")
-        level = entry.get("level")
-        _require(_is_finite_number(level), f"load_program[{i}].level must be a finite number")
+        _object(entry, f"load_program[{i}]", {"level", "amplitude", "body_force"})
+        level = _as_float(entry.get("level"), f"load_program[{i}].level")
         _require(level > prev_level, "load_program levels must be strictly increasing")
         prev_level = level
-        amp = entry.get("amplitude", 0.0)
-        _require(_is_finite_number(amp), f"load_program[{i}].amplitude must be a finite number")
+        amp = _as_float(entry.get("amplitude", 0.0), f"load_program[{i}].amplitude")
         bf = _as_floats(entry.get("body_force", (0.0, 0.0, 0.0)), 3, f"load_program[{i}].body_force")
-        steps.append(LoadStep(float(level), float(amp), bf))
+        steps.append(LoadStep(level, amp, bf))
 
-    sspec = doc.get("solver", {})
-    _require(isinstance(sspec, dict), "solver must be an object")
     integers = {"max_outer", "max_cg", "max_fista", "vi_probes", "seed"}
-    unknown = set(sspec) - integers - {"tol_outer", "tol_cg", "tol_fista"}
-    _require(not unknown, f"unknown solver fields: {sorted(unknown)}")
+    sspec = _object(doc.get("solver", {}), "solver", integers | {"tol_outer", "tol_cg", "tol_fista"})
     try:
-        solver = SolverConfig(**{k: (_as_int(v, k) if k in integers else float(v))
+        solver = SolverConfig(**{k: (_as_int(v, k) if k in integers else _as_float(v, k))
                                  for k, v in sspec.items()})
     except (TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"solver: {e}") from e
 
-    ospec = doc.get("output", {})
-    _require(isinstance(ospec, dict), "output must be an object")
+    ospec = _object(doc.get("output", {}), "output", {"csv", "vtk_dir", "vtk_stride"})
     csv = ospec.get("csv", "timeseries.csv")
     vtk_dir = ospec.get("vtk_dir", None)
     _require(isinstance(csv, str), "output.csv must be a string")

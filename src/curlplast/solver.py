@@ -8,15 +8,16 @@ over the plastic field alone: u enters J through one fixed linear solve with
 the free displacement block K_ff, so it is eliminated and an accelerated
 proximal-gradient (FISTA) iteration runs on the reduced functional
 c -> min_u J(u, c), whose smooth part has the Schur complement
-S = A_hat - S_f' K_ff^-1 S_f as its operator.  Each gradient at y is
-A_hat y + S_f' u_f + S_g' U_g, where u_f solves K_ff u_f = F_f - K_fg U_g - S_f y
+S = A_hat - S_pf K_ff^-1 S_f as its operator.  Each gradient at y is
+A_hat y + S_pf u_f + S_pg U_g, where u_f solves K_ff u_f = F_f - K_fg U_g - S_f y
 by a warm-started, Jacobi-preconditioned conjugate gradient whose tolerance
 tightens with the FISTA step (Schmidt, Le Roux & Bach, "Convergence rates of
 inexact proximal-gradient methods", NIPS 2011); the parts fixed by the
-prescribed displacement, F_f - K_fg U_g and S_g' U_g, are formed once per
-solve.  The step functional is strictly convex, so its minimizer moves
-continuously with the load and a step may start from a guess extrapolated
-from the previous steps.  It starts there only when the guess gives a lower
+prescribed displacement, F_f - K_fg U_g and S_pg U_g, are formed once per
+solve.  A_hat, K_ff, K_fg, S_f, S_pf and S_pg are the only sparse matrices
+DiscreteProblem stores.  The step functional is strictly convex, so its
+minimizer moves continuously with the load and a step may start from a
+guess extrapolated from the previous steps.  It starts there only when the guess gives a lower
 J than the previous plastic field, u recovered at each by one loose solve;
 a poor guess costs that solve and falls back to the previous field.  The
 nonsmooth term is the lumped (nodal) quadrature of the one-homogeneous
@@ -217,6 +218,10 @@ class DiscreteProblem:
 
     Plastic dofs live in reduced coordinates c with p = B c; displacement
     dofs are split into free and prescribed parts by the Dirichlet faces.
+    Each operator is stored once, as CSR in the coordinates its products
+    use: A_hat; K_ff and K_fg, the free rows of the displacement form; and
+    the coupling's free rows S_f with the transposes S_pf and S_pg of its
+    free and prescribed rows.  blocks.K_uu holds the full displacement form.
     """
 
     def __init__(self, grid: Grid, boundary: BoundaryConfig, variant: ModelVariant,
@@ -233,18 +238,17 @@ class DiscreteProblem:
         mu, Lc = variant.params.mu, variant.params.Lc
         terms = self.blocks.form(K_pp_el=1.0, K_curl_cc=mu * Lc ** 2, K_sym=mu * variant.k1_eff)
         self.A_hat = self.blocks.assemble(terms, self.basis)
-        self.S_up = self.blocks.assemble(self.blocks.terms["K_up"], 3, self.basis)  # u-rows, reduced p-columns
+        S_up = self.blocks.assemble(self.blocks.terms["K_up"], 3, self.basis)  # u-rows, reduced p-columns
 
         self.presc = dirichlet_mask(grid, boundary)
         self.free = ~self.presc
         K_free_rows = self.blocks.K_uu.tocsr()[self.free]
         self.K_ff = K_free_rows[:, self.free].tocsr()
         self.K_fg = K_free_rows[:, self.presc].tocsr()
-        self.S_f = self.S_up[self.free].tocsr()
-        self.S_g = self.S_up[self.presc].tocsr()
+        self.S_f = S_up[self.free].tocsr()
         # reduced p-rows, free and prescribed u-columns
         self.S_pf = self.S_f.T.tocsr()
-        self.S_pg = self.S_g.T.tocsr()
+        self.S_pg = S_up[self.presc].T.tocsr()
         d = self.K_ff.diagonal()
         self.jacobi_ff = 1.0 / np.where(d > 0.0, d, 1.0)
 
@@ -421,17 +425,24 @@ class DiscreteProblem:
         """The step functional J and its dissipation term, which scales the descent test."""
         smooth = (
             0.5 * float(U @ (self.blocks.K_uu @ U))
-            + float(U @ (self.S_up @ c))
+            + float(c @ self._coupling(U))
             + 0.5 * float(c @ (self.A_hat @ c))
             - float(F @ U)
         )
         dissipation = self.dissipation_value(c - c_prev, gamma_prev)
         return smooth + dissipation, dissipation
 
+    def _coupling(self, U):
+        """S_pf U_f + S_pg U_g: the coupling's action on U, in reduced p-coordinates."""
+        return np.asarray(self.S_pf @ U[self.free]) + np.asarray(self.S_pg @ U[self.presc])
+
     def smooth_residual_reduced(self, U, c):
         """b - A c in reduced coordinates: the weighted weak generalized stress."""
-        coupling = np.asarray(self.S_pf @ U[self.free]) + np.asarray(self.S_pg @ U[self.presc])
-        return -coupling - np.asarray(self.A_hat @ c)
+        return -self._coupling(U) - np.asarray(self.A_hat @ c)
+
+    def displacement_residual(self, U, c, F):
+        """K_ff U_f + K_fg U_g + S_f c - F_f: the free rows of the displacement equation."""
+        return self.K_ff @ U[self.free] + self.K_fg @ U[self.presc] + self.S_f @ c - F[self.free]
 
     def kkt_check(self, r_hat, dc, gamma_new, active_tol=1e-12):
         """Discrete complementarity of the flow law at every node.
@@ -480,7 +491,7 @@ class DiscreteProblem:
         block size.
         """
         rng = rng or np.random.default_rng(self.config.seed)
-        r_u = (np.asarray(self.blocks.K_uu @ U) + np.asarray(self.S_up @ c) - F)[self.free]
+        r_u = self.displacement_residual(U, c, F)
         if r_hat is None:
             r_hat = self.smooth_residual_reduced(U, c)
         r = np.concatenate([r_u, -r_hat])
@@ -511,7 +522,7 @@ class DiscreteProblem:
 
     def monolithic_matrix(self):
         if self._monolithic is None:
-            K = sp.bmat([[self.K_ff, self.S_f], [self.S_f.T, self.A_hat]], format="csr")
+            K = sp.bmat([[self.K_ff, self.S_f], [self.S_pf, self.A_hat]], format="csr")
             d = K.diagonal()
             self._monolithic = (K, 1.0 / np.where(d > 0.0, d, 1.0))
         return self._monolithic
@@ -605,8 +616,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
             U, its_u = problem.solve_u(U, c, F, cfg.tol_cg, cfg.max_cg)
             cg_total += its_in + its_u
             fista_total += its_p
-            r_f = (problem.K_ff @ U[problem.free] + problem.K_fg @ U[problem.presc]
-                   + problem.S_f @ c - F[problem.free])
+            r_f = problem.displacement_residual(U, c, F)
             if u_scale is None:
                 u_scale = max(np.linalg.norm(F[problem.free]),
                               np.linalg.norm(problem.K_fg @ U[problem.presc]),

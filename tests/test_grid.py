@@ -121,7 +121,8 @@ class TestAssembly:
     def test_blocks_match_gauss_point_reference(self, grid):
         bl = build_blocks(grid, PARAMS)
         for name, ref in gauss_point_blocks(grid, PARAMS).items():
-            err = np.abs(getattr(bl, name) - ref).max()
+            got = bl.assemble(bl.terms[name], 9) if name == "M_cons" else getattr(bl, name)
+            err = np.abs(got - ref).max()
             assert err <= 1e-14 * np.abs(ref).max(), name
 
     def test_run_operators_store_no_roundoff_fill(self):
@@ -131,7 +132,8 @@ class TestAssembly:
         operators = {}
         for variant in (KIN, ModelVariant("kin_irrot", PARAMS)):
             prob = DiscreteProblem(grid, bc, variant)
-            operators.update({f"{variant.tag} {name}": getattr(prob, name) for name in ("A_hat", "K_ff", "S_up")})
+            operators.update({f"{variant.tag} {name}": getattr(prob, name)
+                              for name in ("A_hat", "K_ff", "S_f", "S_pf", "S_pg")})
         _, operators["Khat"], operators["Mhat"] = korn._operators(KornProblem(grid, FACES))
         for name, K in operators.items():
             data = np.abs(K.data)
@@ -160,7 +162,9 @@ class TestAssembly:
             assert prob.basis.mode == mode
             A_ref, S_ref = reduced_reference(grid, variant, prob.basis)
             check("A_hat", prob.A_hat, A_ref)
-            check("S_up", prob.S_up, S_ref, symmetric=False)
+            check("S_f", prob.S_f, S_ref[prob.free], symmetric=False)
+            check("S_pf", prob.S_pf, S_ref[prob.free].T, symmetric=False)
+            check("S_pg", prob.S_pg, S_ref[prob.presc].T, symmetric=False)
         ref = gauss_point_blocks(grid, PARAMS)
         basis, Khat, Mhat = korn._operators(KornProblem(grid, faces, 0.7))
         B = basis.B
@@ -169,7 +173,7 @@ class TestAssembly:
 
     def test_exact_symmetry(self):
         bl = build_blocks(Grid.unit_cube(2), PARAMS)
-        for K in (bl.K_uu, bl.K_pp_el, bl.K_curl_cc, bl.K_sym, bl.M_cons):
+        for K in (bl.K_uu, bl.K_pp_el, bl.K_curl_cc, bl.K_sym, bl.assemble(bl.terms["M_cons"], 9)):
             assert (K != K.T).nnz == 0
 
     def test_translation_invariance(self):
@@ -195,7 +199,7 @@ class TestAssembly:
         fem = fem_operators(g)
         rng = np.random.default_rng(1)
         P = rng.standard_normal(9 * g.node_count)
-        q_mat = P @ (bl.M_cons @ P) + P @ (bl.K_curl_cc @ P)
+        q_mat = P @ (bl.assemble(bl.terms["M_cons"], 9) @ P) + P @ (bl.K_curl_cc @ P)
         vals = fem.values_at_gps(P.reshape(-1, 9))
         curls = discrete_curl(g, TensorField(P.reshape(-1, 3, 3))).reshape(-1, 9)
         q_dir = float(fem.w_gp @ (vals ** 2).sum(1) + fem.w_gp @ (curls ** 2).sum(1))

@@ -108,7 +108,7 @@ class TestMinQuotient:
         blocks = build_blocks(g, MaterialParams(mu=1.0, lam=0.0))
         B = build_p_basis(g, ("zmin",), "none").B
         K = (B.T @ (blocks.K_sym + blocks.K_curl_cc) @ B).toarray()
-        M = (B.T @ blocks.M_cons @ B).toarray()
+        M = (B.T @ blocks.assemble(blocks.terms["M_cons"], 9) @ B).toarray()
         dense = scipy.linalg.eigh(K, M, eigvals_only=True)
         assert dense[1] < 1.02 * dense[0]
         lam = estimate_min_quotient(KornProblem(g, ("zmin",)), 1e-8)

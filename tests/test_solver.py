@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from curlplast.grid import FACES, BoundaryConfig, Grid, ScalarField, SingularBlock, TensorField, VectorField
 from curlplast.models import ModelVariant, SimState, eshelby_stress, sigma_nodal
@@ -190,6 +191,33 @@ class TestOneNodeMinimization:
         assert err.value.iterations == 1
 
 
+class TestStoredOperators:
+    def test_each_operator_is_stored_once(self):
+        # the coupling is kept only as the free rows S_f and the transposes
+        # S_pf and S_pg that the products use; the full displacement form
+        # stays in blocks.K_uu
+        prob = DiscreteProblem(Grid.unit_cube(2), BoundaryConfig(("zmin",)), KIN)
+        stored = {name for name, value in vars(prob).items() if sp.issparse(value)}
+        assert stored == {"A_hat", "K_ff", "K_fg", "S_f", "S_pf", "S_pg"}
+
+    def test_split_products_match_the_full_coupling(self):
+        # the free displacement residual and the objective, formed from the
+        # split coupling, equal their full-space forms
+        grid = Grid.unit_cube(3)
+        prob = DiscreteProblem(grid, BoundaryConfig(("zmin", "zmax")), KIN, SHEAR01)
+        rng = np.random.default_rng(3)
+        U = rng.standard_normal(3 * grid.node_count)
+        c, c_prev = rng.standard_normal((2, prob.basis.size))
+        gamma_prev = np.zeros(grid.node_count)
+        F = prob.blocks.body_force_vector((0.0, 0.0, -5.0))
+        K_uu, S_up = prob.blocks.K_uu, prob.blocks.assemble(prob.blocks.terms["K_up"], 3, prob.basis)
+        r_u = (K_uu @ U + S_up @ c - F)[prob.free]
+        assert np.abs(prob.displacement_residual(U, c, F) - r_u).max() <= 1e-13 * np.abs(r_u).max()
+        smooth = 0.5 * U @ (K_uu @ U) + U @ (S_up @ c) + 0.5 * c @ (prob.A_hat @ c) - F @ U
+        J, dissipation = prob.objective(U, c, c_prev, gamma_prev, F)
+        assert J - dissipation == pytest.approx(smooth, rel=1e-13)
+
+
 class TestSolveU:
     def test_affine_reproduction_exact(self):
         grid = Grid.unit_cube(3)
@@ -246,7 +274,7 @@ class TestSolveP:
         c, _ = prob.solve_p(U, z, z, np.zeros(grid.node_count))
         K, _ = prob.monolithic_matrix()
         U_g = U[prob.presc]
-        rhs = np.concatenate([-(prob.K_fg @ U_g), -np.asarray(prob.S_g.T @ U_g)])
+        rhs = np.concatenate([-(prob.K_fg @ U_g), -np.asarray(prob.S_pg @ U_g)])
         c_direct = spla.spsolve(K.tocsc(), rhs)[int(prob.free.sum()):]
         assert np.abs(c - c_direct).max() < 1e-10 * np.abs(c_direct).max()
 
@@ -560,7 +588,8 @@ class TestStressRecoveries:
 def vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng, r_hat=None):
     """The certificate with every probe drawn and scored on its own: the
     reference for DiscreteProblem.vi_residual's blocked scoring."""
-    r_u = (np.asarray(prob.blocks.K_uu @ U) + np.asarray(prob.S_up @ c) - F)[prob.free]
+    S_up = prob.blocks.assemble(prob.blocks.terms["K_up"], 3, prob.basis)
+    r_u = (np.asarray(prob.blocks.K_uu @ U) + np.asarray(S_up @ c) - F)[prob.free]
     if r_hat is None:
         r_hat = prob.smooth_residual_reduced(U, c)
     r_p = -r_hat
@@ -659,6 +688,7 @@ class TestMicromorphic:
         assert np.all(state.gamma.values == 0.0)
         F = prob.blocks.body_force_vector((0.0, 0.0, -5.0))
         c = prob.basis.to_reduced(state.p.values.reshape(-1))
-        r_p = np.asarray(prob.S_up.T @ state.u.values.reshape(-1)) + np.asarray(prob.A_hat @ c)
+        S_up = prob.blocks.assemble(prob.blocks.terms["K_up"], 3, prob.basis)
+        r_p = np.asarray(S_up.T @ state.u.values.reshape(-1)) + np.asarray(prob.A_hat @ c)
         assert np.linalg.norm(r_p) <= 1e-9 * np.linalg.norm(F[prob.free])
         assert np.abs(state.p.values).max() > 0.0
