@@ -9,10 +9,11 @@ terms: a scalar nodal pairing times a constant 9x9 (or 3x3) algebraic
 kernel.  On the uniform grid each scalar pairing is in turn the Kronecker
 product of three exact 1D tridiagonal factors (mass, stiffness,
 derivative-mass), one per axis, so the forms equal the 2x2x2 Gauss-rule
-assembly without storing its roundoff in analytically zero entries.  One
-assembler turns a term list into a sparse matrix between two nodal spaces,
-full nodal components or the reduced coordinates below.  The Gauss-point
-assembly itself is kept only as a test reference (tests/gauss_reference.py).
+assembly without storing its roundoff in analytically zero entries.  A term
+list is applied to full nodal components one 1D factor at a time, or
+assembled on demand into a sparse matrix between two nodal spaces, full
+nodal components or the reduced coordinates below.  The Gauss-point
+assembly is kept only as a test reference (tests/gauss_reference.py).
 
 Pointwise constraints on the plastic field (trace-free, symmetric, rows
 parallel to the outward normal on micro-hard faces) are realized through a
@@ -253,6 +254,11 @@ def _factors_1d(n, h):
     return {"M": M, "K": K, "G": G, "Gt": G.T}
 
 
+def transposed(terms):
+    """Term list of the transposed form: each kernel transposed, G and Gt swapped."""
+    return [(tuple({"G": "Gt", "Gt": "G"}.get(n, n) for n in names), kernel.T) for names, kernel in terms]
+
+
 def _nodal_space(space, node_count):
     """(size, first coordinate of each node, node types, per-type bases).
 
@@ -280,15 +286,13 @@ class Blocks:
       axis b, M on the third;
     - G on axis b and M on the others is int d_b phi_I phi_J (K_up).
 
-    assemble() is the one assembler: it turns any term list into CSR
-    between two nodal spaces, the identity or a PBasis's per-node bases, so
-    callers get reduced operators without forming a full-space block.  The
-    full-space blocks below are the same call with identity bases, each
-    assembled on first use and read by models.py; DiscreteProblem also
-    reads K_uu, and korn assembles M_cons straight into reduced coordinates.
-    Every form equals the 2x2x2 Gauss-point assembly, and analytically
-    zero entries are never stored.  The defect form K_curl_cc composes the
-    discrete row-wise curl with itself.
+    apply() multiplies full nodal components by a term list without
+    assembling it.  assemble() is the one assembler: it turns any term list
+    into CSR between two nodal spaces, the identity or a PBasis's per-node
+    bases, so callers get reduced operators without forming a full-space
+    block.  Blocks keeps no assembled form.  Every form equals the 2x2x2
+    Gauss-point assembly, and analytically zero entries are never stored.
+    The defect form K_curl_cc composes the discrete row-wise curl with itself.
     """
 
     def __init__(self, grid: Grid, params):
@@ -307,6 +311,23 @@ class Blocks:
     def form(self, **weights):
         """Term list of sum over names of weight * terms[name]; zero weights drop out."""
         return [(names, w * kernel) for name, w in weights.items() if w for names, kernel in self.terms[name]]
+
+    def apply(self, terms, x):
+        """sum_t kron(pairing_t, kernel_t) @ x, x holding kernel.shape[1] components per node.
+
+        Each pairing is applied as its three 1D factors, one per axis, and
+        then the kernel; nothing is assembled.
+        """
+        nx, ny, nz = self.grid.node_shape
+        k = terms[0][1].shape[1]
+        x = np.reshape(x, (nz * ny, nx, k))
+        out = 0.0
+        for (fx, fy, fz), kernel in terms:
+            y = self._1d[0][fx] @ x
+            y = self._1d[1][fy] @ y.reshape(nz, ny, nx * k)
+            y = self._1d[2][fz] @ y.reshape(nz, ny * nx * k)
+            out = out + y.reshape(-1, k) @ kernel.T
+        return out.ravel()
 
     def assemble(self, terms, rows, cols=None):
         """CSR matrix of sum_t kron(pairing_t, kernel_t) between two nodal spaces.
@@ -383,29 +404,6 @@ class Blocks:
     @cached_property
     def m_lump(self):
         return np.repeat(self.w_node, 9)
-
-    # full-space blocks: p-blocks act on row-major nodal tensors flattened to
-    # length 9N, u-blocks on nodal vectors flattened to length 3N
-
-    @cached_property
-    def K_uu(self):
-        return self.assemble(self.terms["K_uu"], 3)
-
-    @cached_property
-    def K_up(self):
-        return self.assemble(self.terms["K_up"], 3, 9)
-
-    @cached_property
-    def K_pp_el(self):
-        return self.assemble(self.terms["K_pp_el"], 9)
-
-    @cached_property
-    def K_sym(self):
-        return self.assemble(self.terms["K_sym"], 9)
-
-    @cached_property
-    def K_curl_cc(self):
-        return self.assemble(self.terms["K_curl_cc"], 9)
 
     def body_force_vector(self, f):
         """Assembled load for a constant body force, flattened (3N,)."""

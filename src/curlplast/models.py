@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField, TensorField, VectorField, build_blocks
+from .grid import Grid, ScalarField, TensorField, VectorField, build_blocks, transposed
 from .tensors import MaterialParams, dev, norm, sym
 
 VARIANT_TAGS = ("kin_spin", "iso_spin", "iso_irrot", "kin_irrot", "micromorphic")
@@ -43,7 +43,7 @@ class ModelVariant:
 
     The tag fixes the constraint on the plastic field, the hardening and the
     flow law; params holds the moduli.  Every variant uses the same defect
-    form, the discrete curl composed with itself (Blocks.K_curl_cc).
+    form, the discrete curl composed with itself (Blocks.terms["K_curl_cc"]).
     """
 
     tag: str
@@ -122,28 +122,35 @@ def total_energy(grid: Grid, variant: ModelVariant, state: SimState, body_force=
     which is what the invariance checks probe.
     """
     blocks = build_blocks(grid, variant.params)
+    apply, terms = blocks.apply, blocks.terms
     p9 = state.p.values.reshape(-1)
     uf = state.u.values.reshape(-1)
     mu = variant.params.mu
-    elastic = 0.5 * (uf @ (blocks.K_uu @ uf)) + uf @ (blocks.K_up @ p9) + 0.5 * (
-        p9 @ (blocks.K_pp_el @ p9)
+    elastic = 0.5 * (uf @ apply(terms["K_uu"], uf)) + uf @ apply(terms["K_up"], p9) + 0.5 * (
+        p9 @ apply(terms["K_pp_el"], p9)
     )
     Lc = variant.params.Lc
-    defect = 0.5 * mu * Lc ** 2 * (p9 @ (blocks.K_curl_cc @ p9)) if Lc else 0.0
+    defect = 0.5 * mu * Lc ** 2 * (p9 @ apply(terms["K_curl_cc"], p9)) if Lc else 0.0
     if variant.isotropic:
         g = state.gamma.values
         hardening = 0.5 * mu * variant.params.k2 * float(blocks.w_node @ (g * g))
     else:
-        hardening = 0.5 * mu * variant.k1_eff * (p9 @ (blocks.K_sym @ p9))
+        hardening = 0.5 * mu * variant.k1_eff * (p9 @ apply(terms["K_sym"], p9))
     load = 0.0
     if body_force is not None and np.any(np.asarray(body_force) != 0.0):
         load = float(blocks.body_force_vector(body_force) @ uf)
     return EnergySplit(float(elastic), float(defect), float(hardening), load)
 
 
-def _elastic_residual(blocks, u: VectorField, p: TensorField):
-    """-(K_up' u) - K_pp_el p: the Cauchy stress paired with every nodal test tensor, (9N,)."""
-    return -(blocks.K_up.T @ u.values.reshape(-1)) - blocks.K_pp_el @ p.values.reshape(-1)
+def _lumped_stress(blocks, u: VectorField, p: TensorField, **weights):
+    """Lumped recovery of -(K_up' u) - (K_pp_el + sum of weight * terms[name]) p, (N, 3, 3).
+
+    The residual pairs the stress with every nodal test tensor; with no
+    weights that stress is the Cauchy stress.
+    """
+    p_terms = blocks.form(K_pp_el=1.0, **weights)
+    r = -blocks.apply(transposed(blocks.terms["K_up"]), u.values) - blocks.apply(p_terms, p.values)
+    return (r / blocks.m_lump).reshape(-1, 3, 3)
 
 
 def eshelby_stress(grid: Grid, variant: ModelVariant, u: VectorField, p: TensorField):
@@ -156,21 +163,14 @@ def eshelby_stress(grid: Grid, variant: ModelVariant, u: VectorField, p: TensorF
     lumped weights gives exactly the driving force of the discrete flow
     problem.
     """
-    blocks = build_blocks(grid, variant.params)
     mu = variant.params.mu
-    p9 = p.values.reshape(-1)
-    r = _elastic_residual(blocks, u, p)
-    if variant.params.Lc:
-        r -= mu * variant.params.Lc ** 2 * (blocks.K_curl_cc @ p9)
-    if variant.k1_eff:
-        r -= mu * variant.k1_eff * (blocks.K_sym @ p9)
-    return (r / blocks.m_lump).reshape(-1, 3, 3)
+    return _lumped_stress(build_blocks(grid, variant.params), u, p,
+                          K_curl_cc=mu * variant.params.Lc ** 2, K_sym=mu * variant.k1_eff)
 
 
 def sigma_nodal(grid: Grid, params: MaterialParams, u: VectorField, p: TensorField):
     """Lumped nodal projection of the Cauchy stress, (N, 3, 3)."""
-    blocks = build_blocks(grid, params)
-    return (_elastic_residual(blocks, u, p) / blocks.m_lump).reshape(-1, 3, 3)
+    return _lumped_stress(build_blocks(grid, params), u, p)
 
 
 def yield_value(variant: ModelVariant, Sigma, gamma=0.0):

@@ -37,10 +37,9 @@ for the reduced functional too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import (
     BoundaryConfig,
@@ -221,7 +220,7 @@ class DiscreteProblem:
     Each operator is stored once, as CSR in the coordinates its products
     use: A_hat; K_ff and K_fg, the free rows of the displacement form; and
     the coupling's free rows S_f with the transposes S_pf and S_pg of its
-    free and prescribed rows.  blocks.K_uu holds the full displacement form.
+    free and prescribed rows.  objective applies blocks.terms["K_uu"].
     """
 
     def __init__(self, grid: Grid, boundary: BoundaryConfig, variant: ModelVariant,
@@ -242,7 +241,7 @@ class DiscreteProblem:
 
         self.presc = dirichlet_mask(grid, boundary)
         self.free = ~self.presc
-        K_free_rows = self.blocks.K_uu.tocsr()[self.free]
+        K_free_rows = self.blocks.assemble(self.blocks.terms["K_uu"], 3)[self.free]
         self.K_ff = K_free_rows[:, self.free].tocsr()
         self.K_fg = K_free_rows[:, self.presc].tocsr()
         self.S_f = S_up[self.free].tocsr()
@@ -257,7 +256,6 @@ class DiscreteProblem:
         self.dirichlet_matrix = None if dirichlet_matrix is None else np.asarray(dirichlet_matrix, dtype=float)
         self._coords = grid.node_coords()
         self._lipschitz = None
-        self._monolithic = None
 
     # -- boundary data -----------------------------------------------------
 
@@ -274,13 +272,13 @@ class DiscreteProblem:
 
     # -- linear algebra helpers --------------------------------------------
 
-    def pcg(self, A, b, x0, tol, maxiter, precond):
-        """Jacobi-preconditioned conjugate gradients with warm start."""
+    def pcg(self, matvec, b, x0, tol, maxiter, precond):
+        """Jacobi-preconditioned conjugate gradients with warm start; matvec(x) is A x."""
         nb = np.linalg.norm(b)
         if nb == 0.0:
             return np.zeros_like(b), 0
         x = x0.copy()
-        r = b - A @ x
+        r = b - matvec(x)
         z = precond * r
         p = z.copy()
         rz = float(r @ z)
@@ -290,7 +288,7 @@ class DiscreteProblem:
                 return x, it
             if not np.isfinite(res):
                 raise NoConvergence("conjugate gradients", it, res / nb, tol)
-            Ap = A @ p
+            Ap = matvec(p)
             alpha = rz / float(p @ Ap)
             x += alpha * p
             r -= alpha * Ap
@@ -298,7 +296,7 @@ class DiscreteProblem:
             rz_new = float(r @ z)
             p = z + (rz_new / rz) * p
             rz = rz_new
-        res = np.linalg.norm(b - A @ x) / nb
+        res = np.linalg.norm(b - matvec(x)) / nb
         if res <= tol:
             return x, maxiter
         raise NoConvergence("conjugate gradients", maxiter, res, tol)
@@ -364,7 +362,7 @@ class DiscreteProblem:
         tol = tol or self.config.tol_cg
         maxiter = maxiter or self.config.max_cg
         rhs = F[self.free] - self.K_fg @ U[self.presc] - self.S_f @ c
-        x, its = self.pcg(self.K_ff, rhs, U[self.free], tol, maxiter, self.jacobi_ff)
+        x, its = self.pcg(self.K_ff.dot, rhs, U[self.free], tol, maxiter, self.jacobi_ff)
         U[self.free] = x
         return U, its
 
@@ -407,7 +405,7 @@ class DiscreteProblem:
                 move = weighted_norm(y - y_last, w) / max(weighted_norm(y, w), 1e-300)
                 tol_in = max(tol_cg, min(INNER_TOL_CAP, INNER_TOL_FACTOR * move))
             y_last = y
-            u_f, its = self.pcg(self.K_ff, rhs_fixed - self.S_f @ y, u_f, tol_in, max_cg, self.jacobi_ff)
+            u_f, its = self.pcg(self.K_ff.dot, rhs_fixed - self.S_f @ y, u_f, tol_in, max_cg, self.jacobi_ff)
             cg_its += its
             return np.asarray(self.A_hat @ y) + np.asarray(self.S_pf @ u_f) + grad_fixed
 
@@ -424,7 +422,7 @@ class DiscreteProblem:
     def objective(self, U, c, c_prev, gamma_prev, F):
         """The step functional J and its dissipation term, which scales the descent test."""
         smooth = (
-            0.5 * float(U @ (self.blocks.K_uu @ U))
+            0.5 * float(U @ self.blocks.apply(self.blocks.terms["K_uu"], U))
             + float(c @ self._coupling(U))
             + 0.5 * float(c @ (self.A_hat @ c))
             - float(F @ U)
@@ -518,14 +516,12 @@ class DiscreteProblem:
             worst = min(worst, worst_of(D))
         return worst
 
-    # -- monolithic (micromorphic) path ----------------------------------------
 
-    def monolithic_matrix(self):
-        if self._monolithic is None:
-            K = sp.bmat([[self.K_ff, self.S_f], [self.S_pf, self.A_hat]], format="csr")
-            d = K.diagonal()
-            self._monolithic = (K, 1.0 / np.where(d > 0.0, d, 1.0))
-        return self._monolithic
+def probe_seed(seed, level):
+    """Seed of a step's VI probes: seed + round(level * 1e6) mod 2^31, which is
+    seed for every |level * 1e6| >= 2^84 and so also for one that overflows."""
+    scaled = level * 1e6
+    return seed + (int(round(scaled)) % (2 ** 31) if isfinite(scaled) else 0)
 
 
 def extrapolate(history, level):
@@ -577,15 +573,19 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     from_guess = False
 
     if not variant.has_dissipation:
-        # single monolithic SPD solve replaces the flow law
-        K, precond = problem.monolithic_matrix()
-        rhs = np.concatenate([
-            F[problem.free] - problem.K_fg @ U[problem.presc],
-            -np.asarray(problem.S_pg @ U[problem.presc]),
-        ])
-        x0 = np.concatenate([U[problem.free], c])
-        x, cg_total = problem.pcg(K, rhs, x0, cfg.tol_cg, cfg.max_cg, precond)
-        nf = int(problem.free.sum())
+        # single monolithic SPD solve replaces the flow law; the joint matrix
+        # [[K_ff, S_f], [S_pf, A_hat]] is applied block by block, never formed
+        nf = problem.K_ff.shape[0]
+
+        def joint(x):
+            x_f, x_c = x[:nf], x[nf:]
+            return np.concatenate([problem.K_ff @ x_f + problem.S_f @ x_c, problem.S_pf @ x_f + problem.A_hat @ x_c])
+
+        d = np.concatenate([problem.K_ff.diagonal(), problem.A_hat.diagonal()])
+        U_g = U[problem.presc]
+        rhs = np.concatenate([F[problem.free] - problem.K_fg @ U_g, -np.asarray(problem.S_pg @ U_g)])
+        x, cg_total = problem.pcg(joint, rhs, np.concatenate([U[problem.free], c]), cfg.tol_cg, cfg.max_cg,
+                                  1.0 / np.where(d > 0.0, d, 1.0))
         U[problem.free] = x[:nf]
         c = x[nf:]
         outer = 1
@@ -654,7 +654,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     energy = total_energy(problem.grid, variant, state, load.body_force)
     vi = None
     if cfg.vi_probes:
-        rng = np.random.default_rng(cfg.seed + int(round(load.level * 1e6)) % (2 ** 31))
+        rng = np.random.default_rng(probe_seed(cfg.seed, load.level))
         vi = problem.vi_residual(U, c, c_prev, gamma_prev, F, cfg.vi_probes, rng, r_hat)
     report = StepReport(
         energy=energy,

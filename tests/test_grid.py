@@ -14,6 +14,7 @@ from curlplast.grid import (
     build_blocks,
     build_p_basis,
     dirichlet_mask,
+    transposed,
 )
 from curlplast.korn import KornProblem
 from curlplast.models import ModelVariant
@@ -22,6 +23,11 @@ from curlplast.tensors import MaterialParams, cross_matrix
 
 PARAMS = MaterialParams(mu=80.0, lam=110.0, k1=0.5, k2=0.4, Lc=0.2, sigma_y=0.3)
 KIN = ModelVariant("kin_spin", PARAMS)
+
+
+def full_space(bl, name):
+    """bl.terms[name] assembled on full nodal components: 3 per node for u, 9 for p."""
+    return bl.assemble(bl.terms[name], *{"K_uu": (3,), "K_up": (3, 9)}.get(name, (9,)))
 
 
 class TestGrid:
@@ -121,9 +127,23 @@ class TestAssembly:
     def test_blocks_match_gauss_point_reference(self, grid):
         bl = build_blocks(grid, PARAMS)
         for name, ref in gauss_point_blocks(grid, PARAMS).items():
-            got = bl.assemble(bl.terms[name], 9) if name == "M_cons" else getattr(bl, name)
+            got = bl.m_lump if name == "m_lump" else full_space(bl, name)
             err = np.abs(got - ref).max()
             assert err <= 1e-14 * np.abs(ref).max(), name
+
+    @pytest.mark.parametrize("grid", [Grid((3, 4, 5), (0.3, 0.7, 0.11), origin=(0.5, -1.0, 2.0)),
+                                      Grid((1, 1, 1), (1.0, 1.0, 1.0))])
+    def test_apply_matches_assemble(self, grid):
+        # every term list, and the transposed coupling, applied without
+        # assembly equals the product with its assembled full-space matrix
+        bl = build_blocks(grid, PARAMS)
+        rng = np.random.default_rng(4)
+        cases = [(name, terms, full_space(bl, name)) for name, terms in bl.terms.items()]
+        cases.append(("K_up'", transposed(bl.terms["K_up"]), bl.assemble(bl.terms["K_up"], 3, 9).T))
+        for name, terms, K in cases:
+            x = rng.standard_normal(K.shape[1])
+            want = K @ x
+            assert np.abs(bl.apply(terms, x) - want).max() <= 1e-14 * np.abs(want).max(), name
 
     def test_run_operators_store_no_roundoff_fill(self):
         # analytically zero entries must not be stored as roundoff
@@ -173,25 +193,28 @@ class TestAssembly:
 
     def test_exact_symmetry(self):
         bl = build_blocks(Grid.unit_cube(2), PARAMS)
-        for K in (bl.K_uu, bl.K_pp_el, bl.K_curl_cc, bl.K_sym, bl.assemble(bl.terms["M_cons"], 9)):
+        for name in ("K_uu", "K_pp_el", "K_curl_cc", "K_sym", "M_cons"):
+            K = full_space(bl, name)
             assert (K != K.T).nnz == 0
 
     def test_translation_invariance(self):
         bl = build_blocks(Grid.unit_cube(1), PARAMS)
         U = np.tile([0.3, -1.0, 2.0], 8)
-        assert np.max(np.abs(bl.K_uu @ U)) < 1e-12 * np.abs(bl.K_uu).max()
+        K_uu = bl.assemble(bl.terms["K_uu"], 3)
+        assert np.max(np.abs(K_uu @ U)) < 1e-12 * np.abs(K_uu).max()
 
     def test_curl_routes_agree(self):
         # the curl-curl form equals the Gauss-point skew-gradient pairing
         grid = Grid((3, 4, 5), (0.3, 0.7, 0.11), origin=(0.5, -1.0, 2.0))
         bl = build_blocks(grid, PARAMS)
-        diff = np.abs(bl.K_curl_cc - skewgrad_curl_form(grid)).max()
-        assert diff < 1e-12 * np.abs(bl.K_curl_cc).max()
+        K_curl_cc = bl.assemble(bl.terms["K_curl_cc"], 9)
+        diff = np.abs(K_curl_cc - skewgrad_curl_form(grid)).max()
+        assert diff < 1e-12 * np.abs(K_curl_cc).max()
 
     def test_curl_block_on_constant_skew(self):
         bl = build_blocks(Grid.unit_cube(2), PARAMS)
         P = np.tile(cross_matrix([1.0, 2.0, 3.0]).reshape(-1), bl.grid.node_count)
-        assert np.abs(bl.K_curl_cc @ P).max() < 1e-13
+        assert np.abs(bl.assemble(bl.terms["K_curl_cc"], 9) @ P).max() < 1e-13
 
     def test_conformity_assembled_vs_quadrature(self):
         g = Grid.unit_cube(2)
@@ -199,7 +222,7 @@ class TestAssembly:
         fem = fem_operators(g)
         rng = np.random.default_rng(1)
         P = rng.standard_normal(9 * g.node_count)
-        q_mat = P @ (bl.assemble(bl.terms["M_cons"], 9) @ P) + P @ (bl.K_curl_cc @ P)
+        q_mat = P @ (bl.assemble(bl.terms["M_cons"], 9) @ P) + P @ (bl.assemble(bl.terms["K_curl_cc"], 9) @ P)
         vals = fem.values_at_gps(P.reshape(-1, 9))
         curls = discrete_curl(g, TensorField(P.reshape(-1, 3, 3))).reshape(-1, 9)
         q_dir = float(fem.w_gp @ (vals ** 2).sum(1) + fem.w_gp @ (curls ** 2).sum(1))
@@ -207,7 +230,8 @@ class TestAssembly:
 
     def test_full_form_positive_definite(self):
         # full Dirichlet boundary, k1 > 0: the constrained form is coercive
-        A, _ = DiscreteProblem(Grid.unit_cube(2), BoundaryConfig(FACES), KIN).monolithic_matrix()
+        prob = DiscreteProblem(Grid.unit_cube(2), BoundaryConfig(FACES), KIN)
+        A = sp.bmat([[prob.K_ff, prob.S_f], [prob.S_pf, prob.A_hat]], format="csr")
         rng = np.random.default_rng(2)
         for _ in range(20):
             z = rng.standard_normal(A.shape[0])
@@ -220,7 +244,7 @@ class TestAssembly:
         bl = build_blocks(g, PARAMS)
         free = ~dirichlet_mask(g, bc)
         K_ff = DiscreteProblem(g, bc, KIN).K_ff
-        direct = bl.K_uu.toarray()[np.ix_(free, free)]
+        direct = bl.assemble(bl.terms["K_uu"], 3).toarray()[np.ix_(free, free)]
         assert np.allclose(K_ff.toarray(), direct, rtol=0, atol=0)
 
     def test_lumped_mass_block(self):

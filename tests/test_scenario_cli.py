@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from curlplast import grid as grid_module
-from curlplast import korn
 from curlplast.cli import apply_sweep_value, main, run_scenario, sweep
-from curlplast.grid import FACES, Grid, build_blocks
+from curlplast.grid import FACES, Grid, PBasis
 from curlplast.korn import KornProblem, estimate_min_quotient
 from curlplast.oracles import radial_return_0d
 from curlplast.scenario import (
@@ -17,7 +16,7 @@ from curlplast.scenario import (
     canonical_text,
     parse_scenario,
 )
-from curlplast.models import SimState
+from curlplast.models import VARIANT_TAGS, SimState
 from curlplast.solver import VI_PROBES_MAX, DiscreteProblem, time_step
 from curlplast.tensors import MaterialParams, sym
 from curlplast.vtk_io import read_structured_points_header
@@ -196,18 +195,27 @@ class TestRunScenario:
         assert info["arrays"]["gamma"] == 1
         assert info["arrays"]["dev_eshelby_norm"] == 1
 
-    def test_runs_assemble_no_gauss_point_operators(self, tmp_path):
-        grid_module._blocks_cache.cache_clear()
+    def test_runs_assemble_no_gauss_point_operators(self, tmp_path, monkeypatch):
+        # korn and every variant's run assemble straight into reduced
+        # coordinates; the one full-space assembly is the displacement form
+        # that DiscreteProblem splits into K_ff and K_fg, and the energies and
+        # stress recoveries apply their term lists without assembling them
+        calls = []
+        assemble = grid_module.Blocks.assemble
+
+        def recording(blocks, terms, rows, cols=None):
+            reduced = isinstance(rows, PBasis) or isinstance(cols, PBasis)
+            calls.append("reduced" if reduced else (terms is blocks.terms["K_uu"], rows, cols))
+            return assemble(blocks, terms, rows, cols)
+
+        monkeypatch.setattr(grid_module.Blocks, "assemble", recording)
         estimate_min_quotient(KornProblem(Grid.unit_cube(2), FACES))
-        # korn assembles its two forms straight into reduced coordinates
-        assembled = vars(build_blocks(Grid.unit_cube(2), korn._UNIT))
-        assert not {"K_sym", "K_curl_cc"} & set(assembled)
-        run_scenario(parse_scenario(json.dumps(base_doc())), str(tmp_path / "gradient"))
-        # Lc = 0 leaves the curl-curl block unassembled
-        doc = base_doc(material={"mu": 70.0, "lambda": 100.0, "k1": 0.5, "Lc": 0.0, "sigma_y": 0.3})
-        s = parse_scenario(json.dumps(doc))
-        run_scenario(s, str(tmp_path / "local"))
-        assert "K_curl_cc" not in vars(build_blocks(s.grid, s.variant.params))
+        assert calls == ["reduced", "reduced"]
+        material = {"mu": 80.0, "lambda": 110.0, "k1": 0.5, "k2": 0.4, "Lc": 0.2, "sigma_y": 0.3}
+        for tag in VARIANT_TAGS:
+            calls.clear()
+            run_scenario(parse_scenario(json.dumps(base_doc(variant=tag, material=material))), str(tmp_path / tag))
+            assert sorted(calls, key=str) == [(True, 3, None), "reduced", "reduced"], tag
 
     @staticmethod
     def run_with_and_without_guesses(tmp_path, amplitudes):
@@ -439,6 +447,13 @@ class TestCliEntry:
         assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == 3
         err = capsys.readouterr().err
         assert "step 1: outer passes did not converge" in err and "residual inf" in err
+
+    def test_huge_level_with_probes_exits_zero(self, tmp_path, capsys):
+        # level * 1e6 overflows to infinity; the probe seed must not raise
+        doc = base_doc(load_program=[{"level": 1e303, "amplitude": 0.001}], solver={"vi_probes": 1})
+        cfg = self.write(tmp_path, doc)
+        assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_korn_subcommand(self, tmp_path, capsys):
         cfg = self.write(tmp_path, elastic_doc())

@@ -15,6 +15,7 @@ from curlplast.solver import (
     SolverConfig,
     accelerated_prox_gradient,
     extrapolate,
+    probe_seed,
     prox_dissipation,
     shrink_magnitude,
     time_step,
@@ -191,14 +192,28 @@ class TestOneNodeMinimization:
         assert err.value.iterations == 1
 
 
+def test_probe_seed_keeps_the_seed_of_every_finite_scaled_level():
+    for seed in (0, 5):
+        for level in (1.0, 0.5, -3.0, 1e-7, 1e290):
+            assert probe_seed(seed, level) == seed + int(round(level * 1e6)) % (2 ** 31)
+    # level * 1e6 beyond 2^84 in magnitude is a multiple of 2^31, and an
+    # overflow to infinity continues that
+    assert probe_seed(5, 1e20) == probe_seed(5, 1e303) == probe_seed(5, -1e303) == 5
+
+
 class TestStoredOperators:
     def test_each_operator_is_stored_once(self):
         # the coupling is kept only as the free rows S_f and the transposes
-        # S_pf and S_pg that the products use; the full displacement form
-        # stays in blocks.K_uu
-        prob = DiscreteProblem(Grid.unit_cube(2), BoundaryConfig(("zmin",)), KIN)
-        stored = {name for name, value in vars(prob).items() if sp.issparse(value)}
-        assert stored == {"A_hat", "K_ff", "K_fg", "S_f", "S_pf", "S_pg"}
+        # S_pf and S_pg that the products use, and the displacement form only
+        # as its free rows; a step, the monolithic micromorphic one included,
+        # stores no joint or full-space matrix in the problem or its blocks
+        grid = Grid.unit_cube(2)
+        for variant in (KIN, ModelVariant("micromorphic", PARAMS)):
+            prob = DiscreteProblem(grid, BoundaryConfig(("zmin",)), variant)
+            time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.0, (0.0, 0.0, -5.0)))
+            stored = {name for name, value in vars(prob).items() if sp.issparse(value)}
+            assert stored == {"A_hat", "K_ff", "K_fg", "S_f", "S_pf", "S_pg"}, variant.tag
+            assert not [name for name, value in vars(prob.blocks).items() if sp.issparse(value)], variant.tag
 
     def test_split_products_match_the_full_coupling(self):
         # the free displacement residual and the objective, formed from the
@@ -210,7 +225,8 @@ class TestStoredOperators:
         c, c_prev = rng.standard_normal((2, prob.basis.size))
         gamma_prev = np.zeros(grid.node_count)
         F = prob.blocks.body_force_vector((0.0, 0.0, -5.0))
-        K_uu, S_up = prob.blocks.K_uu, prob.blocks.assemble(prob.blocks.terms["K_up"], 3, prob.basis)
+        K_uu = prob.blocks.assemble(prob.blocks.terms["K_uu"], 3)
+        S_up = prob.blocks.assemble(prob.blocks.terms["K_up"], 3, prob.basis)
         r_u = (K_uu @ U + S_up @ c - F)[prob.free]
         assert np.abs(prob.displacement_residual(U, c, F) - r_u).max() <= 1e-13 * np.abs(r_u).max()
         smooth = 0.5 * U @ (K_uu @ U) + U @ (S_up @ c) + 0.5 * c @ (prob.A_hat @ c) - F @ U
@@ -234,7 +250,7 @@ class TestSolveU:
         prob = DiscreteProblem(grid, bc, KIN, None, TIGHT)
         rng = np.random.default_rng(7)
         U_star = rng.standard_normal(3 * grid.node_count) * 1e-3
-        F = np.asarray(prob.blocks.K_uu @ U_star)
+        F = np.asarray(prob.blocks.assemble(prob.blocks.terms["K_uu"], 3) @ U_star)
         U = np.where(prob.presc, U_star, 0.0)
         U, _ = prob.solve_u(U, np.zeros(prob.basis.size), F)
         assert np.max(np.abs(U - U_star)) < 1e-10 * np.abs(U_star).max()
@@ -244,7 +260,7 @@ class TestSolveU:
         prob = DiscreteProblem(grid, BoundaryConfig(("zmin",)), KIN, None, TIGHT)
         rng = np.random.default_rng(8)
         b = rng.standard_normal(prob.K_ff.shape[0])
-        x, _ = prob.pcg(prob.K_ff, b, np.zeros_like(b), 1e-10, 10000, prob.jacobi_ff)
+        x, _ = prob.pcg(prob.K_ff.dot, b, np.zeros_like(b), 1e-10, 10000, prob.jacobi_ff)
         assert np.linalg.norm(b - prob.K_ff @ x) <= 1e-10 * np.linalg.norm(b)
 
     def test_cg_nan_operator_fails_fast(self):
@@ -254,7 +270,7 @@ class TestSolveU:
         A.data[:] = np.nan
         b = np.ones(A.shape[0])
         with pytest.raises(NoConvergence) as err:
-            prob.pcg(A, b, np.zeros_like(b), 1e-10, 20000, prob.jacobi_ff)
+            prob.pcg(A.dot, b, np.zeros_like(b), 1e-10, 20000, prob.jacobi_ff)
         assert err.value.iterations <= 1
 
 
@@ -272,7 +288,7 @@ class TestSolveP:
         U = prob.lift(1e-3)
         z = np.zeros(prob.basis.size)
         c, _ = prob.solve_p(U, z, z, np.zeros(grid.node_count))
-        K, _ = prob.monolithic_matrix()
+        K = sp.bmat([[prob.K_ff, prob.S_f], [prob.S_pf, prob.A_hat]])
         U_g = U[prob.presc]
         rhs = np.concatenate([-(prob.K_fg @ U_g), -np.asarray(prob.S_pg @ U_g)])
         c_direct = spla.spsolve(K.tocsc(), rhs)[int(prob.free.sum()):]
@@ -589,7 +605,8 @@ def vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng, r_hat=
     """The certificate with every probe drawn and scored on its own: the
     reference for DiscreteProblem.vi_residual's blocked scoring."""
     S_up = prob.blocks.assemble(prob.blocks.terms["K_up"], 3, prob.basis)
-    r_u = (np.asarray(prob.blocks.K_uu @ U) + np.asarray(S_up @ c) - F)[prob.free]
+    K_uu = prob.blocks.assemble(prob.blocks.terms["K_uu"], 3)
+    r_u = (np.asarray(K_uu @ U) + np.asarray(S_up @ c) - F)[prob.free]
     if r_hat is None:
         r_hat = prob.smooth_residual_reduced(U, c)
     r_p = -r_hat
