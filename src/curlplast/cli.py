@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,12 +23,6 @@ from .scenario import Scenario, ValidationError, parse_scenario
 from .solver import DiscreteProblem, NoConvergence, extrapolate, time_step
 from .tensors import dev
 from .vtk_io import write_structured_points
-
-CSV_COLUMNS = (
-    "step", "level", "elastic_energy", "defect_energy", "hardening_energy",
-    "cumulative_dissipation", "max_dev_eshelby", "mean_gamma",
-    "active_fraction", "vi_residual",
-)
 
 
 @dataclass
@@ -44,11 +38,17 @@ class TimeSeriesRow:
     active_fraction: float
     vi_residual: float
 
-    def csv(self):
-        vals = [self.step, self.level, self.elastic_energy, self.defect_energy,
-                self.hardening_energy, self.cumulative_dissipation, self.max_dev_eshelby,
-                self.mean_gamma, self.active_fraction, self.vi_residual]
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in vals)
+
+CSV_COLUMNS = tuple(f.name for f in fields(TimeSeriesRow))
+
+
+def _write_csv(path, columns, rows):
+    """Write a header and one line per row, a mapping from column to value;
+    floats are written by repr, so they read back exactly."""
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns) + "\n")
 
 
 @dataclass
@@ -127,14 +127,17 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
         states = [state]
     csv_path = os.path.join(out_dir, scenario.output.csv)
     os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)
-    with open(csv_path, "w", newline="\n") as f:
-        f.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            f.write(row.csv() + "\n")
+    _write_csv(csv_path, CSV_COLUMNS, [vars(row) for row in rows])
     return RunResult(scenario, rows, states, reports, sig12)
 
 
 SWEEP_PARAMS = ("Lc", "k1", "k2", "grid")
+
+SUMMARY_COLUMNS = (
+    "parameter", "value", "status", "elastic_energy", "defect_energy",
+    "hardening_energy", "cumulative_dissipation", "hardening_slope",
+    "outer_iterations", "cg_iterations", "fista_iterations",
+)
 
 
 def apply_sweep_value(scenario: Scenario, parameter: str, value) -> Scenario:
@@ -202,20 +205,10 @@ def sweep(scenario: Scenario, parameter: str, values, out_dir=".", quiet=True):
                 "fista_iterations": sum(r.fista_iterations for r in res.reports),
             })
         except (ValidationError, NoConvergence, OSError) as e:
-            results.append({"parameter": parameter, "value": value,
-                            "status": f"failed: {e}", "elastic_energy": "",
-                            "defect_energy": "", "hardening_energy": "",
-                            "cumulative_dissipation": "", "hardening_slope": "",
-                            "outer_iterations": "", "cg_iterations": "",
-                            "fista_iterations": ""})
-    cols = ["parameter", "value", "status", "elastic_energy", "defect_energy",
-            "hardening_energy", "cumulative_dissipation", "hardening_slope",
-            "outer_iterations", "cg_iterations", "fista_iterations"]
-    path = os.path.join(out_dir, "summary.csv")
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(cols) + "\n")
-        for r in results:
-            f.write(",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c]) for c in cols) + "\n")
+            failed = dict.fromkeys(SUMMARY_COLUMNS, "")
+            failed.update(parameter=parameter, value=value, status=f"failed: {e}")
+            results.append(failed)
+    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, results)
     return results
 
 

@@ -516,23 +516,23 @@ class PBasis:
     def to_reduced(self, p_flat):
         return np.asarray(self.B.T @ p_flat)
 
-    def segment_starts(self):
-        """Column starts of the nonempty per-node segments, plus their node ids."""
-        return self._starts, self._nodes
+    def node_dots(self, a, b):
+        """Inner product of each node's tensors from reduced coordinates.
 
-    def node_norms(self, c):
-        """Frobenius norm of each node's tensor from reduced coordinates.
-
-        c may carry leading dimensions (a block of vectors, one per row); the
-        node axis replaces its last axis.
+        a and b may carry leading dimensions (a block of vectors, one per
+        row); the node axis replaces their last axis.
         """
-        starts, nodes = self.segment_starts()
-        out = np.zeros(c.shape[:-1] + (len(self.offsets) - 1,))
-        if len(starts):
+        ab = a * b
+        out = np.zeros(ab.shape[:-1] + (len(self.offsets) - 1,))
+        if len(self._starts):
             # reduce over the first axis of the transpose: for a vector this
             # is the plain indexing, which costs less per call than out[..., nodes]
-            out.T[nodes] = np.sqrt(np.add.reduceat((c * c).T, starts))
+            out.T[self._nodes] = np.add.reduceat(ab.T, self._starts)
         return out
+
+    def node_norms(self, c):
+        """Frobenius norm of each node's tensor from reduced coordinates, as node_dots."""
+        return np.sqrt(self.node_dots(c, c))
 
     def scatter_per_node(self, per_node):
         """Repeat a per-node array onto the reduced coordinates."""

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .grid import ROUNDOFF, Grid, TensorField, build_blocks, build_p_basis
 from .solver import NoConvergence
-from .tensors import MaterialParams, cross_matrix
+from .tensors import MaterialParams
 
 # material values are irrelevant for the unit-coefficient blocks; any
 # admissible moduli give the same K_sym / K_curl_cc / mass operators
@@ -90,10 +90,12 @@ def estimate_min_quotient(problem: KornProblem, tol: float = 1e-8,
                           max_iterations: int = 2000, seed: int = 0) -> float:
     """Smallest generalized eigenvalue of the constrained quotient.
 
-    Known kernel candidates (constant skew fields) are probed first: when one
-    survives the constraint exactly, the infimum is 0 and no iteration is run.
-    Otherwise a single-vector LOBPCG run (Knyazev, SIAM J. Sci. Comput. 23,
-    2001) on K x = lambda M x, with the constrained mass as M, a Jacobi
+    With no constrained face the constant skew fields lie in the kernel, so
+    the infimum is 0 and nothing is assembled.  A constrained face keeps only
+    the normal column of the field at its nodes, and a constant skew field
+    with one nonzero column is zero, so with any face no constant skew field
+    survives.  Then a single-vector LOBPCG run (Knyazev, SIAM J. Sci.
+    Comput. 23, 2001) on K x = lambda M x, with the constrained mass as M, a Jacobi
     preconditioner and a random start vector drawn from seed, returns the
     smallest eigenvalue once the residual ||K x - lambda M x|| of the
     M-normalized eigenvector is at most tol.  The eigenvalue error is then
@@ -104,27 +106,16 @@ def estimate_min_quotient(problem: KornProblem, tol: float = 1e-8,
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if not problem.gamma_faces:
+        return 0.0
     # imported here: scipy.sparse.linalg is large and only this function of
     # the package needs it, so scenario runs do not load it
     from scipy.sparse.linalg import lobpcg
 
-    basis, Khat, Mhat = _operators(problem)
+    _, Khat, Mhat = _operators(problem)
     n = Khat.shape[0]
     if n == 0:
         raise ZeroField("constrained space is empty")
-
-    # exact kernel members survive only when no face is constrained
-    for k in range(3):
-        a = np.zeros(3)
-        a[k] = 1.0
-        cand = np.tile(cross_matrix(a).reshape(-1), problem.grid.node_count)
-        x = basis.to_reduced(cand)
-        mx = float(x @ (Mhat @ x))
-        if mx <= 0.0:
-            continue
-        num = float(x @ (Khat @ x))
-        if abs(num) <= _roundoff_floor(Khat, x):
-            return 0.0
 
     d = Khat.diagonal()
     precond = sp.diags(1.0 / np.where(d > 0.0, d, 1.0))

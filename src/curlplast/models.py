@@ -15,6 +15,11 @@ kin_irrot        Sym & sl    k1 (kin)   dev driving stress (symmetric)
 micromorphic     sl(3)       k1 (kin)   none: one energy minimization
 ===============  ==========  =========  ==============================
 
+The flow law lives on ModelVariant alone: its yield radius, dissipation
+density and proximal shrink, each one formula for every variant.
+yield_value and incremental_dissipation here, and the solver's prox, lumped
+dissipation and KKT check, call them.
+
 The generalized (Eshelby-type) stress driving plastic flow is recovered
 weakly: the assembled residual of the smooth energy with respect to the
 plastic dofs, divided by the lumped nodal weights.  That is the quantity
@@ -39,11 +44,14 @@ _SYMMETRIC = ("iso_irrot", "kin_irrot")
 
 @dataclass(frozen=True)
 class ModelVariant:
-    """One model formulation: parameter admissibility, energy and flow data.
+    """One model formulation: parameter admissibility, energy and flow law.
 
     The tag fixes the constraint on the plastic field, the hardening and the
     flow law; params holds the moduli.  Every variant uses the same defect
     form, the discrete curl composed with itself (Blocks.terms["K_curl_cc"]).
+    radius, dissipation and shrink are the whole flow law, as functions of
+    the increment magnitude n at a node; the kinematic variants have drag 0,
+    which makes each formula's hardening terms exact no-ops.
     """
 
     tag: str
@@ -81,9 +89,44 @@ class ModelVariant:
     def k2_eff(self):
         return self.params.k2 if self.tag in _ISOTROPIC else 0.0
 
+    @property
+    def drag(self):
+        """h = mu k2_eff: how fast the yield radius grows with gamma."""
+        return self.params.mu * self.k2_eff
+
     def flow_projector(self, X):
         """Pointwise projection onto the flow direction space."""
         return dev(sym(X)) if self.symmetric else dev(X)
+
+    def radius(self, gamma):
+        """Yield radius sigma_y + h gamma at accumulated plastic strain gamma."""
+        return self.params.sigma_y + self.drag * np.asarray(gamma)
+
+    def dissipation(self, n, gamma_prev=0.0):
+        """Dissipation density of an increment of magnitude n from gamma_prev.
+
+        sigma_y n plus the hardening-energy growth h ((gamma + n)^2 - gamma^2) / 2,
+        the internal variable eliminated through d gamma = n (the constraint
+        |q| <= xi is active at the minimum).  Micromorphic dissipates nothing,
+        whatever its sigma_y.
+        """
+        if not self.has_dissipation:
+            return np.zeros(np.shape(n))
+        g = np.asarray(gamma_prev)
+        return self.params.sigma_y * n + 0.5 * self.drag * ((g + n) ** 2 - g ** 2)
+
+    def shrink(self, n, tau, gamma_prev):
+        """Factor m / n by which the proximal map of tau * dissipation scales a
+        point of magnitude n, and 0 at n = 0.
+
+        m = max(0, n - tau sigma_y - tau h gamma) / (1 + tau h): plain
+        shrinkage by tau sigma_y plus the linear drag that the scalar
+        optimality condition of the eliminated internal variable adds.
+        """
+        n = np.asarray(n, dtype=float)
+        h = self.drag
+        m = np.maximum(0.0, (n - tau * self.params.sigma_y - tau * h * np.asarray(gamma_prev)) / (1.0 + tau * h))
+        return np.where(n > 0.0, m / np.maximum(n, 1e-300), 0.0)
 
 
 @dataclass
@@ -177,30 +220,14 @@ def yield_value(variant: ModelVariant, Sigma, gamma=0.0):
     """Yield function value; <= 0 is elastic.
 
     Spin variants measure the deviator of the generalized stress, the
-    irrotational ones its symmetric deviator; isotropic hardening enlarges
-    the radius by mu k2 gamma.
+    irrotational ones its symmetric deviator, against variant.radius(gamma).
     """
     if not variant.has_dissipation:
         raise ValueError("micromorphic model has no yield function")
-    drive = norm(variant.flow_projector(np.asarray(Sigma, dtype=float)))
-    radius = variant.params.sigma_y + variant.params.mu * variant.k2_eff * np.asarray(gamma)
-    return drive - radius
+    return norm(variant.flow_projector(np.asarray(Sigma, dtype=float))) - variant.radius(gamma)
 
 
 def incremental_dissipation(variant: ModelVariant, dq, gamma_prev=0.0):
-    """Pointwise dissipation of one increment dq of the plastic field.
-
-    Kinematic variants pay sigma_y |dq|.  Isotropic variants also pay the
-    hardening-energy growth with the internal variable eliminated through
-    d gamma = |dq| (the constraint |q| <= xi is active at the minimum).
-    Micromorphic pays nothing.
-    """
-    if not variant.has_dissipation:
-        return np.zeros(np.shape(dq)[:-2]) if np.ndim(dq) > 2 else 0.0
-    n = norm(np.asarray(dq, dtype=float))
-    out = variant.params.sigma_y * n
-    if variant.isotropic:
-        h = variant.params.mu * variant.params.k2
-        g = np.asarray(gamma_prev)
-        out = out + 0.5 * h * ((g + n) ** 2 - g ** 2)
-    return out
+    """Pointwise dissipation of one increment dq of the plastic field:
+    variant.dissipation of its Frobenius norm."""
+    return variant.dissipation(norm(np.asarray(dq, dtype=float)), gamma_prev)

@@ -17,13 +17,14 @@ prescribed displacement, F_f - K_fg U_g and S_pg U_g, are formed once per
 solve.  A_hat, K_ff, K_fg, S_f, S_pf and S_pg are the only sparse matrices
 DiscreteProblem stores.  The step functional is strictly convex, so its
 minimizer moves continuously with the load and a step may start from a
-guess extrapolated from the previous steps.  It starts there only when the guess gives a lower
-J than the previous plastic field, u recovered at each by one loose solve;
-a poor guess costs that solve and falls back to the previous field.  The
-nonsmooth term is the lumped (nodal) quadrature of the one-homogeneous
-dissipation, so its proximal map is an exact per-node shrinkage.  Because
-the dissipation is one-homogeneous the time-step size cancels and steps are
-parameterized by load increments.
+guess extrapolated from the previous steps.  It starts there only when the
+guess gives a J lower, by more than roundoff, than the previous plastic
+field's, u recovered at each by one loose solve; a poor guess costs that
+solve and falls back to the previous field.  The nonsmooth term is the
+lumped (nodal) quadrature of the one-homogeneous dissipation, so its
+proximal map is an exact per-node shrinkage by ModelVariant.shrink.
+Because the dissipation is one-homogeneous the time-step size cancels and
+steps are parameterized by load increments.
 
 The p iteration runs in the lumped-mass metric: gradients are divided by
 the nodal weights and the shrinkage threshold becomes uniform across nodes,
@@ -42,6 +43,7 @@ from math import isfinite, prod
 import numpy as np
 
 from .grid import (
+    ROUNDOFF,
     BoundaryConfig,
     Grid,
     ScalarField,
@@ -145,30 +147,13 @@ class StepReport:
     started_from_guess: bool = False
 
 
-def shrink_magnitude(variant: ModelVariant, znorm, tau, gamma_prev):
-    """Magnitude of the proximal map of tau * D_inc at radius znorm.
-
-    Kinematic: plain shrinkage by tau * sigma_y.  Isotropic: the scalar
-    optimality condition of the eliminated internal variable adds a linear
-    drag, m = (|z| - tau sigma_y - tau mu k2 gamma) / (1 + tau mu k2).
-    """
-    sy = variant.params.sigma_y
-    z = np.asarray(znorm, dtype=float)
-    if variant.isotropic:
-        h = variant.params.mu * variant.params.k2
-        return np.maximum(0.0, (z - tau * sy - tau * h * np.asarray(gamma_prev)) / (1.0 + tau * h))
-    return np.maximum(0.0, z - tau * sy)
-
-
 def prox_dissipation(variant: ModelVariant, z, tau, gamma_prev=0.0):
-    """Proximal map of tau * D_inc on 3x3 tensors (ties at the threshold give 0)."""
+    """Proximal map of tau * D_inc on 3x3 tensors: z scaled by
+    ModelVariant.shrink of its norm (ties at the threshold give 0)."""
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     z = np.asarray(z, dtype=float)
-    n = frob_norm(z)
-    m = shrink_magnitude(variant, n, tau, gamma_prev)
-    factor = np.where(n > 0.0, m / np.maximum(n, 1e-300), 0.0)
-    return z * np.asarray(factor)[..., None, None]
+    return z * variant.shrink(frob_norm(z), tau, gamma_prev)[..., None, None]
 
 
 def weighted_norm(x, w):
@@ -337,22 +322,13 @@ class DiscreteProblem:
         dc may be a block of increments, one per row; the result is then one
         value per row.
         """
-        if not self.variant.has_dissipation:
-            return 0.0
-        n = self.basis.node_norms(dc)
-        sy = self.variant.params.sigma_y
-        val = sy * (n @ self.w_node)
-        if self.variant.isotropic:
-            h = self.variant.params.mu * self.variant.params.k2
-            val = val + 0.5 * h * (((gamma_prev + n) ** 2 - gamma_prev ** 2) @ self.w_node)
+        val = self.variant.dissipation(self.basis.node_norms(dc), gamma_prev) @ self.w_node
         return float(val) if np.ndim(val) == 0 else val
 
     def _prox_reduced(self, x, c_prev, tau, gamma_prev):
         """Exact nodewise prox in reduced coordinates (uniform threshold tau)."""
         d = x - c_prev
-        n = self.basis.node_norms(d)
-        m = shrink_magnitude(self.variant, n, tau, gamma_prev)
-        factor = np.where(n > 0.0, m / np.maximum(n, 1e-300), 0.0)
+        factor = self.variant.shrink(self.basis.node_norms(d), tau, gamma_prev)
         return c_prev + d * self.basis.scatter_per_node(factor)
 
     # -- displacement and plastic solves ---------------------------------------
@@ -456,16 +432,13 @@ class DiscreteProblem:
         T = r_hat / self.w_seg
         tn = self.basis.node_norms(T)
         dn = self.basis.node_norms(dc)
-        radius = sy + self.variant.params.mu * self.variant.k2_eff * gamma_new
+        radius = self.variant.radius(gamma_new)
         active = dn > active_tol
         viol_in = np.maximum(0.0, tn - radius)[~active]
         viol_ac = np.abs(tn - radius)[active]
         worst = max(viol_in.max() / sy if viol_in.size else 0.0,
                     viol_ac.max() / sy if viol_ac.size else 0.0)
-        starts, nodes = self.basis.segment_starts()
-        dots = np.zeros(len(dn))
-        if len(starts):
-            dots[nodes] = np.add.reduceat(T * dc, starts)
+        dots = self.basis.node_dots(T, dc)
         with np.errstate(invalid="ignore", divide="ignore"):
             cosang = dots / np.maximum(tn * dn, 1e-300)
         sin2 = np.maximum(0.0, 1.0 - np.minimum(cosang, 1.0) ** 2)
@@ -554,7 +527,8 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     guess, a state near the step's solution, is only a starting point.  A
     dissipative step recovers u at the previous plastic field and at the
     guess's, each by a solve warm-started from the guess's u, and starts
-    from whichever gives the lower step functional.  The monolithic
+    from the guess only when its step functional is lower by more than
+    roundoff.  The monolithic
     (micromorphic) solve ignores it.
     """
     cfg = problem.config
@@ -603,9 +577,11 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
             U_guess, its_guess = problem.solve_u(U.copy(), c_guess, F, tol_start, cfg.max_cg)
             U, its_prev = problem.solve_u(U, c, F, tol_start, cfg.max_cg)
             cg_total += its_guess + its_prev
-            J_start, _ = problem.objective(U, c, c_prev, gamma_prev, F)
+            J_start, D_start = problem.objective(U, c, c_prev, gamma_prev, F)
             J_guess, _ = problem.objective(U_guess, c_guess, c_prev, gamma_prev, F)
-            if J_guess < J_start:
+            # the guess must win by more than roundoff, so that summation
+            # order does not decide between starts that are tied
+            if J_guess < J_start - ROUNDOFF * (abs(J_start) + D_start):
                 U, c, from_guess = U_guess, c_guess, True
         # pass 1 solves the step; pass 2 restarts from its c with an exact
         # first gradient and confirms that J no longer descends

@@ -64,6 +64,12 @@ class TestMinQuotient:
     def test_no_bc_kernel_detected(self):
         assert estimate_min_quotient(KornProblem(Grid.unit_cube(3)), 1e-6) == 0.0
 
+    @pytest.mark.parametrize("face", FACES)
+    def test_any_single_face_removes_the_kernel(self, face):
+        # a face keeps only the normal column at its nodes, and no nonzero
+        # constant skew field has a single nonzero column
+        assert estimate_min_quotient(KornProblem(Grid.unit_cube(2), (face,)), 1e-8) > 0.0
+
     def test_full_boundary_positive_and_stable(self):
         l3 = estimate_min_quotient(KornProblem(Grid.unit_cube(3), FACES), 1e-7)
         l4 = estimate_min_quotient(KornProblem(Grid.unit_cube(4), FACES), 1e-7)

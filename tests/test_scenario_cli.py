@@ -384,6 +384,15 @@ class TestSweep:
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
 
+    def test_summary_header_and_failed_row_text(self, tmp_path):
+        s = parse_scenario(json.dumps(base_doc()))
+        sweep(s, "k2", [0.5], str(tmp_path))
+        assert (tmp_path / "summary.csv").read_text() == (
+            "parameter,value,status,elastic_energy,defect_energy,hardening_energy,"
+            "cumulative_dissipation,hardening_slope,outer_iterations,cg_iterations,"
+            "fista_iterations\n"
+            "k2,0.5,failed: k2 does not apply to variant kin_spin,,,,,,,,\n")
+
     def test_non_integral_grid_values_recorded_not_fatal(self, tmp_path):
         s = parse_scenario(json.dumps(base_doc()))
         results = sweep(s, "grid", [2.7, float("nan"), float("inf")], str(tmp_path))

@@ -1,10 +1,13 @@
-"""Property-based check of the scenario parser on mistyped fields.
+"""Property-based checks of the scenario parser.
 
 Starting from a valid document that spells out every optional field, any
 one field, at any depth, replaced by a value of the wrong type or by an
 integer too large for a float, must be either accepted or refused with
 ParseError or ValidationError: the two errors the command line turns into
 exit code 2.  Any other exception would reach the user as a traceback.
+
+Any valid document, with any choice of its optional fields, must survive
+the round trip through its canonical text unchanged.
 """
 
 import json
@@ -12,7 +15,9 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curlplast.scenario import ParseError, ValidationError, parse_scenario
+from curlplast.grid import FACES
+from curlplast.models import VARIANT_TAGS
+from curlplast.scenario import ParseError, ValidationError, canonical_dict, canonical_text, parse_scenario
 
 
 def full_doc(grid):
@@ -82,3 +87,79 @@ def test_mistyped_field_is_refused_with_a_documented_error(case, value):
         parse_scenario(json.dumps(doc))
     except (ParseError, ValidationError):
         pass
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+positive = st.floats(1e-3, 1e3, allow_subnormal=False)
+triples = st.lists(finite, min_size=3, max_size=3)
+face_lists = st.lists(st.sampled_from(FACES), unique=True, max_size=len(FACES))
+
+
+def optional(draw, strategy):
+    """A drawn value, or None to leave the field out."""
+    return draw(st.one_of(st.none(), strategy))
+
+
+@st.composite
+def valid_documents(draw):
+    tag = draw(st.sampled_from(VARIANT_TAGS))
+    mu = draw(positive)
+    material = {"mu": mu, "lambda": draw(st.floats(-0.66 * mu, 1e3, allow_subnormal=False)),
+                "sigma_y": draw(positive), "k1": draw(positive), "k2": draw(positive)}
+    lc = optional(draw, st.floats(0.0, 10.0, allow_subnormal=False))
+    if lc is not None:
+        material["Lc"] = lc
+
+    grid = {"cells": draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))}
+    grid["spacing" if draw(st.booleans()) else "size"] = draw(st.lists(positive, min_size=3, max_size=3))
+    origin = optional(draw, triples)
+    if origin is not None:
+        grid["origin"] = origin
+
+    boundary = {"gamma_faces": draw(face_lists.filter(bool))}
+    hard = optional(draw, face_lists)
+    if hard is not None:
+        boundary["micro_hard_faces"] = hard
+    matrix = optional(draw, st.lists(triples, min_size=3, max_size=3))
+    if matrix is not None:
+        boundary["dirichlet"] = {"matrix": matrix}
+
+    steps = draw(st.integers(1, 4))
+    gaps = draw(st.lists(positive, min_size=steps, max_size=steps))
+    level = draw(finite)
+    program = []
+    for gap in gaps:
+        level += gap
+        entry = {"level": level}
+        amplitude = optional(draw, finite)
+        if amplitude is not None:
+            entry["amplitude"] = amplitude
+        body_force = optional(draw, triples)
+        if body_force is not None:
+            entry["body_force"] = body_force
+        program.append(entry)
+
+    doc = {"version": 1, "variant": tag, "material": material, "grid": grid,
+           "boundary": boundary, "load_program": program}
+    solver = draw(st.fixed_dictionaries({}, optional={
+        "tol_outer": positive, "tol_cg": positive, "tol_fista": positive,
+        "max_outer": st.integers(1, 10 ** 6), "max_cg": st.integers(1, 10 ** 6),
+        "max_fista": st.integers(1, 10 ** 6), "vi_probes": st.integers(0, 10 ** 6),
+        "seed": st.integers(0, 2 ** 62)}))
+    if solver or draw(st.booleans()):
+        doc["solver"] = solver
+    output = draw(st.fixed_dictionaries({}, optional={
+        "csv": st.text(min_size=1, max_size=8), "vtk_dir": st.text(min_size=1, max_size=8),
+        "vtk_stride": st.integers(1, 100)}))
+    if output or draw(st.booleans()):
+        doc["output"] = output
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(valid_documents())
+def test_canonical_text_round_trips(doc):
+    first = parse_scenario(json.dumps(doc))
+    again = parse_scenario(canonical_text(first))
+    assert canonical_dict(again) == canonical_dict(first)
+    assert again == first  # the canonical form leaves nothing out

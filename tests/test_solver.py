@@ -17,7 +17,6 @@ from curlplast.solver import (
     extrapolate,
     probe_seed,
     prox_dissipation,
-    shrink_magnitude,
     time_step,
     weighted_norm,
 )
@@ -81,7 +80,7 @@ class TestProxDissipation:
         for _ in range(5):
             zn = rng.uniform(0.0, 3.0)
             g0 = rng.uniform(0.0, 2.0)
-            got = shrink_magnitude(ISO, zn, tau, g0)
+            got = zn * ISO.shrink(zn, tau, g0)
 
             def f(m):
                 return (0.5 * (m - zn) ** 2 / tau + PARAMS.sigma_y * m
@@ -578,6 +577,30 @@ class TestStartingGuess:
         state, rep = time_step(prob, history[-1], load, bad)
         assert not rep.started_from_guess
         self.assert_same_state(state, ref)
+
+    @pytest.mark.parametrize("shift, taken", [(1e-15, False), (1e-12, True)])
+    def test_guess_must_win_by_more_than_roundoff(self, shift, taken):
+        # the guess is the previous state, whose J ties the start's; its
+        # value is then lowered by shift relative to the start's
+        grid = Grid.unit_cube(2)
+        D = np.zeros((3, 3))
+        D[0, 2] = 1.0
+        prob = DiscreteProblem(grid, BoundaryConfig(("zmin", "zmax")), KIN, D, TIGHT)
+        a_y = PARAMS.sigma_y / (np.sqrt(2) * PARAMS.mu)
+        prev, _ = time_step(prob, SimState.zeros(grid), LoadStep(1.0, 2 * a_y))
+        real, values = prob.objective, []
+
+        def objective(*args):
+            J, dissipation = real(*args)
+            values.append(J)
+            if len(values) == 2:  # the guess's value, after the start's
+                J = values[0] - shift * abs(values[0])
+            return J, dissipation
+
+        prob.objective = objective
+        _, rep = time_step(prob, prev, LoadStep(2.0, 4 * a_y), prev)
+        assert rep.active_node_fraction > 0.0
+        assert rep.started_from_guess is taken
 
 
 class TestStressRecoveries:
