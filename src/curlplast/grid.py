@@ -254,6 +254,33 @@ def _factors_1d(n, h):
     return {"M": M, "K": K, "G": G, "Gt": G.T}
 
 
+def _kron_apply(fx, fy, fz, x):
+    """kron(fz, kron(fy, fx)) @ x for x shaped (z, y, x, ...), trailing axes flattened."""
+    nz, ny, nx = x.shape[:3]
+    y = fx @ x.reshape(nz * ny, nx, -1)
+    y = fy @ y.reshape(nz, ny, -1)
+    y = fz @ y.reshape(nz, -1)
+    return y.reshape(len(fz), len(fy), len(fx), -1)
+
+
+def fd_inverse(grid: Grid, lo, hi, weight):
+    """Exact inverse of weight * L + M on the nodes lo <= ijk < hi, for arrays (z, y, x, ...).
+
+    L (K on one axis, M on the others, summed over axes) and the mass M are
+    Kronecker sums there, which fast diagonalization (Lynch, Rice & Thomas,
+    Numer. Math. 6, 1964) inverts through V' M V = I, V' K V = diag(lam) per axis.
+    """
+    V, lam = [], []
+    for n, h, a, b in zip(grid.n, grid.h, lo, hi):
+        f = _factors_1d(n, h)
+        C = np.linalg.inv(np.linalg.cholesky(f["M"][a:b, a:b]))
+        w, Q = np.linalg.eigh(C @ f["K"][a:b, a:b] @ C.T)
+        V.append(C.T @ Q)
+        lam.append(w)
+    scale = 1.0 / (1.0 + weight * sum(np.ix_(*lam[::-1])))[..., None]
+    return lambda x: _kron_apply(*V, scale * _kron_apply(*(v.T for v in V), x)).reshape(x.shape)
+
+
 def transposed(terms):
     """Term list of the transposed form: each kernel transposed, G and Gt swapped."""
     return [(tuple({"G": "Gt", "Gt": "G"}.get(n, n) for n in names), kernel.T) for names, kernel in terms]
@@ -318,16 +345,10 @@ class Blocks:
         Each pairing is applied as its three 1D factors, one per axis, and
         then the kernel; nothing is assembled.
         """
-        nx, ny, nz = self.grid.node_shape
         k = terms[0][1].shape[1]
-        x = np.reshape(x, (nz * ny, nx, k))
-        out = 0.0
-        for (fx, fy, fz), kernel in terms:
-            y = self._1d[0][fx] @ x
-            y = self._1d[1][fy] @ y.reshape(nz, ny, nx * k)
-            y = self._1d[2][fz] @ y.reshape(nz, ny * nx * k)
-            out = out + y.reshape(-1, k) @ kernel.T
-        return out.ravel()
+        x = np.reshape(x, self.grid.node_shape[::-1] + (k,))
+        return sum(_kron_apply(*(f[name] for f, name in zip(self._1d, names)), x).reshape(-1, k) @ kernel.T
+                   for names, kernel in terms).ravel()
 
     def assemble(self, terms, rows, cols=None):
         """CSR matrix of sum_t kron(pairing_t, kernel_t) between two nodal spaces.

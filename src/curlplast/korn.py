@@ -11,7 +11,8 @@ over the nodal trilinear subspace with the tangential constraint imposed at
 the nodes, and exhibits the failure of the inequality without boundary
 conditions (constant skew fields lie in the kernel).  The estimate is an
 upper bound for the infimum over the conforming subspace only; no certified
-constant is claimed.
+constant is claimed.  The eigen-solve is preconditioned by fast
+diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964), exact here.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .grid import ROUNDOFF, Grid, TensorField, build_blocks, build_p_basis
+from .grid import ROUNDOFF, Grid, TensorField, allowed_columns, build_blocks, build_p_basis, fd_inverse
 from .solver import NoConvergence
 from .tensors import MaterialParams
 
@@ -62,6 +62,20 @@ def _operators(problem: KornProblem):
     return basis, Khat, blocks.assemble(blocks.terms["M_cons"], basis)
 
 
+def _column_boxes(problem: KornProblem, basis):
+    """Yield (reduced indices, fd_inverse of ls^2 L + M, L the H1 seminorm) per nonempty
+    column j, which is allowed on a box: the nodes on no constrained face of another axis.
+    A node lists its allowed columns in order, three coordinates each."""
+    allowed = allowed_columns(problem.grid, problem.gamma_faces)
+    for j in range(3):
+        nodes = np.nonzero(allowed[:, j])[0]
+        if nodes.size:
+            box = problem.grid.node_ijk()[nodes]
+            lo, hi = box.min(axis=0), box.max(axis=0) + 1
+            idx = (basis.offsets[nodes] + 3 * allowed[nodes, :j].sum(axis=1))[:, None] + np.arange(3)
+            yield idx.reshape(*(hi - lo)[::-1], 3), fd_inverse(problem.grid, lo, hi, problem.length_scale ** 2)
+
+
 def _roundoff_floor(K, x):
     """Upper bound for the roundoff in x' K x; form values below it are zero."""
     ax = np.abs(x)
@@ -95,7 +109,8 @@ def estimate_min_quotient(problem: KornProblem, tol: float = 1e-8,
     the normal column of the field at its nodes, and a constant skew field
     with one nonzero column is zero, so with any face no constant skew field
     survives.  Then a single-vector LOBPCG run (Knyazev, SIAM J. Sci.
-    Comput. 23, 2001) on K x = lambda M x, with the constrained mass as M, a Jacobi
+    Comput. 23, 2001) on K x = lambda M x, with the constrained mass as M,
+    the exact inverse of ls^2 L + M on each column's box (_column_boxes) as
     preconditioner and a random start vector drawn from seed, returns the
     smallest eigenvalue once the residual ||K x - lambda M x|| of the
     M-normalized eigenvector is at most tol.  The eigenvalue error is then
@@ -112,13 +127,19 @@ def estimate_min_quotient(problem: KornProblem, tol: float = 1e-8,
     # the package needs it, so scenario runs do not load it
     from scipy.sparse.linalg import lobpcg
 
-    _, Khat, Mhat = _operators(problem)
+    basis, Khat, Mhat = _operators(problem)
     n = Khat.shape[0]
     if n == 0:
         raise ZeroField("constrained space is empty")
 
-    d = Khat.diagonal()
-    precond = sp.diags(1.0 / np.where(d > 0.0, d, 1.0))
+    boxes = list(_column_boxes(problem, basis))
+
+    def precond(X):  # lobpcg passes blocks of vectors, shaped (n, block size)
+        out = np.empty_like(X)
+        for idx, inverse in boxes:
+            out[idx] = inverse(X[idx])
+        return out
+
     start = np.random.default_rng(seed).standard_normal((n, 1))
     with warnings.catch_warnings():
         # a missed tolerance is raised below as NoConvergence instead

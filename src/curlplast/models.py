@@ -122,8 +122,11 @@ class ModelVariant:
         m = max(0, n - tau sigma_y - tau h gamma) / (1 + tau h): plain
         shrinkage by tau sigma_y plus the linear drag that the scalar
         optimality condition of the eliminated internal variable adds.
+        Micromorphic dissipates nothing, so its map is the identity, factor 1.
         """
         n = np.asarray(n, dtype=float)
+        if not self.has_dissipation:
+            return np.ones(n.shape)
         h = self.drag
         m = np.maximum(0.0, (n - tau * self.params.sigma_y - tau * h * np.asarray(gamma_prev)) / (1.0 + tau * h))
         return np.where(n > 0.0, m / np.maximum(n, 1e-300), 0.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from curlplast import korn
 from curlplast.grid import FACES, Grid, TensorField, build_blocks, build_p_basis
 from curlplast.korn import KornProblem, ZeroField, estimate_min_quotient, korn_quotient
 from curlplast.solver import NoConvergence
@@ -128,9 +129,63 @@ class TestMinQuotient:
         assert np.isfinite(info.value.residual) and info.value.residual > info.value.tol
 
 
+class TestFastDiagonalization:
+    grid = Grid((3, 4, 5), (0.3, 0.7, 0.11))
+
+    @staticmethod
+    def reduced_forms(problem):
+        """Reduced basis, per-component H1 seminorm L and mass M of a problem."""
+        blocks = build_blocks(problem.grid, MaterialParams(mu=1.0, lam=0.0))
+        basis = build_p_basis(problem.grid, problem.gamma_faces, "none")
+        seminorm = [(names, np.eye(9)) for names in (("K", "M", "M"), ("M", "K", "M"), ("M", "M", "K"))]
+        return basis, blocks.assemble(seminorm, basis), blocks.assemble(blocks.terms["M_cons"], basis)
+
+    @pytest.mark.parametrize("faces", [("ymin",), ("zmin", "zmax"), FACES])
+    @pytest.mark.parametrize("ls", [0.2, 1.0, 5.0])
+    def test_inverts_the_kronecker_sum(self, faces, ls):
+        problem = KornProblem(self.grid, faces, ls)
+        basis, L, M = self.reduced_forms(problem)
+        x = np.random.default_rng(4).standard_normal(basis.size)
+        y = np.empty_like(x)
+        for idx, inverse in korn._column_boxes(problem, basis):
+            y[idx] = inverse(x[idx])
+        assert np.linalg.norm((ls ** 2 * L + M) @ y - x) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("faces", [("ymin",), ("zmin", "zmax"), ("xmax", "ymin", "zmax"), FACES])
+    def test_column_boxes_partition_the_reduced_coordinates(self, faces):
+        problem = KornProblem(self.grid, faces)
+        basis = build_p_basis(self.grid, faces, "none")
+        idx = np.concatenate([i.ravel() for i, _ in korn._column_boxes(problem, basis)])
+        assert np.array_equal(np.sort(idx), np.arange(basis.size))
+
+    def test_empty_box_is_skipped(self):
+        # on one cell across x, every node is on an x face, so only the x
+        # column survives with all faces constrained; lambda_min is 2.9
+        problem = KornProblem(Grid((1, 3, 3), (1.0, 1.0, 1.0)), FACES)
+        basis, Khat, Mhat = korn._operators(problem)
+        assert len(list(korn._column_boxes(problem, basis))) == 1
+        dense = scipy.linalg.eigh(Khat.toarray(), Mhat.toarray(), eigvals_only=True)
+        assert estimate_min_quotient(problem, 1e-9) == pytest.approx(dense[0], rel=1e-9)
+
+    def test_empty_space_raises_before_any_preconditioner(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("preconditioner built for an empty space")
+
+        monkeypatch.setattr(korn, "_column_boxes", unreachable)
+        with pytest.raises(ZeroField):
+            estimate_min_quotient(KornProblem(Grid.unit_cube(1), FACES))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_converges_within_two_hundred_iterations_on_ten_cubed(self, seed):
+        # the Jacobi-preconditioned run needed 370-660 iterations here
+        lam = estimate_min_quotient(KornProblem(Grid.unit_cube(10), FACES), 1e-8, max_iterations=200, seed=seed)
+        assert lam == pytest.approx(0.8210948678385139, rel=1e-8)
+
+
 def test_package_import_leaves_sparse_linalg_unloaded():
-    # scenario runs never need scipy.sparse.linalg; loading it with the
-    # package, or in a plastic step, would raise their peak memory
+    # scenario runs never need scipy.sparse.linalg or scipy.linalg; loading
+    # either with the package, or in a plastic step, would raise their peak
+    # memory
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, numpy as np, curlplast\n"
@@ -144,6 +199,6 @@ def test_package_import_leaves_sparse_linalg_unloaded():
         "prob = DiscreteProblem(grid, BoundaryConfig(('zmin', 'zmax')), var, D)\n"
         "state, rep = time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.02))\n"
         "assert rep.active_node_fraction > 0.0\n"
-        "sys.exit('scipy.sparse.linalg' in sys.modules)"
+        "sys.exit('scipy.sparse.linalg' in sys.modules or 'scipy.linalg' in sys.modules)"
     )
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -48,3 +48,11 @@ def test_prox_satisfies_first_order_condition(kind, z, tau, gamma):
         assert np.max(np.abs((z - p) - want)) <= tol
     else:
         assert norm(z) <= radius + tol
+
+
+def test_micromorphic_prox_is_the_identity():
+    # micromorphic dissipates nothing, so nothing is shrunk, whatever sigma_y
+    variant = ModelVariant("micromorphic", PARAMS)
+    z = 0.1 * np.diag([1.0, -1.0, 0.0])
+    assert np.array_equal(prox_dissipation(variant, z, 1.0), z)
+    assert np.array_equal(variant.shrink(np.array([0.0, 0.2, 5.0]), 1.0, 0.0), np.ones(3))

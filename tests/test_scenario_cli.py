@@ -472,6 +472,17 @@ class TestCliEntry:
         assert main(["korn", cfg, "--no-bc"]) == 0
         assert "no constant exists" in capsys.readouterr().out
 
+    def test_korn_empty_constrained_space_exit_code(self, tmp_path, capsys):
+        # on one cell every node sits on faces of all three axes, so all
+        # six micro-hard faces leave no admissible column anywhere
+        doc = elastic_doc()
+        doc["grid"]["cells"] = [1, 1, 1]
+        doc["boundary"].update(gamma_faces=list(FACES), micro_hard_faces=list(FACES))
+        cfg = self.write(tmp_path, doc)
+        assert main(["korn", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("tol", ["0", "nan", "-1"])
     def test_korn_invalid_tol_exit_code(self, tmp_path, capsys, tol):
         cfg = self.write(tmp_path, elastic_doc())
