@@ -359,7 +359,8 @@ class Blocks:
         of 1D-factor entries, and each (row type, column type) group of pairs
         is one dense product of those pairings with the kernels reduced once
         per type pair.  An entry within ROUNDOFF * sum_t |pairing_t| |V_I|
-        |kernel_t| |V_J|' of zero is analytically zero and is not stored.
+        |kernel_t| |V_J|' of zero is analytically zero and is not stored; a
+        non-finite entry raises ValueError.
         cols=None assembles a symmetric form on rows: only node pairs with
         J >= I are computed, the lower half mirrors them and the diagonal
         blocks are symmetrized, so the result is exactly symmetric.
@@ -400,6 +401,8 @@ class Blocks:
                 sel = group == g
                 S = pairing[sel]
                 vals = (S @ R).reshape(-1, mr, mc)
+                if not np.all(np.isfinite(vals)):  # NaN would pass the roundoff test below
+                    raise ValueError("an assembled form has a non-finite entry: the material or grid overflows")
                 bound = ROUNDOFF * (np.abs(S) @ R_abs).reshape(-1, mr, mc)
                 if symmetric and shift == 0:
                     vals = 0.5 * (vals + vals.transpose(0, 2, 1))

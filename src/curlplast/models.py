@@ -67,6 +67,8 @@ class ModelVariant:
             raise ValueError(f"{self.tag} requires k2 > 0")
         if self.has_dissipation and not p.sigma_y > 0.0:
             raise ValueError(f"{self.tag} requires sigma_y > 0")
+        if not np.all(np.isfinite([*self.form_weights.values(), self.drag])):
+            raise ValueError("the hardening and defect weights mu Lc^2, mu k1 and mu k2 must be finite")
 
     @property
     def symmetric(self):
@@ -88,6 +90,11 @@ class ModelVariant:
     @property
     def k2_eff(self):
         return self.params.k2 if self.tag in _ISOTROPIC else 0.0
+
+    @property
+    def form_weights(self):
+        """Blocks.form weights of the defect form, mu Lc^2, and of the kinematic hardening form, mu k1_eff."""
+        return {"K_curl_cc": self.params.mu * (self.params.Lc * self.params.Lc), "K_sym": self.params.mu * self.k1_eff}
 
     @property
     def drag(self):
@@ -171,17 +178,16 @@ def total_energy(grid: Grid, variant: ModelVariant, state: SimState, body_force=
     apply, terms = blocks.apply, blocks.terms
     p9 = state.p.values.reshape(-1)
     uf = state.u.values.reshape(-1)
-    mu = variant.params.mu
     elastic = 0.5 * (uf @ apply(terms["K_uu"], uf)) + uf @ apply(terms["K_up"], p9) + 0.5 * (
         p9 @ apply(terms["K_pp_el"], p9)
     )
-    Lc = variant.params.Lc
-    defect = 0.5 * mu * Lc ** 2 * (p9 @ apply(terms["K_curl_cc"], p9)) if Lc else 0.0
+    weights = variant.form_weights
+    defect = 0.5 * weights["K_curl_cc"] * (p9 @ apply(terms["K_curl_cc"], p9)) if variant.params.Lc else 0.0
     if variant.isotropic:
         g = state.gamma.values
-        hardening = 0.5 * mu * variant.params.k2 * float(blocks.w_node @ (g * g))
+        hardening = 0.5 * variant.drag * float(blocks.w_node @ (g * g))
     else:
-        hardening = 0.5 * mu * variant.k1_eff * (p9 @ apply(terms["K_sym"], p9))
+        hardening = 0.5 * weights["K_sym"] * (p9 @ apply(terms["K_sym"], p9))
     load = 0.0
     if body_force is not None and np.any(np.asarray(body_force) != 0.0):
         load = float(blocks.body_force_vector(body_force) @ uf)
@@ -209,9 +215,7 @@ def eshelby_stress(grid: Grid, variant: ModelVariant, u: VectorField, p: TensorF
     lumped weights gives exactly the driving force of the discrete flow
     problem.
     """
-    mu = variant.params.mu
-    return _lumped_stress(build_blocks(grid, variant.params), u, p,
-                          K_curl_cc=mu * variant.params.Lc ** 2, K_sym=mu * variant.k1_eff)
+    return _lumped_stress(build_blocks(grid, variant.params), u, p, **variant.form_weights)
 
 
 def sigma_nodal(grid: Grid, params: MaterialParams, u: VectorField, p: TensorField):

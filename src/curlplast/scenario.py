@@ -10,6 +10,7 @@ is versioned; see the README for a worked example.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -38,8 +39,10 @@ class OutputConfig:
     vtk_stride: int = 1
 
     def __post_init__(self):
-        if self.vtk_stride < 1:
-            raise ValidationError("output.vtk_stride must be at least 1")
+        _require(self.vtk_stride >= 1, "output.vtk_stride must be at least 1")
+        _require(os.path.basename(self.csv) not in ("", ".", ".."), "output.csv must name a file")
+        _require(self.vtk_dir is None or not (os.path.normpath(self.vtk_dir) + os.sep).startswith(
+            os.path.normpath(self.csv) + os.sep), "output.csv must not be output.vtk_dir or a folder above it")
 
 
 @dataclass(frozen=True)

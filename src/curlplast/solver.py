@@ -4,27 +4,29 @@ Each load step minimizes the jointly convex functional
 
     J(u, p) = 1/2 a((u,p),(u,p)) - <load, u> + sum_j w_j D_inc(p_j - p_j^prev)
 
-over the plastic field alone: u enters J through one fixed linear solve with
-the free displacement block K_ff, so it is eliminated and an accelerated
-proximal-gradient (FISTA) iteration runs on the reduced functional
-c -> min_u J(u, c), whose smooth part has the Schur complement
+in the step's unknowns (u_f, c), the free displacement and the reduced
+plastic coordinates.  The prescribed displacement and the body force enter J
+only through the ReducedLoad that DiscreteProblem.step_load forms once per
+step: a linear load on u_f and on c, and a constant.  u_f enters J through
+one linear solve with the free displacement block K_ff, so it is eliminated
+and an accelerated proximal-gradient (FISTA) iteration runs on the reduced
+functional c -> min_u J(u_f, c), whose smooth part has the Schur complement
 S = A_hat - S_pf K_ff^-1 S_f as its operator.  Each gradient at y is
-A_hat y + S_pf u_f + S_pg U_g, where u_f solves K_ff u_f = F_f - K_fg U_g - S_f y
-by a warm-started, Jacobi-preconditioned conjugate gradient whose tolerance
-tightens with the FISTA step (Schmidt, Le Roux & Bach, "Convergence rates of
-inexact proximal-gradient methods", NIPS 2011); the parts fixed by the
-prescribed displacement, F_f - K_fg U_g and S_pg U_g, are formed once per
-solve.  A_hat, K_ff, K_fg, S_f, S_pf and S_pg are the only sparse matrices
-DiscreteProblem stores.  The step functional is strictly convex, so its
-minimizer moves continuously with the load and a step may start from a
-guess extrapolated from the previous steps.  It starts there only when the
-guess gives a J lower, by more than roundoff, than the previous plastic
-field's, u recovered at each by one loose solve; a poor guess costs that
-solve and falls back to the previous field.  The nonsmooth term is the
-lumped (nodal) quadrature of the one-homogeneous dissipation, so its
-proximal map is an exact per-node shrinkage by ModelVariant.shrink.
-Because the dissipation is one-homogeneous the time-step size cancels and
-steps are parameterized by load increments.
+A_hat y + S_pf u_f - f_p, where u_f solves K_ff u_f = f_u - S_f y by
+DiscreteProblem.solve_u, which makes every displacement solve: a
+warm-started, Jacobi-preconditioned conjugate gradient, here to a tolerance
+that tightens with the FISTA step (Schmidt, Le Roux & Bach, "Convergence
+rates of inexact proximal-gradient methods", NIPS 2011).  A_hat, K_ff, K_fg,
+S_f, S_pf and S_pg are the only sparse matrices DiscreteProblem stores.  The
+step functional is strictly convex, so its minimizer moves continuously with
+the load and a step may start from a guess extrapolated from the previous
+steps.  It starts there only when the guess gives a J lower, by more than
+roundoff, than the previous plastic field's, u recovered at each by one
+loose solve; a poor guess costs that solve and falls back to the previous
+field.  The nonsmooth term is the lumped (nodal) quadrature of the
+one-homogeneous dissipation, so its proximal map is an exact per-node
+shrinkage by ModelVariant.shrink; the time-step size cancels and steps are
+parameterized by load increments.
 
 The p iteration runs in the lumped-mass metric: gradients are divided by
 the nodal weights and the shrinkage threshold becomes uniform across nodes,
@@ -34,11 +36,11 @@ one prox, and stops on the gradient-mapping residual of the step it has
 just taken.  S <= A_hat in the Loewner order, so the step 1/L(A_hat) is safe
 for the reduced functional too.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,6 +149,16 @@ class StepReport:
     started_from_guess: bool = False
 
 
+class ReducedLoad(NamedTuple):
+    """The fixed data of one load step: in its unknowns (u_f, c) the smooth part of J is
+    1/2 u_f' K_ff u_f + c' S_pf u_f + 1/2 c' A_hat c - f_u' u_f - f_p' c + J_g."""
+
+    f_u: np.ndarray  # F_f - K_fg U_g
+    f_p: np.ndarray  # -S_pg U_g
+    J_g: float  # 1/2 U_g' K_gg U_g - F_g' U_g
+    u_scale: float  # max(||F_f||, ||K_fg U_g||), the fixed part of the pass test's displacement scale
+
+
 def prox_dissipation(variant: ModelVariant, z, tau, gamma_prev=0.0):
     """Proximal map of tau * D_inc on 3x3 tensors: z scaled by
     ModelVariant.shrink of its norm (ties at the threshold give 0)."""
@@ -161,12 +173,12 @@ def weighted_norm(x, w):
     return float(np.sqrt(x @ (w * x))) if x.size else 0.0
 
 
-def accelerated_prox_gradient(matvec, b, w, prox, c0, step, tol, maxiter, scale_floor=0.0):
+def accelerated_prox_gradient(gradient, w, prox, c0, step, tol, maxiter, scale_floor=0.0):
     """Accelerated proximal-gradient iteration in the diagonal metric w.
 
     prox maps a point to the exact minimizer of the nonsmooth term plus half
     the squared w-distance scaled by the step.  Each iteration makes one
-    matvec and one prox, the prox-gradient step c_new = T(y) from the
+    gradient and one prox, the prox-gradient step c_new = T(y) from the
     extrapolated point y, and restarts the momentum when it points uphill.
     It returns c_new once the gradient-mapping residual of that step meets
     ||c_new - y||_w <= tol * max(||c_new||_w, scale_floor).  By the prox
@@ -180,8 +192,7 @@ def accelerated_prox_gradient(matvec, b, w, prox, c0, step, tol, maxiter, scale_
     tk = 1.0
     res = 0.0
     for it in range(maxiter):
-        g = matvec(y) - b
-        c_new = prox(y - step * g / w)
+        c_new = prox(y - step * gradient(y) / w)
         taken = c_new - y
         res = weighted_norm(taken, w)
         if not np.isfinite(res):
@@ -205,7 +216,8 @@ class DiscreteProblem:
     Each operator is stored once, as CSR in the coordinates its products
     use: A_hat; K_ff and K_fg, the free rows of the displacement form; and
     the coupling's free rows S_f with the transposes S_pf and S_pg of its
-    free and prescribed rows.  objective applies blocks.terms["K_uu"].
+    free and prescribed rows.  K_fg and S_pg act only in step_load; every
+    other method works in the unknowns (u_f, c) and takes its step load.
     """
 
     def __init__(self, grid: Grid, boundary: BoundaryConfig, variant: ModelVariant,
@@ -219,8 +231,7 @@ class DiscreteProblem:
 
         self.blocks = build_blocks(grid, variant.params)
         self.basis = build_p_basis(grid, boundary.micro_hard_faces, "sym_sl" if variant.symmetric else "sl")
-        mu, Lc = variant.params.mu, variant.params.Lc
-        terms = self.blocks.form(K_pp_el=1.0, K_curl_cc=mu * Lc ** 2, K_sym=mu * variant.k1_eff)
+        terms = self.blocks.form(K_pp_el=1.0, **variant.form_weights)
         self.A_hat = self.blocks.assemble(terms, self.basis)
         S_up = self.blocks.assemble(self.blocks.terms["K_up"], 3, self.basis)  # u-rows, reduced p-columns
 
@@ -255,11 +266,21 @@ class DiscreteProblem:
         U = np.where(self.presc, U, 0.0)
         return U
 
+    def step_load(self, U, F):
+        """ReducedLoad of the prescribed part of U and the body force vector F."""
+        U_g, U_p = U[self.presc], np.where(self.presc, U, 0.0)
+        K_fg_U_g = np.asarray(self.K_fg @ U_g)
+        J_g = 0.5 * float(U_p @ self.blocks.apply(self.blocks.terms["K_uu"], U_p)) - float(F[self.presc] @ U_g)
+        return ReducedLoad(F[self.free] - K_fg_U_g, -np.asarray(self.S_pg @ U_g), J_g,
+                           max(np.linalg.norm(F[self.free]), np.linalg.norm(K_fg_U_g)))
+
     # -- linear algebra helpers --------------------------------------------
 
     def pcg(self, matvec, b, x0, tol, maxiter, precond):
         """Jacobi-preconditioned conjugate gradients with warm start; matvec(x) is A x."""
         nb = np.linalg.norm(b)
+        if not np.isfinite(nb):
+            raise NoConvergence("conjugate gradients", 0, nb, tol)
         if nb == 0.0:
             return np.zeros_like(b), 0
         x = x0.copy()
@@ -333,44 +354,30 @@ class DiscreteProblem:
 
     # -- displacement and plastic solves ---------------------------------------
 
-    def solve_u(self, U, c, F, tol=None, maxiter=None):
-        """CG solve of the displacement block at fixed plastic field (in place)."""
-        tol = tol or self.config.tol_cg
-        maxiter = maxiter or self.config.max_cg
-        rhs = F[self.free] - self.K_fg @ U[self.presc] - self.S_f @ c
-        x, its = self.pcg(self.K_ff.dot, rhs, U[self.free], tol, maxiter, self.jacobi_ff)
-        U[self.free] = x
-        return U, its
+    def solve_u(self, u_f, c, load, tol):
+        """Free displacement at plastic field c: the CG solve of K_ff u_f = f_u - S_f c
+        from the warm start u_f, to tol.  Every displacement solve, the inner
+        ones of solve_p included, is one call.  Returns (u_f, CG iterations)."""
+        return self.pcg(self.K_ff.dot, load.f_u - self.S_f @ c, u_f, tol, self.config.max_cg, self.jacobi_ff)
 
-    def solve_p(self, U, c_prev, c0, gamma_prev, F=None, tol=None, maxiter=None):
-        """Accelerated proximal-gradient solve of the step in c, with u eliminated.
+    def solve_p(self, u_f, c_prev, c0, gamma_prev, load):
+        """Accelerated proximal-gradient solve of the step in c, with u_f eliminated.
 
-        Minimizes c -> min_u J(u, c) from c0.  Each gradient at an
-        extrapolated point y is A_hat y + S_pf u_f + S_pg U_g, where u_f is
-        the Jacobi PCG solution of K_ff u_f = F_f - K_fg U_g - S_f y
-        warm-started from the previous u_f.  F_f - K_fg U_g and S_pg U_g do
-        not depend on y and are formed once per call.  The first inner solve
-        meets tol_cg, later ones the looser INNER_TOL_* schedule.  U's free
-        part is the warm start of the first inner solve and holds the last
-        one on return (in place); F is the body force vector, zero if None.
-        Runs in the lumped-mass metric, in which the nodal shrinkage has one
-        uniform threshold; the prox is exact per node.  Returns c and the pair
-        (FISTA iterations, inner CG iterations).
+        Minimizes c -> min_u_f J(u_f, c) from c0.  Each gradient at an
+        extrapolated point y is A_hat y + S_pf u_f - f_p, where u_f is
+        solve_u's solution at y, warm-started from the previous one and the
+        first from the given u_f.  The first inner solve meets tol_cg, later
+        ones the looser INNER_TOL_* schedule.  Runs in the lumped-mass metric,
+        in which the nodal shrinkage has one uniform threshold; the prox is
+        exact per node.  Returns c, the last inner u_f and the pair (FISTA
+        iterations, inner CG iterations).
         """
-        tol = tol or self.config.tol_fista
-        maxiter = maxiter or self.config.max_fista
-        tol_cg, max_cg, w = self.config.tol_cg, self.config.max_cg, self.w_seg
-        U_g = U[self.presc]
-        rhs_fixed = -np.asarray(self.K_fg @ U_g)
-        if F is not None:
-            rhs_fixed += F[self.free]
-        grad_fixed = np.asarray(self.S_pg @ U_g)
-        u_f = U[self.free]
+        tol_cg, w = self.config.tol_cg, self.w_seg
         t = 1.0 / self.lipschitz()
-        # the size of one full gradient step off zero at the entry U bounds
+        # the size of one full gradient step off zero at the entry u_f bounds
         # the minimizer scale; it floors the relative test when the increment
         # is tiny
-        data_scale = t * weighted_norm((np.asarray(self.S_pf @ u_f) + grad_fixed) / w, w)
+        data_scale = t * weighted_norm((np.asarray(self.S_pf @ u_f) - load.f_p) / w, w)
         y_last = None
         cg_its = 0
 
@@ -381,42 +388,31 @@ class DiscreteProblem:
                 move = weighted_norm(y - y_last, w) / max(weighted_norm(y, w), 1e-300)
                 tol_in = max(tol_cg, min(INNER_TOL_CAP, INNER_TOL_FACTOR * move))
             y_last = y
-            u_f, its = self.pcg(self.K_ff.dot, rhs_fixed - self.S_f @ y, u_f, tol_in, max_cg, self.jacobi_ff)
+            u_f, its = self.solve_u(u_f, y, load, tol_in)
             cg_its += its
-            return np.asarray(self.A_hat @ y) + np.asarray(self.S_pf @ u_f) + grad_fixed
+            return np.asarray(self.A_hat @ y) + np.asarray(self.S_pf @ u_f) - load.f_p
 
         c, its = accelerated_prox_gradient(
-            matvec=gradient, b=0.0, w=w,
-            prox=lambda z: self._prox_reduced(z, c_prev, t, gamma_prev),
-            c0=c0, step=t, tol=tol, maxiter=maxiter,
-            scale_floor=max(weighted_norm(c_prev, w), data_scale))
-        U[self.free] = u_f
-        return c, (its, cg_its)
+            gradient, w, lambda z: self._prox_reduced(z, c_prev, t, gamma_prev), c0, t,
+            self.config.tol_fista, self.config.max_fista, max(weighted_norm(c_prev, w), data_scale))
+        return c, u_f, (its, cg_its)
 
     # -- functional evaluation ------------------------------------------------
 
-    def objective(self, U, c, c_prev, gamma_prev, F):
-        """The step functional J and its dissipation term, which scales the descent test."""
-        smooth = (
-            0.5 * float(U @ self.blocks.apply(self.blocks.terms["K_uu"], U))
-            + float(c @ self._coupling(U))
-            + 0.5 * float(c @ (self.A_hat @ c))
-            - float(F @ U)
-        )
+    def objective(self, u_f, c, c_prev, gamma_prev, load):
+        """The step functional J at (u_f, c) and its dissipation term, which scales the descent test."""
+        smooth = (0.5 * float(u_f @ (self.K_ff @ u_f)) + float(c @ (self.S_pf @ u_f)) + 0.5 * float(c @ (self.A_hat @ c))
+                  - float(load.f_u @ u_f) - float(load.f_p @ c) + load.J_g)
         dissipation = self.dissipation_value(c - c_prev, gamma_prev)
         return smooth + dissipation, dissipation
 
-    def _coupling(self, U):
-        """S_pf U_f + S_pg U_g: the coupling's action on U, in reduced p-coordinates."""
-        return np.asarray(self.S_pf @ U[self.free]) + np.asarray(self.S_pg @ U[self.presc])
-
-    def smooth_residual_reduced(self, U, c):
+    def smooth_residual_reduced(self, u_f, c, load):
         """b - A c in reduced coordinates: the weighted weak generalized stress."""
-        return -self._coupling(U) - np.asarray(self.A_hat @ c)
+        return load.f_p - np.asarray(self.S_pf @ u_f) - np.asarray(self.A_hat @ c)
 
-    def displacement_residual(self, U, c, F):
-        """K_ff U_f + K_fg U_g + S_f c - F_f: the free rows of the displacement equation."""
-        return self.K_ff @ U[self.free] + self.K_fg @ U[self.presc] + self.S_f @ c - F[self.free]
+    def displacement_residual(self, u_f, c, load):
+        """K_ff u_f + S_f c - f_u: the free rows of the displacement equation."""
+        return self.K_ff @ u_f + self.S_f @ c - load.f_u
 
     def kkt_check(self, r_hat, dc, gamma_new, active_tol=1e-12):
         """Discrete complementarity of the flow law at every node.
@@ -447,13 +443,13 @@ class DiscreteProblem:
             mis = 1.0
         return float(worst), float(mis), float(active.mean())
 
-    def vi_residual(self, U, c, c_prev, gamma_prev, F, probes=1000, rng=None, r_hat=None):
+    def vi_residual(self, u_f, c, c_prev, gamma_prev, load, probes=1000, rng=None, r_hat=None):
         """Worst normalized violation of the incremental inequality.
 
         Random admissible directions (free displacement part, reduced plastic
         part) plus the two canonical probes along +/- the computed increment;
         nonnegative values up to roundoff certify the minimizer.  r_hat is
-        smooth_residual_reduced(U, c) when the caller already holds it.
+        smooth_residual_reduced(u_f, c, load) when the caller already holds it.
 
         A probe is one row [dv, dq] of a standard normal draw, scaled to the
         w-norm of the increment.  Probes are drawn and scored VI_PROBE_BLOCK
@@ -462,9 +458,9 @@ class DiscreteProblem:
         block size.
         """
         rng = rng or np.random.default_rng(self.config.seed)
-        r_u = self.displacement_residual(U, c, F)
+        r_u = self.displacement_residual(u_f, c, load)
         if r_hat is None:
-            r_hat = self.smooth_residual_reduced(U, c)
+            r_hat = self.smooth_residual_reduced(u_f, c, load)
         r = np.concatenate([r_u, -r_hat])
         nf = r_u.size
         dc = c - c_prev
@@ -528,17 +524,17 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     dissipative step recovers u at the previous plastic field and at the
     guess's, each by a solve warm-started from the guess's u, and starts
     from the guess only when its step functional is lower by more than
-    roundoff.  The monolithic
-    (micromorphic) solve ignores it.
+    roundoff.  The monolithic (micromorphic) solve ignores it.  Every solve
+    works in (u_f, c) on the step's ReducedLoad, formed once.
     """
     cfg = problem.config
     variant = problem.variant
     if not np.all(np.isfinite([load.level, load.amplitude, *load.body_force])):
         raise InfeasibleBC("load step contains non-finite data")
 
-    F = problem.blocks.body_force_vector(load.body_force)
     U = problem.lift(load.amplitude)
-    U[problem.free] = state_prev.u.values.reshape(-1)[problem.free]
+    data = problem.step_load(U, problem.blocks.body_force_vector(load.body_force))
+    u_f = state_prev.u.values.reshape(-1)[problem.free]
     c_prev = problem.basis.to_reduced(state_prev.p.values.reshape(-1))
     gamma_prev = state_prev.gamma.values
     c = c_prev.copy()
@@ -556,14 +552,11 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
             return np.concatenate([problem.K_ff @ x_f + problem.S_f @ x_c, problem.S_pf @ x_f + problem.A_hat @ x_c])
 
         d = np.concatenate([problem.K_ff.diagonal(), problem.A_hat.diagonal()])
-        U_g = U[problem.presc]
-        rhs = np.concatenate([F[problem.free] - problem.K_fg @ U_g, -np.asarray(problem.S_pg @ U_g)])
-        x, cg_total = problem.pcg(joint, rhs, np.concatenate([U[problem.free], c]), cfg.tol_cg, cfg.max_cg,
-                                  1.0 / np.where(d > 0.0, d, 1.0))
-        U[problem.free] = x[:nf]
-        c = x[nf:]
+        x, cg_total = problem.pcg(joint, np.concatenate([data.f_u, data.f_p]), np.concatenate([u_f, c]),
+                                  cfg.tol_cg, cfg.max_cg, 1.0 / np.where(d > 0.0, d, 1.0))
+        u_f, c = x[:nf], x[nf:]
         outer = 1
-        J, _ = problem.objective(U, c, c_prev, gamma_prev, F)
+        J, _ = problem.objective(u_f, c, c_prev, gamma_prev, data)
     else:
         if guess is not None:
             # u is recovered at both starts only to the loosest inner
@@ -572,33 +565,33 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
             # amount, which bounds how much worse than c_prev the start chosen
             # can be; pass 1's first inner solve meets tol_cg from it
             tol_start = max(cfg.tol_cg, INNER_TOL_CAP)
-            U[problem.free] = guess.u.values.reshape(-1)[problem.free]
+            u_start = guess.u.values.reshape(-1)[problem.free]
             c_guess = problem.basis.to_reduced(guess.p.values.reshape(-1))
-            U_guess, its_guess = problem.solve_u(U.copy(), c_guess, F, tol_start, cfg.max_cg)
-            U, its_prev = problem.solve_u(U, c, F, tol_start, cfg.max_cg)
+            u_guess, its_guess = problem.solve_u(u_start, c_guess, data, tol_start)
+            u_f, its_prev = problem.solve_u(u_start, c, data, tol_start)
             cg_total += its_guess + its_prev
-            J_start, D_start = problem.objective(U, c, c_prev, gamma_prev, F)
-            J_guess, _ = problem.objective(U_guess, c_guess, c_prev, gamma_prev, F)
+            J_start, D_start = problem.objective(u_f, c, c_prev, gamma_prev, data)
+            J_guess, _ = problem.objective(u_guess, c_guess, c_prev, gamma_prev, data)
             # the guess must win by more than roundoff, so that summation
             # order does not decide between starts that are tied
             if J_guess < J_start - ROUNDOFF * (abs(J_start) + D_start):
-                U, c, from_guess = U_guess, c_guess, True
+                u_f, c, from_guess = u_guess, c_guess, True
         # pass 1 solves the step; pass 2 restarts from its c with an exact
         # first gradient and confirms that J no longer descends
         J_prev = np.inf
         u_scale = None
         for outer in range(1, cfg.max_outer + 1):
-            c, (its_p, its_in) = problem.solve_p(U, c_prev, c, gamma_prev, F, cfg.tol_fista, cfg.max_fista)
-            U, its_u = problem.solve_u(U, c, F, cfg.tol_cg, cfg.max_cg)
+            c, u_f, (its_p, its_in) = problem.solve_p(u_f, c_prev, c, gamma_prev, data)
+            u_f, its_u = problem.solve_u(u_f, c, data, cfg.tol_cg)
             cg_total += its_in + its_u
             fista_total += its_p
-            r_f = problem.displacement_residual(U, c, F)
             if u_scale is None:
-                u_scale = max(np.linalg.norm(F[problem.free]),
-                              np.linalg.norm(problem.K_fg @ U[problem.presc]),
-                              np.linalg.norm(problem.S_f @ c), 1e-300)
-            u_res = np.linalg.norm(r_f) / u_scale
-            J, dissipation = problem.objective(U, c, c_prev, gamma_prev, F)
+                u_scale = max(data.u_scale, np.linalg.norm(problem.S_f @ c), 1e-300)
+            u_res = np.linalg.norm(problem.displacement_residual(u_f, c, data)) / u_scale
+            J, dissipation = problem.objective(u_f, c, c_prev, gamma_prev, data)
+            for value, tol in ((u_res, cfg.tol_cg), (J, cfg.tol_outer)):
+                if not isfinite(value):  # a NaN or Inf never meets the pass test
+                    raise NoConvergence("outer passes", outer, value, tol)
             scale_J = abs(J) + dissipation + 1e-300
             if np.isfinite(J_prev):
                 uphill = max(uphill, (J - J_prev) / scale_J)
@@ -612,6 +605,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
                 raise NoConvergence("outer passes", cfg.max_outer, u_res, cfg.tol_cg)
             raise NoConvergence("outer passes", cfg.max_outer, descent, cfg.tol_outer)
 
+    U[problem.free] = u_f
     dc = c - c_prev
     dn = problem.basis.node_norms(dc)
     # gamma tracks the accumulated plastic multiplier; the micromorphic field
@@ -624,14 +618,14 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
         t=load.level,
     )
 
-    r_hat = problem.smooth_residual_reduced(U, c)
+    r_hat = problem.smooth_residual_reduced(u_f, c, data)
     diss_func = variant.params.sigma_y * float(problem.w_node @ dn) if variant.has_dissipation else 0.0
     kkt_viol, kkt_mis, active = problem.kkt_check(r_hat, dc, gamma_new)
     energy = total_energy(problem.grid, variant, state, load.body_force)
     vi = None
     if cfg.vi_probes:
         rng = np.random.default_rng(probe_seed(cfg.seed, load.level))
-        vi = problem.vi_residual(U, c, c_prev, gamma_prev, F, cfg.vi_probes, rng, r_hat)
+        vi = problem.vi_residual(u_f, c, c_prev, gamma_prev, data, cfg.vi_probes, rng, r_hat)
     report = StepReport(
         energy=energy,
         dissipation_increment=float(r_hat @ dc),

@@ -157,7 +157,8 @@ def test_criterion_05_variational_inequality_residual(gradient_run):
     c_prev = problem.basis.to_reduced(prev.p.values.reshape(-1))
     F = np.zeros(3 * gradient_run["grid"].node_count)
     rng = np.random.default_rng(17)
-    control = problem.vi_residual(U, 1.1 * c, c_prev, prev.gamma.values, F, 1000, rng)
+    control = problem.vi_residual(U[problem.free], 1.1 * c, c_prev, prev.gamma.values,
+                                  problem.step_load(U, F), 1000, rng)
     ok = worst >= -1e-8 and control < -1e-8
     _report(5, "incremental inequality holds; perturbed state detected", ok,
             f"worst probe {worst:.2e}, negative control {control:.2e}")

@@ -88,6 +88,18 @@ INVALID_EDITS = {
     "tol_fista_bool": lambda d: d.update(solver={"tol_fista": True}),
     "cells_huge": lambda d: d["grid"].update(cells=[10 ** 400, 2, 2]),
     "seed_huge": lambda d: d.update(solver={"seed": 2 ** 64}),
+    # finite inputs whose operators or form weights overflow
+    "mu_overflow": lambda d: d["material"].update(mu=1e308),
+    "spacing_subnormal": lambda d: d.update(grid={"cells": [2, 2, 2], "spacing": [1e-320, 1, 1]}),
+    "Lc_overflow": lambda d: d["material"].update(Lc=1e200),
+    "k2_overflow": lambda d: (d.update(variant="iso_spin"), d["material"].update(k2=1e307)),
+    # a csv path that names no file, or the VTK folder or one above it
+    "csv_empty": lambda d: d.update(output={"csv": ""}),
+    "csv_folder": lambda d: d.update(output={"csv": "sub/"}),
+    "csv_dot": lambda d: d.update(output={"csv": "."}),
+    "csv_parent": lambda d: d.update(output={"csv": "sub/.."}),
+    "csv_is_vtk_dir": lambda d: d.update(output={"csv": "fields", "vtk_dir": "fields/"}),
+    "csv_above_vtk_dir": lambda d: d.update(output={"csv": "out", "vtk_dir": "out/fields"}),
 }
 
 
@@ -384,6 +396,11 @@ class TestSweep:
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
 
+    def test_overflowing_form_weight_recorded_not_fatal(self, tmp_path):
+        s = parse_scenario(json.dumps(base_doc()))
+        results = sweep(s, "Lc", [1e200], str(tmp_path))
+        assert results[0]["status"].startswith("failed: Lc=1e+200")
+
     def test_summary_header_and_failed_row_text(self, tmp_path):
         s = parse_scenario(json.dumps(base_doc()))
         sweep(s, "k2", [0.5], str(tmp_path))
@@ -447,6 +464,14 @@ class TestCliEntry:
         doc["solver"] = {"max_outer": 1, "max_fista": 2, "tol_fista": 1e-16}
         cfg = self.write(tmp_path, doc)
         assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == 3
+
+    def test_overflowing_load_norm_exit_code(self, tmp_path, capsys):
+        # every entry of the load vector is finite, but its norm overflows
+        doc = base_doc(load_program=[{"level": 1, "body_force": [1e308, 0, 0]}])
+        cfg = self.write(tmp_path, doc)
+        assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 1: conjugate gradients did not converge") and "Traceback" not in err
 
     def test_outer_pass_limit_exit_code(self, tmp_path, capsys):
         # a dissipative step needs a solve pass and a confirming pass

@@ -11,6 +11,7 @@ the round trip through its canonical text unchanged.
 """
 
 import json
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +101,13 @@ def optional(draw, strategy):
     return draw(st.one_of(st.none(), strategy))
 
 
+def csv_names_a_file(output):
+    """The csv path ends in a file name and is neither the VTK folder nor one above it."""
+    csv, vtk_dir = output.get("csv", "timeseries.csv"), output.get("vtk_dir")
+    return os.path.basename(csv) not in ("", ".", "..") and (
+        vtk_dir is None or not (os.path.normpath(vtk_dir) + os.sep).startswith(os.path.normpath(csv) + os.sep))
+
+
 @st.composite
 def valid_documents(draw):
     tag = draw(st.sampled_from(VARIANT_TAGS))
@@ -150,7 +158,7 @@ def valid_documents(draw):
         doc["solver"] = solver
     output = draw(st.fixed_dictionaries({}, optional={
         "csv": st.text(min_size=1, max_size=8), "vtk_dir": st.text(min_size=1, max_size=8),
-        "vtk_stride": st.integers(1, 100)}))
+        "vtk_stride": st.integers(1, 100)}).filter(csv_names_a_file))
     if output or draw(st.booleans()):
         doc["output"] = output
     return doc

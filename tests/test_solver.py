@@ -118,7 +118,7 @@ class TestOneNodeMinimization:
 
         step = 1.0 / (np.linalg.eigvalsh(A / 0.7).max() * 1.1)
         c, _ = accelerated_prox_gradient(
-            matvec=lambda v: A @ v, b=b, w=w,
+            gradient=lambda v: A @ v - b, w=w,
             prox=lambda z: prox(z), c0=np.zeros(n),
             step=step, tol=1e-13, maxiter=100000)
 
@@ -145,7 +145,7 @@ class TestOneNodeMinimization:
         w = np.ones(n)
         step = 1.0 / (np.linalg.eigvalsh(A).max() * 1.1)
         c, _ = accelerated_prox_gradient(
-            matvec=lambda v: A @ v, b=b, w=w,
+            gradient=lambda v: A @ v - b, w=w,
             prox=lambda z: z, c0=np.zeros(n),  # infinite threshold: identity prox
             step=step, tol=1e-14, maxiter=100000)
         assert np.allclose(c, np.linalg.solve(A, b), rtol=1e-10)
@@ -153,7 +153,7 @@ class TestOneNodeMinimization:
     def test_zero_data_returns_zero(self):
         A = np.eye(4)
         c, its = accelerated_prox_gradient(
-            matvec=lambda v: A @ v, b=np.zeros(4), w=np.ones(4),
+            gradient=lambda v: A @ v, w=np.ones(4),
             prox=lambda z: np.maximum(0.0, 1 - 0.1 / max(np.linalg.norm(z), 1e-300)) * z,
             c0=np.zeros(4), step=0.5, tol=1e-12, maxiter=100)
         assert np.all(c == 0.0) and its == 1
@@ -170,7 +170,7 @@ class TestOneNodeMinimization:
 
         def matvec(v):
             calls["matvec"] += 1
-            return A @ v
+            return A @ v - b
 
         def prox(z):
             calls["prox"] += 1
@@ -178,7 +178,7 @@ class TestOneNodeMinimization:
             return z * (max(0.0, nz - 0.1 * step) / nz) if nz > 0 else z
 
         _, its = accelerated_prox_gradient(
-            matvec=matvec, b=b, w=w, prox=prox, c0=np.zeros(n),
+            gradient=matvec, w=w, prox=prox, c0=np.zeros(n),
             step=step, tol=1e-12, maxiter=100000)
         assert its > 1
         assert calls == {"matvec": its, "prox": its}
@@ -186,7 +186,7 @@ class TestOneNodeMinimization:
     def test_nan_matvec_fails_fast(self):
         with pytest.raises(NoConvergence) as err:
             accelerated_prox_gradient(
-                matvec=lambda v: np.full_like(v, np.nan), b=np.ones(4), w=np.ones(4),
+                gradient=lambda v: np.full_like(v, np.nan), w=np.ones(4),
                 prox=lambda z: z, c0=np.zeros(4), step=0.5, tol=1e-12, maxiter=100000)
         assert err.value.iterations == 1
 
@@ -216,7 +216,7 @@ class TestStoredOperators:
 
     def test_split_products_match_the_full_coupling(self):
         # the free displacement residual and the objective, formed from the
-        # split coupling, equal their full-space forms
+        # step load (J_g included), equal their full-space forms
         grid = Grid.unit_cube(3)
         prob = DiscreteProblem(grid, BoundaryConfig(("zmin", "zmax")), KIN, SHEAR01)
         rng = np.random.default_rng(3)
@@ -226,10 +226,11 @@ class TestStoredOperators:
         F = prob.blocks.body_force_vector((0.0, 0.0, -5.0))
         K_uu = prob.blocks.assemble(prob.blocks.terms["K_uu"], 3)
         S_up = prob.blocks.assemble(prob.blocks.terms["K_up"], 3, prob.basis)
+        load = prob.step_load(U, F)
         r_u = (K_uu @ U + S_up @ c - F)[prob.free]
-        assert np.abs(prob.displacement_residual(U, c, F) - r_u).max() <= 1e-13 * np.abs(r_u).max()
+        assert np.abs(prob.displacement_residual(U[prob.free], c, load) - r_u).max() <= 1e-13 * np.abs(r_u).max()
         smooth = 0.5 * U @ (K_uu @ U) + U @ (S_up @ c) + 0.5 * c @ (prob.A_hat @ c) - F @ U
-        J, dissipation = prob.objective(U, c, c_prev, gamma_prev, F)
+        J, dissipation = prob.objective(U[prob.free], c, c_prev, gamma_prev, load)
         assert J - dissipation == pytest.approx(smooth, rel=1e-13)
 
 
@@ -239,7 +240,7 @@ class TestSolveU:
         prob = DiscreteProblem(grid, full_dirichlet(), KIN, SHEAR01, TIGHT)
         U = prob.lift(2.5e-3)
         c = np.zeros(prob.basis.size)
-        U, _ = prob.solve_u(U, c, np.zeros(3 * grid.node_count))
+        U[prob.free], _ = prob.solve_u(U[prob.free], c, prob.step_load(U, np.zeros_like(U)), TIGHT.tol_cg)
         want = 2.5e-3 * grid.node_coords() @ SHEAR01.T
         assert np.max(np.abs(U.reshape(-1, 3) - want)) < 1e-12
 
@@ -251,7 +252,7 @@ class TestSolveU:
         U_star = rng.standard_normal(3 * grid.node_count) * 1e-3
         F = np.asarray(prob.blocks.assemble(prob.blocks.terms["K_uu"], 3) @ U_star)
         U = np.where(prob.presc, U_star, 0.0)
-        U, _ = prob.solve_u(U, np.zeros(prob.basis.size), F)
+        U[prob.free], _ = prob.solve_u(U[prob.free], np.zeros(prob.basis.size), prob.step_load(U, F), TIGHT.tol_cg)
         assert np.max(np.abs(U - U_star)) < 1e-10 * np.abs(U_star).max()
 
     def test_cg_contract(self):
@@ -272,6 +273,15 @@ class TestSolveU:
             prob.pcg(A.dot, b, np.zeros_like(b), 1e-10, 20000, prob.jacobi_ff)
         assert err.value.iterations <= 1
 
+    def test_cg_overflowing_right_hand_side_fails_fast(self):
+        # every entry is finite, but the norm of b overflows
+        grid = Grid.unit_cube(2)
+        prob = DiscreteProblem(grid, BoundaryConfig(("zmin",)), KIN, None, TIGHT)
+        b = np.full(prob.K_ff.shape[0], 1e308)
+        with pytest.raises(NoConvergence) as err:
+            prob.pcg(prob.K_ff.dot, b, np.zeros_like(b), 1e-10, 20000, prob.jacobi_ff)
+        assert err.value.what == "conjugate gradients" and err.value.iterations == 0
+
 
 class TestSolveP:
     def test_vanishing_yield_stress_gives_smooth_minimizer(self):
@@ -286,7 +296,7 @@ class TestSolveP:
                                SolverConfig(tol_fista=1e-13))
         U = prob.lift(1e-3)
         z = np.zeros(prob.basis.size)
-        c, _ = prob.solve_p(U, z, z, np.zeros(grid.node_count))
+        c, _, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, np.zeros_like(U)))
         K = sp.bmat([[prob.K_ff, prob.S_f], [prob.S_pf, prob.A_hat]])
         U_g = U[prob.presc]
         rhs = np.concatenate([-(prob.K_fg @ U_g), -np.asarray(prob.S_pg @ U_g)])
@@ -300,14 +310,15 @@ class TestSolveP:
         prob = DiscreteProblem(grid, full_dirichlet(), var, SHEAR01, SolverConfig())
         U = prob.lift(1e-3)
         z = np.zeros(prob.basis.size)
-        c, _ = prob.solve_p(U, z, z, np.zeros(grid.node_count))
+        c, _, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, np.zeros_like(U)))
         assert np.all(c == 0.0)
 
     def test_no_force_no_motion(self):
         grid = Grid.unit_cube(2)
         prob = DiscreteProblem(grid, full_dirichlet(), KIN, SHEAR01, TIGHT)
         z = np.zeros(prob.basis.size)
-        c, its = prob.solve_p(np.zeros(3 * grid.node_count), z, z, np.zeros(grid.node_count))
+        U = np.zeros(3 * grid.node_count)
+        c, _, its = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, U))
         assert np.all(c == 0.0)
 
     def test_elastic_below_yield(self):
@@ -316,7 +327,7 @@ class TestSolveP:
         a = 0.3 * PARAMS.sigma_y / (np.sqrt(2) * PARAMS.mu)
         U = prob.lift(a)
         z = np.zeros(prob.basis.size)
-        c, _ = prob.solve_p(U, z, z, np.zeros(grid.node_count))
+        c, _, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, np.zeros_like(U)))
         assert np.all(c == 0.0)
 
 
@@ -439,10 +450,10 @@ class TestTimeStep:
         U = state.u.values.reshape(-1)
         c = prob.basis.to_reduced(state.p.values.reshape(-1))
         c_prev = prob.basis.to_reduced(prev.p.values.reshape(-1))
-        F = np.zeros(3 * grid.node_count)
+        load = prob.step_load(U, np.zeros(3 * grid.node_count))
         rng = np.random.default_rng(9)
-        ok = prob.vi_residual(U, c, c_prev, prev.gamma.values, F, 500, rng)
-        bad = prob.vi_residual(U, 1.1 * c, c_prev, prev.gamma.values, F, 500, rng)
+        ok = prob.vi_residual(U[prob.free], c, c_prev, prev.gamma.values, load, 500, rng)
+        bad = prob.vi_residual(U[prob.free], 1.1 * c, c_prev, prev.gamma.values, load, 500, rng)
         assert ok >= -1e-8
         assert bad < -1e-8  # detection of a non-minimizer
 
@@ -491,6 +502,22 @@ class TestTimeStep:
         assert e.what == "outer passes"
         assert e.tol == cfg.tol_outer
         assert e.residual > e.tol
+
+    def test_non_finite_objective_fails_within_one_pass(self):
+        grid = Grid.unit_cube(2)
+        prob = DiscreteProblem(grid, BoundaryConfig(("zmin", "zmax")), KIN, SHEAR01, TIGHT)
+        real, calls = prob.solve_p, []
+
+        def solve_p(*args):
+            calls.append(args)
+            return real(*args)
+
+        prob.solve_p = solve_p
+        prob.objective = lambda *args: (np.nan, 0.0)
+        with pytest.raises(NoConvergence) as info:
+            time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.05))
+        assert info.value.what == "outer passes" and info.value.iterations == 1
+        assert len(calls) == 1
 
     def test_coercivity_guard(self):
         grid = Grid.unit_cube(2)
@@ -618,7 +645,7 @@ class TestStressRecoveries:
         assert report.active_node_fraction > 0.0
         U = state.u.values.reshape(-1)
         c = prob.basis.to_reduced(state.p.values.reshape(-1))
-        r_hat = prob.smooth_residual_reduced(U, c)
+        r_hat = prob.smooth_residual_reduced(U[prob.free], c, prob.step_load(U, np.zeros_like(U)))
         sig_e = eshelby_stress(grid, prob.variant, state.u, state.p)
         got = prob.basis.to_reduced(sig_e.reshape(-1) * prob.blocks.m_lump)
         assert np.abs(got - r_hat).max() <= 1e-12 * np.abs(r_hat).max()
@@ -631,7 +658,7 @@ def vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng, r_hat=
     K_uu = prob.blocks.assemble(prob.blocks.terms["K_uu"], 3)
     r_u = (np.asarray(K_uu @ U) + np.asarray(S_up @ c) - F)[prob.free]
     if r_hat is None:
-        r_hat = prob.smooth_residual_reduced(U, c)
+        r_hat = prob.smooth_residual_reduced(U[prob.free], c, prob.step_load(U, F))
     r_p = -r_hat
     dc = c - c_prev
     j0 = prob.dissipation_value(dc, gamma_prev)
@@ -696,19 +723,20 @@ class TestVIResidual:
         prob, U, c, c_prev, gamma_prev, F = solved_step
         rng_ref, rng = np.random.default_rng(17), np.random.default_rng(17)
         want = vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng_ref)
-        got = prob.vi_residual(U, c, c_prev, gamma_prev, F, probes, rng)
+        got = prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, prob.step_load(U, F), probes, rng)
         assert abs(got - want) <= 1e-14
         # the same number of draws: the next probe set starts at the same place
         assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     def test_peak_memory_does_not_grow_with_probe_count(self):
         prob, U, c, c_prev, gamma_prev, F = vi_case("iso_irrot")
-        r_hat = prob.smooth_residual_reduced(U, c)
+        load = prob.step_load(U, F)
+        r_hat = prob.smooth_residual_reduced(U[prob.free], c, load)
 
         def peak(probes):
             tracemalloc.start()
             try:
-                prob.vi_residual(U, c, c_prev, gamma_prev, F, probes, np.random.default_rng(0), r_hat)
+                prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, load, probes, np.random.default_rng(0), r_hat)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
