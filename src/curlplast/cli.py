@@ -42,13 +42,16 @@ class TimeSeriesRow:
 CSV_COLUMNS = tuple(f.name for f in fields(TimeSeriesRow))
 
 
+def _csv_line(values):
+    """One CSV line; floats are written by repr, so they read back exactly."""
+    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values) + "\n"
+
+
 def _write_csv(path, columns, rows):
-    """Write a header and one line per row, a mapping from column to value;
-    floats are written by repr, so they read back exactly."""
+    """Write a header and one line per row, a mapping from column to value."""
     with open(path, "w", newline="\n") as f:
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns) + "\n")
+        f.write(_csv_line(columns))
+        f.writelines(_csv_line(row[c] for c in columns) for row in rows)
 
 
 @dataclass
@@ -77,57 +80,61 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
     recent = [state]  # the newest states, for the starting guess
     rows, states, reports, sig12 = [], [], [], []
     cumulative = 0.0
-    vtk_dir = None
-    if scenario.output.vtk_dir:
-        vtk_dir = os.path.join(out_dir, scenario.output.vtk_dir)
-        os.makedirs(vtk_dir, exist_ok=True)
-    for k, load in enumerate(program):
-        try:
-            state, report = time_step(problem, state, load, extrapolate(recent, load.level))
-        except NoConvergence as e:
-            raise NoConvergence(f"step {k + 1}: {e.what}", e.iterations, e.residual, e.tol) from e
-        recent = recent[-2:] + [state]
-        cumulative += report.dissipation_functional
-        sig_e = eshelby_stress(scenario.grid, scenario.variant, state.u, state.p)
-        dev_norm = np.linalg.norm(dev(sig_e), axis=(1, 2))
-        max_dev = float(np.max(dev_norm))
-        sig = sigma_nodal(scenario.grid, scenario.variant.params, state.u, state.p)
-        sig12.append(float(np.max(np.abs(sig[:, 0, 1]))))
-        row = TimeSeriesRow(
-            step=k + 1,
-            level=load.level,
-            elastic_energy=report.energy.elastic,
-            defect_energy=report.energy.defect,
-            hardening_energy=report.energy.hardening,
-            cumulative_dissipation=cumulative,
-            max_dev_eshelby=max_dev,
-            mean_gamma=float(np.mean(state.gamma.values)),
-            active_fraction=report.active_node_fraction,
-            vi_residual=float(report.vi_residual) if report.vi_residual is not None else 0.0,
-        )
-        rows.append(row)
-        reports.append(report)
-        if keep_states:
-            states.append(state)
-        if not quiet:
-            print(f"step {row.step}: level {row.level} active {row.active_fraction:.3f} "
-                  f"outer {report.outer_iterations} objective_increase {report.objective_increase:.3e} "
-                  f"started_from_guess {report.started_from_guess}")
-        if vtk_dir and (k % scenario.output.vtk_stride == 0 or k == len(program) - 1):
-            write_structured_points(
-                os.path.join(vtk_dir, f"fields_{k + 1:04d}.vtk"),
-                scenario.grid,
-                scalars={"gamma": state.gamma.values,
-                         "dev_eshelby_norm": dev_norm},
-                vectors={"displacement": state.u.values},
-                fields={"plastic_distortion": state.p.values.reshape(-1, 9)},
-                title=f"load level {load.level}",
-            )
-    if not states:
-        states = [state]
+    # the CSV is opened before the first step, so that a path that cannot be
+    # written fails the run before any solve
     csv_path = os.path.join(out_dir, scenario.output.csv)
     os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)
-    _write_csv(csv_path, CSV_COLUMNS, [vars(row) for row in rows])
+    with open(csv_path, "w", newline="\n") as csv_file:
+        csv_file.write(_csv_line(CSV_COLUMNS))
+        vtk_dir = None
+        if scenario.output.vtk_dir:
+            vtk_dir = os.path.join(out_dir, scenario.output.vtk_dir)
+            os.makedirs(vtk_dir, exist_ok=True)
+        for k, load in enumerate(program):
+            try:
+                state, report = time_step(problem, state, load, extrapolate(recent, load.level))
+            except NoConvergence as e:
+                raise NoConvergence(f"step {k + 1}: {e.what}", e.iterations, e.residual, e.tol) from e
+            recent = recent[-2:] + [state]
+            cumulative += report.dissipation_functional
+            sig_e = eshelby_stress(scenario.grid, scenario.variant, state.u, state.p)
+            dev_norm = np.linalg.norm(dev(sig_e), axis=(1, 2))
+            max_dev = float(np.max(dev_norm))
+            sig = sigma_nodal(scenario.grid, scenario.variant.params, state.u, state.p)
+            sig12.append(float(np.max(np.abs(sig[:, 0, 1]))))
+            row = TimeSeriesRow(
+                step=k + 1,
+                level=load.level,
+                elastic_energy=report.energy.elastic,
+                defect_energy=report.energy.defect,
+                hardening_energy=report.energy.hardening,
+                cumulative_dissipation=cumulative,
+                max_dev_eshelby=max_dev,
+                mean_gamma=float(np.mean(state.gamma.values)),
+                active_fraction=report.active_node_fraction,
+                vi_residual=float(report.vi_residual) if report.vi_residual is not None else 0.0,
+            )
+            rows.append(row)
+            csv_file.write(_csv_line(vars(row).values()))
+            reports.append(report)
+            if keep_states:
+                states.append(state)
+            if not quiet:
+                print(f"step {row.step}: level {row.level} active {row.active_fraction:.3f} "
+                      f"outer {report.outer_iterations} objective_increase {report.objective_increase:.3e} "
+                      f"started_from_guess {report.started_from_guess}")
+            if vtk_dir and (k % scenario.output.vtk_stride == 0 or k == len(program) - 1):
+                write_structured_points(
+                    os.path.join(vtk_dir, f"fields_{k + 1:04d}.vtk"),
+                    scenario.grid,
+                    scalars={"gamma": state.gamma.values,
+                             "dev_eshelby_norm": dev_norm},
+                    vectors={"displacement": state.u.values},
+                    fields={"plastic_distortion": state.p.values.reshape(-1, 9)},
+                    title=f"load level {load.level}",
+                )
+    if not states:
+        states = [state]
     return RunResult(scenario, rows, states, reports, sig12)
 
 

@@ -248,7 +248,8 @@ def _factors_1d(n, h):
     cells[0] = cells[-1] = 1.0
     lower, upper = np.diag(np.ones(n), -1), np.diag(np.ones(n), 1)
     M = h / 6.0 * (lower + upper) + h / 3.0 * np.diag(cells)
-    K = (np.diag(cells) - lower - upper) / h
+    with np.errstate(over="ignore"):  # an h whose reciprocal overflows gives inf, which assemble rejects
+        K = (np.diag(cells) - lower - upper) / h
     G = 0.5 * (lower - upper)
     G[0, 0], G[n, n] = -0.5, 0.5
     return {"M": M, "K": K, "G": G, "Gt": G.T}
@@ -324,11 +325,15 @@ class Blocks:
 
     def __init__(self, grid: Grid, params):
         self.grid = grid
-        chat = elasticity_matrix(params)
+        # moduli that overflow give non-finite kernels, which assemble rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            chat = elasticity_matrix(params)
+            K_uu = [(_pair_names(b, b2), _SEL[b].T @ chat @ _SEL[b2]) for b in range(3) for b2 in range(3)]
+            K_up = [(tuple("G" if d == b else "M" for d in range(3)), -_SEL[b].T @ chat) for b in range(3)]
         self._1d = [_factors_1d(n, h) for n, h in zip(grid.n, grid.h)]
         self.terms = {
-            "K_uu": [(_pair_names(b, b2), _SEL[b].T @ chat @ _SEL[b2]) for b in range(3) for b2 in range(3)],
-            "K_up": [(tuple("G" if d == b else "M" for d in range(3)), -_SEL[b].T @ chat) for b in range(3)],
+            "K_uu": K_uu,
+            "K_up": K_up,
             "K_pp_el": [(_MASS, chat)],
             "K_sym": [(_MASS, PROJ_SYM)],
             "M_cons": [(_MASS, np.eye(9))],
@@ -377,8 +382,10 @@ class Blocks:
         for tr, Vr in enumerate(r_bases):
             for tc, Vc in enumerate(c_bases):
                 if len(Vr) and len(Vc):
-                    R = (Vr @ kernels @ Vc.T).reshape(len(terms), -1)
-                    R_abs = (np.abs(Vr) @ np.abs(kernels) @ np.abs(Vc).T).reshape(len(terms), -1)
+                    # a non-finite kernel gives non-finite entries, rejected below
+                    with np.errstate(invalid="ignore"):
+                        R = (Vr @ kernels @ Vc.T).reshape(len(terms), -1)
+                        R_abs = (np.abs(Vr) @ np.abs(kernels) @ np.abs(Vc).T).reshape(len(terms), -1)
                     reduced[tr, tc] = R, R_abs, len(Vr), len(Vc)
         once, mirrored = [], []  # entries stored as computed; J > I entries of a symmetric form
         for dz, dy, dx in product((-1, 0, 1), repeat=3):
@@ -400,7 +407,8 @@ class Blocks:
                 R, R_abs, mr, mc = reduced[key]
                 sel = group == g
                 S = pairing[sel]
-                vals = (S @ R).reshape(-1, mr, mc)
+                with np.errstate(invalid="ignore"):
+                    vals = (S @ R).reshape(-1, mr, mc)
                 if not np.all(np.isfinite(vals)):  # NaN would pass the roundoff test below
                     raise ValueError("an assembled form has a non-finite entry: the material or grid overflows")
                 bound = ROUNDOFF * (np.abs(S) @ R_abs).reshape(-1, mr, mc)

@@ -38,6 +38,7 @@ for the reduced functional too.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isfinite, prod
 from typing import NamedTuple
@@ -79,7 +80,9 @@ LIPSCHITZ_SAFETY = 1.1
 
 # VI probes drawn and scored per block: enough rows that numpy, not the
 # interpreter, does the work, and a fixed count so that the memory of the
-# certificate does not grow with the number of probes
+# certificate does not grow with the number of probes.  The next block is
+# drawn on one worker thread from the same stream while this one is scored,
+# so at most two blocks are held and the probe values are unchanged
 VI_PROBE_BLOCK = 64
 
 # Most VI probes a step may ask for: a million probes already take about a
@@ -271,14 +274,16 @@ class DiscreteProblem:
         U_g, U_p = U[self.presc], np.where(self.presc, U, 0.0)
         K_fg_U_g = np.asarray(self.K_fg @ U_g)
         J_g = 0.5 * float(U_p @ self.blocks.apply(self.blocks.terms["K_uu"], U_p)) - float(F[self.presc] @ U_g)
-        return ReducedLoad(F[self.free] - K_fg_U_g, -np.asarray(self.S_pg @ U_g), J_g,
-                           max(np.linalg.norm(F[self.free]), np.linalg.norm(K_fg_U_g)))
+        with np.errstate(over="ignore"):  # a norm that overflows fails the first solve
+            u_scale = max(np.linalg.norm(F[self.free]), np.linalg.norm(K_fg_U_g))
+        return ReducedLoad(F[self.free] - K_fg_U_g, -np.asarray(self.S_pg @ U_g), J_g, u_scale)
 
     # -- linear algebra helpers --------------------------------------------
 
     def pcg(self, matvec, b, x0, tol, maxiter, precond):
         """Jacobi-preconditioned conjugate gradients with warm start; matvec(x) is A x."""
-        nb = np.linalg.norm(b)
+        with np.errstate(over="ignore"):
+            nb = np.linalg.norm(b)
         if not np.isfinite(nb):
             raise NoConvergence("conjugate gradients", 0, nb, tol)
         if nb == 0.0:
@@ -455,7 +460,12 @@ class DiscreteProblem:
         w-norm of the increment.  Probes are drawn and scored VI_PROBE_BLOCK
         rows at a time; numpy's Generator gives the same values for one
         (k, n) draw as for k draws of n, so the probes do not depend on the
-        block size.
+        block size.  While a block is scored, the next one is drawn on one
+        worker thread, which the draw's release of the interpreter lock lets
+        run alongside.  The blocks are drawn one at a time, in order, from
+        the same rng and never beyond the last, so the probes and the rng
+        state left behind are those of drawing every block in turn.  The
+        thread is joined before the call returns.
         """
         rng = rng or np.random.default_rng(self.config.seed)
         r_u = self.displacement_residual(u_f, c, load)
@@ -478,11 +488,18 @@ class DiscreteProblem:
         canonical[0, nf:] = -dc
         canonical[1, nf:] = dc
         worst = worst_of(canonical)
-        for start in range(0, probes, VI_PROBE_BLOCK):
-            D = rng.standard_normal((min(VI_PROBE_BLOCK, probes - start), r.size))
-            nrm = np.sqrt(np.einsum("ij,ij->i", D, D))
-            D *= np.divide(size, nrm, out=np.ones_like(nrm), where=nrm > 0.0)[:, None]
-            worst = min(worst, worst_of(D))
+        shapes = [(min(VI_PROBE_BLOCK, probes - start), r.size) for start in range(0, probes, VI_PROBE_BLOCK)]
+        if not shapes:
+            return worst
+        with ThreadPoolExecutor(1) as pool:
+            drawn = pool.submit(rng.standard_normal, shapes[0])
+            for k in range(len(shapes)):
+                D = drawn.result()
+                if k + 1 < len(shapes):
+                    drawn = pool.submit(rng.standard_normal, shapes[k + 1])
+                nrm = np.sqrt(np.einsum("ij,ij->i", D, D))
+                D *= np.divide(size, nrm, out=np.ones_like(nrm), where=nrm > 0.0)[:, None]
+                worst = min(worst, worst_of(D))
         return worst
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -275,14 +276,16 @@ class TestRunScenario:
         assert loud == quiet
 
     def test_bitwise_determinism(self, tmp_path):
-        doc = base_doc()
-        doc["solver"] = {"vi_probes": 25}
-        s = parse_scenario(json.dumps(doc))
-        run_scenario(s, str(tmp_path / "a"))
-        run_scenario(s, str(tmp_path / "b"))
-        a = (tmp_path / "a" / "timeseries.csv").read_bytes()
-        b = (tmp_path / "b" / "timeseries.csv").read_bytes()
-        assert a == b
+        # 25 probes fit in one block; 130 span three, drawn while the last is scored
+        for probes in (25, 130):
+            doc = base_doc()
+            doc["solver"] = {"vi_probes": probes}
+            s = parse_scenario(json.dumps(doc))
+            run_scenario(s, str(tmp_path / f"a{probes}"))
+            run_scenario(s, str(tmp_path / f"b{probes}"))
+            a = (tmp_path / f"a{probes}" / "timeseries.csv").read_bytes()
+            b = (tmp_path / f"b{probes}" / "timeseries.csv").read_bytes()
+            assert a == b
 
     def test_shear_cycle_shows_bauschinger_signature(self, tmp_path):
         # homogeneous configuration compared against the pointwise update
@@ -445,6 +448,24 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, code", [
+        (INVALID_EDITS["mu_overflow"], 2),
+        (INVALID_EDITS["spacing_subnormal"], 2),
+        (lambda d: d.update(load_program=[{"level": 1, "body_force": [1e308, 0, 0]}]), 3),
+    ], ids=["mu_overflow", "spacing_subnormal", "load_norm_overflow"])
+    def test_overflow_prints_the_error_line_alone(self, tmp_path, capsys, edit, code):
+        # finite input whose forms or norms overflow: numpy's RuntimeWarnings
+        # would print on stderr ahead of the message
+        doc = base_doc()
+        edit(doc)
+        cfg = self.write(tmp_path, doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == code
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{")
@@ -459,11 +480,23 @@ class TestCliEntry:
         blocker.write_text("")  # a file where the output directory should go
         assert main(["--quiet", "--out", str(blocker / "sub"), "run", cfg]) == 4
 
+    def test_unwritable_csv_fails_before_the_first_step(self, tmp_path, capsys):
+        doc = base_doc(output={"csv": "blocker/ts.csv", "vtk_dir": "fields"})
+        cfg = self.write(tmp_path, doc)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "blocker").write_text("")  # a file where the CSV's folder should go
+        assert main(["--quiet", "--out", str(out), "run", cfg]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(out.rglob("*.vtk"))  # the first step writes one
+
     def test_non_convergence_exit_code(self, tmp_path, capsys):
         doc = base_doc()
         doc["solver"] = {"max_outer": 1, "max_fista": 2, "tol_fista": 1e-16}
         cfg = self.write(tmp_path, doc)
         assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == 3
+        # step 1 fails, so the CSV, created before it, holds the header alone
+        assert (tmp_path / "timeseries.csv").read_text().count("\n") == 1
 
     def test_overflowing_load_norm_exit_code(self, tmp_path, capsys):
         # every entry of the load vector is finite, but its norm overflows

@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -278,7 +280,8 @@ class TestSolveU:
         grid = Grid.unit_cube(2)
         prob = DiscreteProblem(grid, BoundaryConfig(("zmin",)), KIN, None, TIGHT)
         b = np.full(prob.K_ff.shape[0], 1e308)
-        with pytest.raises(NoConvergence) as err:
+        with pytest.raises(NoConvergence) as err, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # fails fast without a warning
             prob.pcg(prob.K_ff.dot, b, np.zeros_like(b), 1e-10, 20000, prob.jacobi_ff)
         assert err.value.what == "conjugate gradients" and err.value.iterations == 0
 
@@ -742,6 +745,28 @@ class TestVIResidual:
                 tracemalloc.stop()
 
         assert peak(1000) <= 2 * peak(64)
+
+    def test_draw_thread_is_joined(self):
+        prob, U, c, c_prev, gamma_prev, F = vi_case("iso_irrot")
+        before = threading.active_count()
+        prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, prob.step_load(U, F), 130, np.random.default_rng(0))
+        assert threading.active_count() == before
+
+    def test_draw_error_reaches_the_caller_and_thread_is_joined(self):
+        class SecondDrawFails:
+            draws = 0
+
+            def standard_normal(self, shape):
+                self.draws += 1
+                if self.draws == 2:
+                    raise RuntimeError("second draw failed")
+                return np.ones(shape)
+
+        prob, U, c, c_prev, gamma_prev, F = vi_case("iso_irrot")
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second draw failed"):
+            prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, prob.step_load(U, F), 130, SecondDrawFails())
+        assert threading.active_count() == before
 
 
 class TestMicromorphic:
