@@ -16,17 +16,17 @@ A_hat y + S_pf u_f - f_p, where u_f solves K_ff u_f = f_u - S_f y by
 DiscreteProblem.solve_u, which makes every displacement solve: a
 warm-started, Jacobi-preconditioned conjugate gradient, here to a tolerance
 that tightens with the FISTA step (Schmidt, Le Roux & Bach, "Convergence
-rates of inexact proximal-gradient methods", NIPS 2011).  A_hat, K_ff, K_fg,
-S_f, S_pf and S_pg are the only sparse matrices DiscreteProblem stores.  The
-step functional is strictly convex, so its minimizer moves continuously with
-the load and a step may start from a guess extrapolated from the previous
-steps.  It starts there only when the guess gives a J lower, by more than
-roundoff, than the previous plastic field's, u recovered at each by one
-loose solve; a poor guess costs that solve and falls back to the previous
-field.  The nonsmooth term is the lumped (nodal) quadrature of the
-one-homogeneous dissipation, so its proximal map is an exact per-node
-shrinkage by ModelVariant.shrink; the time-step size cancels and steps are
-parameterized by load increments.
+rates of inexact proximal-gradient methods", NIPS 2011).  A_hat, K_ff and
+S_f are the only sparse matrices DiscreteProblem stores; S_pf is a view of
+S_f.  The step functional is strictly convex, so its minimizer moves
+continuously with the load and a step may start from a guess extrapolated
+from the previous steps.  It starts there only when the guess gives a J
+lower, by more than roundoff, than the previous plastic field's, u
+recovered at each by one loose solve; a poor guess costs that solve and
+falls back to the previous field.  The nonsmooth term is the lumped (nodal)
+quadrature of the one-homogeneous dissipation, so its proximal map is an
+exact per-node shrinkage by ModelVariant.shrink; the time-step size cancels
+and steps are parameterized by load increments.
 
 The p iteration runs in the lumped-mass metric: gradients are divided by
 the nodal weights and the shrinkage threshold becomes uniform across nodes,
@@ -56,6 +56,7 @@ from .grid import (
     build_blocks,
     build_p_basis,
     dirichlet_mask,
+    transposed,
 )
 from .models import EnergySplit, ModelVariant, SimState, total_energy
 from .tensors import norm as frob_norm
@@ -156,10 +157,10 @@ class ReducedLoad(NamedTuple):
     """The fixed data of one load step: in its unknowns (u_f, c) the smooth part of J is
     1/2 u_f' K_ff u_f + c' S_pf u_f + 1/2 c' A_hat c - f_u' u_f - f_p' c + J_g."""
 
-    f_u: np.ndarray  # F_f - K_fg U_g
-    f_p: np.ndarray  # -S_pg U_g
-    J_g: float  # 1/2 U_g' K_gg U_g - F_g' U_g
-    u_scale: float  # max(||F_f||, ||K_fg U_g||), the fixed part of the pass test's displacement scale
+    f_u: np.ndarray  # F_f - (K_uu U_p)_f, U_p the prescribed part of U
+    f_p: np.ndarray  # -B' K_up' U_p
+    J_g: float  # 1/2 U_p' K_uu U_p - F' U_p
+    u_scale: float  # max(||F_f||, ||(K_uu U_p)_f||), the fixed part of the pass test's displacement scale
 
 
 def prox_dissipation(variant: ModelVariant, z, tau, gamma_prev=0.0):
@@ -169,6 +170,11 @@ def prox_dissipation(variant: ModelVariant, z, tau, gamma_prev=0.0):
         raise ValueError("tau must be positive")
     z = np.asarray(z, dtype=float)
     return z * variant.shrink(frob_norm(z), tau, gamma_prev)[..., None, None]
+
+
+def jacobi(diagonal):
+    """Jacobi preconditioner of an operator's diagonal: its reciprocal, 1 where not positive."""
+    return 1.0 / np.where(diagonal > 0.0, diagonal, 1.0)
 
 
 def weighted_norm(x, w):
@@ -217,9 +223,9 @@ class DiscreteProblem:
     Plastic dofs live in reduced coordinates c with p = B c; displacement
     dofs are split into free and prescribed parts by the Dirichlet faces.
     Each operator is stored once, as CSR in the coordinates its products
-    use: A_hat; K_ff and K_fg, the free rows of the displacement form; and
-    the coupling's free rows S_f with the transposes S_pf and S_pg of its
-    free and prescribed rows.  K_fg and S_pg act only in step_load; every
+    use: A_hat; K_ff, the free block of the displacement form; and the
+    coupling's free rows S_f, whose transpose S_pf is a CSC view of its
+    arrays.  step_load applies the term lists to the prescribed field; every
     other method works in the unknowns (u_f, c) and takes its step load.
     """
 
@@ -234,21 +240,14 @@ class DiscreteProblem:
 
         self.blocks = build_blocks(grid, variant.params)
         self.basis = build_p_basis(grid, boundary.micro_hard_faces, "sym_sl" if variant.symmetric else "sl")
-        terms = self.blocks.form(K_pp_el=1.0, **variant.form_weights)
-        self.A_hat = self.blocks.assemble(terms, self.basis)
-        S_up = self.blocks.assemble(self.blocks.terms["K_up"], 3, self.basis)  # u-rows, reduced p-columns
+        self.A_hat = self.blocks.assemble(self.blocks.form(K_pp_el=1.0, **variant.form_weights), self.basis)
 
         self.presc = dirichlet_mask(grid, boundary)
         self.free = ~self.presc
-        K_free_rows = self.blocks.assemble(self.blocks.terms["K_uu"], 3)[self.free]
-        self.K_ff = K_free_rows[:, self.free].tocsr()
-        self.K_fg = K_free_rows[:, self.presc].tocsr()
-        self.S_f = S_up[self.free].tocsr()
-        # reduced p-rows, free and prescribed u-columns
-        self.S_pf = self.S_f.T.tocsr()
-        self.S_pg = S_up[self.presc].T.tocsr()
-        d = self.K_ff.diagonal()
-        self.jacobi_ff = 1.0 / np.where(d > 0.0, d, 1.0)
+        self.K_ff = self.blocks.assemble(self.blocks.terms["K_uu"], 3)[self.free][:, self.free]
+        self.S_f = self.blocks.assemble(self.blocks.terms["K_up"], 3, self.basis)[self.free]
+        self.S_pf = self.S_f.T  # reduced p-rows, free u-columns: a CSC view of S_f's arrays
+        self.jacobi_ff = jacobi(self.K_ff.diagonal())
 
         self.w_node = self.blocks.w_node
         self.w_seg = self.basis.scatter_per_node(self.w_node)
@@ -270,13 +269,14 @@ class DiscreteProblem:
         return U
 
     def step_load(self, U, F):
-        """ReducedLoad of the prescribed part of U and the body force vector F."""
-        U_g, U_p = U[self.presc], np.where(self.presc, U, 0.0)
-        K_fg_U_g = np.asarray(self.K_fg @ U_g)
-        J_g = 0.5 * float(U_p @ self.blocks.apply(self.blocks.terms["K_uu"], U_p)) - float(F[self.presc] @ U_g)
-        with np.errstate(over="ignore"):  # a norm that overflows fails the first solve
-            u_scale = max(np.linalg.norm(F[self.free]), np.linalg.norm(K_fg_U_g))
-        return ReducedLoad(F[self.free] - K_fg_U_g, -np.asarray(self.S_pg @ U_g), J_g, u_scale)
+        """ReducedLoad of the prescribed part U_p of U and the body force vector F; the term lists act on U_p."""
+        U_p, terms = np.where(self.presc, U, 0.0), self.blocks.terms
+        with np.errstate(over="ignore", invalid="ignore"):  # data that overflows fails the first solve
+            KU = self.blocks.apply(terms["K_uu"], U_p)
+            f_p = -self.basis.to_reduced(self.blocks.apply(transposed(terms["K_up"]), U_p))
+            J_g = 0.5 * float(U_p @ KU) - float(F @ U_p)
+            u_scale = max(np.linalg.norm(F[self.free]), np.linalg.norm(KU[self.free]))
+            return ReducedLoad(F[self.free] - KU[self.free], f_p, J_g, u_scale)
 
     # -- linear algebra helpers --------------------------------------------
 
@@ -382,7 +382,8 @@ class DiscreteProblem:
         # the size of one full gradient step off zero at the entry u_f bounds
         # the minimizer scale; it floors the relative test when the increment
         # is tiny
-        data_scale = t * weighted_norm((np.asarray(self.S_pf @ u_f) - load.f_p) / w, w)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing load fails the first solve
+            data_scale = t * weighted_norm((np.asarray(self.S_pf @ u_f) - load.f_p) / w, w)
         y_last = None
         cg_its = 0
 
@@ -568,9 +569,8 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
             x_f, x_c = x[:nf], x[nf:]
             return np.concatenate([problem.K_ff @ x_f + problem.S_f @ x_c, problem.S_pf @ x_f + problem.A_hat @ x_c])
 
-        d = np.concatenate([problem.K_ff.diagonal(), problem.A_hat.diagonal()])
-        x, cg_total = problem.pcg(joint, np.concatenate([data.f_u, data.f_p]), np.concatenate([u_f, c]),
-                                  cfg.tol_cg, cfg.max_cg, 1.0 / np.where(d > 0.0, d, 1.0))
+        x, cg_total = problem.pcg(joint, np.concatenate([data.f_u, data.f_p]), np.concatenate([u_f, c]), cfg.tol_cg,
+                                  cfg.max_cg, np.concatenate([problem.jacobi_ff, jacobi(problem.A_hat.diagonal())]))
         u_f, c = x[:nf], x[nf:]
         outer = 1
         J, _ = problem.objective(u_f, c, c_prev, gamma_prev, data)

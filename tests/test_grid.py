@@ -153,7 +153,7 @@ class TestAssembly:
         for variant in (KIN, ModelVariant("kin_irrot", PARAMS)):
             prob = DiscreteProblem(grid, bc, variant)
             operators.update({f"{variant.tag} {name}": getattr(prob, name)
-                              for name in ("A_hat", "K_ff", "S_f", "S_pf", "S_pg")})
+                              for name in ("A_hat", "K_ff", "S_f")})
         _, operators["Khat"], operators["Mhat"] = korn._operators(KornProblem(grid, FACES))
         for name, K in operators.items():
             data = np.abs(K.data)
@@ -183,8 +183,6 @@ class TestAssembly:
             A_ref, S_ref = reduced_reference(grid, variant, prob.basis)
             check("A_hat", prob.A_hat, A_ref)
             check("S_f", prob.S_f, S_ref[prob.free], symmetric=False)
-            check("S_pf", prob.S_pf, S_ref[prob.free].T, symmetric=False)
-            check("S_pg", prob.S_pg, S_ref[prob.presc].T, symmetric=False)
         ref = gauss_point_blocks(grid, PARAMS)
         basis, Khat, Mhat = korn._operators(KornProblem(grid, faces, 0.7))
         B = basis.B

@@ -211,7 +211,7 @@ class TestRunScenario:
     def test_runs_assemble_no_gauss_point_operators(self, tmp_path, monkeypatch):
         # korn and every variant's run assemble straight into reduced
         # coordinates; the one full-space assembly is the displacement form
-        # that DiscreteProblem splits into K_ff and K_fg, and the energies and
+        # whose free block DiscreteProblem keeps as K_ff, and the energies and
         # stress recoveries apply their term lists without assembling them
         calls = []
         assemble = grid_module.Blocks.assemble
@@ -452,7 +452,8 @@ class TestCliEntry:
         (INVALID_EDITS["mu_overflow"], 2),
         (INVALID_EDITS["spacing_subnormal"], 2),
         (lambda d: d.update(load_program=[{"level": 1, "body_force": [1e308, 0, 0]}]), 3),
-    ], ids=["mu_overflow", "spacing_subnormal", "load_norm_overflow"])
+        (lambda d: d.update(load_program=[{"level": 1, "amplitude": 1e300}]), 3),
+    ], ids=["mu_overflow", "spacing_subnormal", "load_norm_overflow", "amplitude_overflow"])
     def test_overflow_prints_the_error_line_alone(self, tmp_path, capsys, edit, code):
         # finite input whose forms or norms overflow: numpy's RuntimeWarnings
         # would print on stderr ahead of the message

@@ -204,21 +204,30 @@ def test_probe_seed_keeps_the_seed_of_every_finite_scaled_level():
 
 class TestStoredOperators:
     def test_each_operator_is_stored_once(self):
-        # the coupling is kept only as the free rows S_f and the transposes
-        # S_pf and S_pg that the products use, and the displacement form only
-        # as its free rows; a step, the monolithic micromorphic one included,
-        # stores no joint or full-space matrix in the problem or its blocks
+        # the coupling is kept only as its free rows S_f, whose transpose S_pf
+        # is a view of the same arrays, and the displacement form only as its
+        # free block K_ff; a step, the monolithic micromorphic one included,
+        # stores no joint, prescribed or full-space matrix in the problem or
+        # its blocks
         grid = Grid.unit_cube(2)
         for variant in (KIN, ModelVariant("micromorphic", PARAMS)):
             prob = DiscreteProblem(grid, BoundaryConfig(("zmin",)), variant)
             time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.0, (0.0, 0.0, -5.0)))
-            stored = {name for name, value in vars(prob).items() if sp.issparse(value)}
-            assert stored == {"A_hat", "K_ff", "K_fg", "S_f", "S_pf", "S_pg"}, variant.tag
+            stored = {name: value for name, value in vars(prob).items() if sp.issparse(value)}
+            assert set(stored) == {"A_hat", "K_ff", "S_f", "S_pf"}, variant.tag
+            owners = {name: stored[name] for name in ("A_hat", "K_ff", "S_f")}
+            arrays = ("data", "indices", "indptr")
+            for name, value in stored.items():
+                holders = [owner for owner, M in owners.items()
+                           if all(np.shares_memory(getattr(value, a), getattr(M, a)) for a in arrays)]
+                assert holders == ["S_f" if name == "S_pf" else name], (variant.tag, name)
+            assert (prob.S_pf != prob.S_f.T).nnz == 0, variant.tag
             assert not [name for name, value in vars(prob.blocks).items() if sp.issparse(value)], variant.tag
 
     def test_split_products_match_the_full_coupling(self):
-        # the free displacement residual and the objective, formed from the
-        # step load (J_g included), equal their full-space forms
+        # every field of the step load, and the free displacement residual
+        # and the objective formed from it (J_g included), equal their
+        # full-space forms
         grid = Grid.unit_cube(3)
         prob = DiscreteProblem(grid, BoundaryConfig(("zmin", "zmax")), KIN, SHEAR01)
         rng = np.random.default_rng(3)
@@ -229,6 +238,13 @@ class TestStoredOperators:
         K_uu = prob.blocks.assemble(prob.blocks.terms["K_uu"], 3)
         S_up = prob.blocks.assemble(prob.blocks.terms["K_up"], 3, prob.basis)
         load = prob.step_load(U, F)
+        U_p = np.where(prob.presc, U, 0.0)
+        KU = K_uu @ U_p
+        for name, got, want in (("f_u", load.f_u, (F - KU)[prob.free]), ("f_p", load.f_p, -(S_up.T @ U_p))):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+        assert load.J_g == pytest.approx(0.5 * U_p @ KU - F @ U_p, rel=1e-13)
+        u_scale = max(np.linalg.norm(F[prob.free]), np.linalg.norm(KU[prob.free]))
+        assert load.u_scale == pytest.approx(u_scale, rel=1e-13)
         r_u = (K_uu @ U + S_up @ c - F)[prob.free]
         assert np.abs(prob.displacement_residual(U[prob.free], c, load) - r_u).max() <= 1e-13 * np.abs(r_u).max()
         smooth = 0.5 * U @ (K_uu @ U) + U @ (S_up @ c) + 0.5 * c @ (prob.A_hat @ c) - F @ U
@@ -301,8 +317,10 @@ class TestSolveP:
         z = np.zeros(prob.basis.size)
         c, _, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, np.zeros_like(U)))
         K = sp.bmat([[prob.K_ff, prob.S_f], [prob.S_pf, prob.A_hat]])
-        U_g = U[prob.presc]
-        rhs = np.concatenate([-(prob.K_fg @ U_g), -np.asarray(prob.S_pg @ U_g)])
+        # U is the lifted prescribed field, zero at the free dofs
+        K_uu = prob.blocks.assemble(prob.blocks.terms["K_uu"], 3)
+        S_up = prob.blocks.assemble(prob.blocks.terms["K_up"], 3, prob.basis)
+        rhs = -np.concatenate([(K_uu @ U)[prob.free], S_up.T @ U])
         c_direct = spla.spsolve(K.tocsc(), rhs)[int(prob.free.sum()):]
         assert np.abs(c - c_direct).max() < 1e-10 * np.abs(c_direct).max()
 
