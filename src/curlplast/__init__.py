@@ -14,7 +14,6 @@ from .grid import (
     BoundaryConfig,
     Grid,
     ScalarField,
-    SingularBlock,
     TensorField,
     VectorField,
 )

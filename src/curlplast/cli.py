@@ -47,13 +47,6 @@ def _csv_line(values):
     return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values) + "\n"
 
 
-def _write_csv(path, columns, rows):
-    """Write a header and one line per row, a mapping from column to value."""
-    with open(path, "w", newline="\n") as f:
-        f.write(_csv_line(columns))
-        f.writelines(_csv_line(row[c] for c in columns) for row in rows)
-
-
 @dataclass
 class RunResult:
     scenario: Scenario
@@ -192,30 +185,36 @@ def sweep(scenario: Scenario, parameter: str, values, out_dir=".", quiet=True):
     iteration totals for each value.
     """
     results = []
-    for value in values:
-        tag = f"{parameter}_{value}"
-        try:
-            sub = apply_sweep_value(scenario, parameter, value)
-            sub_dir = os.path.join(out_dir, tag)
-            os.makedirs(sub_dir, exist_ok=True)
-            res = run_scenario(sub, sub_dir, quiet=quiet)
-            last = res.rows[-1]
-            results.append({
-                "parameter": parameter, "value": value, "status": "ok",
-                "elastic_energy": last.elastic_energy,
-                "defect_energy": last.defect_energy,
-                "hardening_energy": last.hardening_energy,
-                "cumulative_dissipation": last.cumulative_dissipation,
-                "hardening_slope": hardening_slope(res.rows, res.sigma12_max),
-                "outer_iterations": sum(r.outer_iterations for r in res.reports),
-                "cg_iterations": sum(r.cg_iterations for r in res.reports),
-                "fista_iterations": sum(r.fista_iterations for r in res.reports),
-            })
-        except (ValidationError, NoConvergence, OSError) as e:
-            failed = dict.fromkeys(SUMMARY_COLUMNS, "")
-            failed.update(parameter=parameter, value=value, status=f"failed: {e}")
-            results.append(failed)
-    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, results)
+    # summary.csv is created before the first value, so that a refused value
+    # still has a folder to be recorded in, and gets each row when its value
+    # is done
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "summary.csv"), "w", newline="\n") as summary:
+        summary.write(_csv_line(SUMMARY_COLUMNS))
+        for value in values:
+            tag = f"{parameter}_{value}"
+            try:
+                sub = apply_sweep_value(scenario, parameter, value)
+                sub_dir = os.path.join(out_dir, tag)
+                os.makedirs(sub_dir, exist_ok=True)
+                res = run_scenario(sub, sub_dir, quiet=quiet)
+                last = res.rows[-1]
+                row = {
+                    "parameter": parameter, "value": value, "status": "ok",
+                    "elastic_energy": last.elastic_energy,
+                    "defect_energy": last.defect_energy,
+                    "hardening_energy": last.hardening_energy,
+                    "cumulative_dissipation": last.cumulative_dissipation,
+                    "hardening_slope": hardening_slope(res.rows, res.sigma12_max),
+                    "outer_iterations": sum(r.outer_iterations for r in res.reports),
+                    "cg_iterations": sum(r.cg_iterations for r in res.reports),
+                    "fista_iterations": sum(r.fista_iterations for r in res.reports),
+                }
+            except (ValidationError, NoConvergence, OSError) as e:
+                row = dict.fromkeys(SUMMARY_COLUMNS, "")
+                row.update(parameter=parameter, value=value, status=f"failed: {e}")
+            results.append(row)
+            summary.write(_csv_line(row[c] for c in SUMMARY_COLUMNS))
     return results
 
 

@@ -37,10 +37,6 @@ from .tensors import PROJ_SYM, MaterialParams, elasticity_matrix
 FACES = ("xmin", "xmax", "ymin", "ymax", "zmin", "zmax")
 
 
-class SingularBlock(ValueError):
-    """Requested operator is singular on the admissible space."""
-
-
 def face_axis_side(face):
     if face not in FACES:
         raise ValueError(f"unknown face {face!r}, expected one of {FACES}")

@@ -50,7 +50,6 @@ from .grid import (
     BoundaryConfig,
     Grid,
     ScalarField,
-    SingularBlock,
     TensorField,
     VectorField,
     build_blocks,
@@ -235,8 +234,6 @@ class DiscreteProblem:
         self.boundary = boundary
         self.variant = variant
         self.config = config or SolverConfig()
-        if variant.tag in ("kin_spin", "kin_irrot", "micromorphic") and not variant.params.k1 > 0.0:
-            raise SingularBlock(f"{variant.tag} needs k1 > 0 for a coercive bilinear form")
 
         self.blocks = build_blocks(grid, variant.params)
         self.basis = build_p_basis(grid, boundary.micro_hard_faces, "sym_sl" if variant.symmetric else "sl")
@@ -518,7 +515,8 @@ def extrapolate(history, level):
     The polynomial runs through the newest three states of distinct t, or
     two when only two exist; with a single one there is no guess.  gamma is
     the newest state's: a guess is only a starting point, and gamma is not
-    part of it.
+    part of it.  Levels far apart can overflow the weights; a guess that is
+    not finite is no guess.
     """
     nodes = []
     for state in reversed(history):
@@ -529,9 +527,12 @@ def extrapolate(history, level):
     if len(nodes) < 2:
         return None
     ts = [s.t for s in nodes]
-    weights = [prod((level - tj) / (ti - tj) for tj in ts if tj != ti) for ti in ts]
-    u = sum(wt * s.u.values for wt, s in zip(weights, nodes))
-    p = sum(wt * s.p.values for wt, s in zip(weights, nodes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = [prod((level - tj) / (ti - tj) for tj in ts if tj != ti) for ti in ts]
+        u = sum(wt * s.u.values for wt, s in zip(weights, nodes))
+        p = sum(wt * s.p.values for wt, s in zip(weights, nodes))
+    if not (all(map(isfinite, weights)) and np.isfinite(u).all() and np.isfinite(p).all()):
+        return None
     return SimState(VectorField(u), TensorField(p), nodes[0].gamma, level)
 
 

@@ -3,50 +3,23 @@
 Nodes are written x-fastest, matching the grid's node numbering, so nodal
 arrays can be dumped without reordering.  Only the legacy version 3.0
 STRUCTURED_POINTS dialect is emitted: a VECTORS array, SCALARS arrays and
-one FIELD block for tensor components.
+one FIELD block for tensor components.  Every number, in the arrays and in
+the ORIGIN and SPACING lines, is written with the one C format "%.13g":
+13 significant digits, so a parsed value is within 5e-13 relative of the
+double it was written from, and inf and nan are written as such.
 """
 
 from __future__ import annotations
-
-import re
 
 import numpy as np
 
 from .grid import Grid
 
 
-# trailing zeros of a "%.12e" mantissa, with its '.' when nothing is left
-_MANTISSA_ZEROS = re.compile(r"\.?0+(?=e)")
-_TINY = np.finfo(float).tiny
-
-
-def _fmt(x):
-    return np.format_float_scientific(x, precision=12, trim="-")
-
-
-def _format_values(values):
-    """Each value as _fmt writes it, from one "%.12e" pass and one regex.
-
-    Two kinds of value go through _fmt itself: nonzero subnormals, which it
-    writes with their shortest unique digits, and values whose 13-digit
-    rounding is one digit times a power of ten, for which it keeps the bare
-    '.' when the rounding dropped digits ("1.e+00" for 1.00000000000004).
-    """
-    values = np.asarray(values, dtype=float).reshape(-1)
-    words = _MANTISSA_ZEROS.sub("", ("%.12e " * values.size) % tuple(values.tolist())).split()
-    a = np.abs(values)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = a / 10.0 ** np.floor(np.log10(a))
-        one_digit = np.isfinite(m) & (np.abs(m - np.rint(m)) < 1e-11 * m)
-    for i in np.flatnonzero(((a > 0.0) & (a < _TINY)) | one_digit):
-        words[i] = _fmt(values[i])
-    return words
-
-
 def _write_rows(f, data, per_line):
-    words = _format_values(data)
-    row = " ".join(["%s"] * per_line) + "\n"
-    f.write((row * (len(words) // per_line)) % tuple(words))
+    values = tuple(np.ravel(data).tolist())
+    row = " ".join(["%.13g"] * per_line) + "\n"
+    f.write((row * (len(values) // per_line)) % values)
 
 
 def write_structured_points(path, grid: Grid, scalars=None, vectors=None, fields=None, title="snapshot"):
@@ -65,8 +38,10 @@ def write_structured_points(path, grid: Grid, scalars=None, vectors=None, fields
         f.write("ASCII\n")
         f.write("DATASET STRUCTURED_POINTS\n")
         f.write("DIMENSIONS {} {} {}\n".format(*grid.node_shape))
-        f.write("ORIGIN {} {} {}\n".format(*(_fmt(v) for v in grid.origin)))
-        f.write("SPACING {} {} {}\n".format(*(_fmt(v) for v in grid.h)))
+        f.write("ORIGIN ")
+        _write_rows(f, grid.origin, 3)
+        f.write("SPACING ")
+        _write_rows(f, grid.h, 3)
         f.write(f"POINT_DATA {n}\n")
         for name, data in vectors.items():
             data = np.asarray(data)
@@ -87,37 +62,3 @@ def write_structured_points(path, grid: Grid, scalars=None, vectors=None, fields
                 data = np.asarray(data).reshape(n, -1)
                 f.write(f"{name} {data.shape[1]} {n} double\n")
                 _write_rows(f, data, data.shape[1])
-
-
-def read_structured_points_header(path):
-    """Parse the header of a legacy VTK file; used by the output checks."""
-    info = {"arrays": {}}
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    if not lines or not lines[0].startswith("# vtk DataFile Version 3.0"):
-        raise ValueError("not a legacy VTK 3.0 file")
-    if lines[2].strip() != "ASCII":
-        raise ValueError("expected an ASCII VTK file")
-    if lines[3].strip() != "DATASET STRUCTURED_POINTS":
-        raise ValueError("expected STRUCTURED_POINTS")
-    for ln in lines[4:]:
-        parts = ln.split()
-        if not parts:
-            continue
-        if parts[0] == "DIMENSIONS":
-            info["dimensions"] = tuple(int(v) for v in parts[1:4])
-        elif parts[0] == "ORIGIN":
-            info["origin"] = tuple(float(v) for v in parts[1:4])
-        elif parts[0] == "SPACING":
-            info["spacing"] = tuple(float(v) for v in parts[1:4])
-        elif parts[0] == "POINT_DATA":
-            info["point_data"] = int(parts[1])
-        elif parts[0] == "VECTORS":
-            info["arrays"][parts[1]] = 3
-        elif parts[0] == "SCALARS":
-            info["arrays"][parts[1]] = 1
-        elif parts[0] == "FIELD":
-            pass
-        elif len(parts) == 4 and parts[3] == "double" and parts[1].isdigit():
-            info["arrays"][parts[0]] = int(parts[1])
-    return info

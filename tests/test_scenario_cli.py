@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -17,10 +18,12 @@ from curlplast.scenario import (
     canonical_text,
     parse_scenario,
 )
-from curlplast.models import VARIANT_TAGS, SimState
+from curlplast.models import VARIANT_TAGS, SimState, eshelby_stress
 from curlplast.solver import VI_PROBES_MAX, DiscreteProblem, time_step
-from curlplast.tensors import MaterialParams, sym
-from curlplast.vtk_io import read_structured_points_header
+from curlplast.tensors import MaterialParams, dev, sym
+from vtk_reader import read_structured_points_arrays, read_structured_points_header
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def base_doc(**overrides):
@@ -207,6 +210,28 @@ class TestRunScenario:
         assert info["arrays"]["plastic_distortion"] == 9
         assert info["arrays"]["gamma"] == 1
         assert info["arrays"]["dev_eshelby_norm"] == 1
+
+    def test_vtk_arrays_parse_back_to_the_state_fields(self, tmp_path):
+        doc = base_doc(output={"csv": "ts.csv", "vtk_dir": "fields", "vtk_stride": 1},
+                       grid={"cells": [2, 2, 2], "size": [1.0, 1.0, 1.0], "origin": [0.1, -0.3, 1 / 3]})
+        s = parse_scenario(json.dumps(doc))
+        res = run_scenario(s, str(tmp_path), keep_states=True)
+        assert len(res.states) == 3 and np.any(res.states[-1].p.values != 0.0)
+        for k, state in enumerate(res.states):
+            path = tmp_path / "fields" / f"fields_{k + 1:04d}.vtk"
+            info = read_structured_points_header(path)
+            sig_e = eshelby_stress(s.grid, s.variant, state.u, state.p)
+            want = {"displacement": state.u.values,
+                    "plastic_distortion": state.p.values.reshape(-1, 9),
+                    "gamma": state.gamma.values[:, None],
+                    "dev_eshelby_norm": np.linalg.norm(dev(sig_e), axis=(1, 2))[:, None],
+                    "origin": np.array(s.grid.origin), "spacing": np.array(s.grid.h)}
+            got = read_structured_points_arrays(path)
+            got.update(origin=np.array(info["origin"]), spacing=np.array(info["spacing"]))
+            assert sorted(got) == sorted(want)
+            for name, values in want.items():
+                assert got[name].shape == values.shape, name
+                assert np.all(np.abs(got[name] - values) <= 5e-13 * np.abs(values)), name
 
     def test_runs_assemble_no_gauss_point_operators(self, tmp_path, monkeypatch):
         # korn and every variant's run assemble straight into reduced
@@ -432,6 +457,27 @@ class TestCliEntry:
         assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == 0
         assert (tmp_path / "timeseries.csv").exists()
 
+    def test_readme_scenario_runs(self, tmp_path, capsys):
+        with open(README) as f:
+            text = re.search(r"```json\n(.*?)```", f.read(), re.S).group(1)
+        s = parse_scenario(text)
+        assert s.grid.n == (6, 6, 6) and len(s.load_program) == 2
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(text)
+        assert main(["--quiet", "--out", str(tmp_path), "run", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len((tmp_path / "timeseries.csv").read_text().splitlines()) == 1 + 2
+        assert sorted(os.listdir(tmp_path / "fields")) == ["fields_0001.vtk", "fields_0002.vtk"]
+
+    def test_far_apart_levels_exit_zero(self, tmp_path, capsys):
+        # the Lagrange weights of the third step's guess overflow, so it
+        # has no guess, where a NaN one would fail its recovery with exit 3
+        doc = base_doc(load_program=[{"level": 1, "amplitude": 0.002}, {"level": 2, "amplitude": 0.004},
+                                     {"level": 1e200, "amplitude": 0.006}])
+        cfg = self.write(tmp_path, doc)
+        assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_validation_error_exit_code(self, tmp_path, capsys):
         doc = base_doc()
         doc["material"]["k1"] = 0.0
@@ -564,3 +610,10 @@ class TestCliEntry:
                      "--param", "Lc", "--values", "0.1,-1"]) == 3
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(lines) == 1 + 2
+
+    def test_sweep_into_a_new_folder_records_the_refused_value(self, tmp_path):
+        cfg = self.write(tmp_path, base_doc())
+        out = tmp_path / "new"
+        assert main(["--quiet", "--out", str(out), "sweep", cfg, "--param", "k2", "--values", "0.5"]) == 3
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert len(lines) == 1 + 1 and lines[1].startswith("k2,0.5,failed: ")

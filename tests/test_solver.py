@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from curlplast.grid import FACES, BoundaryConfig, Grid, ScalarField, SingularBlock, TensorField, VectorField
+from curlplast.grid import FACES, BoundaryConfig, Grid, ScalarField, TensorField, VectorField
 from curlplast.models import ModelVariant, SimState, eshelby_stress, sigma_nodal
 from curlplast.oracles import radial_return_0d
 from curlplast.solver import (
@@ -540,16 +540,6 @@ class TestTimeStep:
         assert info.value.what == "outer passes" and info.value.iterations == 1
         assert len(calls) == 1
 
-    def test_coercivity_guard(self):
-        grid = Grid.unit_cube(2)
-        bad = MaterialParams(mu=80.0, lam=110.0, k1=0.5, sigma_y=0.3)
-        var = ModelVariant("kin_spin", bad)
-        relaxed = object.__new__(ModelVariant)  # bypass admissibility to hit the guard
-        object.__setattr__(relaxed, "tag", "kin_spin")
-        object.__setattr__(relaxed, "params", MaterialParams(mu=80.0, lam=110.0, sigma_y=0.3))
-        with pytest.raises(SingularBlock):
-            DiscreteProblem(grid, BoundaryConfig(("zmin",)), relaxed, None, TIGHT)
-
 
 def field_state(grid, t, coeffs):
     """State whose u and p are the polynomial sum_k coeffs[k] t^k (gamma zero)."""
@@ -587,6 +577,18 @@ class TestStartingGuess:
         zero = SimState.zeros(grid)
         assert extrapolate([zero], 1.0) is None
         assert extrapolate([zero, SimState.zeros(grid)], 1.0) is None  # one distinct t
+
+    def test_overflowing_weights_give_no_guess(self):
+        # levels far apart overflow the Lagrange weights; no warning, no guess
+        grid = Grid.unit_cube(2)
+        rng = np.random.default_rng(5)
+        coeffs = ([0.0, rng.standard_normal((grid.node_count, 3))],
+                  [0.0, rng.standard_normal((grid.node_count, 3, 3))])
+        history = [SimState.zeros(grid)] + [field_state(grid, t, coeffs) for t in (1.0, 2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert extrapolate(history, 1e200) is None
+            assert extrapolate(history, 3.0) is not None
 
     @staticmethod
     def gradient_ramp():
