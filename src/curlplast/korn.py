@@ -11,13 +11,15 @@ over the nodal trilinear subspace with the tangential constraint imposed at
 the nodes, and exhibits the failure of the inequality without boundary
 conditions (constant skew fields lie in the kernel).  The estimate is an
 upper bound for the infimum over the conforming subspace only; no certified
-constant is claimed.  The eigen-solve is preconditioned by fast
-diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964), exact here.
+constant is claimed.  The eigen-solve is the module's own block-size-1
+LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on numpy, with Rayleigh-Ritz
+by numpy's eigh, preconditioned by fast diagonalization (Lynch, Rice &
+Thomas, Numer. Math. 6, 1964), exact here; it loads neither
+scipy.sparse.linalg nor scipy.linalg.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,25 +110,22 @@ def estimate_min_quotient(problem: KornProblem, tol: float = 1e-8,
     the infimum is 0 and nothing is assembled.  A constrained face keeps only
     the normal column of the field at its nodes, and a constant skew field
     with one nonzero column is zero, so with any face no constant skew field
-    survives.  Then a single-vector LOBPCG run (Knyazev, SIAM J. Sci.
-    Comput. 23, 2001) on K x = lambda M x, with the constrained mass as M,
-    the exact inverse of ls^2 L + M on each column's box (_column_boxes) as
-    preconditioner and a random start vector drawn from seed, returns the
-    smallest eigenvalue once the residual ||K x - lambda M x|| of the
-    M-normalized eigenvector is at most tol.  The eigenvalue error is then
-    of order tol^2 / gap, where gap is the distance to the next eigenvalue.
-    Raises NoConvergence, carrying that residual, when max_iterations
-    iterations do not reach tol.  1/sqrt of the returned value estimates the
-    constant in the inequality.
+    survives.  Then a single-vector LOBPCG run (_min_eigenvector) on
+    K x = lambda M x, with the constrained mass as M, the exact inverse of
+    ls^2 L + M on each column's box (_column_boxes) as preconditioner and a
+    random start vector drawn from seed, returns the smallest eigenvalue once
+    the residual ||K x - lambda M x|| of the M-normalized eigenvector is at
+    most tol, a finite positive number (ValueError otherwise).  The eigenvalue
+    error is then of order tol^2 / gap, where gap is the distance to the next
+    eigenvalue.  Raises NoConvergence, carrying that residual, when
+    max_iterations iterations do not reach tol, and at once when an iterate
+    is not finite.  1/sqrt of the returned value estimates the constant in
+    the inequality.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be a finite positive number")
     if not problem.gamma_faces:
         return 0.0
-    # imported here: scipy.sparse.linalg is large and only this function of
-    # the package needs it, so scenario runs do not load it
-    from scipy.sparse.linalg import lobpcg
-
     basis, Khat, Mhat = _operators(problem)
     n = Khat.shape[0]
     if n == 0:
@@ -134,20 +133,62 @@ def estimate_min_quotient(problem: KornProblem, tol: float = 1e-8,
 
     boxes = list(_column_boxes(problem, basis))
 
-    def precond(X):  # lobpcg passes blocks of vectors, shaped (n, block size)
-        out = np.empty_like(X)
+    def precond(r):
+        out = np.empty_like(r)
         for idx, inverse in boxes:
-            out[idx] = inverse(X[idx])
+            out[idx] = inverse(r[idx])
         return out
 
-    start = np.random.default_rng(seed).standard_normal((n, 1))
-    with warnings.catch_warnings():
-        # a missed tolerance is raised below as NoConvergence instead
-        warnings.simplefilter("ignore", UserWarning)
-        _, X = lobpcg(Khat, start, B=Mhat, M=precond, tol=tol, maxiter=max_iterations, largest=False)
-    x = X[:, 0] / np.sqrt(float(X[:, 0] @ (Mhat @ X[:, 0])))
+    start = np.random.default_rng(seed).standard_normal(n)
+    x = _min_eigenvector(Khat, Mhat, precond, start, tol, max_iterations)
+    x = x / np.sqrt(float(x @ (Mhat @ x)))
     lam = float(x @ (Khat @ x))
     residual = float(np.linalg.norm(Khat @ x - lam * (Mhat @ x)))
     if not residual <= tol:
         raise NoConvergence("LOBPCG", max_iterations, residual, tol)
     return lam
+
+
+def _min_eigenvector(K, M, precond, x, tol, max_iterations):
+    """Approximate eigenvector of the smallest eigenvalue of K x = lambda M x, by
+    LOBPCG with block size 1 from the start vector x, stopped once the
+    M-normalized iterate has a residual of at most tol or after max_iterations
+    iterations.
+
+    Each iteration makes one K and one M product, on the preconditioned residual
+    w; the K- and M-images of the iterate and of the search direction p are
+    updated with them.  The trial basis [x, w, p] is M-orthonormalized through
+    the eigenvectors of its Gram matrix, after scaling each column to unit
+    M-norm, dropping directions whose Gram eigenvalue is below 1e-14 of the
+    largest; the smallest Ritz pair of K on it gives the next iterate.  A
+    non-finite residual, or a non-finite Gram matrix of the basis that the
+    next iterate would combine, raises NoConvergence at once.
+    """
+    Mx = M @ x
+    scale = 1.0 / np.sqrt(float(x @ Mx))
+    S, KS, MS = (scale * v[:, None] for v in (x, K @ x, Mx))
+    for iteration in range(max_iterations + 1):
+        # column 0 of S is the M-normalized iterate, column 1 (after the
+        # first iteration) the search direction; KS and MS hold their images
+        x, Kx, Mx = S[:, 0], KS[:, 0], MS[:, 0]
+        r = Kx - float(x @ Kx) * Mx
+        residual = float(np.linalg.norm(r))
+        if not np.isfinite(residual):
+            raise NoConvergence("LOBPCG", iteration, residual, tol)
+        if residual <= tol or iteration == max_iterations:
+            return x
+        w = precond(r)
+        S, KS, MS = (np.column_stack([a[:, :1], b, a[:, 1:]]) for a, b in ((S, w), (KS, K @ w), (MS, M @ w)))
+        G, H = S.T @ MS, S.T @ KS
+        if not (np.isfinite(G).all() and np.isfinite(H).all()):
+            # the next iterate, a combination of these columns, is not finite
+            raise NoConvergence("LOBPCG", iteration + 1, np.nan, tol)
+        norms = np.sqrt(np.diag(G))
+        d, V = np.linalg.eigh(G / np.outer(norms, norms))
+        keep = d > 1e-14 * d[-1]
+        T = V[:, keep] / np.sqrt(d[keep]) / norms[:, None]
+        c = T @ np.linalg.eigh(T.T @ H @ T)[1][:, 0]
+        c /= np.sqrt(c @ G @ c)
+        # the new search direction is the Ritz vector's part along w and the old p
+        C = np.column_stack([c, np.concatenate([[0.0], c[1:]])])
+        S, KS, MS = S @ C, KS @ C, MS @ C

@@ -175,6 +175,18 @@ class TestFastDiagonalization:
         with pytest.raises(ZeroField):
             estimate_min_quotient(KornProblem(Grid.unit_cube(1), FACES))
 
+    def test_non_finite_preconditioned_residual_fails_fast(self, monkeypatch):
+        boxes = korn._column_boxes
+
+        def nan_boxes(problem, basis):
+            for idx, _ in boxes(problem, basis):
+                yield idx, lambda x: np.full_like(x, np.nan)
+
+        monkeypatch.setattr(korn, "_column_boxes", nan_boxes)
+        with pytest.raises(NoConvergence) as info:
+            estimate_min_quotient(KornProblem(Grid.unit_cube(3), FACES))
+        assert info.value.what == "LOBPCG" and info.value.iterations <= 1
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_converges_within_two_hundred_iterations_on_ten_cubed(self, seed):
         # the Jacobi-preconditioned run needed 370-660 iterations here
@@ -183,9 +195,9 @@ class TestFastDiagonalization:
 
 
 def test_package_import_leaves_sparse_linalg_unloaded():
-    # scenario runs never need scipy.sparse.linalg or scipy.linalg; loading
-    # either with the package, or in a plastic step, would raise their peak
-    # memory
+    # neither scenario runs nor the Korn estimate need scipy.sparse.linalg or
+    # scipy.linalg; loading either with the package, in a plastic step or in
+    # the eigen-solve would raise their peak memory
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, numpy as np, curlplast\n"
@@ -199,6 +211,9 @@ def test_package_import_leaves_sparse_linalg_unloaded():
         "prob = DiscreteProblem(grid, BoundaryConfig(('zmin', 'zmax')), var, D)\n"
         "state, rep = time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.02))\n"
         "assert rep.active_node_fraction > 0.0\n"
+        "from curlplast.grid import FACES\n"
+        "from curlplast.korn import KornProblem, estimate_min_quotient\n"
+        "assert estimate_min_quotient(KornProblem(Grid.unit_cube(2), FACES)) > 0.0\n"
         "sys.exit('scipy.sparse.linalg' in sys.modules or 'scipy.linalg' in sys.modules)"
     )
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

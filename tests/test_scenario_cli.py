@@ -588,7 +588,7 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize("tol", ["0", "nan", "-1"])
+    @pytest.mark.parametrize("tol", ["0", "nan", "-1", "inf"])
     def test_korn_invalid_tol_exit_code(self, tmp_path, capsys, tol):
         cfg = self.write(tmp_path, elastic_doc())
         assert main(["korn", cfg, "--tol", tol]) == 2
