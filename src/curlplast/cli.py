@@ -20,7 +20,7 @@ from .korn import KornProblem, estimate_min_quotient
 from .models import SimState, sigma_nodal, eshelby_stress
 from .oracles import selftest
 from .scenario import Scenario, ValidationError, parse_scenario
-from .solver import DiscreteProblem, NoConvergence, extrapolate, time_step
+from .solver import DiscreteProblem, NoConvergence, extrapolate, probe_drawer, time_step
 from .tensors import dev
 from .vtk_io import write_structured_points
 
@@ -62,7 +62,9 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
     The micromorphic variant has no history, so its program collapses to the
     final load level: exactly one step is executed and reported.  Each step
     is offered the extrapolation of the last three states (the zero state
-    at level 0 included) to its level as a starting guess.
+    at level 0 included) to its level as a starting guess.  The VI probes of
+    every step are drawn on one thread, ahead of the solves, and the thread
+    is joined before the call returns or raises.
     """
     problem = DiscreteProblem(scenario.grid, scenario.boundary, scenario.variant,
                               scenario.dirichlet_array(), scenario.solver)
@@ -77,7 +79,7 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
     # written fails the run before any solve
     csv_path = os.path.join(out_dir, scenario.output.csv)
     os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)
-    with open(csv_path, "w", newline="\n") as csv_file:
+    with probe_drawer(problem, program) as drawer, open(csv_path, "w", newline="\n") as csv_file:
         csv_file.write(_csv_line(CSV_COLUMNS))
         vtk_dir = None
         if scenario.output.vtk_dir:
@@ -85,7 +87,7 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
             os.makedirs(vtk_dir, exist_ok=True)
         for k, load in enumerate(program):
             try:
-                state, report = time_step(problem, state, load, extrapolate(recent, load.level))
+                state, report = time_step(problem, state, load, extrapolate(recent, load.level), drawer)
             except NoConvergence as e:
                 raise NoConvergence(f"step {k + 1}: {e.what}", e.iterations, e.residual, e.tol) from e
             recent = recent[-2:] + [state]

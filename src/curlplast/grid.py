@@ -378,43 +378,45 @@ class Blocks:
         for tr, Vr in enumerate(r_bases):
             for tc, Vc in enumerate(c_bases):
                 if len(Vr) and len(Vc):
-                    # a non-finite kernel gives non-finite entries, rejected below
-                    with np.errstate(invalid="ignore"):
+                    # a non-finite or overflowing kernel gives non-finite entries, rejected below
+                    with np.errstate(over="ignore", invalid="ignore"):
                         R = (Vr @ kernels @ Vc.T).reshape(len(terms), -1)
                         R_abs = (np.abs(Vr) @ np.abs(kernels) @ np.abs(Vc).T).reshape(len(terms), -1)
                     reduced[tr, tc] = R, R_abs, len(Vr), len(Vc)
         once, mirrored = [], []  # entries stored as computed; J > I entries of a symmetric form
-        for dz, dy, dx in product((-1, 0, 1), repeat=3):
-            shift = dx + nx * (dy + ny * dz)
-            if symmetric and shift < 0:
-                continue
-            ix, iy, iz = (np.arange(max(0, -d), n + 1 - max(0, d)) for n, d in zip(grid.n, (dx, dy, dz)))
-            node = (ix + nx * (iy[:, None] + ny * iz[:, None, None])).ravel()
-            col = node + shift
-            pairing = np.empty((node.size, len(terms)))
-            for t, (names, _) in enumerate(terms):
-                fx, fy, fz = (np.diagonal(f[name], d) for f, name, d in zip(self._1d, names, (dx, dy, dz)))
-                pairing[:, t] = (fz[:, None, None] * fy[:, None] * fx).ravel()
-            group = r_type[node] * len(c_bases) + c_type[col]
-            for g in np.unique(group):
-                key = divmod(int(g), len(c_bases))
-                if key not in reduced:
+        # an overflowing pairing or product gives non-finite entries, rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for dz, dy, dx in product((-1, 0, 1), repeat=3):
+                shift = dx + nx * (dy + ny * dz)
+                if symmetric and shift < 0:
                     continue
-                R, R_abs, mr, mc = reduced[key]
-                sel = group == g
-                S = pairing[sel]
-                with np.errstate(invalid="ignore"):
+                ix, iy, iz = (np.arange(max(0, -d), n + 1 - max(0, d)) for n, d in zip(grid.n, (dx, dy, dz)))
+                node = (ix + nx * (iy[:, None] + ny * iz[:, None, None])).ravel()
+                col = node + shift
+                pairing = np.empty((node.size, len(terms)))
+                for t, (names, _) in enumerate(terms):
+                    fx, fy, fz = (np.diagonal(f[name], d) for f, name, d in zip(self._1d, names, (dx, dy, dz)))
+                    pairing[:, t] = (fz[:, None, None] * fy[:, None] * fx).ravel()
+                group = r_type[node] * len(c_bases) + c_type[col]
+                for g in np.unique(group):
+                    key = divmod(int(g), len(c_bases))
+                    if key not in reduced:
+                        continue
+                    R, R_abs, mr, mc = reduced[key]
+                    sel = group == g
+                    S = pairing[sel]
                     vals = (S @ R).reshape(-1, mr, mc)
-                if not np.all(np.isfinite(vals)):  # NaN would pass the roundoff test below
-                    raise ValueError("an assembled form has a non-finite entry: the material or grid overflows")
-                bound = ROUNDOFF * (np.abs(S) @ R_abs).reshape(-1, mr, mc)
-                if symmetric and shift == 0:
-                    vals = 0.5 * (vals + vals.transpose(0, 2, 1))
-                    bound = 0.5 * (bound + bound.transpose(0, 2, 1))
-                k, a, b = np.nonzero(np.abs(vals) > bound)
-                entry = (r_first[node[sel]][k] + a.astype(np.int32),
-                         c_first[col[sel]][k] + b.astype(np.int32), vals[k, a, b])
-                (mirrored if symmetric and shift > 0 else once).append(entry)
+                    bound = ROUNDOFF * (np.abs(S) @ R_abs).reshape(-1, mr, mc)
+                    # NaN would pass the roundoff test below, and an infinite bound would drop every entry
+                    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(bound))):
+                        raise ValueError("an assembled form has a non-finite entry: the material or grid overflows")
+                    if symmetric and shift == 0:
+                        vals = 0.5 * (vals + vals.transpose(0, 2, 1))
+                        bound = 0.5 * (bound + bound.transpose(0, 2, 1))
+                    k, a, b = np.nonzero(np.abs(vals) > bound)
+                    entry = (r_first[node[sel]][k] + a.astype(np.int32),
+                             c_first[col[sel]][k] + b.astype(np.int32), vals[k, a, b])
+                    (mirrored if symmetric and shift > 0 else once).append(entry)
         parts = once + mirrored + [(c, r, v) for r, c, v in mirrored]
         if not parts:
             return sp.csr_matrix((n_rows, n_cols))
@@ -544,19 +546,22 @@ class PBasis:
     def to_reduced(self, p_flat):
         return np.asarray(self.B.T @ p_flat)
 
-    def node_dots(self, a, b):
-        """Inner product of each node's tensors from reduced coordinates.
+    def node_sums(self, x):
+        """Sum of each node's reduced coordinates.
 
-        a and b may carry leading dimensions (a block of vectors, one per
-        row); the node axis replaces their last axis.
+        x may carry leading dimensions (a block of vectors, one per row, a
+        strided view included); the node axis replaces its last axis.
         """
-        ab = a * b
-        out = np.zeros(ab.shape[:-1] + (len(self.offsets) - 1,))
+        out = np.zeros(x.shape[:-1] + (len(self.offsets) - 1,))
         if len(self._starts):
             # reduce over the first axis of the transpose: for a vector this
             # is the plain indexing, which costs less per call than out[..., nodes]
-            out.T[self._nodes] = np.add.reduceat(ab.T, self._starts)
+            out.T[self._nodes] = np.add.reduceat(x.T, self._starts)
         return out
+
+    def node_dots(self, a, b):
+        """Inner product of each node's tensors from reduced coordinates, as node_sums."""
+        return self.node_sums(a * b)
 
     def node_norms(self, c):
         """Frobenius norm of each node's tensor from reduced coordinates, as node_dots."""

@@ -38,7 +38,9 @@ for the reduced functional too.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import isfinite, prod
 from typing import NamedTuple
@@ -80,10 +82,12 @@ LIPSCHITZ_SAFETY = 1.1
 
 # VI probes drawn and scored per block: enough rows that numpy, not the
 # interpreter, does the work, and a fixed count so that the memory of the
-# certificate does not grow with the number of probes.  The next block is
-# drawn on one worker thread from the same stream while this one is scored,
-# so at most two blocks are held and the probe values are unchanged
+# certificate does not grow with the number of probes.  A ProbeDrawer draws
+# the blocks of every step of a run on one thread, ahead of the solves, into
+# a ring of PROBE_RING preallocated blocks that the scoring hands back, so at
+# most PROBE_RING blocks are held and the probe values are unchanged
 VI_PROBE_BLOCK = 64
+PROBE_RING = 3
 
 # Most VI probes a step may ask for: a million probes already take about a
 # minute per step on a 6^3 grid
@@ -181,6 +185,74 @@ def weighted_norm(x, w):
     return float(np.sqrt(x @ (w * x))) if x.size else 0.0
 
 
+class ProbeDrawer:
+    """The VI probe blocks of a sequence of steps, drawn on one thread ahead of their scoring.
+
+    rngs yields one generator per step, in step order.  A step's probes are
+    `probes` rows of `width` standard normals from its generator, drawn
+    VI_PROBE_BLOCK rows at a time with standard_normal(out=...) into a ring
+    of PROBE_RING preallocated blocks.  numpy's Generator gives the same
+    values for one (k, n) draw as for k draws of n, and the same into out as
+    into a new array, so the probes depend neither on the block size nor on
+    the ring.  The thread waits while every block of the ring is drawn and
+    not yet scored.  It calls nothing but the generators, so no wrapper of a
+    package function ever runs on it.  A draw error is raised in the
+    consumer; close() stops and joins the thread, also while it waits.  With
+    no probes there is no ring and no thread.
+    """
+
+    def __init__(self, rngs, probes, width):
+        self._rows = [min(VI_PROBE_BLOCK, probes - start) for start in range(0, probes, VI_PROBE_BLOCK)]
+        self._free, self._drawn = queue.SimpleQueue(), queue.SimpleQueue()
+        self._stop = threading.Event()
+        self._thread = None
+        if self._rows:
+            for _ in range(PROBE_RING):
+                self._free.put(np.empty((self._rows[0], width)))
+            self._thread = threading.Thread(target=self._draw, args=(iter(rngs),), name="vi-probe-draws", daemon=True)
+            self._thread.start()
+
+    def _draw(self, rngs):
+        end = RuntimeError("no step left to draw VI probes for")
+        try:
+            for rng in rngs:
+                for rows in self._rows:
+                    block = self._free.get()
+                    if self._stop.is_set():
+                        return
+                    rng.standard_normal(out=block[:rows])
+                    self._drawn.put(block[:rows])
+        except Exception as e:  # the consumer raises it
+            end = e
+        finally:  # a consumer that asks for more never waits for a thread that has ended
+            self._drawn.put(end)
+
+    def step(self):
+        """The next step's blocks, in order; each goes back to the ring when the next is asked for."""
+        for _ in self._rows:
+            block = self._drawn.get()
+            if isinstance(block, Exception):
+                self._drawn.put(block)  # and every later step raises it too
+                raise block
+            try:
+                yield block
+            finally:
+                self._free.put(block.base)
+
+    def close(self):
+        """Stop the thread and wait for it to end."""
+        if self._thread is not None:
+            self._stop.set()
+            self._free.put(None)  # wakes the thread if it waits for a block
+            self._thread.join()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
 def accelerated_prox_gradient(gradient, w, prox, c0, step, tol, maxiter, scale_floor=0.0):
     """Accelerated proximal-gradient iteration in the diagonal metric w.
 
@@ -199,20 +271,22 @@ def accelerated_prox_gradient(gradient, w, prox, c0, step, tol, maxiter, scale_f
     y = c0.copy()
     tk = 1.0
     res = 0.0
-    for it in range(maxiter):
-        c_new = prox(y - step * gradient(y) / w)
-        taken = c_new - y
-        res = weighted_norm(taken, w)
-        if not np.isfinite(res):
-            raise NoConvergence("proximal gradient", it + 1, res, tol)
-        scale = max(weighted_norm(c_new, w), scale_floor)
-        if res <= tol * max(scale, 1e-300):
-            return c_new, it + 1
-        if float((taken * w) @ (c_new - c)) < 0.0:
-            tk = 1.0  # adaptive restart: momentum points uphill
-        tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        y = c_new + ((tk - 1.0) / tk_next) * (c_new - c)
-        c, tk = c_new, tk_next
+    # an iterate that overflows gives a residual that is not finite, which fails below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(maxiter):
+            c_new = prox(y - step * gradient(y) / w)
+            taken = c_new - y
+            res = weighted_norm(taken, w)
+            if not np.isfinite(res):
+                raise NoConvergence("proximal gradient", it + 1, res, tol)
+            scale = max(weighted_norm(c_new, w), scale_floor)
+            if res <= tol * max(scale, 1e-300):
+                return c_new, it + 1
+            if float((taken * w) @ (c_new - c)) < 0.0:
+                tk = 1.0  # adaptive restart: momentum points uphill
+            tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+            y = c_new + ((tk - 1.0) / tk_next) * (c_new - c)
+            c, tk = c_new, tk_next
     raise NoConvergence("proximal gradient", maxiter, res, tol)
 
 
@@ -285,26 +359,31 @@ class DiscreteProblem:
             raise NoConvergence("conjugate gradients", 0, nb, tol)
         if nb == 0.0:
             return np.zeros_like(b), 0
-        x = x0.copy()
-        r = b - matvec(x)
-        z = precond * r
-        p = z.copy()
-        rz = float(r @ z)
-        for it in range(maxiter):
-            res = np.linalg.norm(r)
-            if res <= tol * nb:
-                return x, it
-            if not np.isfinite(res):
-                raise NoConvergence("conjugate gradients", it, res / nb, tol)
-            Ap = matvec(p)
-            alpha = rz / float(p @ Ap)
-            x += alpha * p
-            r -= alpha * Ap
+        # an iterate that overflows gives a residual that is not finite, which fails below
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x0.copy()
+            r = b - matvec(x)
             z = precond * r
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        res = np.linalg.norm(b - matvec(x)) / nb
+            p = z.copy()
+            rz = float(r @ z)
+            for it in range(maxiter):
+                res = np.linalg.norm(r)
+                if res <= tol * nb:
+                    return x, it
+                if not np.isfinite(res):
+                    raise NoConvergence("conjugate gradients", it, res / nb, tol)
+                Ap = matvec(p)
+                pAp = float(p @ Ap)
+                if not (pAp > 0.0 and rz > 0.0):  # no curvature left along p, or roundoff took it
+                    raise NoConvergence("conjugate gradients", it, res / nb, tol)
+                alpha = rz / pAp
+                x += alpha * p
+                r -= alpha * Ap
+                z = precond * r
+                rz_new = float(r @ z)
+                p = z + (rz_new / rz) * p
+                rz = rz_new
+            res = np.linalg.norm(b - matvec(x)) / nb
         if res <= tol:
             return x, maxiter
         raise NoConvergence("conjugate gradients", maxiter, res, tol)
@@ -325,28 +404,26 @@ class DiscreteProblem:
             else:
                 rng = np.random.default_rng(1234)
                 v = rng.standard_normal(m)
-                for _ in range(30):
-                    v = np.asarray(self.A_hat @ v) / self.w_seg
-                    nv = np.linalg.norm(v)
-                    if nv == 0.0:
-                        break
-                    v /= nv
-                Av = np.asarray(self.A_hat @ v)
-                denom = float(v @ (self.w_seg * v))
-                lam = max(float(v @ Av) / denom, 1e-300) if denom > 0 else 1.0
+                # an operator that overflows gives an estimate that is not
+                # finite, and the first plastic solve then fails
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    for _ in range(30):
+                        v = np.asarray(self.A_hat @ v) / self.w_seg
+                        nv = np.linalg.norm(v)
+                        if nv == 0.0:
+                            break
+                        v /= nv
+                    Av = np.asarray(self.A_hat @ v)
+                    denom = float(v @ (self.w_seg * v))
+                    lam = max(float(v @ Av) / denom, 1e-300) if denom > 0 else 1.0
                 self._lipschitz = lam * LIPSCHITZ_SAFETY
         return self._lipschitz
 
     # -- dissipation bookkeeping --------------------------------------------
 
     def dissipation_value(self, dc, gamma_prev):
-        """Lumped-quadrature value of the incremental dissipation functional.
-
-        dc may be a block of increments, one per row; the result is then one
-        value per row.
-        """
-        val = self.variant.dissipation(self.basis.node_norms(dc), gamma_prev) @ self.w_node
-        return float(val) if np.ndim(val) == 0 else val
+        """Lumped-quadrature value of the incremental dissipation functional."""
+        return float(self.variant.dissipation(self.basis.node_norms(dc), gamma_prev) @ self.w_node)
 
     def _prox_reduced(self, x, c_prev, tau, gamma_prev):
         """Exact nodewise prox in reduced coordinates (uniform threshold tau)."""
@@ -435,8 +512,9 @@ class DiscreteProblem:
         active = dn > active_tol
         viol_in = np.maximum(0.0, tn - radius)[~active]
         viol_ac = np.abs(tn - radius)[active]
-        worst = max(viol_in.max() / sy if viol_in.size else 0.0,
-                    viol_ac.max() / sy if viol_ac.size else 0.0)
+        with np.errstate(over="ignore"):  # relative to a subnormal sigma_y the violation may be inf
+            worst = max(viol_in.max() / sy if viol_in.size else 0.0,
+                        viol_ac.max() / sy if viol_ac.size else 0.0)
         dots = self.basis.node_dots(T, dc)
         with np.errstate(invalid="ignore", divide="ignore"):
             cosang = dots / np.maximum(tn * dn, 1e-300)
@@ -446,7 +524,7 @@ class DiscreteProblem:
             mis = 1.0
         return float(worst), float(mis), float(active.mean())
 
-    def vi_residual(self, u_f, c, c_prev, gamma_prev, load, probes=1000, rng=None, r_hat=None):
+    def vi_residual(self, u_f, c, c_prev, gamma_prev, load, probes=1000, rng=None, r_hat=None, drawer=None):
         """Worst normalized violation of the incremental inequality.
 
         Random admissible directions (free displacement part, reduced plastic
@@ -455,50 +533,46 @@ class DiscreteProblem:
         smooth_residual_reduced(u_f, c, load) when the caller already holds it.
 
         A probe is one row [dv, dq] of a standard normal draw, scaled to the
-        w-norm of the increment.  Probes are drawn and scored VI_PROBE_BLOCK
-        rows at a time; numpy's Generator gives the same values for one
-        (k, n) draw as for k draws of n, so the probes do not depend on the
-        block size.  While a block is scored, the next one is drawn on one
-        worker thread, which the draw's release of the interpreter lock lets
-        run alongside.  The blocks are drawn one at a time, in order, from
-        the same rng and never beyond the last, so the probes and the rng
-        state left behind are those of drawing every block in turn.  The
-        thread is joined before the call returns.
+        w-norm of the increment.  The probes are the next step's blocks of
+        drawer, a ProbeDrawer; without one they are `probes` rows of rng
+        (default: seeded by config.seed), drawn by a one-step drawer whose
+        thread is joined before the call returns.  Each block is scored in
+        place, D @ r first and then the squares of dc + dq, so the scoring
+        makes no block-sized temporary, and then goes back to the ring.
         """
-        rng = rng or np.random.default_rng(self.config.seed)
-        r_u = self.displacement_residual(u_f, c, load)
-        if r_hat is None:
-            r_hat = self.smooth_residual_reduced(u_f, c, load)
-        r = np.concatenate([r_u, -r_hat])
-        nf = r_u.size
-        dc = c - c_prev
-        j0 = self.dissipation_value(dc, gamma_prev)
-        size = max(weighted_norm(dc, self.w_seg), 1e-8)
+        width = self.K_ff.shape[0] + self.basis.size
+        if drawer is None:
+            rng = rng or np.random.default_rng(self.config.seed)
+        with ProbeDrawer([rng], probes, width) if drawer is None else nullcontext(drawer) as drawer:
+            r_u = self.displacement_residual(u_f, c, load)
+            if r_hat is None:
+                r_hat = self.smooth_residual_reduced(u_f, c, load)
+            r = np.concatenate([r_u, -r_hat])
+            nf = r_u.size
+            dc = c - c_prev
+            j0 = self.dissipation_value(dc, gamma_prev)
+            size = max(weighted_norm(dc, self.w_seg), 1e-8)
 
-        def worst_of(D):
-            lin = D @ r
-            jq = self.dissipation_value(dc + D[:, nf:], gamma_prev)
-            viol = lin + jq - j0
-            scale = np.abs(lin) + jq + j0 + 1e-300
-            return float(np.min(viol / scale))
+            def worst_of(D):
+                """Worst score of the rows of D, whose plastic part it overwrites."""
+                lin = D @ r
+                Q = D[:, nf:]
+                Q += dc
+                np.multiply(Q, Q, out=Q)
+                jq = self.variant.dissipation(np.sqrt(self.basis.node_sums(Q)), gamma_prev) @ self.w_node
+                viol = lin + jq - j0
+                scale = np.abs(lin) + jq + j0 + 1e-300
+                return float(np.min(viol / scale))
 
-        canonical = np.zeros((2, r.size))
-        canonical[0, nf:] = -dc
-        canonical[1, nf:] = dc
-        worst = worst_of(canonical)
-        shapes = [(min(VI_PROBE_BLOCK, probes - start), r.size) for start in range(0, probes, VI_PROBE_BLOCK)]
-        if not shapes:
-            return worst
-        with ThreadPoolExecutor(1) as pool:
-            drawn = pool.submit(rng.standard_normal, shapes[0])
-            for k in range(len(shapes)):
-                D = drawn.result()
-                if k + 1 < len(shapes):
-                    drawn = pool.submit(rng.standard_normal, shapes[k + 1])
+            canonical = np.zeros((2, width))
+            canonical[0, nf:] = -dc
+            canonical[1, nf:] = dc
+            worst = worst_of(canonical)
+            for D in drawer.step():
                 nrm = np.sqrt(np.einsum("ij,ij->i", D, D))
                 D *= np.divide(size, nrm, out=np.ones_like(nrm), where=nrm > 0.0)[:, None]
                 worst = min(worst, worst_of(D))
-        return worst
+            return worst
 
 
 def probe_seed(seed, level):
@@ -506,6 +580,14 @@ def probe_seed(seed, level):
     seed for every |level * 1e6| >= 2^84 and so also for one that overflows."""
     scaled = level * 1e6
     return seed + (int(round(scaled)) % (2 ** 31) if isfinite(scaled) else 0)
+
+
+def probe_drawer(problem, program):
+    """The ProbeDrawer of problem.config.vi_probes probes for each step of
+    program, in order, each step's from the generator seeded by probe_seed."""
+    cfg = problem.config
+    seeds = [probe_seed(cfg.seed, load.level) for load in program]
+    return ProbeDrawer(map(np.random.default_rng, seeds), cfg.vi_probes, problem.K_ff.shape[0] + problem.basis.size)
 
 
 def extrapolate(history, level):
@@ -536,7 +618,8 @@ def extrapolate(history, level):
     return SimState(VectorField(u), TensorField(p), nodes[0].gamma, level)
 
 
-def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, guess: SimState | None = None):
+def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, guess: SimState | None = None,
+              drawer: ProbeDrawer | None = None):
     """Advance one load step; returns the new state and its report.
 
     guess, a state near the step's solution, is only a starting point.  A
@@ -544,7 +627,9 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     guess's, each by a solve warm-started from the guess's u, and starts
     from the guess only when its step functional is lower by more than
     roundoff.  The monolithic (micromorphic) solve ignores it.  Every solve
-    works in (u_f, c) on the step's ReducedLoad, formed once.
+    works in (u_f, c) on the step's ReducedLoad, formed once.  With VI
+    probes, drawer is a run's probe_drawer whose next step is this one;
+    without it the step draws its own.
     """
     cfg = problem.config
     variant = problem.variant
@@ -642,8 +727,8 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     energy = total_energy(problem.grid, variant, state, load.body_force)
     vi = None
     if cfg.vi_probes:
-        rng = np.random.default_rng(probe_seed(cfg.seed, load.level))
-        vi = problem.vi_residual(u_f, c, c_prev, gamma_prev, data, cfg.vi_probes, rng, r_hat)
+        with probe_drawer(problem, (load,)) if drawer is None else nullcontext(drawer) as step_drawer:
+            vi = problem.vi_residual(u_f, c, c_prev, gamma_prev, data, r_hat=r_hat, drawer=step_drawer)
     report = StepReport(
         energy=energy,
         dissipation_increment=float(r_hat @ dc),

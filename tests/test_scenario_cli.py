@@ -1,11 +1,13 @@
 import json
 import os
 import re
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from curlplast import cli, solver
 from curlplast import grid as grid_module
 from curlplast.cli import apply_sweep_value, main, run_scenario, sweep
 from curlplast.grid import FACES, Grid, PBasis
@@ -19,7 +21,7 @@ from curlplast.scenario import (
     parse_scenario,
 )
 from curlplast.models import VARIANT_TAGS, SimState, eshelby_stress
-from curlplast.solver import VI_PROBES_MAX, DiscreteProblem, time_step
+from curlplast.solver import VI_PROBE_BLOCK, VI_PROBES_MAX, DiscreteProblem, ProbeDrawer, probe_seed, time_step
 from curlplast.tensors import MaterialParams, dev, sym
 from vtk_reader import read_structured_points_arrays, read_structured_points_header
 
@@ -301,7 +303,7 @@ class TestRunScenario:
         assert loud == quiet
 
     def test_bitwise_determinism(self, tmp_path):
-        # 25 probes fit in one block; 130 span three, drawn while the last is scored
+        # 25 probes fit in one block; 130 span three, drawn ahead by the run's drawer
         for probes in (25, 130):
             doc = base_doc()
             doc["solver"] = {"vi_probes": probes}
@@ -366,6 +368,115 @@ class TestRunScenario:
         slopes = [r["hardening_slope"] for r in results]
         assert all(np.isfinite(slopes))
         assert slopes[0] <= slopes[1] <= slopes[2]
+
+
+class TestRunProbeDrawer:
+    """One thread per run draws the VI probes of every step, ahead of the solves."""
+
+    @pytest.mark.parametrize("variant, probes", [("kin_spin", 25), ("kin_spin", 130), ("micromorphic", 130)])
+    def test_each_step_gets_the_probes_of_its_own_seed(self, tmp_path, monkeypatch, variant, probes):
+        doc = base_doc(variant=variant, solver={"vi_probes": probes, "seed": 5})
+        s = parse_scenario(json.dumps(doc))
+        levels = [load.level for load in s.load_program]
+        if variant == "micromorphic":
+            levels = levels[-1:]  # the program collapses to its final level
+        score, step_blocks = DiscreteProblem.vi_residual, ProbeDrawer.step
+        calls, drawn = [], {}
+
+        def recording_step(drawer):
+            for block in step_blocks(drawer):
+                drawn.setdefault(drawer, []).append(block.copy())
+                yield block
+
+        def checked_score(prob, u_f, c, c_prev, gamma_prev, load, probes=1000, rng=None, r_hat=None, drawer=None):
+            got = score(prob, u_f, c, c_prev, gamma_prev, load, probes, rng, r_hat, drawer)
+            own_rng = np.random.default_rng(probe_seed(5, levels[len(calls)]))
+            want = score(prob, u_f, c, c_prev, gamma_prev, load, s.solver.vi_probes, own_rng, r_hat)
+            calls.append((drawer, got, want, prob.K_ff.shape[0] + prob.basis.size))
+            return got
+
+        monkeypatch.setattr(ProbeDrawer, "step", recording_step)
+        monkeypatch.setattr(DiscreteProblem, "vi_residual", checked_score)
+        res = run_scenario(s, str(tmp_path))
+        assert len(calls) == len(levels) == len(res.reports)
+        run_drawer = calls[0][0]
+        assert isinstance(run_drawer, ProbeDrawer) and all(drawer is run_drawer for drawer, *_ in calls)
+        assert [got for _, got, _, _ in calls] == [want for _, _, want, _ in calls]
+        assert [r.vi_residual for r in res.reports] == [got for _, got, _, _ in calls]
+        # the draws themselves, which a micromorphic step's -1 certificate would not tell apart
+        per_step = -(-probes // VI_PROBE_BLOCK)
+        width = calls[0][3]
+        for k, level in enumerate(levels):
+            blocks = np.vstack(drawn[run_drawer][k * per_step:(k + 1) * per_step])
+            assert np.array_equal(blocks, np.random.default_rng(probe_seed(5, level)).standard_normal((probes, width)))
+
+    def test_one_thread_per_run_joined_on_return(self, tmp_path, monkeypatch):
+        doc = base_doc(solver={"vi_probes": 1000})
+        seen = []
+
+        def step(*args):
+            seen.append([t for t in threading.enumerate() if t.name == "vi-probe-draws"])
+            return time_step(*args)
+
+        monkeypatch.setattr(cli, "time_step", step)
+        before = threading.active_count()
+        run_scenario(parse_scenario(json.dumps(doc)), str(tmp_path))
+        assert threading.active_count() == before
+        assert len(seen) == 3 and all(len(threads) == 1 for threads in seen)
+        assert len({threads[0] for threads in seen}) == 1
+
+    def test_no_probes_start_no_thread(self, tmp_path, monkeypatch):
+        seen = []
+
+        def step(*args):
+            seen.append(threading.active_count())
+            return time_step(*args)
+
+        monkeypatch.setattr(cli, "time_step", step)
+        before = threading.active_count()
+        run_scenario(parse_scenario(json.dumps(base_doc())), str(tmp_path))
+        assert seen == [before] * 3
+
+    def test_non_convergence_mid_run_joins_the_drawer(self, tmp_path, capsys):
+        # step 3 fails while the drawer waits for a free block of the ring
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_doc(solver={"vi_probes": 1000, "max_fista": 3})))
+        before = threading.active_count()
+        codes = []
+        runner = threading.Thread(target=lambda: codes.append(main(["--quiet", "--out", str(tmp_path), "run",
+                                                                    str(cfg)])))
+        runner.start()
+        runner.join(60.0)
+        assert not runner.is_alive() and codes == [3]
+        assert capsys.readouterr().err.startswith("error: step 3: ")
+        assert threading.active_count() == before
+        assert (tmp_path / "timeseries.csv").read_text().count("\n") == 1 + 2
+
+    def test_failing_draw_ends_the_run_and_joins_the_drawer(self, tmp_path, monkeypatch):
+        class Broken:
+            def standard_normal(self, size=None, out=None):
+                raise RuntimeError("draw failed")
+
+        def second_step_broken(rngs):
+            rngs = iter(rngs)
+            yield next(rngs)
+            yield Broken()
+
+        monkeypatch.setattr(solver, "ProbeDrawer",
+                            lambda rngs, probes, width: ProbeDrawer(second_step_broken(rngs), probes, width))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run_scenario(parse_scenario(json.dumps(base_doc(solver={"vi_probes": 130}))), str(tmp_path))
+        assert threading.active_count() == before
+        assert (tmp_path / "timeseries.csv").read_text().count("\n") == 1 + 1
+
+    def test_close_stops_a_thread_that_waits_for_a_block(self):
+        before = threading.active_count()
+        drawer = ProbeDrawer([np.random.default_rng(0)], 1000, 8)
+        blocks = drawer.step()
+        next(blocks)  # the ring is full again soon after: the thread waits
+        drawer.close()
+        assert threading.active_count() == before
 
 
 class TestSweep:
@@ -499,10 +610,18 @@ class TestCliEntry:
         (INVALID_EDITS["spacing_subnormal"], 2),
         (lambda d: d.update(load_program=[{"level": 1, "body_force": [1e308, 0, 0]}]), 3),
         (lambda d: d.update(load_program=[{"level": 1, "amplitude": 1e300}]), 3),
-    ], ids=["mu_overflow", "spacing_subnormal", "load_norm_overflow", "amplitude_overflow"])
+        (lambda d: d["material"].update({"lambda": 1e308}), 2),
+        (lambda d: d["grid"].update(size=[1e308, 1, 1]), 2),
+        (lambda d: d.update(grid={"cells": [2, 2, 2], "spacing": [3.4e-195, 0.5, 0.5]}), 3),
+        (lambda d: d["material"].update(mu=7.4e-149), 3),
+        (lambda d: d.update(solver={"tol_cg": 1e-320}), 3),
+        (lambda d: d["material"].update(sigma_y=1e-320), 0),
+    ], ids=["mu_overflow", "spacing_subnormal", "load_norm_overflow", "amplitude_overflow", "lambda_overflow",
+            "size_overflow", "spacing_tiny", "mu_tiny", "tol_cg_subnormal", "sigma_y_subnormal"])
     def test_overflow_prints_the_error_line_alone(self, tmp_path, capsys, edit, code):
-        # finite input whose forms or norms overflow: numpy's RuntimeWarnings
-        # would print on stderr ahead of the message
+        # finite input whose forms, norms or iterates overflow or underflow:
+        # numpy's RuntimeWarnings would print on stderr ahead of the message,
+        # and a CG step with no curvature left would divide by zero
         doc = base_doc()
         edit(doc)
         cfg = self.write(tmp_path, doc)
@@ -511,7 +630,7 @@ class TestCliEntry:
             assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == code
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (err.startswith("error: ") and err.count("\n") == 1) if code else err == ""
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

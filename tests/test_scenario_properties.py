@@ -8,14 +8,23 @@ exit code 2.  Any other exception would reach the user as a traceback.
 
 Any valid document, with any choice of its optional fields, must survive
 the round trip through its canonical text unchanged.
+
+Run through `curlplast run`, the same documents with any one field replaced
+by a wrong, extreme or non-finite value must end in exit code 0, 2, 3 or 4,
+each failure with exactly one `error:` line and no traceback or warning.
 """
 
+import contextlib
+import io
 import json
 import os
+import tempfile
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curlplast.cli import main
 from curlplast.grid import FACES
 from curlplast.models import VARIANT_TAGS
 from curlplast.scenario import ParseError, ValidationError, canonical_dict, canonical_text, parse_scenario
@@ -88,6 +97,44 @@ def test_mistyped_field_is_refused_with_a_documented_error(case, value):
         parse_scenario(json.dumps(doc))
     except (ParseError, ValidationError):
         pass
+
+
+# every integer here, and every integral float, is at most 4 or refused, so no
+# replacement asks for a large grid or a long run
+extreme_values = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.integers(-4, 4),
+    st.sampled_from([1e308, -1e308, 1e-320, float("nan"), float("inf"), float("-inf"), 10 ** 400, 2 ** 63,
+                     True, None]),
+    st.text("ab0", max_size=3),  # no path separator or dot: outputs stay in the run's folder
+    st.lists(st.integers(-1, 2), max_size=4),
+    st.dictionaries(st.text("ab", max_size=2), st.integers(-1, 2), max_size=2),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(CASES), extreme_values)
+def test_any_refused_run_prints_one_error_line(case, value):
+    i, path = case
+    doc = json.loads(json.dumps(DOCS[i]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as out:
+        cfg = os.path.join(out, "config.json")
+        with open(cfg, "w") as f:
+            f.write(json.dumps(doc))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["--quiet", "--out", out, "run", cfg])
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)

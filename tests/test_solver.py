@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -14,6 +15,7 @@ from curlplast.solver import (
     InfeasibleBC,
     LoadStep,
     NoConvergence,
+    ProbeDrawer,
     SolverConfig,
     accelerated_prox_gradient,
     extrapolate,
@@ -776,17 +778,49 @@ class TestVIResidual:
         class SecondDrawFails:
             draws = 0
 
-            def standard_normal(self, shape):
+            def standard_normal(self, size=None, out=None):
                 self.draws += 1
                 if self.draws == 2:
                     raise RuntimeError("second draw failed")
-                return np.ones(shape)
+                out[...] = 1.0
+                return out
 
         prob, U, c, c_prev, gamma_prev, F = vi_case("iso_irrot")
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="second draw failed"):
             prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, prob.step_load(U, F), 130, SecondDrawFails())
         assert threading.active_count() == before
+
+    def test_ring_hands_each_block_out_once_under_fast_switching(self):
+        # three drawers and their consumers on two cores, switching threads
+        # every microsecond: a block drawn over while it is scored would
+        # change under the consumer or spoil a step's draws
+        def consume(seed, results):
+            seeds = [seed, seed + 1, seed + 2]
+            ok = True
+            with ProbeDrawer(map(np.random.default_rng, seeds), 200, 16) as drawer:
+                for s in seeds:
+                    got = []
+                    for block in drawer.step():
+                        got.append(block.copy())
+                        for _ in range(20):
+                            ok &= np.array_equal(block, got[-1])
+                    ok &= np.array_equal(np.vstack(got), np.random.default_rng(s).standard_normal((200, 16)))
+            results[seed] = ok
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = {}
+            consumers = [threading.Thread(target=consume, args=(10 * i, results)) for i in range(3)]
+            for t in consumers:
+                t.start()
+            for t in consumers:
+                t.join(30.0)
+            assert not any(t.is_alive() for t in consumers)
+            assert results == {0: True, 10: True, 20: True}
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestMicromorphic:
