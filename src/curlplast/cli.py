@@ -61,8 +61,8 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
 
     The micromorphic variant has no history, so its program collapses to the
     final load level: exactly one step is executed and reported.  Each step
-    is offered the extrapolation of the last three states (the zero state
-    at level 0 included) to its level as a starting guess.  The VI probes of
+    starts from the extrapolation of the last three states (the zero state
+    at level 0 included) to its level, when there is one.  The VI probes of
     every step are drawn on one thread, ahead of the solves, and the thread
     is joined before the call returns or raises.
     """

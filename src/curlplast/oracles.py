@@ -146,9 +146,6 @@ class PolyTensorField:
                 out[..., i, j] = self.entries[i, j](pts)
         return out
 
-    def transpose(self):
-        return PolyTensorField([[self.entries[j, i] for j in range(3)] for i in range(3)])
-
     def apply(self, a):
         """Polynomial vector field X^T a ... rows contracted with constant a."""
         return poly_vector(

@@ -18,15 +18,13 @@ warm-started, Jacobi-preconditioned conjugate gradient, here to a tolerance
 that tightens with the FISTA step (Schmidt, Le Roux & Bach, "Convergence
 rates of inexact proximal-gradient methods", NIPS 2011).  A_hat, K_ff and
 S_f are the only sparse matrices DiscreteProblem stores; S_pf is a view of
-S_f.  The step functional is strictly convex, so its minimizer moves
-continuously with the load and a step may start from a guess extrapolated
-from the previous steps.  It starts there only when the guess gives a J
-lower, by more than roundoff, than the previous plastic field's, u
-recovered at each by one loose solve; a poor guess costs that solve and
-falls back to the previous field.  The nonsmooth term is the lumped (nodal)
-quadrature of the one-homogeneous dissipation, so its proximal map is an
-exact per-node shrinkage by ModelVariant.shrink; the time-step size cancels
-and steps are parameterized by load increments.
+S_f.  The step functional is strictly convex, so it has one minimizer,
+which moves continuously with the load: a step may start from any guess,
+such as one extrapolated from the previous steps, and the start changes only
+the work.  The nonsmooth term is the lumped (nodal) quadrature of the
+one-homogeneous dissipation, so its proximal map is an exact per-node
+shrinkage by ModelVariant.shrink; the time-step size cancels and steps are
+parameterized by load increments.
 
 The p iteration runs in the lumped-mass metric: gradients are divided by
 the nodal weights and the shrinkage threshold becomes uniform across nodes,
@@ -48,7 +46,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (
-    ROUNDOFF,
     BoundaryConfig,
     Grid,
     ScalarField,
@@ -151,8 +148,7 @@ class StepReport:
     # worst relative rise of J from one pass to the next; the confirming pass
     # starts from the returned c, so anything above roundoff is an uphill move
     objective_increase: float = 0.0
-    # the first pass started from the caller's guess, which lowered J below
-    # its value at the previous plastic field
+    # the step started from the caller's guess, not from the previous state
     started_from_guess: bool = False
 
 
@@ -524,7 +520,7 @@ class DiscreteProblem:
             mis = 1.0
         return float(worst), float(mis), float(active.mean())
 
-    def vi_residual(self, u_f, c, c_prev, gamma_prev, load, probes=1000, rng=None, r_hat=None, drawer=None):
+    def vi_residual(self, u_f, c, c_prev, gamma_prev, load, blocks, r_hat=None):
         """Worst normalized violation of the incremental inequality.
 
         Random admissible directions (free displacement part, reduced plastic
@@ -532,47 +528,40 @@ class DiscreteProblem:
         nonnegative values up to roundoff certify the minimizer.  r_hat is
         smooth_residual_reduced(u_f, c, load) when the caller already holds it.
 
-        A probe is one row [dv, dq] of a standard normal draw, scaled to the
-        w-norm of the increment.  The probes are the next step's blocks of
-        drawer, a ProbeDrawer; without one they are `probes` rows of rng
-        (default: seeded by config.seed), drawn by a one-step drawer whose
-        thread is joined before the call returns.  Each block is scored in
-        place, D @ r first and then the squares of dc + dq, so the scoring
-        makes no block-sized temporary, and then goes back to the ring.
+        blocks are the step's probe blocks, such as a ProbeDrawer's step():
+        a probe is one row [dv, dq] of standard normals, scaled to the w-norm
+        of the increment.  Each block is scored in place, D @ r first and then
+        the squares of dc + dq, so the scoring makes no block-sized temporary.
         """
-        width = self.K_ff.shape[0] + self.basis.size
-        if drawer is None:
-            rng = rng or np.random.default_rng(self.config.seed)
-        with ProbeDrawer([rng], probes, width) if drawer is None else nullcontext(drawer) as drawer:
-            r_u = self.displacement_residual(u_f, c, load)
-            if r_hat is None:
-                r_hat = self.smooth_residual_reduced(u_f, c, load)
-            r = np.concatenate([r_u, -r_hat])
-            nf = r_u.size
-            dc = c - c_prev
-            j0 = self.dissipation_value(dc, gamma_prev)
-            size = max(weighted_norm(dc, self.w_seg), 1e-8)
+        r_u = self.displacement_residual(u_f, c, load)
+        if r_hat is None:
+            r_hat = self.smooth_residual_reduced(u_f, c, load)
+        r = np.concatenate([r_u, -r_hat])
+        nf = r_u.size
+        dc = c - c_prev
+        j0 = self.dissipation_value(dc, gamma_prev)
+        size = max(weighted_norm(dc, self.w_seg), 1e-8)
 
-            def worst_of(D):
-                """Worst score of the rows of D, whose plastic part it overwrites."""
-                lin = D @ r
-                Q = D[:, nf:]
-                Q += dc
-                np.multiply(Q, Q, out=Q)
-                jq = self.variant.dissipation(np.sqrt(self.basis.node_sums(Q)), gamma_prev) @ self.w_node
-                viol = lin + jq - j0
-                scale = np.abs(lin) + jq + j0 + 1e-300
-                return float(np.min(viol / scale))
+        def worst_of(D):
+            """Worst score of the rows of D, whose plastic part it overwrites."""
+            lin = D @ r
+            Q = D[:, nf:]
+            Q += dc
+            np.multiply(Q, Q, out=Q)
+            jq = self.variant.dissipation(np.sqrt(self.basis.node_sums(Q)), gamma_prev) @ self.w_node
+            viol = lin + jq - j0
+            scale = np.abs(lin) + jq + j0 + 1e-300
+            return float(np.min(viol / scale))
 
-            canonical = np.zeros((2, width))
-            canonical[0, nf:] = -dc
-            canonical[1, nf:] = dc
-            worst = worst_of(canonical)
-            for D in drawer.step():
-                nrm = np.sqrt(np.einsum("ij,ij->i", D, D))
-                D *= np.divide(size, nrm, out=np.ones_like(nrm), where=nrm > 0.0)[:, None]
-                worst = min(worst, worst_of(D))
-            return worst
+        canonical = np.zeros((2, r.size))
+        canonical[0, nf:] = -dc
+        canonical[1, nf:] = dc
+        worst = worst_of(canonical)
+        for D in blocks:
+            nrm = np.sqrt(np.einsum("ij,ij->i", D, D))
+            D *= np.divide(size, nrm, out=np.ones_like(nrm), where=nrm > 0.0)[:, None]
+            worst = min(worst, worst_of(D))
+        return worst
 
 
 def probe_seed(seed, level):
@@ -584,10 +573,13 @@ def probe_seed(seed, level):
 
 def probe_drawer(problem, program):
     """The ProbeDrawer of problem.config.vi_probes probes for each step of
-    program, in order, each step's from the generator seeded by probe_seed."""
+    program, in order, each step's from the generator seeded by probe_seed.
+    A variant without dissipation has no inequality to certify: its drawer
+    has no probes and starts no thread."""
     cfg = problem.config
     seeds = [probe_seed(cfg.seed, load.level) for load in program]
-    return ProbeDrawer(map(np.random.default_rng, seeds), cfg.vi_probes, problem.K_ff.shape[0] + problem.basis.size)
+    probes = cfg.vi_probes if problem.variant.has_dissipation else 0
+    return ProbeDrawer(map(np.random.default_rng, seeds), probes, problem.K_ff.shape[0] + problem.basis.size)
 
 
 def extrapolate(history, level):
@@ -622,14 +614,13 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
               drawer: ProbeDrawer | None = None):
     """Advance one load step; returns the new state and its report.
 
-    guess, a state near the step's solution, is only a starting point.  A
-    dissipative step recovers u at the previous plastic field and at the
-    guess's, each by a solve warm-started from the guess's u, and starts
-    from the guess only when its step functional is lower by more than
-    roundoff.  The monolithic (micromorphic) solve ignores it.  Every solve
-    works in (u_f, c) on the step's ReducedLoad, formed once.  With VI
-    probes, drawer is a run's probe_drawer whose next step is this one;
-    without it the step draws its own.
+    The step starts from guess, a state near the step's solution, or else
+    from state_prev.  Its functional is strictly convex, so the start
+    changes the work and not the minimizer.  Every solve works in (u_f, c)
+    on the step's ReducedLoad, formed once.  A dissipative step with VI
+    probes scores the next step of drawer, a run's probe_drawer, or without
+    one draws its own; a step without dissipation has no inequality to
+    certify and reports no vi_residual.
     """
     cfg = problem.config
     variant = problem.variant
@@ -638,13 +629,13 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
 
     U = problem.lift(load.amplitude)
     data = problem.step_load(U, problem.blocks.body_force_vector(load.body_force))
-    u_f = state_prev.u.values.reshape(-1)[problem.free]
+    start = state_prev if guess is None else guess
+    u_f = start.u.values.reshape(-1)[problem.free]
+    c = problem.basis.to_reduced(start.p.values.reshape(-1))
     c_prev = problem.basis.to_reduced(state_prev.p.values.reshape(-1))
     gamma_prev = state_prev.gamma.values
-    c = c_prev.copy()
     cg_total = fista_total = 0
     uphill = 0.0
-    from_guess = False
 
     if not variant.has_dissipation:
         # single monolithic SPD solve replaces the flow law; the joint matrix
@@ -661,24 +652,6 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
         outer = 1
         J, _ = problem.objective(u_f, c, c_prev, gamma_prev, data)
     else:
-        if guess is not None:
-            # u is recovered at both starts only to the loosest inner
-            # tolerance.  J is quadratic in u and least at the exact solve,
-            # so each value exceeds its minimum over u by a second-order
-            # amount, which bounds how much worse than c_prev the start chosen
-            # can be; pass 1's first inner solve meets tol_cg from it
-            tol_start = max(cfg.tol_cg, INNER_TOL_CAP)
-            u_start = guess.u.values.reshape(-1)[problem.free]
-            c_guess = problem.basis.to_reduced(guess.p.values.reshape(-1))
-            u_guess, its_guess = problem.solve_u(u_start, c_guess, data, tol_start)
-            u_f, its_prev = problem.solve_u(u_start, c, data, tol_start)
-            cg_total += its_guess + its_prev
-            J_start, D_start = problem.objective(u_f, c, c_prev, gamma_prev, data)
-            J_guess, _ = problem.objective(u_guess, c_guess, c_prev, gamma_prev, data)
-            # the guess must win by more than roundoff, so that summation
-            # order does not decide between starts that are tied
-            if J_guess < J_start - ROUNDOFF * (abs(J_start) + D_start):
-                u_f, c, from_guess = u_guess, c_guess, True
         # pass 1 solves the step; pass 2 restarts from its c with an exact
         # first gradient and confirms that J no longer descends
         J_prev = np.inf
@@ -726,9 +699,9 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     kkt_viol, kkt_mis, active = problem.kkt_check(r_hat, dc, gamma_new)
     energy = total_energy(problem.grid, variant, state, load.body_force)
     vi = None
-    if cfg.vi_probes:
+    if cfg.vi_probes and variant.has_dissipation:
         with probe_drawer(problem, (load,)) if drawer is None else nullcontext(drawer) as step_drawer:
-            vi = problem.vi_residual(u_f, c, c_prev, gamma_prev, data, r_hat=r_hat, drawer=step_drawer)
+            vi = problem.vi_residual(u_f, c, c_prev, gamma_prev, data, step_drawer.step(), r_hat)
     report = StepReport(
         energy=energy,
         dissipation_increment=float(r_hat @ dc),
@@ -742,6 +715,6 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
         fista_iterations=fista_total,
         objective=J,
         objective_increase=uphill,
-        started_from_guess=from_guess,
+        started_from_guess=guess is not None,
     )
     return state, report

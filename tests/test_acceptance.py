@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 from gauss_reference import discrete_curl, reduced_reference, skewgrad_curl_form, tau_p_microforce
+from probe_blocks import one_step_blocks
 
 from curlplast.grid import (
     FACES,
@@ -156,9 +157,9 @@ def test_criterion_05_variational_inequality_residual(gradient_run):
     c = problem.basis.to_reduced(state.p.values.reshape(-1))
     c_prev = problem.basis.to_reduced(prev.p.values.reshape(-1))
     F = np.zeros(3 * gradient_run["grid"].node_count)
-    rng = np.random.default_rng(17)
-    control = problem.vi_residual(U[problem.free], 1.1 * c, c_prev, prev.gamma.values,
-                                  problem.step_load(U, F), 1000, rng)
+    with one_step_blocks(problem, 1000, np.random.default_rng(17)) as blocks:
+        control = problem.vi_residual(U[problem.free], 1.1 * c, c_prev, prev.gamma.values,
+                                      problem.step_load(U, F), blocks)
     ok = worst >= -1e-8 and control < -1e-8
     _report(5, "incremental inequality holds; perturbed state detected", ok,
             f"worst probe {worst:.2e}, negative control {control:.2e}")
