@@ -1,8 +1,8 @@
 """Command-line front end: run scenarios, sweep parameters, estimate the
 coercivity constant, and exercise the oracle self-tests.
 
-Exit codes: 0 success, 1 oracle self-test failure, 2 validation error,
-3 solver non-convergence, 4 I/O error.
+Exit codes: 0 success, 1 oracle self-test failure, 2 validation error or
+out of memory, 3 solver non-convergence, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -20,7 +22,7 @@ from .korn import KornProblem, estimate_min_quotient
 from .models import SimState, sigma_nodal, eshelby_stress
 from .oracles import selftest
 from .scenario import Scenario, ValidationError, parse_scenario
-from .solver import DiscreteProblem, NoConvergence, extrapolate, probe_drawer, time_step
+from .solver import CERT_WORKERS, CertificatePool, DiscreteProblem, NoConvergence, extrapolate, time_step
 from .tensors import dev
 from .vtk_io import write_structured_points
 
@@ -62,9 +64,11 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
     The micromorphic variant has no history, so its program collapses to the
     final load level: exactly one step is executed and reported.  Each step
     starts from the extrapolation of the last three states (the zero state
-    at level 0 included) to its level, when there is one.  The VI probes of
-    every step are drawn on one thread, ahead of the solves, and the thread
-    is joined before the call returns or raises.
+    at level 0 included) to its level, when there is one.  Each step's VI
+    certificate runs on a CertificatePool while later steps are solved, at
+    most CERT_WORKERS at a time; its row and VTK file follow in step order,
+    and a failing step has every step before it written first.  The pool is
+    joined before the call returns or raises.
     """
     problem = DiscreteProblem(scenario.grid, scenario.boundary, scenario.variant,
                               scenario.dirichlet_array(), scenario.solver)
@@ -73,28 +77,25 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
         program = (program[-1],)
     state = SimState.zeros(scenario.grid)
     recent = [state]  # the newest states, for the starting guess
+    pending = deque()  # (k, load, state, report) of the steps solved and not yet written
     rows, states, reports, sig12 = [], [], [], []
-    cumulative = 0.0
     # the CSV is opened before the first step, so that a path that cannot be
     # written fails the run before any solve
     csv_path = os.path.join(out_dir, scenario.output.csv)
     os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)
-    with probe_drawer(problem, program) as drawer, open(csv_path, "w", newline="\n") as csv_file:
+    with CertificatePool() as pool, open(csv_path, "w", newline="\n") as csv_file:
         csv_file.write(_csv_line(CSV_COLUMNS))
         vtk_dir = None
         if scenario.output.vtk_dir:
             vtk_dir = os.path.join(out_dir, scenario.output.vtk_dir)
             os.makedirs(vtk_dir, exist_ok=True)
-        for k, load in enumerate(program):
-            try:
-                state, report = time_step(problem, state, load, extrapolate(recent, load.level), drawer)
-            except NoConvergence as e:
-                raise NoConvergence(f"step {k + 1}: {e.what}", e.iterations, e.residual, e.tol) from e
-            recent = recent[-2:] + [state]
-            cumulative += report.dissipation_functional
+
+        def write_oldest():
+            k, load, state, report = pending.popleft()
+            if isinstance(report.vi_residual, Future):
+                report.vi_residual = report.vi_residual.result()
             sig_e = eshelby_stress(scenario.grid, scenario.variant, state.u, state.p)
             dev_norm = np.linalg.norm(dev(sig_e), axis=(1, 2))
-            max_dev = float(np.max(dev_norm))
             sig = sigma_nodal(scenario.grid, scenario.variant.params, state.u, state.p)
             sig12.append(float(np.max(np.abs(sig[:, 0, 1]))))
             row = TimeSeriesRow(
@@ -103,8 +104,9 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
                 elastic_energy=report.energy.elastic,
                 defect_energy=report.energy.defect,
                 hardening_energy=report.energy.hardening,
-                cumulative_dissipation=cumulative,
-                max_dev_eshelby=max_dev,
+                cumulative_dissipation=(rows[-1].cumulative_dissipation if rows else 0.0)
+                + report.dissipation_functional,
+                max_dev_eshelby=float(np.max(dev_norm)),
                 mean_gamma=float(np.mean(state.gamma.values)),
                 active_fraction=report.active_node_fraction,
                 vi_residual=float(report.vi_residual) if report.vi_residual is not None else 0.0,
@@ -128,6 +130,22 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
                     fields={"plastic_distortion": state.p.values.reshape(-1, 9)},
                     title=f"load level {load.level}",
                 )
+
+        for k, load in enumerate(program):
+            if len(pending) == CERT_WORKERS:
+                write_oldest()
+            try:
+                state, report = time_step(problem, state, load, extrapolate(recent, load.level), pool)
+            except Exception as e:  # the steps before a failing one are written first
+                while pending:
+                    write_oldest()
+                if isinstance(e, NoConvergence):
+                    raise NoConvergence(f"step {k + 1}: {e.what}", e.iterations, e.residual, e.tol) from e
+                raise
+            recent = recent[-2:] + [state]
+            pending.append((k, load, state, report))
+        while pending:
+            write_oldest()
     if not states:
         states = [state]
     return RunResult(scenario, rows, states, reports, sig12)
@@ -313,6 +331,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
+    except MemoryError as e:  # also one raised on a certificate thread, read with its result
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -502,6 +502,16 @@ def _node_basis(allowed, mode):
     return vecs
 
 
+def _segment_sums(columns):
+    """columns[0] + (columns[1] + ... + columns[-1]) in the order np.add.reduceat
+    adds a segment: numpy's pairwise sum of the rest chains up to 7 terms and
+    adds 8, the most a node has after its first, as a balanced tree."""
+    first, rest = columns[0], columns[1:]
+    if len(rest) == 8:
+        rest = [((rest[0] + rest[1]) + (rest[2] + rest[3])) + ((rest[4] + rest[5]) + (rest[6] + rest[7]))]
+    return first + sum(rest[1:], rest[0]) if rest else first.copy()
+
+
 @dataclass
 class PBasis:
     """Per-node orthonormal bases of the admissible plastic subspace.
@@ -523,6 +533,7 @@ class PBasis:
         self.offsets = np.concatenate([[0], np.cumsum(self._dims)])
         self._nodes = np.nonzero(self._dims > 0)[0]
         self._starts = self.offsets[self._nodes]
+        self._uniform = bool(self._dims.min() > 0 and self._dims.min() == self._dims.max())
         rows, cols, data = [], [], []
         for t, V in enumerate(self.type_bases):
             nodes = np.nonzero(self.node_type == t)[0]
@@ -550,8 +561,12 @@ class PBasis:
         """Sum of each node's reduced coordinates.
 
         x may carry leading dimensions (a block of vectors, one per row, a
-        strided view included); the node axis replaces its last axis.
+        strided view included); the node axis replaces its last axis.  The
+        sums equal np.add.reduceat's bit for bit.
         """
+        if self._uniform:  # the columns of each coordinate are views: no strided reduceat
+            block = x.reshape(x.shape[:-1] + (len(self.node_type), -1))
+            return _segment_sums([block[..., i] for i in range(block.shape[-1])])
         out = np.zeros(x.shape[:-1] + (len(self.offsets) - 1,))
         if len(self._starts):
             # reduce over the first axis of the transpose: for a vector this

@@ -33,12 +33,14 @@ Each p iteration makes one A_hat product, one inner displacement solve and
 one prox, and stops on the gradient-mapping residual of the step it has
 just taken.  S <= A_hat in the Loewner order, so the step 1/L(A_hat) is safe
 for the reduced functional too.
+
+vi_residual certifies a step's inequality on random admissible probes from
+a generator seeded by the step; in a run, a CertificatePool thread draws
+and scores them while the next step is solved, with a serial run's values.
 """
 from __future__ import annotations
 
-import queue
-import threading
-from contextlib import nullcontext
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isfinite, prod
 from typing import NamedTuple
@@ -79,12 +81,13 @@ LIPSCHITZ_SAFETY = 1.1
 
 # VI probes drawn and scored per block: enough rows that numpy, not the
 # interpreter, does the work, and a fixed count so that the memory of the
-# certificate does not grow with the number of probes.  A ProbeDrawer draws
-# the blocks of every step of a run on one thread, ahead of the solves, into
-# a ring of PROBE_RING preallocated blocks that the scoring hands back, so at
-# most PROBE_RING blocks are held and the probe values are unchanged
+# certificate does not grow with the number of probes: a certificate scores
+# each block before it draws the next one into the same memory
 VI_PROBE_BLOCK = 64
-PROBE_RING = 3
+
+# Threads of a CertificatePool, each certifying one step at a time; a run
+# keeps at most this many certificates pending
+CERT_WORKERS = 2
 
 # Most VI probes a step may ask for: a million probes already take about a
 # minute per step on a 6^3 grid
@@ -137,7 +140,7 @@ class StepReport:
     energy: EnergySplit
     dissipation_increment: float  # discrete pairing of the generalized stress with dp
     dissipation_functional: float  # sigma_y * integral |dp|, the dissipated work
-    vi_residual: float | None
+    vi_residual: float | None  # or, from a CertificatePool, the Future of the float
     kkt_max_violation: float
     kkt_max_misalignment: float
     active_node_fraction: float
@@ -181,72 +184,35 @@ def weighted_norm(x, w):
     return float(np.sqrt(x @ (w * x))) if x.size else 0.0
 
 
-class ProbeDrawer:
-    """The VI probe blocks of a sequence of steps, drawn on one thread ahead of their scoring.
+def probe_blocks(problem, rng, probes, pool=None):
+    """`probes` rows of standard normals from rng, one entry per unknown of
+    problem, drawn VI_PROBE_BLOCK rows at a time into one reused block.
+    numpy's Generator gives the same values for one (k, n) draw as for k
+    draws of n, and the same into out as into a new array, so the probes do
+    not depend on the block size.  Once pool is stopped, the next block
+    raises CancelledError instead."""
+    block = np.empty((min(VI_PROBE_BLOCK, probes), problem.K_ff.shape[0] + problem.basis.size))
+    for start in range(0, probes, VI_PROBE_BLOCK):
+        if pool is not None and pool.stopped:
+            raise CancelledError
+        rng.standard_normal(out=block[:probes - start])
+        yield block[:probes - start]
 
-    rngs yields one generator per step, in step order.  A step's probes are
-    `probes` rows of `width` standard normals from its generator, drawn
-    VI_PROBE_BLOCK rows at a time with standard_normal(out=...) into a ring
-    of PROBE_RING preallocated blocks.  numpy's Generator gives the same
-    values for one (k, n) draw as for k draws of n, and the same into out as
-    into a new array, so the probes depend neither on the block size nor on
-    the ring.  The thread waits while every block of the ring is drawn and
-    not yet scored.  It calls nothing but the generators, so no wrapper of a
-    package function ever runs on it.  A draw error is raised in the
-    consumer; close() stops and joins the thread, also while it waits.  With
-    no probes there is no ring and no thread.
-    """
 
-    def __init__(self, rngs, probes, width):
-        self._rows = [min(VI_PROBE_BLOCK, probes - start) for start in range(0, probes, VI_PROBE_BLOCK)]
-        self._free, self._drawn = queue.SimpleQueue(), queue.SimpleQueue()
-        self._stop = threading.Event()
-        self._thread = None
-        if self._rows:
-            for _ in range(PROBE_RING):
-                self._free.put(np.empty((self._rows[0], width)))
-            self._thread = threading.Thread(target=self._draw, args=(iter(rngs),), name="vi-probe-draws", daemon=True)
-            self._thread.start()
+class CertificatePool(ThreadPoolExecutor):
+    """CERT_WORKERS threads, each scoring one step's vi_residual on the
+    probe_blocks it draws.  The threads start with the first certificate, so
+    a run without one starts none.  Leaving the context cancels the
+    certificates no thread has taken, stops a running one at its next block
+    and joins the threads."""
 
-    def _draw(self, rngs):
-        end = RuntimeError("no step left to draw VI probes for")
-        try:
-            for rng in rngs:
-                for rows in self._rows:
-                    block = self._free.get()
-                    if self._stop.is_set():
-                        return
-                    rng.standard_normal(out=block[:rows])
-                    self._drawn.put(block[:rows])
-        except Exception as e:  # the consumer raises it
-            end = e
-        finally:  # a consumer that asks for more never waits for a thread that has ended
-            self._drawn.put(end)
-
-    def step(self):
-        """The next step's blocks, in order; each goes back to the ring when the next is asked for."""
-        for _ in self._rows:
-            block = self._drawn.get()
-            if isinstance(block, Exception):
-                self._drawn.put(block)  # and every later step raises it too
-                raise block
-            try:
-                yield block
-            finally:
-                self._free.put(block.base)
-
-    def close(self):
-        """Stop the thread and wait for it to end."""
-        if self._thread is not None:
-            self._stop.set()
-            self._free.put(None)  # wakes the thread if it waits for a block
-            self._thread.join()
-
-    def __enter__(self):
-        return self
+    def __init__(self):
+        super().__init__(CERT_WORKERS, thread_name_prefix="vi-certificate")
+        self.stopped = False
 
     def __exit__(self, *exc):
-        self.close()
+        self.stopped = True
+        self.shutdown(cancel_futures=True)
 
 
 def accelerated_prox_gradient(gradient, w, prox, c0, step, tol, maxiter, scale_floor=0.0):
@@ -528,10 +494,12 @@ class DiscreteProblem:
         nonnegative values up to roundoff certify the minimizer.  r_hat is
         smooth_residual_reduced(u_f, c, load) when the caller already holds it.
 
-        blocks are the step's probe blocks, such as a ProbeDrawer's step():
-        a probe is one row [dv, dq] of standard normals, scaled to the w-norm
+        blocks are the step's probe blocks, such as probe_blocks gives: a
+        probe is one row [dv, dq] of standard normals, scaled to the w-norm
         of the increment.  Each block is scored in place, D @ r first and then
         the squares of dc + dq, so the scoring makes no block-sized temporary.
+        It writes only into the blocks, so a CertificatePool thread may run it
+        while the next step is solved.
         """
         r_u = self.displacement_residual(u_f, c, load)
         if r_hat is None:
@@ -571,17 +539,6 @@ def probe_seed(seed, level):
     return seed + (int(round(scaled)) % (2 ** 31) if isfinite(scaled) else 0)
 
 
-def probe_drawer(problem, program):
-    """The ProbeDrawer of problem.config.vi_probes probes for each step of
-    program, in order, each step's from the generator seeded by probe_seed.
-    A variant without dissipation has no inequality to certify: its drawer
-    has no probes and starts no thread."""
-    cfg = problem.config
-    seeds = [probe_seed(cfg.seed, load.level) for load in program]
-    probes = cfg.vi_probes if problem.variant.has_dissipation else 0
-    return ProbeDrawer(map(np.random.default_rng, seeds), probes, problem.K_ff.shape[0] + problem.basis.size)
-
-
 def extrapolate(history, level):
     """Lagrange extrapolation of u and p to pseudo-time level, or None.
 
@@ -611,16 +568,17 @@ def extrapolate(history, level):
 
 
 def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, guess: SimState | None = None,
-              drawer: ProbeDrawer | None = None):
+              pool: CertificatePool | None = None):
     """Advance one load step; returns the new state and its report.
 
     The step starts from guess, a state near the step's solution, or else
     from state_prev.  Its functional is strictly convex, so the start
     changes the work and not the minimizer.  Every solve works in (u_f, c)
     on the step's ReducedLoad, formed once.  A dissipative step with VI
-    probes scores the next step of drawer, a run's probe_drawer, or without
-    one draws its own; a step without dissipation has no inequality to
-    certify and reports no vi_residual.
+    probes scores the probe_blocks of the generator probe_seed gives it: on
+    the calling thread, or with a pool on one of its threads, and then the
+    report's vi_residual is the Future of the score.  A step without
+    dissipation has no inequality to certify and reports no vi_residual.
     """
     cfg = problem.config
     variant = problem.variant
@@ -700,8 +658,9 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     energy = total_energy(problem.grid, variant, state, load.body_force)
     vi = None
     if cfg.vi_probes and variant.has_dissipation:
-        with probe_drawer(problem, (load,)) if drawer is None else nullcontext(drawer) as step_drawer:
-            vi = problem.vi_residual(u_f, c, c_prev, gamma_prev, data, step_drawer.step(), r_hat)
+        rng = np.random.default_rng(probe_seed(cfg.seed, load.level))
+        args = (u_f, c, c_prev, gamma_prev, data, probe_blocks(problem, rng, cfg.vi_probes, pool), r_hat)
+        vi = problem.vi_residual(*args) if pool is None else pool.submit(problem.vi_residual, *args)
     report = StepReport(
         energy=energy,
         dissipation_increment=float(r_hat @ dc),

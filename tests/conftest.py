@@ -5,7 +5,7 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_its_test():
-    """Fail a test that leaves a thread running, such as a VI probe drawer that was never joined."""
+    """Fail a test that leaves a thread running, such as a VI certificate pool's that was never joined."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

@@ -9,7 +9,6 @@ import time
 import numpy as np
 import pytest
 from gauss_reference import discrete_curl, reduced_reference, skewgrad_curl_form, tau_p_microforce
-from probe_blocks import one_step_blocks
 
 from curlplast.grid import (
     FACES,
@@ -33,7 +32,7 @@ from curlplast.oracles import (
     radial_return_0d,
     symbolic_curl,
 )
-from curlplast.solver import DiscreteProblem, LoadStep, SolverConfig, time_step
+from curlplast.solver import DiscreteProblem, LoadStep, SolverConfig, probe_blocks, time_step
 from curlplast.tensors import MaterialParams, cross_matrix, dev, skew, sym
 
 MU, LAM, SY = 80.0, 110.0, 0.3
@@ -157,9 +156,8 @@ def test_criterion_05_variational_inequality_residual(gradient_run):
     c = problem.basis.to_reduced(state.p.values.reshape(-1))
     c_prev = problem.basis.to_reduced(prev.p.values.reshape(-1))
     F = np.zeros(3 * gradient_run["grid"].node_count)
-    with one_step_blocks(problem, 1000, np.random.default_rng(17)) as blocks:
-        control = problem.vi_residual(U[problem.free], 1.1 * c, c_prev, prev.gamma.values,
-                                      problem.step_load(U, F), blocks)
+    control = problem.vi_residual(U[problem.free], 1.1 * c, c_prev, prev.gamma.values,
+                                  problem.step_load(U, F), probe_blocks(problem, np.random.default_rng(17), 1000))
     ok = worst >= -1e-8 and control < -1e-8
     _report(5, "incremental inequality holds; perturbed state detected", ok,
             f"worst probe {worst:.2e}, negative control {control:.2e}")

@@ -317,6 +317,22 @@ class TestPBasis:
         assert TensorField(Ps).max_trace_violation() < 1e-14
         assert TensorField(Ps).max_symmetry_violation() < 1e-14
 
+    @pytest.mark.parametrize("mode", ["sl", "sym_sl", "none"])
+    @pytest.mark.parametrize("faces", [(), ("zmin",), ("zmin", "xmax"), FACES], ids=["uniform", "zmin", "zmin_xmax", "all"])
+    def test_node_sums_equal_reduceat_bit_for_bit(self, mode, faces):
+        # one coordinate count at every node without micro-hard faces; mixed
+        # counts with them, and nodes with none in sym_sl
+        b = build_p_basis(Grid.unit_cube(3), faces, mode)
+        dims = b.dims()
+        assert (len(set(dims)) == 1) == (faces == ())
+        nodes = np.nonzero(dims > 0)[0]
+        rng = np.random.default_rng(6)
+        D = rng.standard_normal((5, b.size + 7)) * 10.0 ** rng.integers(-8, 9, (5, b.size + 7))
+        for x in (D[0, 7:], D[:, 7:], D[:, 7:] ** 2):  # a vector, a strided block, squares
+            want = np.zeros(x.shape[:-1] + (len(dims),))
+            want.T[nodes] = np.add.reduceat(x.T, b.offsets[nodes])
+            assert np.array_equal(b.node_sums(x), want)
+
     def test_node_norms_match_frobenius(self):
         g = Grid.unit_cube(2)
         b = build_p_basis(g, ("zmin",), "sl")

@@ -1,8 +1,10 @@
 import json
 import os
 import re
+import sys
 import threading
 import warnings
+from concurrent.futures import CancelledError, Future
 
 import numpy as np
 import pytest
@@ -21,9 +23,17 @@ from curlplast.scenario import (
     parse_scenario,
 )
 from curlplast.models import VARIANT_TAGS, SimState, eshelby_stress
-from curlplast.solver import VI_PROBE_BLOCK, VI_PROBES_MAX, DiscreteProblem, ProbeDrawer, probe_seed, time_step
+from curlplast.solver import (
+    CERT_WORKERS,
+    VI_PROBE_BLOCK,
+    VI_PROBES_MAX,
+    CertificatePool,
+    DiscreteProblem,
+    probe_blocks,
+    probe_seed,
+    time_step,
+)
 from curlplast.tensors import MaterialParams, dev, sym
-from probe_blocks import one_step_blocks
 from vtk_reader import read_structured_points_arrays, read_structured_points_header
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -306,7 +316,7 @@ class TestRunScenario:
         assert loud == quiet
 
     def test_bitwise_determinism(self, tmp_path):
-        # 25 probes fit in one block; 130 span three, drawn ahead by the run's drawer
+        # 25 probes fit in one block; 130 span three, scored on the run's certificate pool
         for probes in (25, 130):
             doc = base_doc()
             doc["solver"] = {"vi_probes": probes}
@@ -373,76 +383,111 @@ class TestRunScenario:
         assert slopes[0] <= slopes[1] <= slopes[2]
 
 
-class TestRunProbeDrawer:
-    """One thread per run draws the VI probes of every step, ahead of the solves."""
+def pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("vi-certificate")]
+
+
+def program_doc(steps, probes, **overrides):
+    """base_doc with a monotone program of `steps` steps and `probes` VI probes."""
+    return base_doc(load_program=[{"level": k, "amplitude": 0.002 * k} for k in range(1, steps + 1)],
+                    solver={"vi_probes": probes}, **overrides)
+
+
+class TestCertificatePool:
+    """A run certifies each step on a pool thread that draws and scores the step's own probes."""
 
     @pytest.mark.parametrize("variant, probes", [("kin_spin", 25), ("kin_spin", 130), ("micromorphic", 130)])
-    def test_each_step_gets_the_probes_of_its_own_seed(self, tmp_path, monkeypatch, variant, probes):
+    def test_each_step_draws_its_own_probes(self, tmp_path, monkeypatch, variant, probes):
         doc = base_doc(variant=variant, solver={"vi_probes": probes, "seed": 5})
         s = parse_scenario(json.dumps(doc))
         levels = [load.level for load in s.load_program]
-        score, step_blocks = DiscreteProblem.vi_residual, ProbeDrawer.step
-        calls, drawn, owner, threads = [], {}, {}, []
+        blocks_of, score = solver.probe_blocks, DiscreteProblem.vi_residual
+        draws, step_of, calls, threads = [], {}, [], []
 
-        def recording_step(drawer):
+        def recording_blocks(problem, rng, n, pool=None):
+            # made on the main thread in step order, drawn on the thread that scores them
+            drawn = []
+            draws.append(drawn)
+
             def record():
-                for block in step_blocks(drawer):
-                    drawn.setdefault(drawer, []).append(block.copy())
+                for block in blocks_of(problem, rng, n, pool):
+                    drawn.append((threading.current_thread().name, block.copy()))
                     yield block
 
             blocks = record()
-            owner[blocks] = drawer
+            step_of[blocks] = len(draws) - 1
             return blocks
 
         def checked_score(prob, u_f, c, c_prev, gamma_prev, load, blocks, r_hat=None):
             got = score(prob, u_f, c, c_prev, gamma_prev, load, blocks, r_hat)
-            with one_step_blocks(prob, probes, np.random.default_rng(probe_seed(5, levels[len(calls)]))) as own:
-                want = score(prob, u_f, c, c_prev, gamma_prev, load, own, r_hat)
-            calls.append((owner[blocks], got, want, prob.K_ff.shape[0] + prob.basis.size))
+            k = step_of[blocks]
+            own = probe_blocks(prob, np.random.default_rng(probe_seed(5, levels[k])), probes)
+            calls.append((k, got, score(prob, u_f, c, c_prev, gamma_prev, load, own, r_hat),
+                          prob.K_ff.shape[0] + prob.basis.size))
             return got
 
         def step(*args):
-            threads.append([t for t in threading.enumerate() if t.name == "vi-probe-draws"])
+            threads.append(pool_threads())
             return time_step(*args)
 
-        monkeypatch.setattr(ProbeDrawer, "step", recording_step)
+        monkeypatch.setattr(solver, "probe_blocks", recording_blocks)
         monkeypatch.setattr(DiscreteProblem, "vi_residual", checked_score)
         monkeypatch.setattr(cli, "time_step", step)
         res = run_scenario(s, str(tmp_path))
         if variant == "micromorphic":
             # the program collapses to its final level, whose step has no
-            # inequality to certify: no drawer thread, no draw, a 0.0 column
+            # inequality to certify: no pool thread, no draw, a 0.0 column
             assert len(res.reports) == 1 and threads == [[]]
-            assert calls == [] and drawn == {} and res.reports[0].vi_residual is None
+            assert calls == [] and draws == [] and res.reports[0].vi_residual is None
             last = (tmp_path / "timeseries.csv").read_text().splitlines()[-1]
             assert float(last.split(",")[-1]) == 0.0
             return
-        assert len(calls) == len(levels) == len(res.reports)
-        run_drawer = calls[0][0]
-        assert isinstance(run_drawer, ProbeDrawer) and all(drawer is run_drawer for drawer, *_ in calls)
+        assert len(calls) == len(draws) == len(levels) == len(res.reports)
+        calls.sort()
+        assert [k for k, *_ in calls] == list(range(len(levels)))
         assert [got for _, got, _, _ in calls] == [want for _, _, want, _ in calls]
         assert [r.vi_residual for r in res.reports] == [got for _, got, _, _ in calls]
-        # the draws themselves
-        per_step = -(-probes // VI_PROBE_BLOCK)
+        # the draws themselves, each made on a pool thread
         width = calls[0][3]
-        for k, level in enumerate(levels):
-            blocks = np.vstack(drawn[run_drawer][k * per_step:(k + 1) * per_step])
+        for drawn, level in zip(draws, levels):
+            assert all(name.startswith("vi-certificate") for name, _ in drawn)
+            blocks = np.vstack([block for _, block in drawn])
             assert np.array_equal(blocks, np.random.default_rng(probe_seed(5, level)).standard_normal((probes, width)))
 
-    def test_one_thread_per_run_joined_on_return(self, tmp_path, monkeypatch):
-        doc = base_doc(solver={"vi_probes": 1000})
-        seen = []
+    def test_csv_matches_inline_scoring_under_fast_switching(self, tmp_path, monkeypatch):
+        # a thread switch every microsecond, and certificates that take longer
+        # than a solve, so that two run at once: a block drawn over while it
+        # is scored, or a certificate read before it is in, would change a byte
+        s = parse_scenario(json.dumps(program_doc(6, 5000, output={"csv": "timeseries.csv", "vtk_dir": "fields"})))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_scenario(s, str(tmp_path / "pool"))
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(cli, "time_step", lambda problem, state, load, guess, pool: time_step(
+            problem, state, load, guess))
+        run_scenario(s, str(tmp_path / "inline"))
+        files = sorted(p.relative_to(tmp_path / "inline") for p in (tmp_path / "inline").rglob("*.*"))
+        assert len(files) == 1 + 6
+        for f in files:
+            assert (tmp_path / "pool" / f).read_bytes() == (tmp_path / "inline" / f).read_bytes()
+
+    def test_at_most_cert_workers_pending_and_joined(self, tmp_path, monkeypatch):
+        returned, unresolved, threads = [], [], []
 
         def step(*args):
-            seen.append([t for t in threading.enumerate() if t.name == "vi-probe-draws"])
-            return time_step(*args)
+            state, report = time_step(*args)
+            returned.append(report)
+            unresolved.append(sum(isinstance(r.vi_residual, Future) for r in returned))
+            threads.append(len(pool_threads()))
+            return state, report
 
         monkeypatch.setattr(cli, "time_step", step)
-        before = threading.active_count()
-        run_scenario(parse_scenario(json.dumps(doc)), str(tmp_path))
-        assert threading.active_count() == before
-        assert len(seen) == 3 and all(len(threads) == 1 for threads in seen)
-        assert len({threads[0] for threads in seen}) == 1
+        res = run_scenario(parse_scenario(json.dumps(program_doc(6, 1000))), str(tmp_path))
+        assert max(unresolved) == CERT_WORKERS and max(threads) <= CERT_WORKERS
+        assert all(isinstance(r.vi_residual, float) for r in res.reports)
+        assert pool_threads() == []
 
     def test_no_probes_start_no_thread(self, tmp_path, monkeypatch):
         seen = []
@@ -456,11 +501,11 @@ class TestRunProbeDrawer:
         run_scenario(parse_scenario(json.dumps(base_doc())), str(tmp_path))
         assert seen == [before] * 3
 
-    def test_non_convergence_mid_run_joins_the_drawer(self, tmp_path, capsys):
-        # step 3 fails while the drawer waits for a free block of the ring
+    def test_non_convergence_mid_run_joins_the_pool(self, tmp_path, capsys):
+        # step 3 fails while the certificates of steps 1 and 2 may still run;
+        # both steps are written before the run ends
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(base_doc(solver={"vi_probes": 1000, "max_fista": 3})))
-        before = threading.active_count()
         codes = []
         runner = threading.Thread(target=lambda: codes.append(main(["--quiet", "--out", str(tmp_path), "run",
                                                                     str(cfg)])))
@@ -468,34 +513,62 @@ class TestRunProbeDrawer:
         runner.join(60.0)
         assert not runner.is_alive() and codes == [3]
         assert capsys.readouterr().err.startswith("error: step 3: ")
-        assert threading.active_count() == before
+        assert pool_threads() == []
         assert (tmp_path / "timeseries.csv").read_text().count("\n") == 1 + 2
 
-    def test_failing_draw_ends_the_run_and_joins_the_drawer(self, tmp_path, monkeypatch):
-        class Broken:
-            def standard_normal(self, size=None, out=None):
-                raise RuntimeError("draw failed")
+    def test_failing_draw_stops_the_next_certificate(self, tmp_path, monkeypatch):
+        # step 2's draw fails once step 3's certificate runs; step 3's draws
+        # would not end by themselves, and the pool stops them at a block
+        blocks_of, made, step3_runs, step3_end = solver.probe_blocks, [], threading.Event(), []
 
-        def second_step_broken(rngs):
-            rngs = iter(rngs)
-            yield next(rngs)
-            yield Broken()
+        def blocks(problem, rng, probes, pool=None):
+            made.append(rng)
+            step = len(made)
 
-        monkeypatch.setattr(solver, "ProbeDrawer",
-                            lambda rngs, probes, width: ProbeDrawer(second_step_broken(rngs), probes, width))
-        before = threading.active_count()
+            def draw():
+                if step == 2:
+                    assert step3_runs.wait(60.0)
+                    raise RuntimeError("draw failed")
+                if step == 1:
+                    yield from blocks_of(problem, rng, probes, pool)
+                    return
+                try:
+                    for n in range(10 ** 5):
+                        step3_runs.set()
+                        yield from blocks_of(problem, rng, VI_PROBE_BLOCK, pool)
+                except CancelledError:
+                    step3_end.append(n)
+                    raise
+
+            return draw()
+
+        monkeypatch.setattr(solver, "probe_blocks", blocks)
         with pytest.raises(RuntimeError, match="draw failed"):
             run_scenario(parse_scenario(json.dumps(base_doc(solver={"vi_probes": 130}))), str(tmp_path))
-        assert threading.active_count() == before
+        assert pool_threads() == []
+        assert len(step3_end) == 1 and step3_end[0] < 10 ** 5
         assert (tmp_path / "timeseries.csv").read_text().count("\n") == 1 + 1
 
-    def test_close_stops_a_thread_that_waits_for_a_block(self):
-        before = threading.active_count()
-        drawer = ProbeDrawer([np.random.default_rng(0)], 1000, 8)
-        blocks = drawer.step()
-        next(blocks)  # the ring is full again soon after: the thread waits
-        drawer.close()
-        assert threading.active_count() == before
+    def test_exit_cancels_waiting_and_stops_running_ones(self):
+        s = parse_scenario(json.dumps(base_doc()))
+        prob = DiscreteProblem(s.grid, s.boundary, s.variant, s.dirichlet_array(), s.solver)
+        started = threading.Semaphore(0)
+
+        def certificate(seed):
+            for n, _ in enumerate(probe_blocks(prob, np.random.default_rng(seed), VI_PROBES_MAX, pool), 1):
+                if n == 1:
+                    started.release()
+            return n
+
+        with pytest.raises(RuntimeError, match="step failed"):
+            with CertificatePool() as pool:
+                futures = [pool.submit(certificate, seed) for seed in range(CERT_WORKERS + 1)]
+                for _ in range(CERT_WORKERS):
+                    assert started.acquire(timeout=60.0)
+                raise RuntimeError("step failed")
+        assert futures[-1].cancelled()
+        assert all(isinstance(f.exception(), CancelledError) for f in futures[:-1])
+        assert pool_threads() == []
 
 
 class TestSweep:
@@ -650,6 +723,20 @@ class TestCliEntry:
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert (err.startswith("error: ") and err.count("\n") == 1) if code else err == ""
+
+    @pytest.mark.parametrize("where", ["__init__", "vi_residual"], ids=["setup", "certificate"])
+    def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch, where):
+        # a failed allocation in the operator setup, or on a certificate
+        # thread, whose error the run reads with the certificate
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.20 GiB for an array")
+
+        monkeypatch.setattr(DiscreteProblem, where, out_of_memory)
+        cfg = self.write(tmp_path, base_doc(solver={"vi_probes": 130}))
+        assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 3.20 GiB for an array\n"
+        assert pool_threads() == []
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

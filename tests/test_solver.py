@@ -1,4 +1,3 @@
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -6,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from probe_blocks import one_step_blocks
 
 from curlplast.grid import FACES, BoundaryConfig, Grid, ScalarField, TensorField, VectorField
 from curlplast.models import ModelVariant, SimState, eshelby_stress, sigma_nodal
@@ -16,10 +14,10 @@ from curlplast.solver import (
     InfeasibleBC,
     LoadStep,
     NoConvergence,
-    ProbeDrawer,
     SolverConfig,
     accelerated_prox_gradient,
     extrapolate,
+    probe_blocks,
     probe_seed,
     prox_dissipation,
     time_step,
@@ -476,10 +474,8 @@ class TestTimeStep:
         c_prev = prob.basis.to_reduced(prev.p.values.reshape(-1))
         load = prob.step_load(U, np.zeros(3 * grid.node_count))
         rng = np.random.default_rng(9)
-        with one_step_blocks(prob, 500, rng) as blocks:
-            ok = prob.vi_residual(U[prob.free], c, c_prev, prev.gamma.values, load, blocks)
-        with one_step_blocks(prob, 500, rng) as blocks:
-            bad = prob.vi_residual(U[prob.free], 1.1 * c, c_prev, prev.gamma.values, load, blocks)
+        ok = prob.vi_residual(U[prob.free], c, c_prev, prev.gamma.values, load, probe_blocks(prob, rng, 500))
+        bad = prob.vi_residual(U[prob.free], 1.1 * c, c_prev, prev.gamma.values, load, probe_blocks(prob, rng, 500))
         assert ok >= -1e-8
         assert bad < -1e-8  # detection of a non-minimizer
 
@@ -741,8 +737,8 @@ class TestVIResidual:
         prob, U, c, c_prev, gamma_prev, F = solved_step
         rng_ref, rng = np.random.default_rng(17), np.random.default_rng(17)
         want = vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng_ref)
-        with one_step_blocks(prob, probes, rng) as blocks:
-            got = prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, prob.step_load(U, F), blocks)
+        got = prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, prob.step_load(U, F),
+                               probe_blocks(prob, rng, probes))
         assert abs(got - want) <= 1e-14
         # the same number of draws: the next probe set starts at the same place
         assert rng.bit_generator.state == rng_ref.bit_generator.state
@@ -755,71 +751,29 @@ class TestVIResidual:
         def peak(probes):
             tracemalloc.start()
             try:
-                with one_step_blocks(prob, probes, np.random.default_rng(0)) as blocks:
-                    prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, load, blocks, r_hat)
+                blocks = probe_blocks(prob, np.random.default_rng(0), probes)
+                prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, load, blocks, r_hat)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(1000) <= 2 * peak(64)
 
-    def test_draw_thread_is_joined(self):
-        # a step given no drawer draws its probes on a drawer of its own
+    def test_step_without_a_pool_scores_on_the_calling_thread(self, monkeypatch):
+        # a library call of time_step starts no thread
         grid = Grid.unit_cube(2)
         prob = DiscreteProblem(grid, full_dirichlet(), KIN, SHEAR01, SolverConfig(vi_probes=130))
+        score, seen = DiscreteProblem.vi_residual, []
+
+        def recording_score(*args):
+            seen.append((threading.current_thread(), threading.active_count()))
+            return score(*args)
+
+        monkeypatch.setattr(DiscreteProblem, "vi_residual", recording_score)
         before = threading.active_count()
         _, rep = time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.01))
-        assert rep.vi_residual is not None
-        assert threading.active_count() == before
-
-    def test_draw_error_reaches_the_caller_and_thread_is_joined(self):
-        class SecondDrawFails:
-            draws = 0
-
-            def standard_normal(self, size=None, out=None):
-                self.draws += 1
-                if self.draws == 2:
-                    raise RuntimeError("second draw failed")
-                out[...] = 1.0
-                return out
-
-        prob, U, c, c_prev, gamma_prev, F = vi_case("iso_irrot")
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="second draw failed"):
-            with one_step_blocks(prob, 130, SecondDrawFails()) as blocks:
-                prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, prob.step_load(U, F), blocks)
-        assert threading.active_count() == before
-
-    def test_ring_hands_each_block_out_once_under_fast_switching(self):
-        # three drawers and their consumers on two cores, switching threads
-        # every microsecond: a block drawn over while it is scored would
-        # change under the consumer or spoil a step's draws
-        def consume(seed, results):
-            seeds = [seed, seed + 1, seed + 2]
-            ok = True
-            with ProbeDrawer(map(np.random.default_rng, seeds), 200, 16) as drawer:
-                for s in seeds:
-                    got = []
-                    for block in drawer.step():
-                        got.append(block.copy())
-                        for _ in range(20):
-                            ok &= np.array_equal(block, got[-1])
-                    ok &= np.array_equal(np.vstack(got), np.random.default_rng(s).standard_normal((200, 16)))
-            results[seed] = ok
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = {}
-            consumers = [threading.Thread(target=consume, args=(10 * i, results)) for i in range(3)]
-            for t in consumers:
-                t.start()
-            for t in consumers:
-                t.join(30.0)
-            assert not any(t.is_alive() for t in consumers)
-            assert results == {0: True, 10: True, 20: True}
-        finally:
-            sys.setswitchinterval(interval)
+        assert isinstance(rep.vi_residual, float)
+        assert seen == [(threading.current_thread(), before)]
 
 
 class TestMicromorphic:
