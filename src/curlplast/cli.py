@@ -140,7 +140,7 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
                 while pending:
                     write_oldest()
                 if isinstance(e, NoConvergence):
-                    raise NoConvergence(f"step {k + 1}: {e.what}", e.iterations, e.residual, e.tol) from e
+                    raise NoConvergence(f"step {k + 1}: {e.what}", e.iterations, e.residual, e.tol, e.history) from e
                 raise
             recent = recent[-2:] + [state]
             pending.append((k, load, state, report))
@@ -325,8 +325,9 @@ def main(argv=None) -> int:
     except ValueError as e:  # ParseError and ValidationError included
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except NoConvergence as e:
-        print(f"error: {e}", file=sys.stderr)
+    except NoConvergence as e:  # one line: the step, the phase and its last residuals
+        history = ", ".join(f"{r:.3e}" for r in e.history)
+        print(f"error: {e}" + (f"; last residuals {history}" if history else ""), file=sys.stderr)
         return 3
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -238,7 +238,8 @@ def _factors_1d(n, h):
 
     M[i, j] = int phi_i phi_j, K[i, j] = int phi_i' phi_j', G[i, j] =
     int phi_i' phi_j and Gt = G'; the 2-point Gauss rule integrates all of
-    them exactly.  Each is tridiagonal.
+    them exactly.  Each is tridiagonal.  "|F|" names the entrywise magnitude
+    of factor F, which magnitudes() term lists use.
     """
     cells = np.full(n + 1, 2.0)  # cells touching each node
     cells[0] = cells[-1] = 1.0
@@ -248,7 +249,8 @@ def _factors_1d(n, h):
         K = (np.diag(cells) - lower - upper) / h
     G = 0.5 * (lower - upper)
     G[0, 0], G[n, n] = -0.5, 0.5
-    return {"M": M, "K": K, "G": G, "Gt": G.T}
+    factors = {"M": M, "K": K, "G": G, "Gt": G.T}
+    return {**factors, **{f"|{name}|": np.abs(f) for name, f in factors.items()}}
 
 
 def _kron_apply(fx, fy, fz, x):
@@ -266,21 +268,34 @@ def fd_inverse(grid: Grid, lo, hi, weight):
     L (K on one axis, M on the others, summed over axes) and the mass M are
     Kronecker sums there, which fast diagonalization (Lynch, Rice & Thomas,
     Numer. Math. 6, 1964) inverts through V' M V = I, V' K V = diag(lam) per axis.
+    Raises ValueError when a pencil C K C', C the inverse Cholesky factor of
+    M, is not finite, as for a cell size whose factors overflow or underflow.
     """
     V, lam = [], []
     for n, h, a, b in zip(grid.n, grid.h, lo, hi):
         f = _factors_1d(n, h)
         C = np.linalg.inv(np.linalg.cholesky(f["M"][a:b, a:b]))
-        w, Q = np.linalg.eigh(C @ f["K"][a:b, a:b] @ C.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # a pencil that overflows is rejected below
+            pencil = C @ f["K"][a:b, a:b] @ C.T
+        if not np.isfinite(pencil).all():
+            raise ValueError("a fast-diagonalization pencil is not finite: the cell size is out of range")
+        w, Q = np.linalg.eigh(pencil)
         V.append(C.T @ Q)
         lam.append(w)
-    scale = 1.0 / (1.0 + weight * sum(np.ix_(*lam[::-1])))[..., None]
+    with np.errstate(over="ignore"):  # an overflowing weight * eigenvalue inverts to 0 on its mode
+        scale = 1.0 / (1.0 + weight * sum(np.ix_(*lam[::-1])))[..., None]
     return lambda x: _kron_apply(*V, scale * _kron_apply(*(v.T for v in V), x)).reshape(x.shape)
 
 
 def transposed(terms):
     """Term list of the transposed form: each kernel transposed, G and Gt swapped."""
     return [(tuple({"G": "Gt", "Gt": "G"}.get(n, n) for n in names), kernel.T) for names, kernel in terms]
+
+
+def magnitudes(terms):
+    """Term list of |1D factors| (x) |kernels| per term: for x >= 0 its product bounds
+    |sum of the terms' summands| entry by entry, the scale of their roundoff."""
+    return [(tuple(f"|{n}|" for n in names), np.abs(kernel)) for names, kernel in terms]
 
 
 def _nodal_space(space, node_count):

@@ -15,22 +15,28 @@ constant is claimed.  The eigen-solve is the module's own block-size-1
 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on numpy, with Rayleigh-Ritz
 by numpy's eigh, preconditioned by fast diagonalization (Lynch, Rice &
 Thomas, Numer. Math. 6, 1964), exact here; it loads neither
-scipy.sparse.linalg nor scipy.linalg.
+scipy.sparse.linalg nor scipy.linalg.  Both forms are applied matrix-free,
+through their exact 1D factors (Blocks.apply) between the basis products B
+and B'; nothing in this module assembles an operator.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ROUNDOFF, Grid, TensorField, allowed_columns, build_blocks, build_p_basis, fd_inverse
-from .solver import NoConvergence
+from .grid import ROUNDOFF, Grid, TensorField, allowed_columns, build_blocks, build_p_basis, fd_inverse, magnitudes
+from .solver import RESIDUAL_HISTORY, NoConvergence
 from .tensors import MaterialParams
 
 # material values are irrelevant for the unit-coefficient blocks; any
 # admissible moduli give the same K_sym / K_curl_cc / mass operators
 _UNIT = MaterialParams(mu=1.0, lam=0.0)
+
+# the largest length scale whose square is finite
+_MAX_LENGTH_SCALE = float(np.sqrt(np.finfo(float).max))
 
 
 class ZeroField(ValueError):
@@ -39,29 +45,47 @@ class ZeroField(ValueError):
 
 @dataclass(frozen=True)
 class KornProblem:
-    """Grid, constrained faces (possibly none) and the curl length scale."""
+    """Grid, constrained faces (possibly none) and the curl length scale, a
+    positive number whose square is finite."""
 
     grid: Grid
     gamma_faces: tuple[str, ...] = ()
     length_scale: float = 1.0
 
     def __post_init__(self):
-        if not self.length_scale > 0.0:
-            raise ValueError("length_scale must be positive")
+        if not 0.0 < self.length_scale <= _MAX_LENGTH_SCALE:
+            raise ValueError("length_scale must be a positive number whose square is finite")
         object.__setattr__(self, "gamma_faces", tuple(self.gamma_faces))
 
 
 def _operators(problem: KornProblem):
-    """Basis of the constrained space and the quotient's forms reduced onto it.
+    """Basis of the constrained space and the quotient's forms as products on it.
 
-    Returns (basis, Khat, Mhat) with Khat = B'(K_sym + ls^2 K_curl_cc)B and
-    Mhat = B' M_cons B, both CSR and assembled straight into the reduced
-    coordinates.
+    Returns (basis, Khat, Mhat, Kbound), functions of reduced coordinates c:
+    Khat c = B'(K_sym + ls^2 K_curl_cc)B c and Mhat c = B' M_cons B c, each
+    form applied to the full nodal components B c by Blocks.apply, and
+    Kbound c = B' |K| B c with |K| the magnitudes() of K's terms, so that
+    |Khat x| <= Kbound |x| entrywise for every x (B only selects nodal
+    components, so it is its own magnitude).  Nothing is assembled.
+    Raises ValueError when |K| 1 or |M| 1 is not finite, that is when an
+    entry of a form overflows, or when a row of M sums to less than the
+    smallest normal number, a mass that underflows.
     """
     blocks = build_blocks(problem.grid, _UNIT)
     basis = build_p_basis(problem.grid, problem.gamma_faces, "none")
-    Khat = blocks.assemble(blocks.form(K_sym=1.0, K_curl_cc=problem.length_scale ** 2), basis)
-    return basis, Khat, blocks.assemble(blocks.terms["M_cons"], basis)
+    K = blocks.form(K_sym=1.0, K_curl_cc=problem.length_scale ** 2)
+    M = blocks.terms["M_cons"]
+    # an overflowing entry makes its row sum infinite, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        ones = np.ones(basis.B.shape[0])
+        K_rows, M_rows = (blocks.apply(magnitudes(terms), ones) for terms in (K, M))
+    if not (np.isfinite(K_rows).all() and np.isfinite(M_rows).all() and M_rows.min() >= np.finfo(float).tiny):
+        raise ValueError("a Korn form overflows or its mass underflows: the grid or the length scale is out of range")
+
+    def product(terms, B=basis.B):
+        return lambda c: B.T @ blocks.apply(terms, B @ c)
+
+    return basis, product(K), product(M), product(magnitudes(K))
 
 
 def _column_boxes(problem: KornProblem, basis):
@@ -78,26 +102,23 @@ def _column_boxes(problem: KornProblem, basis):
             yield idx.reshape(*(hi - lo)[::-1], 3), fd_inverse(problem.grid, lo, hi, problem.length_scale ** 2)
 
 
-def _roundoff_floor(K, x):
-    """Upper bound for the roundoff in x' K x; form values below it are zero."""
-    ax = np.abs(x)
-    return ROUNDOFF * float(ax @ np.abs(K) @ ax)
-
-
 def korn_quotient(problem: KornProblem, P: TensorField) -> float:
     """Rayleigh quotient of a nodal field after applying the tangential mask.
 
-    Quadratic-form values indistinguishable from zero at double precision
-    (at or below the accumulated-roundoff floor) are flushed to exactly 0,
-    so exact kernel members such as constant skew fields report 0.0.
+    Both forms are applied matrix-free (_operators).  A numerator at or
+    below the roundoff floor ROUNDOFF * |x|' Kbound |x|, the accumulated
+    magnitude of its summands, is indistinguishable from zero at double
+    precision and is flushed to exactly 0, so exact kernel members such as
+    constant skew fields report 0.0.
     """
-    basis, Khat, Mhat = _operators(problem)
+    basis, Khat, Mhat, Kbound = _operators(problem)
     x = basis.to_reduced(P.values.reshape(-1))
-    denom = float(x @ (Mhat @ x))
+    denom = float(x @ Mhat(x))
     if denom <= 0.0:
         raise ZeroField("field vanishes on the constrained space")
-    num = float(x @ (Khat @ x))
-    if abs(num) <= _roundoff_floor(Khat, x):
+    num = float(x @ Khat(x))
+    ax = np.abs(x)
+    if abs(num) <= ROUNDOFF * float(ax @ Kbound(ax)):
         return 0.0
     return num / denom
 
@@ -107,7 +128,7 @@ def estimate_min_quotient(problem: KornProblem, tol: float = 1e-8,
     """Smallest generalized eigenvalue of the constrained quotient.
 
     With no constrained face the constant skew fields lie in the kernel, so
-    the infimum is 0 and nothing is assembled.  A constrained face keeps only
+    the infimum is 0 and no eigen-solve runs.  A constrained face keeps only
     the normal column of the field at its nodes, and a constant skew field
     with one nonzero column is zero, so with any face no constant skew field
     survives.  Then a single-vector LOBPCG run (_min_eigenvector) on
@@ -120,14 +141,17 @@ def estimate_min_quotient(problem: KornProblem, tol: float = 1e-8,
     eigenvalue.  Raises NoConvergence, carrying that residual, when
     max_iterations iterations do not reach tol, and at once when an iterate
     is not finite.  1/sqrt of the returned value estimates the constant in
-    the inequality.
+    the inequality.  The NoConvergence also carries the last residuals.
+    Both forms are applied matrix-free; their data (_operators) and the
+    preconditioner's pencils (fd_inverse) are checked before the first
+    iteration, and a grid or length scale out of range raises ValueError.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be a finite positive number")
+    basis, Khat, Mhat, _ = _operators(problem)
     if not problem.gamma_faces:
         return 0.0
-    basis, Khat, Mhat = _operators(problem)
-    n = Khat.shape[0]
+    n = basis.size
     if n == 0:
         raise ZeroField("constrained space is empty")
 
@@ -140,49 +164,53 @@ def estimate_min_quotient(problem: KornProblem, tol: float = 1e-8,
         return out
 
     start = np.random.default_rng(seed).standard_normal(n)
-    x = _min_eigenvector(Khat, Mhat, precond, start, tol, max_iterations)
-    x = x / np.sqrt(float(x @ (Mhat @ x)))
-    lam = float(x @ (Khat @ x))
-    residual = float(np.linalg.norm(Khat @ x - lam * (Mhat @ x)))
+    recent = deque(maxlen=RESIDUAL_HISTORY)
+    x = _min_eigenvector(Khat, Mhat, precond, start, tol, max_iterations, recent)
+    x = x / np.sqrt(float(x @ Mhat(x)))
+    Kx, Mx = Khat(x), Mhat(x)
+    lam = float(x @ Kx)
+    residual = float(np.linalg.norm(Kx - lam * Mx))
     if not residual <= tol:
-        raise NoConvergence("LOBPCG", max_iterations, residual, tol)
+        raise NoConvergence("LOBPCG", max_iterations, residual, tol, [*recent, residual])
     return lam
 
 
-def _min_eigenvector(K, M, precond, x, tol, max_iterations):
+def _min_eigenvector(K, M, precond, x, tol, max_iterations, recent):
     """Approximate eigenvector of the smallest eigenvalue of K x = lambda M x, by
     LOBPCG with block size 1 from the start vector x, stopped once the
     M-normalized iterate has a residual of at most tol or after max_iterations
-    iterations.
+    iterations.  K and M are functions that return the product with a vector.
 
     Each iteration makes one K and one M product, on the preconditioned residual
     w; the K- and M-images of the iterate and of the search direction p are
     updated with them.  The trial basis [x, w, p] is M-orthonormalized through
     the eigenvectors of its Gram matrix, after scaling each column to unit
     M-norm, dropping directions whose Gram eigenvalue is below 1e-14 of the
-    largest; the smallest Ritz pair of K on it gives the next iterate.  A
+    largest; the smallest Ritz pair of K on it gives the next iterate.  Each
+    iteration's residual is appended to recent, a bounded deque.  A
     non-finite residual, or a non-finite Gram matrix of the basis that the
     next iterate would combine, raises NoConvergence at once.
     """
-    Mx = M @ x
+    Mx = M(x)
     scale = 1.0 / np.sqrt(float(x @ Mx))
-    S, KS, MS = (scale * v[:, None] for v in (x, K @ x, Mx))
+    S, KS, MS = (scale * v[:, None] for v in (x, K(x), Mx))
     for iteration in range(max_iterations + 1):
         # column 0 of S is the M-normalized iterate, column 1 (after the
         # first iteration) the search direction; KS and MS hold their images
         x, Kx, Mx = S[:, 0], KS[:, 0], MS[:, 0]
         r = Kx - float(x @ Kx) * Mx
         residual = float(np.linalg.norm(r))
+        recent.append(residual)
         if not np.isfinite(residual):
-            raise NoConvergence("LOBPCG", iteration, residual, tol)
+            raise NoConvergence("LOBPCG", iteration, residual, tol, recent)
         if residual <= tol or iteration == max_iterations:
             return x
         w = precond(r)
-        S, KS, MS = (np.column_stack([a[:, :1], b, a[:, 1:]]) for a, b in ((S, w), (KS, K @ w), (MS, M @ w)))
+        S, KS, MS = (np.column_stack([a[:, :1], b, a[:, 1:]]) for a, b in ((S, w), (KS, K(w)), (MS, M(w))))
         G, H = S.T @ MS, S.T @ KS
         if not (np.isfinite(G).all() and np.isfinite(H).all()):
             # the next iterate, a combination of these columns, is not finite
-            raise NoConvergence("LOBPCG", iteration + 1, np.nan, tol)
+            raise NoConvergence("LOBPCG", iteration + 1, np.nan, tol, recent)
         norms = np.sqrt(np.diag(G))
         d, V = np.linalg.eigh(G / np.outer(norms, norms))
         keep = d > 1e-14 * d[-1]

@@ -40,6 +40,7 @@ and scores them while the next step is solved, with a serial run's values.
 """
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isfinite, prod
@@ -63,12 +64,19 @@ from .tensors import norm as frob_norm
 
 
 class NoConvergence(RuntimeError):
-    def __init__(self, what, iterations, residual, tol):
+    """An iteration that stopped short of its tolerance, or on a non-finite value.
+
+    history holds the last RESIDUAL_HISTORY residuals of the iteration,
+    oldest first; the message leaves them out.
+    """
+
+    def __init__(self, what, iterations, residual, tol, history=()):
         super().__init__(f"{what} did not converge in {iterations} iterations (residual {residual:.3e}, tol {tol:.3e})")
         self.what = what
         self.iterations = iterations
         self.residual = residual
         self.tol = tol
+        self.history = tuple(history)[-RESIDUAL_HISTORY:]
 
 
 class InfeasibleBC(ValueError):
@@ -88,6 +96,10 @@ VI_PROBE_BLOCK = 64
 # Threads of a CertificatePool, each certifying one step at a time; a run
 # keeps at most this many certificates pending
 CERT_WORKERS = 2
+
+# Residuals an iteration keeps, one bounded append per iteration, for the
+# NoConvergence it may raise
+RESIDUAL_HISTORY = 5
 
 # Most VI probes a step may ask for: a million probes already take about a
 # minute per step on a 6^3 grid
@@ -233,14 +245,16 @@ def accelerated_prox_gradient(gradient, w, prox, c0, step, tol, maxiter, scale_f
     y = c0.copy()
     tk = 1.0
     res = 0.0
+    recent = deque(maxlen=RESIDUAL_HISTORY)
     # an iterate that overflows gives a residual that is not finite, which fails below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(maxiter):
             c_new = prox(y - step * gradient(y) / w)
             taken = c_new - y
             res = weighted_norm(taken, w)
+            recent.append(res)
             if not np.isfinite(res):
-                raise NoConvergence("proximal gradient", it + 1, res, tol)
+                raise NoConvergence("proximal gradient", it + 1, res, tol, recent)
             scale = max(weighted_norm(c_new, w), scale_floor)
             if res <= tol * max(scale, 1e-300):
                 return c_new, it + 1
@@ -249,7 +263,7 @@ def accelerated_prox_gradient(gradient, w, prox, c0, step, tol, maxiter, scale_f
             tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
             y = c_new + ((tk - 1.0) / tk_next) * (c_new - c)
             c, tk = c_new, tk_next
-    raise NoConvergence("proximal gradient", maxiter, res, tol)
+    raise NoConvergence("proximal gradient", maxiter, res, tol, recent)
 
 
 class DiscreteProblem:
@@ -321,6 +335,7 @@ class DiscreteProblem:
             raise NoConvergence("conjugate gradients", 0, nb, tol)
         if nb == 0.0:
             return np.zeros_like(b), 0
+        recent = deque(maxlen=RESIDUAL_HISTORY)  # relative residuals
         # an iterate that overflows gives a residual that is not finite, which fails below
         with np.errstate(over="ignore", invalid="ignore"):
             x = x0.copy()
@@ -332,12 +347,13 @@ class DiscreteProblem:
                 res = np.linalg.norm(r)
                 if res <= tol * nb:
                     return x, it
+                recent.append(res / nb)
                 if not np.isfinite(res):
-                    raise NoConvergence("conjugate gradients", it, res / nb, tol)
+                    raise NoConvergence("conjugate gradients", it, res / nb, tol, recent)
                 Ap = matvec(p)
                 pAp = float(p @ Ap)
                 if not (pAp > 0.0 and rz > 0.0):  # no curvature left along p, or roundoff took it
-                    raise NoConvergence("conjugate gradients", it, res / nb, tol)
+                    raise NoConvergence("conjugate gradients", it, res / nb, tol, recent)
                 alpha = rz / pAp
                 x += alpha * p
                 r -= alpha * Ap
@@ -348,7 +364,8 @@ class DiscreteProblem:
             res = np.linalg.norm(b - matvec(x)) / nb
         if res <= tol:
             return x, maxiter
-        raise NoConvergence("conjugate gradients", maxiter, res, tol)
+        recent.append(res)
+        raise NoConvergence("conjugate gradients", maxiter, res, tol, recent)
 
     def lipschitz(self):
         """Estimate of the largest eigenvalue of the mass-scaled p operator, padded.
@@ -614,6 +631,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
         # first gradient and confirms that J no longer descends
         J_prev = np.inf
         u_scale = None
+        recent = deque(maxlen=RESIDUAL_HISTORY)  # (u_res, descent) of the latest passes
         for outer in range(1, cfg.max_outer + 1):
             c, u_f, (its_p, its_in) = problem.solve_p(u_f, c_prev, c, gamma_prev, data)
             u_f, its_u = problem.solve_u(u_f, c, data, cfg.tol_cg)
@@ -623,21 +641,22 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
                 u_scale = max(data.u_scale, np.linalg.norm(problem.S_f @ c), 1e-300)
             u_res = np.linalg.norm(problem.displacement_residual(u_f, c, data)) / u_scale
             J, dissipation = problem.objective(u_f, c, c_prev, gamma_prev, data)
-            for value, tol in ((u_res, cfg.tol_cg), (J, cfg.tol_outer)):
+            for column, (value, tol) in enumerate(((u_res, cfg.tol_cg), (J, cfg.tol_outer))):
                 if not isfinite(value):  # a NaN or Inf never meets the pass test
-                    raise NoConvergence("outer passes", outer, value, tol)
+                    raise NoConvergence("outer passes", outer, value, tol, [*(v[column] for v in recent), value])
             scale_J = abs(J) + dissipation + 1e-300
             if np.isfinite(J_prev):
                 uphill = max(uphill, (J - J_prev) / scale_J)
+            descent = (J_prev - J) / scale_J  # inf after a single pass
+            recent.append((u_res, descent))
             if u_res <= cfg.tol_cg and J_prev - J <= cfg.tol_outer * scale_J:
                 break
-            descent = (J_prev - J) / scale_J  # inf after a single pass
             J_prev = J
         else:
-            # report the criterion that failed
+            # report the criterion that failed, with its latest values
             if u_res > cfg.tol_cg:
-                raise NoConvergence("outer passes", cfg.max_outer, u_res, cfg.tol_cg)
-            raise NoConvergence("outer passes", cfg.max_outer, descent, cfg.tol_outer)
+                raise NoConvergence("outer passes", cfg.max_outer, u_res, cfg.tol_cg, [u for u, _ in recent])
+            raise NoConvergence("outer passes", cfg.max_outer, descent, cfg.tol_outer, [d for _, d in recent])
 
     U[problem.free] = u_f
     dc = c - c_prev

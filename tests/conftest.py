@@ -1,6 +1,17 @@
 import threading
+import tracemalloc
 
 import pytest
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc traces while fn() runs; tracing stops even when fn raises."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(autouse=True)
@@ -11,3 +22,12 @@ def no_thread_outlives_its_test():
     left = [t.name for t in threading.enumerate() if t not in before]
     if left:
         pytest.fail(f"threads still running after the test: {left}")
+
+
+@pytest.fixture(autouse=True)
+def no_test_leaves_tracemalloc_tracing():
+    """Fail a test that starts tracemalloc and does not stop it: tracing slows every later allocation."""
+    yield
+    if tracemalloc.is_tracing():
+        tracemalloc.stop()
+        pytest.fail("tracemalloc is still tracing after the test")

@@ -14,6 +14,7 @@ from curlplast.grid import (
     build_blocks,
     build_p_basis,
     dirichlet_mask,
+    magnitudes,
     transposed,
 )
 from curlplast.korn import KornProblem
@@ -145,6 +146,17 @@ class TestAssembly:
             want = K @ x
             assert np.abs(bl.apply(terms, x) - want).max() <= 1e-14 * np.abs(want).max(), name
 
+    def test_magnitudes_bound_each_form(self):
+        # the magnitude term list of a form is |1D factors| (x) |kernels| per
+        # term: it bounds the form entrywise, and applies like it assembles
+        bl = build_blocks(Grid((3, 4, 5), (0.3, 0.7, 0.11)), PARAMS)
+        x = np.random.default_rng(6).random(9 * bl.grid.node_count)
+        for name in ("K_sym", "K_curl_cc", "M_cons", "K_pp_el"):
+            bound = bl.assemble(magnitudes(bl.terms[name]), 9)
+            assert (abs(full_space(bl, name)) - bound).max() <= 0.0, name
+            want = bound @ x
+            assert np.abs(bl.apply(magnitudes(bl.terms[name]), x) - want).max() <= 1e-14 * want.max(), name
+
     def test_run_operators_store_no_roundoff_fill(self):
         # analytically zero entries must not be stored as roundoff
         bc = BoundaryConfig(("zmin", "zmax"))
@@ -154,7 +166,6 @@ class TestAssembly:
             prob = DiscreteProblem(grid, bc, variant)
             operators.update({f"{variant.tag} {name}": getattr(prob, name)
                               for name in ("A_hat", "K_ff", "S_f")})
-        _, operators["Khat"], operators["Mhat"] = korn._operators(KornProblem(grid, FACES))
         for name, K in operators.items():
             data = np.abs(K.data)
             assert np.all(data > 1e-14 * data.max()), name
@@ -183,11 +194,17 @@ class TestAssembly:
             A_ref, S_ref = reduced_reference(grid, variant, prob.basis)
             check("A_hat", prob.A_hat, A_ref)
             check("S_f", prob.S_f, S_ref[prob.free], symmetric=False)
+        # korn applies its forms without assembling them: their products
+        # equal the reduced Gauss-point forms' and are symmetric to roundoff
         ref = gauss_point_blocks(grid, PARAMS)
-        basis, Khat, Mhat = korn._operators(KornProblem(grid, faces, 0.7))
+        basis, Khat, Mhat, _ = korn._operators(KornProblem(grid, faces, 0.7))
         B = basis.B
-        check("Khat", Khat, B.T @ (ref["K_sym"] + 0.49 * ref["K_curl_cc"]) @ B)
-        check("Mhat", Mhat, B.T @ ref["M_cons"] @ B)
+        x, y = np.random.default_rng(5).standard_normal((2, basis.size))
+        for name, product, R in (("Khat", Khat, B.T @ (ref["K_sym"] + 0.49 * ref["K_curl_cc"]) @ B),
+                                 ("Mhat", Mhat, B.T @ ref["M_cons"] @ B)):
+            want = R @ x
+            assert np.abs(product(x) - want).max() <= 1e-14 * np.abs(want).max(), name
+            assert abs(x @ product(y) - y @ product(x)) <= 1e-14 * (np.abs(x) @ abs(R) @ np.abs(y)), name
 
     def test_exact_symmetry(self):
         bl = build_blocks(Grid.unit_cube(2), PARAMS)

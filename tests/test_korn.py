@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import traced_peak
+
 from curlplast import korn
-from curlplast.grid import FACES, Grid, TensorField, build_blocks, build_p_basis
+from curlplast.grid import FACES, Grid, TensorField, build_blocks, build_p_basis, fd_inverse
 from curlplast.korn import KornProblem, ZeroField, estimate_min_quotient, korn_quotient
 from curlplast.solver import NoConvergence
 from curlplast.tensors import MaterialParams, cross_matrix
@@ -59,6 +61,12 @@ class TestKornQuotient:
     def test_invalid_length_scale(self):
         with pytest.raises(ValueError):
             KornProblem(self.grid, (), 0.0)
+
+    @pytest.mark.parametrize("ls", [np.inf, np.nan, 1e200])
+    def test_length_scale_must_be_finite_with_a_finite_square(self, ls):
+        # 1e200 ** 2 overflows: a bare OverflowError before the check
+        with pytest.raises(ValueError):
+            KornProblem(self.grid, FACES, ls)
 
 
 class TestMinQuotient:
@@ -127,6 +135,10 @@ class TestMinQuotient:
             estimate_min_quotient(KornProblem(Grid.unit_cube(3), FACES), 1e-8, max_iterations=2)
         assert info.value.iterations == 2
         assert np.isfinite(info.value.residual) and info.value.residual > info.value.tol
+        # the three iterations' residuals and the final one of the normalized iterate
+        history = info.value.history
+        assert len(history) == 4 and history[-1] == info.value.residual
+        assert all(np.isfinite(r) and r > info.value.tol for r in history)
 
 
 class TestFastDiagonalization:
@@ -162,10 +174,18 @@ class TestFastDiagonalization:
         # on one cell across x, every node is on an x face, so only the x
         # column survives with all faces constrained; lambda_min is 2.9
         problem = KornProblem(Grid((1, 3, 3), (1.0, 1.0, 1.0)), FACES)
-        basis, Khat, Mhat = korn._operators(problem)
+        blocks = build_blocks(problem.grid, MaterialParams(mu=1.0, lam=0.0))
+        basis = build_p_basis(problem.grid, FACES, "none")
         assert len(list(korn._column_boxes(problem, basis))) == 1
-        dense = scipy.linalg.eigh(Khat.toarray(), Mhat.toarray(), eigvals_only=True)
+        Khat, Mhat = (blocks.assemble(terms, basis).toarray()
+                      for terms in (blocks.form(K_sym=1.0, K_curl_cc=1.0), blocks.terms["M_cons"]))
+        dense = scipy.linalg.eigh(Khat, Mhat, eigvals_only=True)
         assert estimate_min_quotient(problem, 1e-9) == pytest.approx(dense[0], rel=1e-9)
+
+    def test_out_of_range_cell_size_is_rejected(self):
+        # the mass factor's inverse Cholesky factor overflows the stiffness pencil
+        with pytest.raises(ValueError, match="pencil"):
+            fd_inverse(Grid((2, 2, 2), (1e-201,) * 3), (0, 0, 0), (3, 3, 3), 1.0)
 
     def test_empty_space_raises_before_any_preconditioner(self, monkeypatch):
         def unreachable(*args):
@@ -186,6 +206,16 @@ class TestFastDiagonalization:
         with pytest.raises(NoConvergence) as info:
             estimate_min_quotient(KornProblem(Grid.unit_cube(3), FACES))
         assert info.value.what == "LOBPCG" and info.value.iterations <= 1
+
+    def test_ten_cubed_estimate_stays_below_one_assembled_form(self):
+        # the forms are applied, not assembled: the estimate's traced peak is
+        # below the bytes of the one reduced matrix Khat it used to assemble
+        problem = KornProblem(Grid.unit_cube(10), FACES)
+        blocks = build_blocks(problem.grid, MaterialParams(mu=1.0, lam=0.0))
+        Khat = blocks.assemble(blocks.form(K_sym=1.0, K_curl_cc=1.0), build_p_basis(problem.grid, FACES, "none"))
+        assembled = Khat.data.nbytes + Khat.indices.nbytes + Khat.indptr.nbytes
+        del Khat
+        assert traced_peak(lambda: estimate_min_quotient(problem, 1e-8)) < assembled
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_converges_within_two_hundred_iterations_on_ten_cubed(self, seed):

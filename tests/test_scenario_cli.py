@@ -247,10 +247,11 @@ class TestRunScenario:
                 assert np.all(np.abs(got[name] - values) <= 5e-13 * np.abs(values)), name
 
     def test_runs_assemble_no_gauss_point_operators(self, tmp_path, monkeypatch):
-        # korn and every variant's run assemble straight into reduced
-        # coordinates; the one full-space assembly is the displacement form
-        # whose free block DiscreteProblem keeps as K_ff, and the energies and
-        # stress recoveries apply their term lists without assembling them
+        # korn applies its forms and assembles none; every variant's run
+        # assembles straight into reduced coordinates, and its one full-space
+        # assembly is the displacement form whose free block DiscreteProblem
+        # keeps as K_ff; the energies and stress recoveries apply their term
+        # lists without assembling them
         calls = []
         assemble = grid_module.Blocks.assemble
 
@@ -261,7 +262,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(grid_module.Blocks, "assemble", recording)
         estimate_min_quotient(KornProblem(Grid.unit_cube(2), FACES))
-        assert calls == ["reduced", "reduced"]
+        assert calls == []
         material = {"mu": 80.0, "lambda": 110.0, "k1": 0.5, "k2": 0.4, "Lc": 0.2, "sigma_y": 0.3}
         for tag in VARIANT_TAGS:
             calls.clear()
@@ -770,6 +771,16 @@ class TestCliEntry:
         # step 1 fails, so the CSV, created before it, holds the header alone
         assert (tmp_path / "timeseries.csv").read_text().count("\n") == 1
 
+    def test_fista_limit_prints_its_last_residuals(self, tmp_path, capsys):
+        # one line names the step and the phase and ends with the residuals
+        # of the last iterations, the reported one last
+        cfg = self.write(tmp_path, base_doc(solver={"max_fista": 3}))
+        assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == 3
+        err = capsys.readouterr().err
+        m = re.fullmatch(r"error: step \d+: proximal gradient did not converge in 3 iterations "
+                         r"\(residual (\S+), tol \S+\); last residuals (\S+), (\S+), (\S+)\n", err)
+        assert m and m.group(1) == m.group(4)
+
     def test_overflowing_load_norm_exit_code(self, tmp_path, capsys):
         # every entry of the load vector is finite, but its norm overflows
         doc = base_doc(load_program=[{"level": 1, "body_force": [1e308, 0, 0]}])
@@ -812,6 +823,21 @@ class TestCliEntry:
         assert main(["korn", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("size", [1e300, 1e-310, 1e-200, 1e-110])
+    def test_korn_out_of_range_grid_exit_code(self, tmp_path, capsys, size):
+        # the forms overflow, the stiffness factors overflow, or the mass
+        # underflows: each is rejected before the eigen-solve
+        doc = elastic_doc()
+        doc["grid"]["size"] = [size] * 3
+        cfg = self.write(tmp_path, doc)
+        for no_bc in ([], ["--no-bc"]):  # without faces the kernel is known, but the grid is still checked
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["korn", cfg, *no_bc]) == 2
+            assert [str(w.message) for w in caught] == []
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("tol", ["0", "nan", "-1", "inf"])
     def test_korn_invalid_tol_exit_code(self, tmp_path, capsys, tol):

@@ -1,10 +1,11 @@
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+from conftest import traced_peak
 
 from curlplast.grid import FACES, BoundaryConfig, Grid, ScalarField, TensorField, VectorField
 from curlplast.models import ModelVariant, SimState, eshelby_stress, sigma_nodal
@@ -749,13 +750,8 @@ class TestVIResidual:
         r_hat = prob.smooth_residual_reduced(U[prob.free], c, load)
 
         def peak(probes):
-            tracemalloc.start()
-            try:
-                blocks = probe_blocks(prob, np.random.default_rng(0), probes)
-                prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, load, blocks, r_hat)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, load,
+                                                        probe_blocks(prob, np.random.default_rng(0), probes), r_hat))
 
         assert peak(1000) <= 2 * peak(64)
 
