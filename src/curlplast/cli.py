@@ -12,6 +12,7 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import Future
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -22,7 +23,15 @@ from .korn import KornProblem, estimate_min_quotient
 from .models import SimState, sigma_nodal, eshelby_stress
 from .oracles import selftest
 from .scenario import Scenario, ValidationError, parse_scenario
-from .solver import CERT_WORKERS, CertificatePool, DiscreteProblem, NoConvergence, extrapolate, time_step
+from .solver import (
+    CERT_WORKERS,
+    CertificatePool,
+    DiscreteProblem,
+    NoConvergence,
+    ProductWorker,
+    extrapolate,
+    time_step,
+)
 from .tensors import dev
 from .vtk_io import write_structured_points
 
@@ -67,8 +76,12 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
     at level 0 included) to its level, when there is one.  Each step's VI
     certificate runs on a CertificatePool while later steps are solved, at
     most CERT_WORKERS at a time; its row and VTK file follow in step order,
-    and a failing step has every step before it written first.  The pool is
-    joined before the call returns or raises.
+    and a failing step has every step before it written first.  A run whose
+    steps have no certificate (no VI probes, or a variant without
+    dissipation) leaves those threads idle, and instead opens a
+    ProductWorker that makes the A_hat products of its solves beside the
+    displacement products.  The pool and the worker are joined before the
+    call returns or raises.
     """
     problem = DiscreteProblem(scenario.grid, scenario.boundary, scenario.variant,
                               scenario.dirichlet_array(), scenario.solver)
@@ -83,7 +96,9 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
     # written fails the run before any solve
     csv_path = os.path.join(out_dir, scenario.output.csv)
     os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)
-    with CertificatePool() as pool, open(csv_path, "w", newline="\n") as csv_file:
+    certified = scenario.solver.vi_probes and scenario.variant.has_dissipation
+    with CertificatePool() as pool, (nullcontext() if certified else ProductWorker()) as worker, \
+            open(csv_path, "w", newline="\n") as csv_file:
         csv_file.write(_csv_line(CSV_COLUMNS))
         vtk_dir = None
         if scenario.output.vtk_dir:
@@ -135,7 +150,7 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
             if len(pending) == CERT_WORKERS:
                 write_oldest()
             try:
-                state, report = time_step(problem, state, load, extrapolate(recent, load.level), pool)
+                state, report = time_step(problem, state, load, extrapolate(recent, load.level), pool, worker)
             except Exception as e:  # the steps before a failing one are written first
                 while pending:
                     write_oldest()
@@ -198,11 +213,21 @@ def hardening_slope(rows, sigma12):
     return (sigma12[j] - sigma12[i]) / dl if dl else float("nan")
 
 
+def _reason(error):
+    """One line saying why a run failed; a MemoryError, whose text may be empty, says "out of memory"."""
+    if isinstance(error, MemoryError):
+        return "out of memory" + (f": {error}" if str(error) else "")
+    return str(error)
+
+
 def sweep(scenario: Scenario, parameter: str, values, out_dir=".", quiet=True):
     """Run one scenario per value; per-value failures are recorded, not fatal.
 
     Writes summary.csv with final energies, the apparent hardening slope and
-    iteration totals for each value.
+    iteration totals for each value.  A value whose scenario is refused
+    (ValueError, such as a grid above SETUP_BYTES_MAX), does not converge,
+    cannot be written or runs out of memory gets a row whose status reads
+    "failed: " and the reason, and the sweep goes on to the next value.
     """
     results = []
     # summary.csv is created before the first value, so that a refused value
@@ -230,9 +255,9 @@ def sweep(scenario: Scenario, parameter: str, values, out_dir=".", quiet=True):
                     "cg_iterations": sum(r.cg_iterations for r in res.reports),
                     "fista_iterations": sum(r.fista_iterations for r in res.reports),
                 }
-            except (ValidationError, NoConvergence, OSError) as e:
+            except (ValueError, NoConvergence, OSError, MemoryError) as e:
                 row = dict.fromkeys(SUMMARY_COLUMNS, "")
-                row.update(parameter=parameter, value=value, status=f"failed: {e}")
+                row.update(parameter=parameter, value=value, status=f"failed: {_reason(e)}")
             results.append(row)
             summary.write(_csv_line(row[c] for c in SUMMARY_COLUMNS))
     return results
@@ -332,8 +357,8 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except MemoryError as e:  # also one raised on a certificate thread, read with its result
-        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+    except MemoryError as e:  # also one raised on a certificate or product thread, read with its result
+        print(f"error: {_reason(e)}", file=sys.stderr)
         return 2
 
 

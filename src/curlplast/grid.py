@@ -44,9 +44,31 @@ def face_axis_side(face):
     return idx // 2, idx % 2
 
 
+# Most bytes setup_bytes may estimate for a grid: ten times the whole setup
+# peak of a 24^3 run (429 MB), whose estimate is 1.7 MB, and half the
+# memory of a small host
+SETUP_BYTES_MAX = 2 ** 32
+
+# Floats per node of the nodal arrays: u, p and gamma of one state
+NODAL_FLOATS = 3 + 9 + 1
+
+
+def setup_bytes(n):
+    """Bytes that the setup of a grid of n cells per axis allocates at least,
+    before its operators: the dense 1D factors of _factors_1d, about eight
+    arrays of (n + 1)^2 floats per axis, and NODAL_FLOATS per node.  Exact
+    integers, so that no size overflows."""
+    nodes = (n[0] + 1) * (n[1] + 1) * (n[2] + 1)
+    return 8 * (8 * sum((v + 1) ** 2 for v in n) + NODAL_FLOATS * nodes)
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Axis-aligned box of n[d] identical cells of size h[d] per axis."""
+    """Axis-aligned box of n[d] identical cells of size h[d] per axis.
+
+    A grid whose setup_bytes exceed SETUP_BYTES_MAX is refused with a
+    ValueError, before anything of its size is allocated.
+    """
 
     n: tuple[int, int, int]
     h: tuple[float, float, float]
@@ -60,6 +82,11 @@ class Grid:
             raise ValueError("need at least one cell per axis")
         if any(v <= 0 for v in self.h):
             raise ValueError("cell sizes must be positive")
+        need = setup_bytes(self.n)
+        if need > SETUP_BYTES_MAX:
+            raise ValueError(f"a grid of {self.n[0]}x{self.n[1]}x{self.n[2]} cells needs at least "
+                             f"{need / 2 ** 30:.3g} GiB to set up, more than SETUP_BYTES_MAX "
+                             f"({SETUP_BYTES_MAX / 2 ** 30:g} GiB)")
 
     @classmethod
     def unit_cube(cls, n):

@@ -31,8 +31,12 @@ the nodal weights and the shrinkage threshold becomes uniform across nodes,
 which both preconditions the iteration and keeps the prox closed-form.
 Each p iteration makes one A_hat product, one inner displacement solve and
 one prox, and stops on the gradient-mapping residual of the step it has
-just taken.  S <= A_hat in the Loewner order, so the step 1/L(A_hat) is safe
-for the reduced functional too.
+just taken.  The A_hat product and the inner solve depend only on the
+iterate, so in a run without certificates a ProductWorker thread makes the
+product while the calling thread makes the solve; scipy's sparse products
+release the GIL, and the sum is the one an inline gradient makes.  S <= A_hat
+in the Loewner order, so the step 1/L(A_hat) is safe for the reduced
+functional too.
 
 vi_residual certifies a step's inequality on random admissible probes from
 a generator seeded by the step; in a run, a CertificatePool thread draws
@@ -40,6 +44,7 @@ and scores them while the next step is solved, with a serial run's values.
 """
 from __future__ import annotations
 
+import threading
 from collections import deque
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -225,6 +230,73 @@ class CertificatePool(ThreadPoolExecutor):
     def __exit__(self, *exc):
         self.stopped = True
         self.shutdown(cancel_futures=True)
+
+
+class ProductWorker:
+    """One thread that makes one product at a time beside the calling thread.
+
+    submit(product) hands the callable to the thread and returns the getter
+    of its value, which waits for it and raises what it raised.  Two locks
+    make the hand-off, each released by one side and acquired by the other.
+    A product whose value was never collected, as when the caller raised
+    while it ran, is waited for by the next submit or on leaving the
+    context, so neither lock is released twice.  Leaving the context joins
+    the thread.
+    """
+
+    def __init__(self):
+        self._todo, self._done = threading.Lock(), threading.Lock()
+        self._todo.acquire()
+        self._done.acquire()
+        self._product = self._outcome = None
+        self._pending = False
+        self._thread = threading.Thread(target=self._serve, name="plastic-product", daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            self._todo.acquire()
+            if self._product is None:  # the context was left
+                return
+            try:
+                self._outcome = self._product(), None
+            except BaseException as e:  # raised again on the calling thread
+                self._outcome = None, e
+            self._done.release()
+
+    def _collect(self):
+        self._done.acquire()
+        self._pending = False
+        (value, error), self._outcome = self._outcome, None
+        return value, error
+
+    def submit(self, product):
+        if self._pending:
+            self._collect()
+        self._product, self._pending = product, True
+        self._todo.release()
+        return self._result
+
+    def _result(self):
+        value, error = self._collect()
+        if error is not None:
+            raise error
+        return value
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pending:
+            self._collect()
+        self._product = None
+        self._todo.release()
+        self._thread.join()
+
+
+def beside(worker, product):
+    """Getter of product(): made now on worker, or without one on the calling thread when got."""
+    return product if worker is None else worker.submit(product)
 
 
 def accelerated_prox_gradient(gradient, w, prox, c0, step, tol, maxiter, scale_floor=0.0):
@@ -418,17 +490,20 @@ class DiscreteProblem:
         ones of solve_p included, is one call.  Returns (u_f, CG iterations)."""
         return self.pcg(self.K_ff.dot, load.f_u - self.S_f @ c, u_f, tol, self.config.max_cg, self.jacobi_ff)
 
-    def solve_p(self, u_f, c_prev, c0, gamma_prev, load):
+    def solve_p(self, u_f, c_prev, c0, gamma_prev, load, worker=None):
         """Accelerated proximal-gradient solve of the step in c, with u_f eliminated.
 
         Minimizes c -> min_u_f J(u_f, c) from c0.  Each gradient at an
         extrapolated point y is A_hat y + S_pf u_f - f_p, where u_f is
         solve_u's solution at y, warm-started from the previous one and the
         first from the given u_f.  The first inner solve meets tol_cg, later
-        ones the looser INNER_TOL_* schedule.  Runs in the lumped-mass metric,
-        in which the nodal shrinkage has one uniform threshold; the prox is
-        exact per node.  Returns c, the last inner u_f and the pair (FISTA
-        iterations, inner CG iterations).
+        ones the looser INNER_TOL_* schedule.  A ProductWorker makes each
+        A_hat y, reading self.A_hat when it does, while this thread makes
+        the inner solve and the S_pf product; without one, this thread makes
+        it after them.  The sum is the same either way.  Runs in the
+        lumped-mass metric, in which the nodal shrinkage has one uniform
+        threshold; the prox is exact per node.  Returns c, the last inner
+        u_f and the pair (FISTA iterations, inner CG iterations).
         """
         tol_cg, w = self.config.tol_cg, self.w_seg
         t = 1.0 / self.lipschitz()
@@ -447,9 +522,11 @@ class DiscreteProblem:
                 move = weighted_norm(y - y_last, w) / max(weighted_norm(y, w), 1e-300)
                 tol_in = max(tol_cg, min(INNER_TOL_CAP, INNER_TOL_FACTOR * move))
             y_last = y
+            A_y = beside(worker, lambda: np.asarray(self.A_hat @ y))
             u_f, its = self.solve_u(u_f, y, load, tol_in)
             cg_its += its
-            return np.asarray(self.A_hat @ y) + np.asarray(self.S_pf @ u_f) - load.f_p
+            S_u = np.asarray(self.S_pf @ u_f)  # before waiting for A_y
+            return A_y() + S_u - load.f_p
 
         c, its = accelerated_prox_gradient(
             gradient, w, lambda z: self._prox_reduced(z, c_prev, t, gamma_prev), c0, t,
@@ -585,7 +662,7 @@ def extrapolate(history, level):
 
 
 def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, guess: SimState | None = None,
-              pool: CertificatePool | None = None):
+              pool: CertificatePool | None = None, worker: ProductWorker | None = None):
     """Advance one load step; returns the new state and its report.
 
     The step starts from guess, a state near the step's solution, or else
@@ -596,6 +673,10 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     the calling thread, or with a pool on one of its threads, and then the
     report's vi_residual is the Future of the score.  A step without
     dissipation has no inequality to certify and reports no vi_residual.
+    With a worker, the A_hat product of each FISTA gradient, or of each
+    micromorphic joint CG iteration, is made on it beside the other products
+    of the same iterate; without one it is made on the calling thread, and
+    the report and state are the same bit for bit.
     """
     cfg = problem.config
     variant = problem.variant
@@ -619,7 +700,9 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
 
         def joint(x):
             x_f, x_c = x[:nf], x[nf:]
-            return np.concatenate([problem.K_ff @ x_f + problem.S_f @ x_c, problem.S_pf @ x_f + problem.A_hat @ x_c])
+            A_x = beside(worker, lambda: problem.A_hat @ x_c)
+            top = problem.K_ff @ x_f + problem.S_f @ x_c
+            return np.concatenate([top, problem.S_pf @ x_f + A_x()])
 
         x, cg_total = problem.pcg(joint, np.concatenate([data.f_u, data.f_p]), np.concatenate([u_f, c]), cfg.tol_cg,
                                   cfg.max_cg, np.concatenate([problem.jacobi_ff, jacobi(problem.A_hat.diagonal())]))
@@ -633,7 +716,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
         u_scale = None
         recent = deque(maxlen=RESIDUAL_HISTORY)  # (u_res, descent) of the latest passes
         for outer in range(1, cfg.max_outer + 1):
-            c, u_f, (its_p, its_in) = problem.solve_p(u_f, c_prev, c, gamma_prev, data)
+            c, u_f, (its_p, its_in) = problem.solve_p(u_f, c_prev, c, gamma_prev, data, worker)
             u_f, its_u = problem.solve_u(u_f, c, data, cfg.tol_cg)
             cg_total += its_in + its_u
             fista_total += its_p

@@ -7,6 +7,7 @@ from gauss_reference import discrete_curl, fem_operators, gauss_point_blocks, re
 from curlplast import korn
 from curlplast.grid import (
     FACES,
+    SETUP_BYTES_MAX,
     BoundaryConfig,
     Grid,
     TensorField,
@@ -15,6 +16,7 @@ from curlplast.grid import (
     build_p_basis,
     dirichlet_mask,
     magnitudes,
+    setup_bytes,
     transposed,
 )
 from curlplast.korn import KornProblem
@@ -43,6 +45,21 @@ class TestGrid:
             Grid((0, 1, 1), (1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             Grid((1, 1, 1), (0.0, 1.0, 1.0))
+
+    def test_setup_estimate(self):
+        # eight (n + 1)^2 factors per axis and 13 floats per node, in bytes
+        assert setup_bytes((2, 3, 4)) == 8 * (8 * (9 + 16 + 25) + 13 * 3 * 4 * 5)
+        # far below the cap at 24^3, whose whole setup peaks at 429 MB
+        assert setup_bytes((24, 24, 24)) < 2 * 10 ** 6 and 10 * 429 * 10 ** 6 < SETUP_BYTES_MAX
+        # sizes a host could allocate are checked through the estimate only
+        assert setup_bytes((20000, 1, 1)) > 25 * 10 ** 9
+        # exact integers: no size overflows into a small estimate
+        assert setup_bytes((10 ** 30, 1, 1)) > 10 ** 60
+
+    @pytest.mark.parametrize("n", [(1000000, 1, 1), (2000, 2000, 2000), (20000, 1, 1), (1, 1, 10 ** 30)])
+    def test_oversize_grid_is_refused(self, n):
+        with pytest.raises(ValueError, match="SETUP_BYTES_MAX"):
+            Grid(n, (1.0, 1.0, 1.0))
 
     def test_face_nodes(self):
         g = Grid.unit_cube(2)

@@ -3,13 +3,14 @@ import os
 import re
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures import CancelledError, Future
 
 import numpy as np
 import pytest
 
-from curlplast import cli, solver
+from curlplast import cli, korn, solver
 from curlplast import grid as grid_module
 from curlplast.cli import apply_sweep_value, main, run_scenario, sweep
 from curlplast.grid import FACES, Grid, PBasis
@@ -29,6 +30,8 @@ from curlplast.solver import (
     VI_PROBES_MAX,
     CertificatePool,
     DiscreteProblem,
+    ProductWorker,
+    extrapolate,
     probe_blocks,
     probe_seed,
     time_step,
@@ -466,7 +469,7 @@ class TestCertificatePool:
             run_scenario(s, str(tmp_path / "pool"))
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(cli, "time_step", lambda problem, state, load, guess, pool: time_step(
+        monkeypatch.setattr(cli, "time_step", lambda problem, state, load, guess, pool, worker: time_step(
             problem, state, load, guess))
         run_scenario(s, str(tmp_path / "inline"))
         files = sorted(p.relative_to(tmp_path / "inline") for p in (tmp_path / "inline").rglob("*.*"))
@@ -490,17 +493,19 @@ class TestCertificatePool:
         assert all(isinstance(r.vi_residual, float) for r in res.reports)
         assert pool_threads() == []
 
-    def test_no_probes_start_no_thread(self, tmp_path, monkeypatch):
+    def test_no_probes_start_no_certificate_thread(self, tmp_path, monkeypatch):
+        # the one thread such a run adds is its ProductWorker's
         seen = []
 
         def step(*args):
-            seen.append(threading.active_count())
+            seen.append((threading.active_count(), pool_threads(), len(product_threads())))
             return time_step(*args)
 
         monkeypatch.setattr(cli, "time_step", step)
         before = threading.active_count()
         run_scenario(parse_scenario(json.dumps(base_doc())), str(tmp_path))
-        assert seen == [before] * 3
+        assert seen == [(before + 1, [], 1)] * 3
+        assert threading.active_count() == before
 
     def test_non_convergence_mid_run_joins_the_pool(self, tmp_path, capsys):
         # step 3 fails while the certificates of steps 1 and 2 may still run;
@@ -572,6 +577,104 @@ class TestCertificatePool:
         assert pool_threads() == []
 
 
+def product_threads():
+    return [t for t in threading.enumerate() if t.name == "plastic-product"]
+
+
+class TestProductWorker:
+    """A run without certificates makes its A_hat products on one worker thread, beside the other products."""
+
+    @staticmethod
+    def record_products(monkeypatch):
+        """Thread names of the products handed to any ProductWorker."""
+        made, submit = [], ProductWorker.submit
+
+        def recording(worker, product):
+            def recorded():
+                made.append(threading.current_thread().name)
+                return product()
+
+            return submit(worker, recorded)
+
+        monkeypatch.setattr(ProductWorker, "submit", recording)
+        return made
+
+    @pytest.mark.parametrize("variant", ["kin_spin", "micromorphic"])
+    def test_rows_match_inline_library_steps(self, tmp_path, monkeypatch, variant):
+        s = parse_scenario(json.dumps(base_doc(variant=variant, output={"csv": "timeseries.csv", "vtk_dir": "vtk"})))
+        made = self.record_products(monkeypatch)
+        res = run_scenario(s, str(tmp_path / "worker"), keep_states=True)
+        # one product per FISTA gradient; the joint CG makes one more than its iterations
+        if variant == "micromorphic":
+            assert len(made) == res.reports[0].cg_iterations + 1
+        else:
+            assert len(made) == sum(r.fista_iterations for r in res.reports)
+        assert set(made) == {"plastic-product"}
+        # the same steps as library calls, each product made inline
+        problem = DiscreteProblem(s.grid, s.boundary, s.variant, s.dirichlet_array(), s.solver)
+        state = SimState.zeros(s.grid)
+        recent = [state]
+        program = s.load_program if s.variant.has_dissipation else s.load_program[-1:]
+        assert len(res.reports) == len(program)
+        for load, got_state, got in zip(program, res.states, res.reports):
+            state, want = time_step(problem, state, load, extrapolate(recent, load.level))
+            recent = recent[-2:] + [state]
+            assert got == want
+            for a, b in zip((got_state.u, got_state.p, got_state.gamma), (state.u, state.p, state.gamma)):
+                assert np.array_equal(a.values, b.values)
+        # and the rows and VTK files of a run whose steps are library calls
+        made.clear()
+        monkeypatch.setattr(cli, "time_step", lambda problem, state, load, guess, pool, worker: time_step(
+            problem, state, load, guess))
+        run_scenario(s, str(tmp_path / "inline"))
+        assert made == []
+        files = sorted(p.relative_to(tmp_path / "inline") for p in (tmp_path / "inline").rglob("*.*"))
+        assert len(files) == 1 + len(program)
+        for f in files:
+            assert (tmp_path / "worker" / f).read_bytes() == (tmp_path / "inline" / f).read_bytes()
+
+    def test_a_run_with_probes_starts_no_product_thread(self, tmp_path, monkeypatch):
+        made, seen = self.record_products(monkeypatch), []
+
+        def step(*args):
+            seen.append((args[5], product_threads()))
+            return time_step(*args)
+
+        monkeypatch.setattr(cli, "time_step", step)
+        run_scenario(parse_scenario(json.dumps(base_doc(solver={"vi_probes": 130}))), str(tmp_path))
+        assert seen == [(None, [])] * 3 and made == []
+
+    def test_joined_after_a_run_and_a_sweep(self, tmp_path, monkeypatch):
+        seen = []
+
+        def step(*args):
+            seen.append(len(product_threads()))
+            return time_step(*args)
+
+        monkeypatch.setattr(cli, "time_step", step)
+        s = parse_scenario(json.dumps(base_doc()))
+        run_scenario(s, str(tmp_path / "run"))
+        assert product_threads() == []
+        results = sweep(s, "Lc", [0.1, 0.2], str(tmp_path / "sweep"))
+        assert [r["status"] for r in results] == ["ok", "ok"]
+        assert seen == [1] * 9 and product_threads() == []
+
+    def test_non_convergence_mid_gradient_joins_the_worker(self, tmp_path, capsys):
+        # the inner CG of step 1's first gradient fails while that gradient's
+        # A_hat product is on the worker
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_doc(solver={"tol_cg": 1e-16, "max_cg": 2})))
+        codes = []
+        runner = threading.Thread(target=lambda: codes.append(main(["--quiet", "--out", str(tmp_path), "run",
+                                                                    str(cfg)])))
+        runner.start()
+        runner.join(60.0)
+        assert not runner.is_alive() and codes == [3]
+        assert capsys.readouterr().err.startswith("error: step 1: conjugate gradients did not converge in 2 ")
+        assert product_threads() == []
+        assert (tmp_path / "timeseries.csv").read_text().count("\n") == 1
+
+
 class TestSweep:
     def test_single_value_matches_run(self, tmp_path):
         s = parse_scenario(json.dumps(base_doc()))
@@ -641,6 +744,20 @@ class TestSweep:
             "cumulative_dissipation,hardening_slope,outer_iterations,cg_iterations,"
             "fista_iterations\n"
             "k2,0.5,failed: k2 does not apply to variant kin_spin,,,,,,,,\n")
+
+    def test_out_of_memory_value_recorded_not_fatal(self, tmp_path, monkeypatch):
+        run = cli.run_scenario
+
+        def run_or_fail(scenario, *args, **kwargs):
+            if scenario.variant.params.Lc == 0.2:
+                raise MemoryError("Unable to allocate 74.5 GiB for an array")
+            return run(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_scenario", run_or_fail)
+        results = sweep(parse_scenario(json.dumps(base_doc())), "Lc", [0.1, 0.2, 0.4], str(tmp_path))
+        assert [r["status"] for r in results] == [
+            "ok", "failed: out of memory: Unable to allocate 74.5 GiB for an array", "ok"]
+        assert (tmp_path / "summary.csv").read_text().count("\n") == 1 + 3
 
     def test_non_integral_grid_values_recorded_not_fatal(self, tmp_path):
         s = parse_scenario(json.dumps(base_doc()))
@@ -861,6 +978,43 @@ class TestCliEntry:
                      "--param", "Lc", "--values", "0.1,-1"]) == 3
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(lines) == 1 + 2
+
+    def test_sweep_records_an_oversize_grid_and_goes_on(self, tmp_path, capsys):
+        # 100000^3 cells are refused at once by their setup estimate
+        cfg = self.write(tmp_path, elastic_doc())
+        assert main(["--quiet", "--out", str(tmp_path), "sweep", cfg, "--param", "grid", "--values", "2,100000,3"]) == 3
+        rows = [line.split(",")[:3] for line in (tmp_path / "summary.csv").read_text().splitlines()[1:]]
+        assert [r[:2] for r in rows] == [["grid", "2"], ["grid", "100000"], ["grid", "3"]]
+        assert rows[0][2] == rows[2][2] == "ok"
+        assert rows[1][2].startswith("failed: a grid of 100000x100000x100000 cells needs at least ")
+        assert capsys.readouterr().err == ""
+
+    def test_sweep_records_a_non_finite_form_and_goes_on(self, tmp_path):
+        doc = elastic_doc()
+        doc["grid"]["size"] = [1e-310] * 3
+        cfg = self.write(tmp_path, doc)
+        assert main(["--quiet", "--out", str(tmp_path), "sweep", cfg, "--param", "Lc", "--values", "0.1,0.2"]) == 3
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2
+        assert all(line.split(",")[2].startswith("failed: an assembled form has a non-finite entry")
+                   for line in lines[1:])
+
+    @pytest.mark.parametrize("cells", [[1000000, 1, 1], [2000, 2000, 2000]])
+    def test_oversize_grid_is_refused_before_setup(self, tmp_path, capsys, monkeypatch, cells):
+        built = []
+        for module in (solver, korn):
+            monkeypatch.setattr(module, "build_blocks", lambda *args: built.append(args))
+        doc = base_doc()
+        doc["grid"]["cells"] = cells
+        cfg = self.write(tmp_path, doc)
+        for command in (["run", cfg], ["korn", cfg], ["sweep", cfg, "--param", "Lc", "--values", "0.1,0.2"]):
+            t0 = time.perf_counter()
+            assert main(["--quiet", "--out", str(tmp_path / "out"), *command]) == 2
+            assert time.perf_counter() - t0 < 1.0
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: a grid of {'x'.join(map(str, cells))} cells needs at least ")
+            assert err.count("\n") == 1 and "SETUP_BYTES_MAX" in err
+        assert built == []
 
     def test_sweep_into_a_new_folder_records_the_refused_value(self, tmp_path):
         cfg = self.write(tmp_path, base_doc())

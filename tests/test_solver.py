@@ -15,6 +15,7 @@ from curlplast.solver import (
     InfeasibleBC,
     LoadStep,
     NoConvergence,
+    ProductWorker,
     SolverConfig,
     accelerated_prox_gradient,
     extrapolate,
@@ -127,7 +128,7 @@ class TestOneNodeMinimization:
             step=step, tol=1e-13, maxiter=100000)
 
         def objective(x):
-            quad = 0.5 * np.einsum("...i,ij,...j->...", x, A, x) - x @ b
+            quad = 0.5 * np.einsum("ij,ij->i", x @ A, x) - x @ b
             return quad + 0.7 * sy * np.linalg.norm(x, axis=-1)
 
         center = c.copy()
@@ -788,3 +789,87 @@ class TestMicromorphic:
         r_p = np.asarray(S_up.T @ state.u.values.reshape(-1)) + np.asarray(prob.A_hat @ c)
         assert np.linalg.norm(r_p) <= 1e-9 * np.linalg.norm(F[prob.free])
         assert np.abs(state.p.values).max() > 0.0
+
+
+def within_a_minute(fn):
+    """Run fn on a helper thread: a hand-off that hangs fails the test instead of hanging it."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(("value", fn()))
+        except BaseException as e:
+            outcome.append(("error", e))
+
+    runner = threading.Thread(target=run)
+    runner.start()
+    runner.join(60.0)
+    assert not runner.is_alive(), "the hand-off hangs"
+    return outcome[0]
+
+
+class TestProductWorker:
+    """A worker thread makes each A_hat product beside the inner solve; its values are the inline ones."""
+
+    def test_values_and_errors_reach_the_caller(self):
+        before = threading.active_count()
+
+        def use():
+            with ProductWorker() as worker:
+                assert worker.submit(lambda: threading.current_thread().name)() == "plastic-product"
+                with pytest.raises(ZeroDivisionError):
+                    worker.submit(lambda: 1 / 0)()
+                worker.submit(lambda: 1 / 0)  # never collected: the next submit waits for it
+                assert worker.submit(lambda: 2)() == 2
+                worker.submit(lambda: 3)  # never collected: leaving the context waits for it
+
+        assert within_a_minute(use) == ("value", None)
+        assert threading.active_count() == before
+
+    def test_failing_product_raises_in_the_step(self):
+        # the A_hat product of the first gradient fails on the worker
+        grid = Grid.unit_cube(2)
+        prob = DiscreteProblem(grid, BoundaryConfig(("zmin", "zmax")), KIN, SHEAR01)
+        prob.lipschitz()
+
+        class Failing:
+            def __matmul__(self, v):
+                raise MemoryError("Unable to allocate 3.20 GiB for an array")
+
+        prob.A_hat = Failing()
+        before = threading.active_count()
+
+        def step():
+            with ProductWorker() as worker:
+                time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.05), worker=worker)
+
+        kind, error = within_a_minute(step)
+        assert kind == "error" and isinstance(error, MemoryError) and "3.20 GiB" in str(error)
+        assert threading.active_count() == before
+
+    def test_step_that_fails_mid_gradient_leaves_the_worker_usable(self):
+        # the inner CG of the first gradient fails while its A_hat product is
+        # on the worker; the next step on the same worker still hands off in
+        # step, and both are joined on leaving
+        grid = Grid.unit_cube(2)
+        bc = BoundaryConfig(("zmin", "zmax"))
+        failing = DiscreteProblem(grid, bc, KIN, SHEAR01, SolverConfig(tol_cg=1e-16, max_cg=2))
+        prob = DiscreteProblem(grid, bc, KIN, SHEAR01)
+        load = LoadStep(1.0, 0.05)
+        before = threading.active_count()
+
+        def steps():
+            with ProductWorker() as worker:
+                with pytest.raises(NoConvergence) as info:
+                    time_step(failing, SimState.zeros(grid), load, worker=worker)
+                assert info.value.what == "conjugate gradients"
+                return time_step(prob, SimState.zeros(grid), load, worker=worker)
+
+        kind, outcome = within_a_minute(steps)
+        assert kind == "value", outcome
+        assert threading.active_count() == before
+        state, report = outcome
+        want_state, want = time_step(prob, SimState.zeros(grid), load)
+        assert report == want
+        for got, ref in zip((state.u, state.p, state.gamma), (want_state.u, want_state.p, want_state.gamma)):
+            assert np.array_equal(got.values, ref.values)
