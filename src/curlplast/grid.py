@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -353,12 +354,14 @@ class Blocks:
     - G on axis b and M on the others is int d_b phi_I phi_J (K_up).
 
     apply() multiplies full nodal components by a term list without
-    assembling it.  assemble() is the one assembler: it turns any term list
-    into CSR between two nodal spaces, the identity or a PBasis's per-node
-    bases, so callers get reduced operators without forming a full-space
-    block.  Blocks keeps no assembled form.  Every form equals the 2x2x2
-    Gauss-point assembly, and analytically zero entries are never stored.
-    The defect form K_curl_cc composes the discrete row-wise curl with itself.
+    assembling it, and apply_all() by several term lists in one pass that
+    shares their 1D-factor products.  assemble() is the one assembler: it
+    turns any term list into CSR between two nodal spaces, the identity or a
+    PBasis's per-node bases, so callers get reduced operators without
+    forming a full-space block.  Blocks keeps no assembled form.  Every form
+    equals the 2x2x2 Gauss-point assembly, and analytically zero entries are
+    never stored.  The defect form K_curl_cc composes the discrete row-wise
+    curl with itself.
     """
 
     def __init__(self, grid: Grid, params):
@@ -383,15 +386,50 @@ class Blocks:
         return [(names, w * kernel) for name, w in weights.items() if w for names, kernel in self.terms[name]]
 
     def apply(self, terms, x):
-        """sum_t kron(pairing_t, kernel_t) @ x, x holding kernel.shape[1] components per node.
+        """sum_t kron(pairing_t, kernel_t) @ x, x holding kernel.shape[1] components per node."""
+        return self.apply_all([terms], x)[0]
 
-        Each pairing is applied as its three 1D factors, one per axis, and
-        then the kernel; nothing is assembled.
+    def apply_all(self, forms, x):
+        """[apply(terms, x) for terms in forms], each product that their terms share made once.
+
+        Each pairing is applied as its three 1D factors, x first, and then
+        the kernel; nothing is assembled.  The terms of all forms are walked
+        in sorted order of their factor names, which groups them by x factor
+        and then by (x, y) factors, so each distinct x, (x, y) and (x, y, z)
+        product is made once.  The three products of the current term share
+        one block that the call allocates: one allocation, instead of one per
+        product, keeps repeated calls on large grids from faulting in fresh
+        pages.  Each form adds its terms in the sorted order whatever the
+        other forms are, so it gets the same bits alone as with others.
+        Nothing is kept between calls.
         """
-        k = terms[0][1].shape[1]
-        x = np.reshape(x, self.grid.node_shape[::-1] + (k,))
-        return sum(_kron_apply(*(f[name] for f, name in zip(self._1d, names)), x).reshape(-1, k) @ kernel.T
-                   for names, kernel in terms).ravel()
+        k = forms[0][0][1].shape[1]
+        nz, ny, nx = self.grid.node_shape[::-1]
+        x = np.reshape(x, (nz * ny, nx, k))
+        fx, fy, fz = self._1d
+        leaves = {}  # factor names -> [(form, transposed kernel)]
+        for i, terms in enumerate(forms):
+            for names, kernel in terms:
+                leaves.setdefault(tuple(names), []).append((i, np.ascontiguousarray(kernel.T)))
+        # the x, (x, y) and (x, y, z) products of the current term, each
+        # viewed in the shape its factor writes and the shape the next reads
+        block = np.empty((3, x.size))
+        tx, tx_y = block[0].reshape(nz * ny, nx, k), block[0].reshape(nz, ny, -1)
+        txy, txy_z = block[1].reshape(nz, ny, -1), block[1].reshape(nz, -1)
+        txyz, txyz_k = block[2].reshape(nz, -1), block[2].reshape(-1, k)
+        out = [None] * len(forms)
+        for ax, x_leaves in groupby(sorted(leaves), itemgetter(0)):
+            np.matmul(fx[ax], x, out=tx)
+            for ay, xy_leaves in groupby(x_leaves, itemgetter(1)):
+                np.matmul(fy[ay], tx_y, out=txy)
+                for names in xy_leaves:
+                    np.matmul(fz[names[2]], txy_z, out=txyz)
+                    for i, kernel_t in leaves[names]:
+                        if out[i] is None:
+                            out[i] = txyz_k @ kernel_t
+                        else:
+                            out[i] += txyz_k @ kernel_t
+        return [y.ravel() for y in out]
 
     def assemble(self, terms, rows, cols=None):
         """CSR matrix of sum_t kron(pairing_t, kernel_t) between two nodal spaces.
@@ -596,8 +634,13 @@ class PBasis:
     def to_full(self, c):
         return np.asarray(self.B @ c)
 
+    @cached_property
+    def BT(self):
+        """B' as CSR, built on first use: a product with it costs half one with the CSC view B.T."""
+        return self.B.T.tocsr()
+
     def to_reduced(self, p_flat):
-        return np.asarray(self.B.T @ p_flat)
+        return np.asarray(self.BT @ p_flat)
 
     def node_sums(self, x):
         """Sum of each node's reduced coordinates.

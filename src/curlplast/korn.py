@@ -16,8 +16,8 @@ LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on numpy, with Rayleigh-Ritz
 by numpy's eigh, preconditioned by fast diagonalization (Lynch, Rice &
 Thomas, Numer. Math. 6, 1964), exact here; it loads neither
 scipy.sparse.linalg nor scipy.linalg.  Both forms are applied matrix-free,
-through their exact 1D factors (Blocks.apply) between the basis products B
-and B'; nothing in this module assembles an operator.
+in one pass through their exact 1D factors (Blocks.apply_all) between the
+basis products B and B'; nothing in this module assembles an operator.
 """
 
 from __future__ import annotations
@@ -61,10 +61,11 @@ class KornProblem:
 def _operators(problem: KornProblem):
     """Basis of the constrained space and the quotient's forms as products on it.
 
-    Returns (basis, Khat, Mhat, Kbound), functions of reduced coordinates c:
-    Khat c = B'(K_sym + ls^2 K_curl_cc)B c and Mhat c = B' M_cons B c, each
-    form applied to the full nodal components B c by Blocks.apply, and
-    Kbound c = B' |K| B c with |K| the magnitudes() of K's terms, so that
+    Returns (basis, KM, Kbound), functions of reduced coordinates c:
+    KM c = (Khat c, Mhat c), with Khat c = B'(K_sym + ls^2 K_curl_cc)B c
+    and Mhat c = B' M_cons B c, both from one B c and one Blocks.apply_all
+    pass, which makes the 1D-factor products of K_sym and the mass once;
+    and Kbound c = B' |K| B c with |K| the magnitudes() of K's terms, so that
     |Khat x| <= Kbound |x| entrywise for every x (B only selects nodal
     components, so it is its own magnitude).  Nothing is assembled.
     Raises ValueError when |K| 1 or |M| 1 is not finite, that is when an
@@ -74,18 +75,20 @@ def _operators(problem: KornProblem):
     blocks = build_blocks(problem.grid, _UNIT)
     basis = build_p_basis(problem.grid, problem.gamma_faces, "none")
     K = blocks.form(K_sym=1.0, K_curl_cc=problem.length_scale ** 2)
-    M = blocks.terms["M_cons"]
+    M, K_abs = blocks.terms["M_cons"], magnitudes(K)
     # an overflowing entry makes its row sum infinite, which is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         ones = np.ones(basis.B.shape[0])
-        K_rows, M_rows = (blocks.apply(magnitudes(terms), ones) for terms in (K, M))
+        K_rows, M_rows = blocks.apply_all([K_abs, magnitudes(M)], ones)
     if not (np.isfinite(K_rows).all() and np.isfinite(M_rows).all() and M_rows.min() >= np.finfo(float).tiny):
         raise ValueError("a Korn form overflows or its mass underflows: the grid or the length scale is out of range")
+    B, BT = basis.B, basis.BT
 
-    def product(terms, B=basis.B):
-        return lambda c: B.T @ blocks.apply(terms, B @ c)
+    def KM(c):
+        Kc, Mc = blocks.apply_all([K, M], B @ c)
+        return BT @ Kc, BT @ Mc
 
-    return basis, product(K), product(M), product(magnitudes(K))
+    return basis, KM, lambda c: BT @ blocks.apply(K_abs, B @ c)
 
 
 def _column_boxes(problem: KornProblem, basis):
@@ -105,18 +108,19 @@ def _column_boxes(problem: KornProblem, basis):
 def korn_quotient(problem: KornProblem, P: TensorField) -> float:
     """Rayleigh quotient of a nodal field after applying the tangential mask.
 
-    Both forms are applied matrix-free (_operators).  A numerator at or
-    below the roundoff floor ROUNDOFF * |x|' Kbound |x|, the accumulated
-    magnitude of its summands, is indistinguishable from zero at double
-    precision and is flushed to exactly 0, so exact kernel members such as
-    constant skew fields report 0.0.
+    Both forms are applied matrix-free, in one pass (_operators).  A
+    numerator at or below the roundoff floor ROUNDOFF * |x|' Kbound |x|, the
+    accumulated magnitude of its summands, is indistinguishable from zero at
+    double precision and is flushed to exactly 0, so exact kernel members
+    such as constant skew fields report 0.0.
     """
-    basis, Khat, Mhat, Kbound = _operators(problem)
+    basis, KM, Kbound = _operators(problem)
     x = basis.to_reduced(P.values.reshape(-1))
-    denom = float(x @ Mhat(x))
+    Kx, Mx = KM(x)
+    denom = float(x @ Mx)
     if denom <= 0.0:
         raise ZeroField("field vanishes on the constrained space")
-    num = float(x @ Khat(x))
+    num = float(x @ Kx)
     ax = np.abs(x)
     if abs(num) <= ROUNDOFF * float(ax @ Kbound(ax)):
         return 0.0
@@ -136,9 +140,9 @@ def estimate_min_quotient(problem: KornProblem, tol: float = 1e-8,
     ls^2 L + M on each column's box (_column_boxes) as preconditioner and a
     random start vector drawn from seed, returns the smallest eigenvalue once
     the residual ||K x - lambda M x|| of the M-normalized eigenvector is at
-    most tol, a finite positive number (ValueError otherwise).  The eigenvalue
-    error is then of order tol^2 / gap, where gap is the distance to the next
-    eigenvalue.  Raises NoConvergence, carrying that residual, when
+    most tol, a finite positive number (ValueError otherwise, and for a
+    negative max_iterations).  The eigenvalue error is then of order
+    tol^2 / gap, where gap is the distance to the next eigenvalue.  Raises NoConvergence, carrying that residual, when
     max_iterations iterations do not reach tol, and at once when an iterate
     is not finite.  1/sqrt of the returned value estimates the constant in
     the inequality.  The NoConvergence also carries the last residuals.
@@ -148,7 +152,9 @@ def estimate_min_quotient(problem: KornProblem, tol: float = 1e-8,
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be a finite positive number")
-    basis, Khat, Mhat, _ = _operators(problem)
+    if not max_iterations >= 0:
+        raise ValueError("max_iterations must be a non-negative number")
+    basis, KM, _ = _operators(problem)
     if not problem.gamma_faces:
         return 0.0
     n = basis.size
@@ -165,21 +171,21 @@ def estimate_min_quotient(problem: KornProblem, tol: float = 1e-8,
 
     start = np.random.default_rng(seed).standard_normal(n)
     recent = deque(maxlen=RESIDUAL_HISTORY)
-    x = _min_eigenvector(Khat, Mhat, precond, start, tol, max_iterations, recent)
-    x = x / np.sqrt(float(x @ Mhat(x)))
-    Kx, Mx = Khat(x), Mhat(x)
-    lam = float(x @ Kx)
-    residual = float(np.linalg.norm(Kx - lam * Mx))
+    x = _min_eigenvector(KM, precond, start, tol, max_iterations, recent)
+    Kx, Mx = KM(x)
+    mass = float(x @ Mx)
+    lam = float(x @ Kx) / mass
+    residual = float(np.linalg.norm(Kx - lam * Mx)) / np.sqrt(mass)
     if not residual <= tol:
         raise NoConvergence("LOBPCG", max_iterations, residual, tol, [*recent, residual])
     return lam
 
 
-def _min_eigenvector(K, M, precond, x, tol, max_iterations, recent):
+def _min_eigenvector(KM, precond, x, tol, max_iterations, recent):
     """Approximate eigenvector of the smallest eigenvalue of K x = lambda M x, by
     LOBPCG with block size 1 from the start vector x, stopped once the
     M-normalized iterate has a residual of at most tol or after max_iterations
-    iterations.  K and M are functions that return the product with a vector.
+    iterations.  KM is a function that returns the products (K x, M x).
 
     Each iteration makes one K and one M product, on the preconditioned residual
     w; the K- and M-images of the iterate and of the search direction p are
@@ -191,9 +197,9 @@ def _min_eigenvector(K, M, precond, x, tol, max_iterations, recent):
     non-finite residual, or a non-finite Gram matrix of the basis that the
     next iterate would combine, raises NoConvergence at once.
     """
-    Mx = M(x)
+    Kx, Mx = KM(x)
     scale = 1.0 / np.sqrt(float(x @ Mx))
-    S, KS, MS = (scale * v[:, None] for v in (x, K(x), Mx))
+    S, KS, MS = (scale * v[:, None] for v in (x, Kx, Mx))
     for iteration in range(max_iterations + 1):
         # column 0 of S is the M-normalized iterate, column 1 (after the
         # first iteration) the search direction; KS and MS hold their images
@@ -206,7 +212,8 @@ def _min_eigenvector(K, M, precond, x, tol, max_iterations, recent):
         if residual <= tol or iteration == max_iterations:
             return x
         w = precond(r)
-        S, KS, MS = (np.column_stack([a[:, :1], b, a[:, 1:]]) for a, b in ((S, w), (KS, K(w)), (MS, M(w))))
+        Kw, Mw = KM(w)
+        S, KS, MS = (np.column_stack([a[:, :1], b, a[:, 1:]]) for a, b in ((S, w), (KS, Kw), (MS, Mw)))
         G, H = S.T @ MS, S.T @ KS
         if not (np.isfinite(G).all() and np.isfinite(H).all()):
             # the next iterate, a combination of these columns, is not finite

@@ -175,19 +175,24 @@ def total_energy(grid: Grid, variant: ModelVariant, state: SimState, body_force=
     which is what the invariance checks probe.
     """
     blocks = build_blocks(grid, variant.params)
-    apply, terms = blocks.apply, blocks.terms
+    terms = blocks.terms
     p9 = state.p.values.reshape(-1)
     uf = state.u.values.reshape(-1)
-    elastic = 0.5 * (uf @ apply(terms["K_uu"], uf)) + uf @ apply(terms["K_up"], p9) + 0.5 * (
-        p9 @ apply(terms["K_pp_el"], p9)
-    )
+    # the forms on p share 1D-factor products: one pass applies them all
+    names = ["K_up", "K_pp_el"]
+    if variant.params.Lc:
+        names.append("K_curl_cc")
+    if not variant.isotropic:
+        names.append("K_sym")
+    Kp = dict(zip(names, blocks.apply_all([terms[name] for name in names], p9)))
+    elastic = 0.5 * (uf @ blocks.apply(terms["K_uu"], uf)) + uf @ Kp["K_up"] + 0.5 * (p9 @ Kp["K_pp_el"])
     weights = variant.form_weights
-    defect = 0.5 * weights["K_curl_cc"] * (p9 @ apply(terms["K_curl_cc"], p9)) if variant.params.Lc else 0.0
+    defect = 0.5 * weights["K_curl_cc"] * (p9 @ Kp["K_curl_cc"]) if variant.params.Lc else 0.0
     if variant.isotropic:
         g = state.gamma.values
         hardening = 0.5 * variant.drag * float(blocks.w_node @ (g * g))
     else:
-        hardening = 0.5 * weights["K_sym"] * (p9 @ apply(terms["K_sym"], p9))
+        hardening = 0.5 * weights["K_sym"] * (p9 @ Kp["K_sym"])
     load = 0.0
     if body_force is not None and np.any(np.asarray(body_force) != 0.0):
         load = float(blocks.body_force_vector(body_force) @ uf)

@@ -391,8 +391,8 @@ class DiscreteProblem:
         """ReducedLoad of the prescribed part U_p of U and the body force vector F; the term lists act on U_p."""
         U_p, terms = np.where(self.presc, U, 0.0), self.blocks.terms
         with np.errstate(over="ignore", invalid="ignore"):  # data that overflows fails the first solve
-            KU = self.blocks.apply(terms["K_uu"], U_p)
-            f_p = -self.basis.to_reduced(self.blocks.apply(transposed(terms["K_up"]), U_p))
+            KU, K_pu_U = self.blocks.apply_all([terms["K_uu"], transposed(terms["K_up"])], U_p)
+            f_p = -self.basis.to_reduced(K_pu_U)
             J_g = 0.5 * float(U_p @ KU) - float(F @ U_p)
             u_scale = max(np.linalg.norm(F[self.free]), np.linalg.norm(KU[self.free]))
             return ReducedLoad(F[self.free] - KU[self.free], f_p, J_g, u_scale)

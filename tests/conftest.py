@@ -1,3 +1,4 @@
+import resource
 import threading
 import tracemalloc
 
@@ -12,6 +13,14 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def minor_faults(fn):
+    """Minor page faults of the process while fn() runs: pages it touched for the
+    first time since the allocator took them from, or gave them back to, the system."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fn()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
 @pytest.fixture(autouse=True)

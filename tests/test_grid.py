@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import minor_faults, traced_peak
 from gauss_reference import discrete_curl, fem_operators, gauss_point_blocks, reduced_reference, skewgrad_curl_form
 
 from curlplast import korn
@@ -11,6 +12,7 @@ from curlplast.grid import (
     BoundaryConfig,
     Grid,
     TensorField,
+    _kron_apply,
     allowed_columns,
     build_blocks,
     build_p_basis,
@@ -214,14 +216,14 @@ class TestAssembly:
         # korn applies its forms without assembling them: their products
         # equal the reduced Gauss-point forms' and are symmetric to roundoff
         ref = gauss_point_blocks(grid, PARAMS)
-        basis, Khat, Mhat, _ = korn._operators(KornProblem(grid, faces, 0.7))
+        basis, KM, _ = korn._operators(KornProblem(grid, faces, 0.7))
         B = basis.B
         x, y = np.random.default_rng(5).standard_normal((2, basis.size))
-        for name, product, R in (("Khat", Khat, B.T @ (ref["K_sym"] + 0.49 * ref["K_curl_cc"]) @ B),
-                                 ("Mhat", Mhat, B.T @ ref["M_cons"] @ B)):
+        for name, Rx, Ry, R in zip(("Khat", "Mhat"), KM(x), KM(y),
+                                   (B.T @ (ref["K_sym"] + 0.49 * ref["K_curl_cc"]) @ B, B.T @ ref["M_cons"] @ B)):
             want = R @ x
-            assert np.abs(product(x) - want).max() <= 1e-14 * np.abs(want).max(), name
-            assert abs(x @ product(y) - y @ product(x)) <= 1e-14 * (np.abs(x) @ abs(R) @ np.abs(y)), name
+            assert np.abs(Rx - want).max() <= 1e-14 * np.abs(want).max(), name
+            assert abs(x @ Ry - y @ Rx) <= 1e-14 * (np.abs(x) @ abs(R) @ np.abs(y)), name
 
     def test_exact_symmetry(self):
         bl = build_blocks(Grid.unit_cube(2), PARAMS)
@@ -285,6 +287,68 @@ class TestAssembly:
         w = DiscreteProblem(g, bc, KIN).w_seg
         assert w.shape == (8 * g.node_count,)
         assert np.all(w > 0)
+
+
+def per_term_apply(bl, terms, x):
+    """sum_t kron(pairing_t, kernel_t) @ x term by term: each pairing's three 1D
+    factors and then its kernel, with no product shared between terms."""
+    k = terms[0][1].shape[1]
+    x = np.reshape(x, bl.grid.node_shape[::-1] + (k,))
+    return sum(_kron_apply(*(f[name] for f, name in zip(bl._1d, names)), x).reshape(-1, k) @ kernel.T
+               for names, kernel in terms).ravel()
+
+
+class TestApply:
+    grid = Grid((3, 4, 5), (0.3, 0.2, 0.1))
+
+    @staticmethod
+    def term_lists(bl):
+        """Every term list of bl, its magnitudes and the transposed coupling."""
+        return {**bl.terms, **{f"|{name}|": magnitudes(terms) for name, terms in bl.terms.items()},
+                "K_up'": transposed(bl.terms["K_up"])}
+
+    def test_matches_the_per_term_reference(self):
+        # sharing 1D-factor products between terms changes the order of the
+        # sums only: every term list stays within 1e-15 of its largest entry
+        bl = build_blocks(self.grid, PARAMS)
+        rng = np.random.default_rng(7)
+        for name, terms in self.term_lists(bl).items():
+            x = rng.standard_normal(terms[0][1].shape[1] * self.grid.node_count)
+            want = per_term_apply(bl, terms, x)
+            assert np.abs(bl.apply(terms, x) - want).max() <= 1e-15 * np.abs(want).max(), name
+
+    def test_forms_in_one_call_get_the_bits_of_separate_calls(self):
+        # every form on u, and every form on p, the mass among them, in one
+        # call; Korn's K comes after the curl-curl form, which has all of K's
+        # terms but its first, and each form still adds its terms as it does alone
+        bl = build_blocks(self.grid, PARAMS)
+        lists = {**self.term_lists(bl), "K": bl.form(K_sym=1.0, K_curl_cc=0.49)}
+        order = ["K_curl_cc", "K"] + [name for name in lists if name not in ("K_curl_cc", "K")]
+        rng = np.random.default_rng(8)
+        for k in (3, 9):
+            names = [name for name in order if lists[name][0][1].shape[1] == k]
+            x = rng.standard_normal(k * self.grid.node_count)
+            for name, got in zip(names, bl.apply_all([lists[name] for name in names], x), strict=True):
+                assert np.array_equal(got, bl.apply(lists[name], x)), name
+        assert "M_cons" in names
+
+    def test_warm_apply_faults_in_no_pages_and_holds_few_arrays(self):
+        # the products of a call share one block: a repeated apply reuses the
+        # heap instead of faulting in fresh pages, and holds at most six nodal
+        # tensor arrays, its result included
+        grid = Grid.unit_cube(10)
+        bl = build_blocks(grid, MaterialParams(mu=1.0, lam=0.0))
+        K = bl.form(K_sym=1.0, K_curl_cc=1.0)
+        x = np.random.default_rng(9).standard_normal(9 * grid.node_count)
+        calls = 50
+
+        def repeated():
+            for _ in range(calls):
+                bl.apply(K, x)
+
+        repeated()
+        assert minor_faults(repeated) < calls
+        assert traced_peak(lambda: bl.apply(K, x)) <= 6 * x.nbytes
 
 
 def micro_hard_mask(grid, faces, P):

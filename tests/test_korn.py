@@ -116,6 +116,20 @@ class TestMinQuotient:
         with pytest.raises(ValueError):
             estimate_min_quotient(KornProblem(Grid.unit_cube(2)), 0.0)
 
+    def test_negative_max_iterations_is_refused(self):
+        # refused like a bad tol, before LOBPCG, which would return no iterate
+        with pytest.raises(ValueError, match="max_iterations"):
+            estimate_min_quotient(KornProblem(Grid.unit_cube(2), FACES), max_iterations=-1)
+
+    def test_shared_product_gives_the_mass_the_bits_of_its_own_apply(self):
+        # K and the mass are applied in one pass that shares their factor
+        # products; the mass gets exactly B' apply(M_cons) B c
+        problem = KornProblem(Grid.unit_cube(10), FACES)
+        basis, KM, _ = korn._operators(problem)
+        blocks = build_blocks(problem.grid, MaterialParams(mu=1.0, lam=0.0))
+        c = np.random.default_rng(3).standard_normal(basis.size)
+        assert np.array_equal(KM(c)[1], basis.B.T @ blocks.apply(blocks.terms["M_cons"], basis.B @ c))
+
     def test_close_eigenvalues_match_dense_solve(self):
         # one cell with one constrained face: the two smallest eigenvalues
         # are 0.09431 and 0.09609, 2% apart
@@ -218,10 +232,22 @@ class TestFastDiagonalization:
         assert traced_peak(lambda: estimate_min_quotient(problem, 1e-8)) < assembled
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_converges_within_two_hundred_iterations_on_ten_cubed(self, seed):
-        # the Jacobi-preconditioned run needed 370-660 iterations here
+    def test_converges_within_two_hundred_iterations_on_ten_cubed(self, seed, monkeypatch):
+        # the Jacobi-preconditioned run needed 370-660 iterations here; each
+        # iteration preconditions one residual, and the counts and the
+        # eigenvalue are those of the products before they shared any work
+        lobpcg, calls = korn._min_eigenvector, []
+
+        def counted(KM, precond, *args):
+            def counting(r):
+                calls.append(None)
+                return precond(r)
+            return lobpcg(KM, counting, *args)
+
+        monkeypatch.setattr(korn, "_min_eigenvector", counted)
         lam = estimate_min_quotient(KornProblem(Grid.unit_cube(10), FACES), 1e-8, max_iterations=200, seed=seed)
-        assert lam == pytest.approx(0.8210948678385139, rel=1e-8)
+        assert len(calls) == {0: 115, 1: 116, 2: 111}[seed]
+        assert abs(lam - 0.8210948678385139) <= 1e-13
 
 
 def test_package_import_leaves_sparse_linalg_unloaded():
