@@ -25,6 +25,7 @@ Frobenius norm of a nodal tensor is the plain Euclidean norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import groupby, product
@@ -290,29 +291,148 @@ def _kron_apply(fx, fy, fz, x):
     return y.reshape(len(fz), len(fy), len(fx), -1)
 
 
+def pencil_1d(n, h, a, b):
+    """Eigenpairs of the 1D factors K v = lam M v of n cells of size h on the nodes a <= i < b, in closed form.
+
+    Returns (V, lam), lam ascending, with V' M V = I and V' K V = diag(lam).
+    Each end of the range is either a natural boundary node (node 0 or n),
+    whose rows of K and M are half an interior row, or it lies next to a
+    removed node.  The modes are those of the second difference: sampled
+    cosines from a natural first node, sines from a removed node before it,
+    with theta = k pi / N when both ends are alike and (k - 1/2) pi / N when
+    they differ, N being m - 1 for m nodes with two natural ends, m + 1 with
+    two removed neighbours and m otherwise, and
+    lam = (6 / h^2) (1 - cos theta) / (2 + cos theta).  Each mode satisfies
+    K v = kappa W v and M v = mu W v, W the identity with 1/2 on a natural
+    end's row, which normalizes it.  Every angle involved is a whole
+    multiple of pi / (4 N), so all values come from one table of 2 N + 1
+    math.sin values: no LAPACK routine and no numpy sine is called, because
+    the first np.sin of a process adds about 0.2 MB to its peak memory.
+    Nothing is checked: an h whose 1 / h^2 overflows gives infinite
+    eigenvalues, and the callers decide.
+    """
+    m = b - a
+    natural_first, natural_last = a == 0, b == n + 1
+    k = np.arange(m)
+    # half of theta_k, in units of pi / (4 N)
+    if natural_first == natural_last:
+        N, half = (m - 1, 2 * k) if natural_first else (m + 1, 2 * k + 2)
+    else:
+        N, half = m, 2 * k + 1
+    quarter = [math.sin(i * math.pi / (4 * N)) for i in range(2 * N + 1)]
+    half_turn = quarter + quarter[-2:0:-1]  # sin(pi - x) = sin x
+    sin = np.array(half_turn + [-v for v in half_turn])  # sin(x + pi) = -sin x
+    # j theta_k, and a quarter turn more for a cosine: cos x = sin(x + pi / 2)
+    j = np.arange(m)[:, None] if natural_first else np.arange(1, m + 1)[:, None]
+    V = sin[(2 * half * j + (2 * N if natural_first else 0)) % (8 * N)]
+    Wv2 = V * V  # W v^2 per node and mode
+    if natural_first:
+        Wv2[0] *= 0.5
+    if natural_last:
+        Wv2[-1] *= 0.5
+    cos_theta = sin[(2 * half + 2 * N) % (8 * N)]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        V /= np.sqrt(h / 6.0 * (4.0 + 2.0 * cos_theta) * Wv2.sum(axis=0))
+        lam = 12.0 * sin[half] ** 2 / (2.0 + cos_theta) / h / h
+    return V, lam
+
+
+def _box_pencils(grid: Grid, lo, hi):
+    """pencil_1d of each axis, x first, on the nodes lo <= ijk < hi; alike axes share one."""
+    ranges = list(zip(grid.n, grid.h, lo, hi))
+    made = {r: pencil_1d(*r) for r in set(ranges)}
+    return [made[r] for r in ranges]
+
+
+def free_box(grid: Grid, faces):
+    """(lo, hi): the nodes on none of the faces are those with lo <= ijk < hi."""
+    lo, hi = [0, 0, 0], [n + 1 for n in grid.n]
+    for face in faces:
+        axis, side = face_axis_side(face)
+        if side:
+            hi[axis] = grid.n[axis]
+        else:
+            lo[axis] = 1
+    return lo, hi
+
+
+def kron_sum_inverse(pencils, spectrum):
+    """Exact inverse of a Kronecker sum diagonalized by the pencils, on k components per node.
+
+    pencils are the _box_pencils of a box of nodes, and spectrum, shaped
+    (z, y, x, k), is the operator's value on each product mode and
+    component: sum_a w_a lam_a for sum_a w_a L_a, L_a being K on axis a and
+    M on the others, and 1 more with the mass M x M x M.  This is fast
+    diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964) through
+    V' M V = I, V' K V = diag(lam) per axis.  Returns apply(x, out=None), for
+    x of the box's size in (z, y, x, k) order, which writes into out, or a
+    new array shaped like x, and returns it.  The x factor acts on (x, k) at
+    once as kron(V, I_k), one product instead of one per (z, y) row.  A mode
+    whose value overflows inverts to 0.
+    """
+    nz, ny, nx, k = spectrum.shape
+    (Vx, _), (Vy, _), (Vz, _) = pencils
+    eye = np.eye(k)[None, :, None, :]
+    # V' x is x kron(Vx, I) along x, then Vy' and Vz'; V y runs back the same way
+    Vx_k, Vx_kT = ((v[:, None, :, None] * eye).reshape(nx * k, nx * k) for v in (Vx, Vx.T))
+    VyT, VzT = np.ascontiguousarray(Vy.T), np.ascontiguousarray(Vz.T)
+    with np.errstate(divide="ignore"):
+        inverse = (1.0 / spectrum).reshape(nz, ny * nx * k)
+
+    def apply(x, out=None):
+        if out is None:
+            out = np.empty(x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = x.reshape(nz * ny, nx * k) @ Vx_k
+            y = VyT @ y.reshape(nz, ny, nx * k)
+            y = VzT @ y.reshape(nz, ny * nx * k)
+            y *= inverse
+            y = Vy @ (Vz @ y).reshape(nz, ny, nx * k)
+            np.matmul(y.reshape(nz * ny, nx * k), Vx_kT, out=out.reshape(nz * ny, nx * k))
+        return out
+
+    return apply
+
+
 def fd_inverse(grid: Grid, lo, hi, weight):
-    """Exact inverse of weight * L + M on the nodes lo <= ijk < hi, for arrays (z, y, x, ...).
+    """Exact inverse of weight * L + M on the nodes lo <= ijk < hi, for arrays (z, y, x, 3).
 
     L (K on one axis, M on the others, summed over axes) and the mass M are
-    Kronecker sums there, which fast diagonalization (Lynch, Rice & Thomas,
-    Numer. Math. 6, 1964) inverts through V' M V = I, V' K V = diag(lam) per axis.
-    Raises ValueError when a pencil C K C', C the inverse Cholesky factor of
-    M, is not finite, as for a cell size whose factors overflow or underflow.
+    Kronecker sums there, which kron_sum_inverse inverts on closed-form
+    pencils.  Raises ValueError when a pencil is not finite, as for a cell
+    size whose 1 / h^2 overflows.
     """
-    V, lam = [], []
-    for n, h, a, b in zip(grid.n, grid.h, lo, hi):
-        f = _factors_1d(n, h)
-        C = np.linalg.inv(np.linalg.cholesky(f["M"][a:b, a:b]))
-        with np.errstate(over="ignore", invalid="ignore"):  # a pencil that overflows is rejected below
-            pencil = C @ f["K"][a:b, a:b] @ C.T
-        if not np.isfinite(pencil).all():
-            raise ValueError("a fast-diagonalization pencil is not finite: the cell size is out of range")
-        w, Q = np.linalg.eigh(pencil)
-        V.append(C.T @ Q)
-        lam.append(w)
+    pencils = _box_pencils(grid, lo, hi)
+    if not all(np.isfinite(v).all() and np.isfinite(lam).all() for v, lam in pencils):
+        raise ValueError("a fast-diagonalization pencil is not finite: the cell size is out of range")
+    lam = [lam for _, lam in pencils]
     with np.errstate(over="ignore"):  # an overflowing weight * eigenvalue inverts to 0 on its mode
-        scale = 1.0 / (1.0 + weight * sum(np.ix_(*lam[::-1])))[..., None]
-    return lambda x: _kron_apply(*V, scale * _kron_apply(*(v.T for v in V), x)).reshape(x.shape)
+        spectrum = 1.0 + weight * sum(np.ix_(*lam[::-1]))
+    return kron_sum_inverse(pencils, np.repeat(spectrum[..., None], 3, axis=-1))
+
+
+def lame_inverse(blocks, faces):
+    """The exact inverse of each displacement component's diagonal block of K_uu on the
+    nodes on none of the Dirichlet faces, a preconditioner of the free block K_ff.
+
+    Every Dirichlet face prescribes all three components of its nodes, so the
+    free nodes form one box (free_box), and on it component i's diagonal
+    block is the Kronecker sum sum_a w_ai L_a, L_a being K on axis a and M on
+    the others, w_ai the i-th diagonal entry of K_uu's kernel on that pairing:
+    mu L + (mu + lam) L_i for isotropic moduli.  The blocks coupling two
+    components are left out.  Returns kron_sum_inverse's apply(r, out), r
+    and out in K_ff's ordering, nodes in order and three components each.
+    Nothing is checked: a cell size whose pencil overflows gives a
+    preconditioner that zeroes those modes, and a solve with it fails.
+    """
+    grid = blocks.grid
+    lo, hi = free_box(grid, faces)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pencils = _box_pencils(grid, lo, hi)
+        kernels = dict(blocks.terms["K_uu"])
+        lam = np.ix_(*(lam for _, lam in pencils[::-1]))[::-1]
+        spectrum = sum(lam[a][..., None] * kernels[_pair_names(a, a)].diagonal() for a in range(3))
+    return kron_sum_inverse(pencils, spectrum)
 
 
 def transposed(terms):

@@ -27,7 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ROUNDOFF, Grid, TensorField, allowed_columns, build_blocks, build_p_basis, fd_inverse, magnitudes
+from .grid import (
+    ROUNDOFF,
+    Grid,
+    TensorField,
+    allowed_columns,
+    build_blocks,
+    build_p_basis,
+    face_axis_side,
+    fd_inverse,
+    free_box,
+    magnitudes,
+)
 from .solver import RESIDUAL_HISTORY, NoConvergence
 from .tensors import MaterialParams
 
@@ -99,10 +110,10 @@ def _column_boxes(problem: KornProblem, basis):
     for j in range(3):
         nodes = np.nonzero(allowed[:, j])[0]
         if nodes.size:
-            box = problem.grid.node_ijk()[nodes]
-            lo, hi = box.min(axis=0), box.max(axis=0) + 1
+            lo, hi = free_box(problem.grid, [f for f in problem.gamma_faces if face_axis_side(f)[0] != j])
             idx = (basis.offsets[nodes] + 3 * allowed[nodes, :j].sum(axis=1))[:, None] + np.arange(3)
-            yield idx.reshape(*(hi - lo)[::-1], 3), fd_inverse(problem.grid, lo, hi, problem.length_scale ** 2)
+            inverse = fd_inverse(problem.grid, lo, hi, problem.length_scale ** 2)
+            yield idx.reshape(*np.subtract(hi, lo)[::-1], 3), inverse
 
 
 def korn_quotient(problem: KornProblem, P: TensorField) -> float:
@@ -189,21 +200,26 @@ def _min_eigenvector(KM, precond, x, tol, max_iterations, recent):
 
     Each iteration makes one K and one M product, on the preconditioned residual
     w; the K- and M-images of the iterate and of the search direction p are
-    updated with them.  The trial basis [x, w, p] is M-orthonormalized through
-    the eigenvectors of its Gram matrix, after scaling each column to unit
-    M-norm, dropping directions whose Gram eigenvalue is below 1e-14 of the
-    largest; the smallest Ritz pair of K on it gives the next iterate.  Each
+    updated with them.  The trial basis [x, w, p] and its two images are the
+    rows of one preallocated block per iteration parity, so nothing is
+    stacked: the Gram matrices are products of the first k rows, and one
+    product writes the next iterate and search direction, with their images,
+    into the other block.  The basis is M-orthonormalized through the
+    eigenvectors of its Gram matrix, after scaling each row to unit M-norm,
+    dropping directions whose Gram eigenvalue is below 1e-14 of the largest;
+    the smallest Ritz pair of K on it gives the next iterate.  Each
     iteration's residual is appended to recent, a bounded deque.  A
     non-finite residual, or a non-finite Gram matrix of the basis that the
     next iterate would combine, raises NoConvergence at once.
     """
     Kx, Mx = KM(x)
-    scale = 1.0 / np.sqrt(float(x @ Mx))
-    S, KS, MS = (scale * v[:, None] for v in (x, Kx, Mx))
+    # blocks[parity] holds S, KS and MS, each with the rows x, w and p
+    blocks = np.empty((2, 3, 3, x.size))
+    np.multiply(1.0 / np.sqrt(float(x @ Mx)), [x, Kx, Mx], out=blocks[0, :, 0])
+    k = 2  # rows of the trial basis: [x, w] until a search direction exists
     for iteration in range(max_iterations + 1):
-        # column 0 of S is the M-normalized iterate, column 1 (after the
-        # first iteration) the search direction; KS and MS hold their images
-        x, Kx, Mx = S[:, 0], KS[:, 0], MS[:, 0]
+        S, KS, MS = trial = blocks[iteration % 2]
+        x, Kx, Mx = S[0], KS[0], MS[0]
         r = Kx - float(x @ Kx) * Mx
         residual = float(np.linalg.norm(r))
         recent.append(residual)
@@ -211,12 +227,11 @@ def _min_eigenvector(KM, precond, x, tol, max_iterations, recent):
             raise NoConvergence("LOBPCG", iteration, residual, tol, recent)
         if residual <= tol or iteration == max_iterations:
             return x
-        w = precond(r)
-        Kw, Mw = KM(w)
-        S, KS, MS = (np.column_stack([a[:, :1], b, a[:, 1:]]) for a, b in ((S, w), (KS, Kw), (MS, Mw)))
-        G, H = S.T @ MS, S.T @ KS
+        S[1] = precond(r)
+        KS[1], MS[1] = KM(S[1])
+        G, H = S[:k] @ MS[:k].T, S[:k] @ KS[:k].T
         if not (np.isfinite(G).all() and np.isfinite(H).all()):
-            # the next iterate, a combination of these columns, is not finite
+            # the next iterate, a combination of these rows, is not finite
             raise NoConvergence("LOBPCG", iteration + 1, np.nan, tol, recent)
         norms = np.sqrt(np.diag(G))
         d, V = np.linalg.eigh(G / np.outer(norms, norms))
@@ -225,5 +240,6 @@ def _min_eigenvector(KM, precond, x, tol, max_iterations, recent):
         c = T @ np.linalg.eigh(T.T @ H @ T)[1][:, 0]
         c /= np.sqrt(c @ G @ c)
         # the new search direction is the Ritz vector's part along w and the old p
-        C = np.column_stack([c, np.concatenate([[0.0], c[1:]])])
-        S, KS, MS = S @ C, KS @ C, MS @ C
+        Ct = np.array([c, np.concatenate([[0.0], c[1:]])])
+        np.matmul(Ct, trial[:, :k], out=blocks[1 - iteration % 2, :, ::2])
+        k = 3

@@ -14,9 +14,12 @@ functional c -> min_u J(u_f, c), whose smooth part has the Schur complement
 S = A_hat - S_pf K_ff^-1 S_f as its operator.  Each gradient at y is
 A_hat y + S_pf u_f - f_p, where u_f solves K_ff u_f = f_u - S_f y by
 DiscreteProblem.solve_u, which makes every displacement solve: a
-warm-started, Jacobi-preconditioned conjugate gradient, here to a tolerance
-that tightens with the FISTA step (Schmidt, Le Roux & Bach, "Convergence
-rates of inexact proximal-gradient methods", NIPS 2011).  A_hat, K_ff and
+warm-started conjugate gradient, preconditioned by the exact inverse of each
+component's Lame diagonal block of K_ff (grid.lame_inverse, fast
+diagonalization on the free box), so that its iteration count does not grow
+with the grid; here to a tolerance that tightens with the FISTA step
+(Schmidt, Le Roux & Bach, "Convergence rates of inexact proximal-gradient
+methods", NIPS 2011).  A_hat, K_ff and
 S_f are the only sparse matrices DiscreteProblem stores; S_pf is a view of
 S_f.  The step functional is strictly convex, so it has one minimizer,
 which moves continuously with the load: a step may start from any guess,
@@ -48,7 +51,7 @@ import threading
 from collections import deque
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
-from math import isfinite, prod
+from math import isfinite, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +65,7 @@ from .grid import (
     build_blocks,
     build_p_basis,
     dirichlet_mask,
+    lame_inverse,
     transposed,
 )
 from .models import EnergySplit, ModelVariant, SimState, total_energy
@@ -346,8 +350,11 @@ class DiscreteProblem:
     Each operator is stored once, as CSR in the coordinates its products
     use: A_hat; K_ff, the free block of the displacement form; and the
     coupling's free rows S_f, whose transpose S_pf is a CSC view of its
-    arrays.  step_load applies the term lists to the prescribed field; every
-    other method works in the unknowns (u_f, c) and takes its step load.
+    arrays.  lame_ff, the preconditioner of every K_ff solve, is the exact
+    inverse of each component's diagonal block (grid.lame_inverse), built
+    from closed-form 1D pencils.  step_load applies the term lists to the
+    prescribed field; every other method works in the unknowns (u_f, c) and
+    takes its step load.
     """
 
     def __init__(self, grid: Grid, boundary: BoundaryConfig, variant: ModelVariant,
@@ -366,7 +373,7 @@ class DiscreteProblem:
         self.K_ff = self.blocks.assemble(self.blocks.terms["K_uu"], 3)[self.free][:, self.free]
         self.S_f = self.blocks.assemble(self.blocks.terms["K_up"], 3, self.basis)[self.free]
         self.S_pf = self.S_f.T  # reduced p-rows, free u-columns: a CSC view of S_f's arrays
-        self.jacobi_ff = jacobi(self.K_ff.diagonal())
+        self.lame_ff = lame_inverse(self.blocks, boundary.gamma_faces)
 
         self.w_node = self.blocks.w_node
         self.w_seg = self.basis.scatter_per_node(self.w_node)
@@ -399,41 +406,53 @@ class DiscreteProblem:
 
     # -- linear algebra helpers --------------------------------------------
 
-    def pcg(self, matvec, b, x0, tol, maxiter, precond):
-        """Jacobi-preconditioned conjugate gradients with warm start; matvec(x) is A x."""
-        with np.errstate(over="ignore"):
-            nb = np.linalg.norm(b)
-        if not np.isfinite(nb):
-            raise NoConvergence("conjugate gradients", 0, nb, tol)
-        if nb == 0.0:
-            return np.zeros_like(b), 0
+    @staticmethod
+    def pcg(matvec, b, x0, tol, maxiter, precond):
+        """Preconditioned conjugate gradients with warm start.
+
+        matvec(x) is A x, and precond(r, out) writes the preconditioned
+        residual into out and returns it.  The warm start's residual is
+        tested before the preconditioner is first applied, so a start that
+        already meets tol costs one product and allocates no work vector.
+        x, r, z and p are updated in place: p *= beta; p += z gives the bits
+        of z + beta * p.
+        """
         recent = deque(maxlen=RESIDUAL_HISTORY)  # relative residuals
-        # an iterate that overflows gives a residual that is not finite, which fails below
+        # a norm or an iterate that overflows is not finite, which fails below
         with np.errstate(over="ignore", invalid="ignore"):
+            nb = sqrt(float(b @ b))
+            if not isfinite(nb):
+                raise NoConvergence("conjugate gradients", 0, nb, tol)
+            if nb == 0.0:
+                return np.zeros_like(b), 0
             x = x0.copy()
             r = b - matvec(x)
-            z = precond * r
-            p = z.copy()
-            rz = float(r @ z)
+            p = None
             for it in range(maxiter):
-                res = np.linalg.norm(r)
+                res = sqrt(float(r @ r))
                 if res <= tol * nb:
                     return x, it
                 recent.append(res / nb)
-                if not np.isfinite(res):
+                if not isfinite(res):
                     raise NoConvergence("conjugate gradients", it, res / nb, tol, recent)
+                if p is None:  # the first direction, with the work vectors
+                    z, step = np.empty_like(r), np.empty_like(r)
+                    rz = float(r @ precond(r, z))
+                    p = z.copy()
+                else:
+                    rz_new = float(r @ precond(r, z))
+                    p *= rz_new / rz
+                    p += z
+                    rz = rz_new
                 Ap = matvec(p)
                 pAp = float(p @ Ap)
                 if not (pAp > 0.0 and rz > 0.0):  # no curvature left along p, or roundoff took it
                     raise NoConvergence("conjugate gradients", it, res / nb, tol, recent)
                 alpha = rz / pAp
-                x += alpha * p
-                r -= alpha * Ap
-                z = precond * r
-                rz_new = float(r @ z)
-                p = z + (rz_new / rz) * p
-                rz = rz_new
-            res = np.linalg.norm(b - matvec(x)) / nb
+                x += np.multiply(alpha, p, out=step)
+                r -= np.multiply(alpha, Ap, out=step)
+            r = b - matvec(x)
+            res = sqrt(float(r @ r)) / nb
         if res <= tol:
             return x, maxiter
         recent.append(res)
@@ -486,9 +505,10 @@ class DiscreteProblem:
 
     def solve_u(self, u_f, c, load, tol):
         """Free displacement at plastic field c: the CG solve of K_ff u_f = f_u - S_f c
-        from the warm start u_f, to tol.  Every displacement solve, the inner
-        ones of solve_p included, is one call.  Returns (u_f, CG iterations)."""
-        return self.pcg(self.K_ff.dot, load.f_u - self.S_f @ c, u_f, tol, self.config.max_cg, self.jacobi_ff)
+        from the warm start u_f, to tol, preconditioned by lame_ff.  Every
+        displacement solve, the inner ones of solve_p included, is one call.
+        Returns (u_f, CG iterations)."""
+        return self.pcg(self.K_ff.dot, load.f_u - self.S_f @ c, u_f, tol, self.config.max_cg, self.lame_ff)
 
     def solve_p(self, u_f, c_prev, c0, gamma_prev, load, worker=None):
         """Accelerated proximal-gradient solve of the step in c, with u_f eliminated.
@@ -704,8 +724,15 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
             top = problem.K_ff @ x_f + problem.S_f @ x_c
             return np.concatenate([top, problem.S_pf @ x_f + A_x()])
 
+        jacobi_c = jacobi(problem.A_hat.diagonal())
+
+        def precond(r, out):
+            problem.lame_ff(r[:nf], out[:nf])
+            np.multiply(jacobi_c, r[nf:], out=out[nf:])
+            return out
+
         x, cg_total = problem.pcg(joint, np.concatenate([data.f_u, data.f_p]), np.concatenate([u_f, c]), cfg.tol_cg,
-                                  cfg.max_cg, np.concatenate([problem.jacobi_ff, jacobi(problem.A_hat.diagonal())]))
+                                  cfg.max_cg, precond)
         u_f, c = x[:nf], x[nf:]
         outer = 1
         J, _ = problem.objective(u_f, c, c_prev, gamma_prev, data)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from conftest import minor_faults, traced_peak
@@ -12,12 +13,15 @@ from curlplast.grid import (
     BoundaryConfig,
     Grid,
     TensorField,
+    _factors_1d,
     _kron_apply,
     allowed_columns,
     build_blocks,
     build_p_basis,
     dirichlet_mask,
+    lame_inverse,
     magnitudes,
+    pencil_1d,
     setup_bytes,
     transposed,
 )
@@ -349,6 +353,39 @@ class TestApply:
         repeated()
         assert minor_faults(repeated) < calls
         assert traced_peak(lambda: bl.apply(K, x)) <= 6 * x.nbytes
+
+
+class TestFastDiagonalization:
+    @pytest.mark.parametrize("first, last", [(0, 0), (0, 1), (1, 0), (1, 1)],
+                             ids=["natural-natural", "natural-removed", "removed-natural", "removed-removed"])
+    def test_pencil_matches_the_generalized_eigen_solve(self, first, last):
+        # each end of the node range is a natural boundary node, or the node
+        # beyond it is removed: first and last count the removed end nodes
+        for n in range(1, 9):
+            for h in (1.0, 0.37, 2.5e-3, 7e4):
+                a, b = first, n + 1 - last
+                if b <= a:
+                    continue
+                f = _factors_1d(n, h)
+                K, M = f["K"][a:b, a:b], f["M"][a:b, a:b]
+                V, lam = pencil_1d(n, h, a, b)
+                want = scipy.linalg.eigh(K, M, eigvals_only=True)
+                assert np.abs(lam - want).max() <= 1e-13 * want.max()
+                assert np.abs(V.T @ M @ V - np.eye(b - a)).max() <= 1e-13
+                assert np.abs(V.T @ K @ V - np.diag(lam)).max() <= 1e-13 * lam.max()
+
+    @pytest.mark.parametrize("faces", [(f,) for f in FACES] + [("xmin", "zmax")])
+    def test_lame_inverse_inverts_each_diagonal_block_of_K_ff(self, faces):
+        grid = Grid((5, 7, 9), (0.3, 0.2, 0.13))
+        bl = build_blocks(grid, PARAMS)
+        free = ~dirichlet_mask(grid, BoundaryConfig(faces))
+        K_ff = bl.assemble(bl.terms["K_uu"], 3)[free][:, free].toarray()
+        r = np.random.default_rng(0).standard_normal((K_ff.shape[0], 2))
+        precond = lame_inverse(bl, faces)
+        got = np.stack([precond(v, np.empty_like(v)) for v in r.T], axis=1)
+        for i in range(3):
+            want = np.linalg.inv(K_ff[i::3, i::3]) @ r[i::3]
+            assert np.abs(got[i::3] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def micro_hard_mask(grid, faces, P):

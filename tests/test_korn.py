@@ -253,7 +253,9 @@ class TestFastDiagonalization:
 def test_package_import_leaves_sparse_linalg_unloaded():
     # neither scenario runs nor the Korn estimate need scipy.sparse.linalg or
     # scipy.linalg; loading either with the package, in a plastic step or in
-    # the eigen-solve would raise their peak memory
+    # the eigen-solve would raise their peak memory.  The plastic step also
+    # makes no dense factorization: the first np.linalg eigh, cholesky or inv
+    # of a process adds to its peak memory, so they raise until the step is done
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, numpy as np, curlplast\n"
@@ -261,12 +263,19 @@ def test_package_import_leaves_sparse_linalg_unloaded():
         "from curlplast.models import ModelVariant, SimState\n"
         "from curlplast.solver import DiscreteProblem, LoadStep, time_step\n"
         "from curlplast.tensors import MaterialParams\n"
+        "dense = {name: getattr(np.linalg, name) for name in ('eigh', 'cholesky', 'inv')}\n"
+        "def refused(*args, **kwargs):\n"
+        "    raise AssertionError('a dense factorization on the solver path')\n"
+        "for name in dense:\n"
+        "    setattr(np.linalg, name, refused)\n"
         "var = ModelVariant('kin_spin', MaterialParams(mu=80.0, lam=110.0, k1=0.5, Lc=0.2, sigma_y=0.3))\n"
         "grid = Grid.unit_cube(2)\n"
         "D = np.zeros((3, 3)); D[0, 2] = 1.0\n"
         "prob = DiscreteProblem(grid, BoundaryConfig(('zmin', 'zmax')), var, D)\n"
         "state, rep = time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.02))\n"
         "assert rep.active_node_fraction > 0.0\n"
+        "for name, f in dense.items():\n"
+        "    setattr(np.linalg, name, f)\n"
         "from curlplast.grid import FACES\n"
         "from curlplast.korn import KornProblem, estimate_min_quotient\n"
         "assert estimate_min_quotient(KornProblem(Grid.unit_cube(2), FACES)) > 0.0\n"
