@@ -32,14 +32,17 @@ parameterized by load increments.
 The p iteration runs in the lumped-mass metric: gradients are divided by
 the nodal weights and the shrinkage threshold becomes uniform across nodes,
 which both preconditions the iteration and keeps the prox closed-form.
-Each p iteration makes one A_hat product, one inner displacement solve and
-one prox, and stops on the gradient-mapping residual of the step it has
-just taken.  The A_hat product and the inner solve depend only on the
-iterate, so in a run without certificates a ProductWorker thread makes the
-product while the calling thread makes the solve; scipy's sparse products
-release the GIL, and the sum is the one an inline gradient makes.  S <= A_hat
-in the Loewner order, so the step 1/L(A_hat) is safe for the reduced
-functional too.
+Each p iteration makes one prox, the products A_hat y, S_f y and S_pf u_f
+(skipped after an inner solve of no CG step) and one K_ff per CG step: an
+inner solve starts from the residual the last one kept, the first from a
+true one.  A pass makes one S_f c, K_ff u_f, S_pf u_f and A_hat c for its
+recovery, its test's true residual, J and r_hat.  The p iteration stops on
+the gradient-mapping residual of the step it has just taken.  The A_hat
+product and the inner solve depend only on the iterate, so in a run without
+certificates a ProductWorker thread makes the product while the calling
+thread makes the solve; scipy's sparse products release the GIL, and the
+sum is the one an inline gradient makes.  S <= A_hat in the Loewner order,
+so the step 1/L(A_hat) is safe for the reduced functional too.
 
 vi_residual certifies a step's inequality on random admissible probes from
 a generator seeded by the step; in a run, a CertificatePool thread draws
@@ -319,25 +322,28 @@ def accelerated_prox_gradient(gradient, w, prox, c0, step, tol, maxiter, scale_f
     """
     c = c0.copy()
     y = c0.copy()
+    step_w = step / w
     tk = 1.0
     res = 0.0
     recent = deque(maxlen=RESIDUAL_HISTORY)
     # an iterate that overflows gives a residual that is not finite, which fails below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(maxiter):
-            c_new = prox(y - step * gradient(y) / w)
+            c_new = prox(y - step_w * gradient(y))
             taken = c_new - y
-            res = weighted_norm(taken, w)
+            taken_w = taken * w
+            res = float(np.sqrt(taken @ taken_w))
             recent.append(res)
             if not np.isfinite(res):
                 raise NoConvergence("proximal gradient", it + 1, res, tol, recent)
             scale = max(weighted_norm(c_new, w), scale_floor)
             if res <= tol * max(scale, 1e-300):
                 return c_new, it + 1
-            if float((taken * w) @ (c_new - c)) < 0.0:
+            moved = c_new - c
+            if float(taken_w @ moved) < 0.0:
                 tk = 1.0  # adaptive restart: momentum points uphill
             tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-            y = c_new + ((tk - 1.0) / tk_next) * (c_new - c)
+            y = c_new + ((tk - 1.0) / tk_next) * moved
             c, tk = c_new, tk_next
     raise NoConvergence("proximal gradient", maxiter, res, tol, recent)
 
@@ -407,15 +413,16 @@ class DiscreteProblem:
     # -- linear algebra helpers --------------------------------------------
 
     @staticmethod
-    def pcg(matvec, b, x0, tol, maxiter, precond):
+    def pcg(matvec, b, x0, tol, maxiter, precond, r0=None):
         """Preconditioned conjugate gradients with warm start.
 
         matvec(x) is A x, and precond(r, out) writes the preconditioned
-        residual into out and returns it.  The warm start's residual is
-        tested before the preconditioner is first applied, so a start that
-        already meets tol costs one product and allocates no work vector.
-        x, r, z and p are updated in place: p *= beta; p += z gives the bits
-        of z + beta * p.
+        residual into out and returns it.  r0, when given, is b - A x0, which
+        the call does not form and keeps, in place, the residual of the
+        returned x: the recurrence's, or b - A x after maxiter steps.  A start
+        that meets tol, tested before the preconditioner is first applied,
+        allocates no work vector.  Each step makes one product; x, r, z and p
+        are updated in place: p *= beta; p += z gives the bits of z + beta * p.
         """
         recent = deque(maxlen=RESIDUAL_HISTORY)  # relative residuals
         # a norm or an iterate that overflows is not finite, which fails below
@@ -424,9 +431,11 @@ class DiscreteProblem:
             if not isfinite(nb):
                 raise NoConvergence("conjugate gradients", 0, nb, tol)
             if nb == 0.0:
+                if r0 is not None:
+                    np.copyto(r0, b)
                 return np.zeros_like(b), 0
             x = x0.copy()
-            r = b - matvec(x)
+            r = b - matvec(x) if r0 is None else r0
             p = None
             for it in range(maxiter):
                 res = sqrt(float(r @ r))
@@ -451,7 +460,7 @@ class DiscreteProblem:
                 alpha = rz / pAp
                 x += np.multiply(alpha, p, out=step)
                 r -= np.multiply(alpha, Ap, out=step)
-            r = b - matvec(x)
+            np.subtract(b, matvec(x), out=r)
             res = sqrt(float(r @ r)) / nb
         if res <= tol:
             return x, maxiter
@@ -503,12 +512,16 @@ class DiscreteProblem:
 
     # -- displacement and plastic solves ---------------------------------------
 
-    def solve_u(self, u_f, c, load, tol):
-        """Free displacement at plastic field c: the CG solve of K_ff u_f = f_u - S_f c
-        from the warm start u_f, to tol, preconditioned by lame_ff.  Every
-        displacement solve, the inner ones of solve_p included, is one call.
-        Returns (u_f, CG iterations)."""
-        return self.pcg(self.K_ff.dot, load.f_u - self.S_f @ c, u_f, tol, self.config.max_cg, self.lame_ff)
+    def solve_u(self, u_f, c, load, tol, carried=None):
+        """Free displacement at plastic field c: the CG solve of K_ff u_f = b = f_u - S_f c from
+        the warm start u_f, to tol, preconditioned by lame_ff; every displacement solve is one
+        call.  It makes S_f c, one K_ff product per CG step and one for the start's residual,
+        none when carried is the (b_prev, r) returned with u_f: that residual is r + b - b_prev.
+        Returns (u_f, CG iterations, (b, r)), r the residual of u_f that the CG kept."""
+        b = load.f_u - self.S_f @ c
+        r = b - self.K_ff @ u_f if carried is None else carried[1] + (b - carried[0])
+        u_f, its = self.pcg(self.K_ff.dot, b, u_f, tol, self.config.max_cg, self.lame_ff, r)
+        return u_f, its, (b, r)
 
     def solve_p(self, u_f, c_prev, c0, gamma_prev, load, worker=None):
         """Accelerated proximal-gradient solve of the step in c, with u_f eliminated.
@@ -516,14 +529,17 @@ class DiscreteProblem:
         Minimizes c -> min_u_f J(u_f, c) from c0.  Each gradient at an
         extrapolated point y is A_hat y + S_pf u_f - f_p, where u_f is
         solve_u's solution at y, warm-started from the previous one and the
-        first from the given u_f.  The first inner solve meets tol_cg, later
-        ones the looser INNER_TOL_* schedule.  A ProductWorker makes each
+        first from the given u_f.  The first inner solve meets tol_cg from a
+        true residual, later ones the looser INNER_TOL_* schedule from the
+        residual the previous one carried.  A gradient makes one A_hat, S_f
+        and S_pf product and one K_ff product per CG step, and reuses
+        S_pf u_f after a solve with no CG step.  A ProductWorker makes each
         A_hat y, reading self.A_hat when it does, while this thread makes
         the inner solve and the S_pf product; without one, this thread makes
         it after them.  The sum is the same either way.  Runs in the
         lumped-mass metric, in which the nodal shrinkage has one uniform
         threshold; the prox is exact per node.  Returns c, the last inner
-        u_f and the pair (FISTA iterations, inner CG iterations).
+        u_f, the pair (FISTA iterations, inner CG iterations) and its carried.
         """
         tol_cg, w = self.config.tol_cg, self.w_seg
         t = 1.0 / self.lipschitz()
@@ -531,40 +547,47 @@ class DiscreteProblem:
         # the minimizer scale; it floors the relative test when the increment
         # is tiny
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing load fails the first solve
-            data_scale = t * weighted_norm((np.asarray(self.S_pf @ u_f) - load.f_p) / w, w)
-        y_last = None
+            S_u = np.asarray(self.S_pf @ u_f)
+            data_scale = t * weighted_norm((S_u - load.f_p) / w, w)
+        y_last = carried = None
         cg_its = 0
 
         def gradient(y):
-            nonlocal u_f, y_last, cg_its
+            nonlocal u_f, y_last, carried, S_u, cg_its
             tol_in = tol_cg
             if y_last is not None:
                 move = weighted_norm(y - y_last, w) / max(weighted_norm(y, w), 1e-300)
                 tol_in = max(tol_cg, min(INNER_TOL_CAP, INNER_TOL_FACTOR * move))
             y_last = y
             A_y = beside(worker, lambda: np.asarray(self.A_hat @ y))
-            u_f, its = self.solve_u(u_f, y, load, tol_in)
+            u_f, its, carried = self.solve_u(u_f, y, load, tol_in, carried)
             cg_its += its
-            S_u = np.asarray(self.S_pf @ u_f)  # before waiting for A_y
+            S_u = np.asarray(self.S_pf @ u_f) if its else S_u  # before waiting for A_y
             return A_y() + S_u - load.f_p
 
         c, its = accelerated_prox_gradient(
             gradient, w, lambda z: self._prox_reduced(z, c_prev, t, gamma_prev), c0, t,
             self.config.tol_fista, self.config.max_fista, max(weighted_norm(c_prev, w), data_scale))
-        return c, u_f, (its, cg_its)
+        return c, u_f, (its, cg_its), carried
 
     # -- functional evaluation ------------------------------------------------
 
-    def objective(self, u_f, c, c_prev, gamma_prev, load):
-        """The step functional J at (u_f, c) and its dissipation term, which scales the descent test."""
-        smooth = (0.5 * float(u_f @ (self.K_ff @ u_f)) + float(c @ (self.S_pf @ u_f)) + 0.5 * float(c @ (self.A_hat @ c))
+    def products(self, u_f, c):
+        """(K_ff u_f, S_pf u_f, A_hat c): made once per pass, for its test, J and r_hat."""
+        return self.K_ff @ u_f, np.asarray(self.S_pf @ u_f), np.asarray(self.A_hat @ c)
+
+    def objective(self, u_f, c, c_prev, gamma_prev, load, products):
+        """The step functional J at (u_f, c), given products(u_f, c), and its dissipation term."""
+        K_u, S_u, A_c = products
+        smooth = (0.5 * float(u_f @ K_u) + float(c @ S_u) + 0.5 * float(c @ A_c)
                   - float(load.f_u @ u_f) - float(load.f_p @ c) + load.J_g)
         dissipation = self.dissipation_value(c - c_prev, gamma_prev)
         return smooth + dissipation, dissipation
 
-    def smooth_residual_reduced(self, u_f, c, load):
-        """b - A c in reduced coordinates: the weighted weak generalized stress."""
-        return load.f_p - np.asarray(self.S_pf @ u_f) - np.asarray(self.A_hat @ c)
+    def smooth_residual_reduced(self, u_f, c, load, products=None):
+        """b - A c in reduced coordinates, the weighted weak generalized stress; from products(u_f, c) if given."""
+        S_u, A_c = (self.S_pf @ u_f, self.A_hat @ c) if products is None else products[1:]
+        return load.f_p - np.asarray(S_u) - np.asarray(A_c)
 
     def displacement_residual(self, u_f, c, load):
         """K_ff u_f + S_f c - f_u: the free rows of the displacement equation."""
@@ -735,7 +758,8 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
                                   cfg.max_cg, precond)
         u_f, c = x[:nf], x[nf:]
         outer = 1
-        J, _ = problem.objective(u_f, c, c_prev, gamma_prev, data)
+        products = problem.products(u_f, c)
+        J, _ = problem.objective(u_f, c, c_prev, gamma_prev, data, products)
     else:
         # pass 1 solves the step; pass 2 restarts from its c with an exact
         # first gradient and confirms that J no longer descends
@@ -743,14 +767,15 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
         u_scale = None
         recent = deque(maxlen=RESIDUAL_HISTORY)  # (u_res, descent) of the latest passes
         for outer in range(1, cfg.max_outer + 1):
-            c, u_f, (its_p, its_in) = problem.solve_p(u_f, c_prev, c, gamma_prev, data, worker)
-            u_f, its_u = problem.solve_u(u_f, c, data, cfg.tol_cg)
+            c, u_f, (its_p, its_in), carried = problem.solve_p(u_f, c_prev, c, gamma_prev, data, worker)
+            u_f, its_u, (b, _) = problem.solve_u(u_f, c, data, cfg.tol_cg, carried)
             cg_total += its_in + its_u
             fista_total += its_p
             if u_scale is None:
-                u_scale = max(data.u_scale, np.linalg.norm(problem.S_f @ c), 1e-300)
-            u_res = np.linalg.norm(problem.displacement_residual(u_f, c, data)) / u_scale
-            J, dissipation = problem.objective(u_f, c, c_prev, gamma_prev, data)
+                u_scale = max(data.u_scale, np.linalg.norm(data.f_u - b), 1e-300)  # ||S_f c||
+            products = problem.products(u_f, c)
+            u_res = np.linalg.norm(products[0] - b) / u_scale  # the true K_ff u_f + S_f c - f_u
+            J, dissipation = problem.objective(u_f, c, c_prev, gamma_prev, data, products)
             for column, (value, tol) in enumerate(((u_res, cfg.tol_cg), (J, cfg.tol_outer))):
                 if not isfinite(value):  # a NaN or Inf never meets the pass test
                     raise NoConvergence("outer passes", outer, value, tol, [*(v[column] for v in recent), value])
@@ -781,7 +806,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
         t=load.level,
     )
 
-    r_hat = problem.smooth_residual_reduced(u_f, c, data)
+    r_hat = problem.smooth_residual_reduced(u_f, c, data, products)
     diss_func = variant.params.sigma_y * float(problem.w_node @ dn) if variant.has_dissipation else 0.0
     kkt_viol, kkt_mis, active = problem.kkt_check(r_hat, dc, gamma_new)
     energy = total_energy(problem.grid, variant, state, load.body_force)

@@ -23,6 +23,24 @@ def minor_faults(fn):
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
+class CountingOperator:
+    """A matrix whose products with vectors, by @ or by dot, are counted in count."""
+
+    def __init__(self, matrix):
+        self.matrix, self.count = matrix, 0
+
+    def __matmul__(self, v):
+        self.count += 1
+        return self.matrix @ v
+
+    def dot(self, v):
+        self.count += 1
+        return self.matrix.dot(v)
+
+    def __getattr__(self, name):
+        return getattr(self.matrix, name)
+
+
 @pytest.fixture(autouse=True)
 def no_thread_outlives_its_test():
     """Fail a test that leaves a thread running, such as a VI certificate pool's that was never joined."""

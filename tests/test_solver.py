@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import traced_peak
+from conftest import CountingOperator, traced_peak
 
 from curlplast.grid import (
     FACES,
@@ -261,7 +261,7 @@ class TestStoredOperators:
         r_u = (K_uu @ U + S_up @ c - F)[prob.free]
         assert np.abs(prob.displacement_residual(U[prob.free], c, load) - r_u).max() <= 1e-13 * np.abs(r_u).max()
         smooth = 0.5 * U @ (K_uu @ U) + U @ (S_up @ c) + 0.5 * c @ (prob.A_hat @ c) - F @ U
-        J, dissipation = prob.objective(U[prob.free], c, c_prev, gamma_prev, load)
+        J, dissipation = prob.objective(U[prob.free], c, c_prev, gamma_prev, load, prob.products(U[prob.free], c))
         assert J - dissipation == pytest.approx(smooth, rel=1e-13)
 
 
@@ -271,7 +271,7 @@ class TestSolveU:
         prob = DiscreteProblem(grid, full_dirichlet(), KIN, SHEAR01, TIGHT)
         U = prob.lift(2.5e-3)
         c = np.zeros(prob.basis.size)
-        U[prob.free], _ = prob.solve_u(U[prob.free], c, prob.step_load(U, np.zeros_like(U)), TIGHT.tol_cg)
+        U[prob.free], _, _ = prob.solve_u(U[prob.free], c, prob.step_load(U, np.zeros_like(U)), TIGHT.tol_cg)
         want = 2.5e-3 * grid.node_coords() @ SHEAR01.T
         assert np.max(np.abs(U.reshape(-1, 3) - want)) < 1e-12
 
@@ -283,7 +283,7 @@ class TestSolveU:
         U_star = rng.standard_normal(3 * grid.node_count) * 1e-3
         F = np.asarray(prob.blocks.assemble(prob.blocks.terms["K_uu"], 3) @ U_star)
         U = np.where(prob.presc, U_star, 0.0)
-        U[prob.free], _ = prob.solve_u(U[prob.free], np.zeros(prob.basis.size), prob.step_load(U, F), TIGHT.tol_cg)
+        U[prob.free], _, _ = prob.solve_u(U[prob.free], np.zeros(prob.basis.size), prob.step_load(U, F), TIGHT.tol_cg)
         assert np.max(np.abs(U - U_star)) < 1e-10 * np.abs(U_star).max()
 
     def test_cg_contract(self):
@@ -313,6 +313,27 @@ class TestSolveU:
             warnings.simplefilter("error", RuntimeWarning)  # fails fast without a warning
             prob.pcg(prob.K_ff.dot, b, np.zeros_like(b), 1e-10, 20000, prob.lame_ff)
         assert err.value.what == "conjugate gradients" and err.value.iterations == 0
+
+
+    def test_given_start_residual_gives_the_same_bits(self):
+        prob = DiscreteProblem(Grid.unit_cube(3), BoundaryConfig(("zmin",)), KIN, None, TIGHT)
+        b, x0 = np.random.default_rng(11).standard_normal((2, prob.K_ff.shape[0]))
+        want, want_its = prob.pcg(prob.K_ff.dot, b, x0, 1e-10, 1000, prob.lame_ff)
+        r0 = b - prob.K_ff @ x0
+        x, its = prob.pcg(prob.K_ff.dot, b, x0, 1e-10, 1000, prob.lame_ff, r0)
+        assert its == want_its > 0 and np.array_equal(x, want)
+        # r0 is now the recurrence's residual of the returned x
+        assert np.linalg.norm(r0 - (b - prob.K_ff @ x)) <= 1e-12 * np.linalg.norm(b)
+
+    def test_maxiter_exit_leaves_the_true_residual_in_r0(self):
+        # with maxiter the count a solve needs, the loop ends without testing
+        # its last step, and the exit forms b - A x
+        prob = DiscreteProblem(Grid.unit_cube(3), BoundaryConfig(("zmin",)), KIN, None, TIGHT)
+        b, x0 = np.random.default_rng(12).standard_normal((2, prob.K_ff.shape[0]))
+        _, needed = prob.pcg(prob.K_ff.dot, b, x0, 1e-10, 1000, prob.lame_ff)
+        r0 = b - prob.K_ff @ x0
+        x, its = prob.pcg(prob.K_ff.dot, b, x0, 1e-10, needed, prob.lame_ff, r0)
+        assert its == needed and np.array_equal(r0, b - prob.K_ff @ x)
 
 
 class TestLamePreconditioner:
@@ -361,7 +382,7 @@ class TestSolveP:
                                SolverConfig(tol_fista=1e-13))
         U = prob.lift(1e-3)
         z = np.zeros(prob.basis.size)
-        c, _, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, np.zeros_like(U)))
+        c, _, _, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, np.zeros_like(U)))
         K = sp.bmat([[prob.K_ff, prob.S_f], [prob.S_pf, prob.A_hat]])
         # U is the lifted prescribed field, zero at the free dofs
         K_uu = prob.blocks.assemble(prob.blocks.terms["K_uu"], 3)
@@ -377,7 +398,7 @@ class TestSolveP:
         prob = DiscreteProblem(grid, full_dirichlet(), var, SHEAR01, SolverConfig())
         U = prob.lift(1e-3)
         z = np.zeros(prob.basis.size)
-        c, _, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, np.zeros_like(U)))
+        c, _, _, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, np.zeros_like(U)))
         assert np.all(c == 0.0)
 
     def test_no_force_no_motion(self):
@@ -385,7 +406,7 @@ class TestSolveP:
         prob = DiscreteProblem(grid, full_dirichlet(), KIN, SHEAR01, TIGHT)
         z = np.zeros(prob.basis.size)
         U = np.zeros(3 * grid.node_count)
-        c, _, its = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, U))
+        c, _, its, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, U))
         assert np.all(c == 0.0)
 
     def test_elastic_below_yield(self):
@@ -394,7 +415,7 @@ class TestSolveP:
         a = 0.3 * PARAMS.sigma_y / (np.sqrt(2) * PARAMS.mu)
         U = prob.lift(a)
         z = np.zeros(prob.basis.size)
-        c, _, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, np.zeros_like(U)))
+        c, _, _, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, np.zeros_like(U)))
         assert np.all(c == 0.0)
 
 
@@ -585,6 +606,80 @@ class TestTimeStep:
             time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.05))
         assert info.value.what == "outer passes" and info.value.iterations == 1
         assert len(calls) == 1
+
+
+class TestProductsPerStep:
+    """One dissipative step of the 4^3 gradient problem, with micro-hard z faces."""
+
+    @staticmethod
+    def plastic_step(prob, on_solve_u):
+        """One plastic step from rest; on_solve_u(args, result, inner) sees every
+        solve_u call, inner telling whether solve_p made it."""
+        real_u, real_p, inside = prob.solve_u, prob.solve_p, []
+
+        def solve_u(*args):
+            result = real_u(*args)
+            on_solve_u(args, result, bool(inside))
+            return result
+
+        def solve_p(*args):
+            inside.append(True)
+            try:
+                return real_p(*args)
+            finally:
+                inside.pop()
+
+        prob.solve_u, prob.solve_p = solve_u, solve_p
+        a_y = PARAMS.sigma_y / (np.sqrt(2) * PARAMS.mu)
+        _, rep = time_step(prob, SimState.zeros(prob.grid), LoadStep(1.0, 3 * a_y))
+        assert rep.active_node_fraction > 0.0 and rep.outer_iterations >= 2
+        return rep
+
+    @staticmethod
+    def problem():
+        D = np.zeros((3, 3))
+        D[0, 2] = 1.0
+        cfg = SolverConfig(tol_outer=1e-11, tol_cg=1e-11, tol_fista=1e-10)
+        return DiscreteProblem(Grid.unit_cube(4), BoundaryConfig(("zmin", "zmax")), KIN, D, cfg)
+
+    def test_each_product_is_made_once_per_iterate_and_pass(self):
+        prob = self.problem()
+        prob.lipschitz()  # the power iteration's A_hat products, made once per problem
+        ops = {name: CountingOperator(getattr(prob, name)) for name in ("K_ff", "S_f", "S_pf", "A_hat")}
+        for name, op in ops.items():
+            setattr(prob, name, op)
+        solves, inner = [], []
+
+        def count(args, result, is_inner):
+            solves.append(result[1])
+            if is_inner:
+                inner.append(result[1])
+
+        rep = self.plastic_step(prob, count)
+        passes = rep.outer_iterations
+        assert 0 in inner and max(inner) > 0  # both kinds of inner solve occur
+        # one true start residual per plastic solve and one per pass test
+        assert ops["K_ff"].count <= rep.cg_iterations + 2 * passes
+        # a solve with no CG step makes no S_pf product: one per plastic
+        # solve's entry, per inner solve that moved u_f, and per pass
+        assert ops["S_pf"].count == 2 * passes + sum(its > 0 for its in inner)
+        assert ops["S_f"].count == len(solves)
+        # r_hat takes the last pass's products and makes none
+        assert ops["A_hat"].count == rep.fista_iterations + passes
+
+    def test_carried_residual_stays_true(self):
+        prob = self.problem()
+        K_ff, worst = prob.K_ff, []
+
+        def check(args, result, is_inner):
+            u_f, _, (b, r) = result
+            true = b - K_ff @ u_f
+            nb = np.linalg.norm(b)
+            assert np.linalg.norm(r - true) <= 1e-12 * nb
+            worst.append(np.linalg.norm(true) / (args[3] * nb))
+
+        self.plastic_step(prob, check)
+        assert len(worst) > 20 and max(worst) <= 1.0
 
 
 def field_state(grid, t, coeffs):
