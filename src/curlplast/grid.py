@@ -11,9 +11,10 @@ product of three exact 1D tridiagonal factors (mass, stiffness,
 derivative-mass), one per axis, so the forms equal the 2x2x2 Gauss-rule
 assembly without storing its roundoff in analytically zero entries.  A term
 list is applied to full nodal components one 1D factor at a time, or
-assembled on demand into a sparse matrix between two nodal spaces, full
-nodal components or the reduced coordinates below.  The Gauss-point
-assembly is kept only as a test reference (tests/gauss_reference.py).
+assembled on demand into a sparse matrix between two nodal spaces: full
+nodal components, those of a subset of the nodes, or the reduced
+coordinates below.  The Gauss-point assembly, and the assembly through
+COO triples, are kept only as test references (tests/gauss_reference.py).
 
 Pointwise constraints on the plastic field (trace-free, symmetric, rows
 parallel to the outward normal on micro-hard faces) are realized through a
@@ -46,8 +47,8 @@ def face_axis_side(face):
     return idx // 2, idx % 2
 
 
-# Most bytes setup_bytes may estimate for a grid: ten times the whole setup
-# peak of a 24^3 run (429 MB), whose estimate is 1.7 MB, and half the
+# Most bytes setup_bytes may estimate for a grid: fourteen times the whole
+# setup peak of a 24^3 run (306 MB), whose estimate is 1.7 MB, and half the
 # memory of a small host
 SETUP_BYTES_MAX = 2 ** 32
 
@@ -251,6 +252,11 @@ ROUNDOFF = 64.0 * np.finfo(float).eps
 
 _MASS = ("M", "M", "M")
 
+# Node pairs that Blocks.assemble reduces at once: enough that numpy, not the
+# interpreter, does the work on small grids, and few enough that the
+# temporaries of a chunk stay small beside the assembled matrix on large ones
+ASSEMBLY_CHUNK = 2048
+
 
 def _pair_names(a, b):
     """1D factors, x first, of the scalar pairing int d_a phi_I d_b phi_J."""
@@ -449,13 +455,50 @@ def magnitudes(terms):
 def _nodal_space(space, node_count):
     """(size, first coordinate of each node, node types, per-type bases).
 
-    An int k is the identity on k components per node; a PBasis has one
-    (m, 9) basis with orthonormal rows per node type.
+    An int k is the identity on k components per node, and a pair (k, nodes)
+    the identity on k components at the nodes where the bool array nodes is
+    True and empty elsewhere: its coordinates are those nodes' components,
+    in node order.  A PBasis has one (m, 9) basis with orthonormal rows per
+    node type.  A node whose basis is empty has no coordinate.
     """
     if isinstance(space, PBasis):
         return space.size, space.offsets[:-1].astype(np.int32), space.node_type, space.type_bases
-    first = space * np.arange(node_count, dtype=np.int32)
-    return space * node_count, first, np.zeros(node_count, dtype=np.intp), [np.eye(space)]
+    k, nodes = space if isinstance(space, tuple) else (space, np.ones(node_count, dtype=bool))
+    kept = np.cumsum(nodes, dtype=np.int32)  # nodes kept up to and including each
+    return k * int(kept[-1]), k * (kept - nodes), (~nodes).astype(np.intp), [np.eye(k), np.empty((0, k))]
+
+
+class _Pattern:
+    """A type pair's reduced kernels on the entries (a, b) of its blocks that they reach.
+
+    R_full and R_abs_full are the reduced kernels and their magnitudes,
+    (terms, entries of a block); R and R_abs are their columns `flat` of the
+    reached entries, in row-major order, and `order` lists those entries in
+    column-major order: that of the transposed block.  rows and cols are the
+    distinct a and b, and counting sums a block's kept entries by row, then
+    by column.  When the reached set is closed under transposition,
+    transposed maps each entry to the one at (b, a).
+    """
+
+    def __init__(self, R_full, R_abs_full, reached):
+        if np.count_nonzero(reached) == 1:  # a one-column product would round as a vector product
+            diagonal = 1 if reached[0, 0] else 0
+            reached[diagonal, diagonal] = True
+        a, b = np.nonzero(reached)
+        index = np.full(reached.shape, -1)
+        index[a, b] = np.arange(a.size)
+        self.order = index.T[reached.T]
+        self.R_full, self.R_abs_full = R_full, R_abs_full
+        self.flat = a * reached.shape[1] + b
+        self.R, self.R_abs = (np.ascontiguousarray(M[:, self.flat]) for M in (R_full, R_abs_full))
+        self.b, self.a_mirrored = b.astype(np.int32), a[self.order].astype(np.int32)
+        has_row, has_col = reached.any(axis=1), reached.any(axis=0)
+        self.rows, self.cols = np.flatnonzero(has_row), np.flatnonzero(has_col)
+        self.counting = np.zeros((a.size, self.rows.size + self.cols.size))
+        entry = np.arange(a.size)
+        self.counting[entry, (np.cumsum(has_row) - 1)[a]] = 1.0
+        self.counting[entry, self.rows.size + (np.cumsum(has_col) - 1)[b]] = 1.0
+        self.transposed = index.T[a, b] if reached.shape[0] == reached.shape[1] else None
 
 
 class Blocks:
@@ -476,12 +519,12 @@ class Blocks:
     apply() multiplies full nodal components by a term list without
     assembling it, and apply_all() by several term lists in one pass that
     shares their 1D-factor products.  assemble() is the one assembler: it
-    turns any term list into CSR between two nodal spaces, the identity or a
-    PBasis's per-node bases, so callers get reduced operators without
-    forming a full-space block.  Blocks keeps no assembled form.  Every form
-    equals the 2x2x2 Gauss-point assembly, and analytically zero entries are
-    never stored.  The defect form K_curl_cc composes the discrete row-wise
-    curl with itself.
+    turns any term list into CSR between two nodal spaces, the identity on
+    all nodes or on some of them, or a PBasis's per-node bases, so callers
+    get free and reduced operators without forming a full-space block.
+    Blocks keeps no assembled form.  Every form equals the 2x2x2 Gauss-point
+    assembly, and analytically zero entries are never stored.  The defect
+    form K_curl_cc composes the discrete row-wise curl with itself.
     """
 
     def __init__(self, grid: Grid, params):
@@ -555,76 +598,154 @@ class Blocks:
         """CSR matrix of sum_t kron(pairing_t, kernel_t) between two nodal spaces.
 
         rows and cols are nodal spaces (see _nodal_space); the block of node
-        pair (I, J) is sum_t pairing_t[I, J] V_I kernel_t V_J'.  For each of
-        the 27 stencil offsets, the pairings of all node pairs are products
-        of 1D-factor entries, and each (row type, column type) group of pairs
-        is one dense product of those pairings with the kernels reduced once
-        per type pair.  An entry within ROUNDOFF * sum_t |pairing_t| |V_I|
-        |kernel_t| |V_J|' of zero is analytically zero and is not stored; a
-        non-finite entry raises ValueError.
-        cols=None assembles a symmetric form on rows: only node pairs with
-        J >= I are computed, the lower half mirrors them and the diagonal
-        blocks are symmetrized, so the result is exactly symmetric.
-        Indices are int32.
+        pair (I, J) is sum_t pairing_t[I, J] V_I kernel_t V_J'.  The pairing
+        of a pair is a product of three 1D-factor entries, one per axis.  The
+        pairs of each (row type, column type) are reduced ASSEMBLY_CHUNK at a
+        time, by one dense product of their pairings with the kernels reduced
+        once per type pair, on the entries some reduced kernel reaches.
+        numpy's matrix product gives an entry the same bits whatever its
+        number of rows and columns, as long as each is at least two; a
+        one-row product is a vector product, which rounds differently.  So a
+        pair alone in its type pair at its offset is reduced alone, against
+        every entry of its block, and each entry has the bits of one product
+        per offset and type pair.  An entry within ROUNDOFF * sum_t
+        |pairing_t| |V_I| |kernel_t| |V_J|' of zero is analytically zero and
+        is not stored; a non-finite entry raises ValueError.  cols=None
+        assembles a symmetric form on rows: only node pairs with J >= I are
+        computed, the lower half mirrors them and the diagonal blocks are
+        symmetrized, so the result is exactly symmetric.
+
+        The kept entries are written straight into the CSR arrays.  Each
+        chunk counts its kept entries per stencil offset J - I and row.  A
+        row's entries run through the 27 offsets in ascending order of their
+        column node, and within a block in column order, a mirrored block
+        being the transpose of its J > I block placed at the opposite offset.
+        So the prefix sums of the counts give every kept entry its place, and
+        each row's columns are written in sorted order, with no conversion
+        and no sort.  Indices are int32.
         """
         grid = self.grid
-        nx, ny, _ = grid.node_shape
         symmetric = cols is None
         n_rows, r_first, r_type, r_bases = _nodal_space(rows, grid.node_count)
         n_cols, c_first, c_type, c_bases = (n_rows, r_first, r_type, r_bases) if symmetric \
             else _nodal_space(cols, grid.node_count)
         kernels = np.array([kernel for _, kernel in terms], dtype=float)
-        reduced = {}  # (row type, column type) -> reduced kernels and their magnitudes
+        reduced = {}  # (row type, column type) -> _Pattern
         for tr, Vr in enumerate(r_bases):
             for tc, Vc in enumerate(c_bases):
                 if len(Vr) and len(Vc):
                     # a non-finite or overflowing kernel gives non-finite entries, rejected below
                     with np.errstate(over="ignore", invalid="ignore"):
-                        R = (Vr @ kernels @ Vc.T).reshape(len(terms), -1)
-                        R_abs = (np.abs(Vr) @ np.abs(kernels) @ np.abs(Vc).T).reshape(len(terms), -1)
-                    reduced[tr, tc] = R, R_abs, len(Vr), len(Vc)
-        once, mirrored = [], []  # entries stored as computed; J > I entries of a symmetric form
-        # an overflowing pairing or product gives non-finite entries, rejected below
-        with np.errstate(over="ignore", invalid="ignore"):
-            for dz, dy, dx in product((-1, 0, 1), repeat=3):
-                shift = dx + nx * (dy + ny * dz)
-                if symmetric and shift < 0:
+                        R = Vr @ kernels @ Vc.T
+                        R_abs = np.abs(Vr) @ np.abs(kernels) @ np.abs(Vc).T
+                    reached = np.any(R_abs, axis=0)  # a NaN reaches its entry, which is rejected below
+                    if symmetric and tr == tc:  # closed under transposition, for the symmetrization
+                        reached |= reached.T
+                    if reached.any():
+                        reduced[tr, tc] = _Pattern(R.reshape(len(terms), -1), R_abs.reshape(len(terms), -1), reached)
+        offsets, shifts, inside, ijk = self._stencil
+        inside = inside & np.array([len(V) > 0 for V in r_bases])[r_type, None]  # and I has a coordinate
+        axis_names = [{names[axis] for names, _ in terms} for axis in range(3)]
+        # kept entries per offset and row: at most 9 each, a kernel's most
+        # columns, so at most 243 a row
+        counts = np.zeros((len(offsets), n_rows), dtype=np.uint8)
+        chunks = []  # per chunk: (offsets, first row and column of each pair, pattern, kept, kept entries
+        #              per row and per mirrored row, kept values, and those of the mirrored blocks or None)
+
+        def compute(same, mirrored, batch):
+            """Reduce and count the kept entries of the pairs at the offsets of batch: J = I
+            pairs to symmetrize when same, and J > I pairs to mirror when mirrored."""
+            nodes, offs = np.nonzero(inside & batch)  # row node major
+            group = r_type[nodes] * len(c_bases) + c_type[nodes + shifts[offs]]
+            # alone[p]: pair p is the only one of its type pair at its offset
+            label = offs * (len(r_bases) * len(c_bases)) + group
+            alone = np.bincount(label)[label] == 1
+            offs = offs.astype(np.uint8)
+            for g in np.unique(group):
+                pattern = reduced.get(divmod(int(g), len(c_bases)))
+                if pattern is None:
                     continue
-                ix, iy, iz = (np.arange(max(0, -d), n + 1 - max(0, d)) for n, d in zip(grid.n, (dx, dy, dz)))
-                node = (ix + nx * (iy[:, None] + ny * iz[:, None, None])).ravel()
-                col = node + shift
-                pairing = np.empty((node.size, len(terms)))
-                for t, (names, _) in enumerate(terms):
-                    fx, fy, fz = (np.diagonal(f[name], d) for f, name, d in zip(self._1d, names, (dx, dy, dz)))
-                    pairing[:, t] = (fz[:, None, None] * fy[:, None] * fx).ravel()
-                group = r_type[node] * len(c_bases) + c_type[col]
-                for g in np.unique(group):
-                    key = divmod(int(g), len(c_bases))
-                    if key not in reduced:
-                        continue
-                    R, R_abs, mr, mc = reduced[key]
-                    sel = group == g
-                    S = pairing[sel]
-                    vals = (S @ R).reshape(-1, mr, mc)
-                    bound = ROUNDOFF * (np.abs(S) @ R_abs).reshape(-1, mr, mc)
+                pairs = np.flatnonzero(group == g)
+                for chunk in np.array_split(pairs, -(-pairs.size // ASSEMBLY_CHUNK)):
+                    I, o = nodes[chunk], offs[chunk]
+                    first_row, first_col = r_first[I], c_first[I + shifts[o]]
+                    # entry (i, i + d) of an axis's 1D factors, at the flat index i (n + 2) + d
+                    at = [ijk[I, axis] * (n + 2) + offsets[o, axis] for axis, n in enumerate(grid.n)]
+                    entries = [{name: f[name].take(flat) for name in names}
+                               for f, names, flat in zip(self._1d, axis_names, at)]
+                    S = np.empty((I.size, len(terms)))
+                    for t, (term_names, _) in enumerate(terms):
+                        fx, fy, fz = (entry[name] for entry, name in zip(entries, term_names))
+                        np.multiply(fz * fy, fx, out=S[:, t])
+                    vals = S @ pattern.R
+                    bound = np.abs(S) @ pattern.R_abs
+                    for i in np.flatnonzero(alone[chunk]):  # reduced alone, as a vector product
+                        vals[i] = (S[i:i + 1] @ pattern.R_full)[0, pattern.flat]
+                        bound[i] = (np.abs(S[i:i + 1]) @ pattern.R_abs_full)[0, pattern.flat]
+                    bound *= ROUNDOFF
                     # NaN would pass the roundoff test below, and an infinite bound would drop every entry
-                    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(bound))):
+                    if not (np.all(np.isfinite(S)) and np.all(np.isfinite(vals)) and np.all(np.isfinite(bound))):
                         raise ValueError("an assembled form has a non-finite entry: the material or grid overflows")
-                    if symmetric and shift == 0:
-                        vals = 0.5 * (vals + vals.transpose(0, 2, 1))
-                        bound = 0.5 * (bound + bound.transpose(0, 2, 1))
-                    k, a, b = np.nonzero(np.abs(vals) > bound)
-                    entry = (r_first[node[sel]][k] + a.astype(np.int32),
-                             c_first[col[sel]][k] + b.astype(np.int32), vals[k, a, b])
-                    (mirrored if symmetric and shift > 0 else once).append(entry)
-        parts = once + mirrored + [(c, r, v) for r, c, v in mirrored]
-        if not parts:
-            return sp.csr_matrix((n_rows, n_cols))
-        r, c, v = (np.concatenate(x) for x in zip(*parts))
-        # the pieces are copied; release them before the CSR copy, which
-        # sets the peak memory of the assembly
-        del once, mirrored, parts
-        return sp.csr_matrix((v, (r, c)), shape=(n_rows, n_cols))
+                    if same:  # the J = I pairs
+                        vals = 0.5 * (vals + vals[:, pattern.transposed])
+                        bound = 0.5 * (bound + bound[:, pattern.transposed])
+                    kept = np.abs(vals) > bound
+                    per_row = (kept @ pattern.counting).astype(np.uint8)
+                    nr = pattern.rows.size
+                    counts[o[:, None], first_row[:, None] + pattern.rows] = per_row[:, :nr]
+                    if mirrored:  # the J < I pairs, at the opposite offsets
+                        counts[len(offsets) - 1 - o[:, None], first_col[:, None] + pattern.cols] = per_row[:, nr:]
+                    mirror = vals[:, pattern.order].take(np.flatnonzero(kept[:, pattern.order])) if mirrored else None
+                    chunks.append((o, first_row, first_col, pattern, kept, per_row,
+                                   vals.take(np.flatnonzero(kept)), mirror))
+
+        # an overflowing pairing or product gives non-finite entries, rejected above
+        with np.errstate(over="ignore", invalid="ignore"):
+            if symmetric:
+                compute(True, False, shifts == 0)
+                compute(False, True, shifts > 0)
+            else:
+                compute(False, False, np.ones(len(offsets), dtype=bool))
+        # row_ends[o, i]: the entries of row i up to offset o
+        row_ends = np.cumsum(counts, axis=0, dtype=np.uint8)
+        del counts
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(row_ends[-1], out=indptr[1:])
+        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+
+        def write(o, rows, per_row, columns, kept, kept_vals):
+            """Write a block's kept entries: rows and per_row of each pair's rows, columns of its entries."""
+            per_row = per_row.ravel()
+            local = np.cumsum(per_row, dtype=np.intp)  # the end of each row's entries within the block
+            place = np.repeat((indptr[rows] + row_ends[o[:, None], rows]).ravel() - local, per_row)
+            place += np.arange(place.size)
+            data[place] = kept_vals
+            indices[place] = columns.take(np.flatnonzero(kept))
+
+        chunks.reverse()  # popped in order, each released once written
+        while chunks:
+            o, first_row, first_col, pattern, kept, per_row, forward, mirror = chunks.pop()
+            nr = pattern.rows.size
+            write(o, first_row[:, None] + pattern.rows, per_row[:, :nr], first_col[:, None] + pattern.b, kept,
+                  forward)
+            if mirror is not None:
+                write(len(offsets) - 1 - o, first_col[:, None] + pattern.cols, per_row[:, nr:],
+                      first_row[:, None] + pattern.a_mirrored, kept[:, pattern.order], mirror)
+        return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
+
+    @cached_property
+    def _stencil(self):
+        """(offsets, shifts, inside, ijk): the 27 offsets (dx, dy, dz) of a node's
+        neighbours, in ascending order of J - I, so that offset 13 is J = I; the
+        J - I of each; inside[I, o], node I has a neighbour at offset o; and
+        every node's lattice coordinates, x fastest."""
+        nx, ny, _ = self.grid.node_shape
+        offsets = np.array(list(product((-1, 0, 1), repeat=3)))[:, ::-1]
+        within = [(np.arange(n + 1)[:, None] + (-1, 0, 1) >= 0) & (np.arange(n + 1)[:, None] + (-1, 0, 1) <= n)
+                  for n in self.grid.n]
+        inside = (within[2][:, None, None, :, None, None] & within[1][:, None, None, :, None]
+                  & within[0][:, None, None, :]).reshape(self.grid.node_count, len(offsets))
+        return offsets, offsets @ (1, nx, nx * ny), inside, self.grid.node_ijk()
 
     @cached_property
     def w_node(self):
@@ -734,15 +855,19 @@ class PBasis:
         self._nodes = np.nonzero(self._dims > 0)[0]
         self._starts = self.offsets[self._nodes]
         self._uniform = bool(self._dims.min() > 0 and self._dims.min() == self._dims.max())
-        rows, cols, data = [], [], []
+        # B straight into CSR: node j's nine rows hold its type's nonzeros in
+        # column order, a contiguous run of entries from indptr[9 j]
+        per_row = np.array([np.count_nonzero(V, axis=0) for V in self.type_bases]).reshape(-1, 9)
+        indptr = np.zeros(9 * len(self.node_type) + 1, dtype=np.int64)
+        np.cumsum(per_row[self.node_type], out=indptr[1:])
+        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
         for t, V in enumerate(self.type_bases):
-            nodes = np.nonzero(self.node_type == t)[0]
-            r, k = np.nonzero(V)
-            rows.append((9 * nodes[:, None] + k).ravel())
-            cols.append((self.offsets[nodes][:, None] + r).ravel())
-            data.append(np.tile(V[r, k], len(nodes)))
-        shape = (9 * len(self.node_type), self.size)
-        self.B = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+            nodes = np.flatnonzero(self.node_type == t)
+            k, r = np.nonzero(V.T)  # row k of the node, column r of its coordinates
+            place = indptr[9 * nodes][:, None] + np.arange(k.size)
+            data[place] = V[r, k]
+            indices[place] = self.offsets[nodes][:, None] + r
+        self.B = sp.csr_matrix((data, indices, indptr), shape=(9 * len(self.node_type), self.size))
 
     @property
     def size(self):
@@ -798,10 +923,13 @@ def build_p_basis(grid: Grid, micro_hard_faces, mode="sl") -> PBasis:
     mode 'sl' keeps trace-free tensors (8 dofs at free nodes), 'sym_sl'
     symmetric trace-free (5 dofs), 'none' only the micro-hard mask (9 dofs).
     """
-    allowed = allowed_columns(grid, micro_hard_faces)
-    types, node_type = np.unique(allowed, axis=0, return_inverse=True)
-    bases = [np.reshape(_node_basis(key, mode), (-1, 9)) for key in types]
-    return PBasis(node_type.ravel(), bases, mode)
+    # a node's code 4 a0 + 2 a1 + a2 of its allowed columns numbers the node
+    # types in the lexicographic order of their allowed columns
+    code = allowed_columns(grid, micro_hard_faces) @ np.array([4, 2, 1])
+    present = np.bincount(code, minlength=8) > 0
+    bases = [np.reshape(_node_basis(((c >> 2) & 1, (c >> 1) & 1, c & 1), mode), (-1, 9))
+             for c in np.flatnonzero(present)]
+    return PBasis((np.cumsum(present) - 1)[code], bases, mode)
 
 
 def dirichlet_mask(grid: Grid, boundary: BoundaryConfig) -> np.ndarray:

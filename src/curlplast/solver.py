@@ -20,7 +20,8 @@ diagonalization on the free box), so that its iteration count does not grow
 with the grid; here to a tolerance that tightens with the FISTA step
 (Schmidt, Le Roux & Bach, "Convergence rates of inexact proximal-gradient
 methods", NIPS 2011).  A_hat, K_ff and
-S_f are the only sparse matrices DiscreteProblem stores; S_pf is a view of
+S_f are the only sparse matrices DiscreteProblem stores, each assembled
+straight into CSR on the coordinates its products use; S_pf is a view of
 S_f.  The step functional is strictly convex, so it has one minimizer,
 which moves continuously with the load: a step may start from any guess,
 such as one extrapolated from the previous steps, and the start changes only
@@ -36,7 +37,10 @@ Each p iteration makes one prox, the products A_hat y, S_f y and S_pf u_f
 (skipped after an inner solve of no CG step) and one K_ff per CG step: an
 inner solve starts from the residual the last one kept, the first from a
 true one.  A pass makes one S_f c, K_ff u_f, S_pf u_f and A_hat c for its
-recovery, its test's true residual, J and r_hat.  The p iteration stops on
+recovery, its test's true residual, J and r_hat; the next pass starts at
+the same (u_f, c), so its p iteration takes the first three as its entry
+S_pf u_f and its first inner solve's right-hand side and residual, and the
+certificate takes the last pass's residual.  The p iteration stops on
 the gradient-mapping residual of the step it has just taken.  The A_hat
 product and the inner solve depend only on the iterate, so in a run without
 certificates a ProductWorker thread makes the product while the calling
@@ -352,13 +356,16 @@ class DiscreteProblem:
     """Assembled, constraint-reduced operators for one variant on one grid.
 
     Plastic dofs live in reduced coordinates c with p = B c; displacement
-    dofs are split into free and prescribed parts by the Dirichlet faces.
-    Each operator is stored once, as CSR in the coordinates its products
-    use: A_hat; K_ff, the free block of the displacement form; and the
-    coupling's free rows S_f, whose transpose S_pf is a CSC view of its
-    arrays.  lame_ff, the preconditioner of every K_ff solve, is the exact
-    inverse of each component's diagonal block (grid.lame_inverse), built
-    from closed-form 1D pencils.  step_load applies the term lists to the
+    dofs are split into free and prescribed parts by the Dirichlet faces,
+    which prescribe all three components of their nodes.  Each operator is
+    assembled once, straight into CSR in the coordinates its products use,
+    so no full-space block is formed or sliced: A_hat on the reduced
+    coordinates; K_ff, the displacement form on the free nodes; and the
+    coupling S_f from the reduced coordinates to the free nodes, whose
+    transpose S_pf is a CSC view of its arrays.  lame_ff, the
+    preconditioner of every K_ff solve, is the exact inverse of each
+    component's diagonal block (grid.lame_inverse), built from closed-form
+    1D pencils.  step_load applies the term lists to the
     prescribed field; every other method works in the unknowns (u_f, c) and
     takes its step load.
     """
@@ -376,8 +383,9 @@ class DiscreteProblem:
 
         self.presc = dirichlet_mask(grid, boundary)
         self.free = ~self.presc
-        self.K_ff = self.blocks.assemble(self.blocks.terms["K_uu"], 3)[self.free][:, self.free]
-        self.S_f = self.blocks.assemble(self.blocks.terms["K_up"], 3, self.basis)[self.free]
+        free = (3, self.free[::3])  # the free nodes, with three components each
+        self.K_ff = self.blocks.assemble(self.blocks.terms["K_uu"], free)
+        self.S_f = self.blocks.assemble(self.blocks.terms["K_up"], free, self.basis)
         self.S_pf = self.S_f.T  # reduced p-rows, free u-columns: a CSC view of S_f's arrays
         self.lame_ff = lame_inverse(self.blocks, boundary.gamma_faces)
 
@@ -512,18 +520,23 @@ class DiscreteProblem:
 
     # -- displacement and plastic solves ---------------------------------------
 
-    def solve_u(self, u_f, c, load, tol, carried=None):
+    def solve_u(self, u_f, c, load, tol, carried=None, held=None):
         """Free displacement at plastic field c: the CG solve of K_ff u_f = b = f_u - S_f c from
         the warm start u_f, to tol, preconditioned by lame_ff; every displacement solve is one
         call.  It makes S_f c, one K_ff product per CG step and one for the start's residual,
         none when carried is the (b_prev, r) returned with u_f: that residual is r + b - b_prev.
+        held, when given, is this c's b and u_f's residual b - K_ff u_f, and the call makes
+        neither S_f c nor the start's residual.
         Returns (u_f, CG iterations, (b, r)), r the residual of u_f that the CG kept."""
-        b = load.f_u - self.S_f @ c
-        r = b - self.K_ff @ u_f if carried is None else carried[1] + (b - carried[0])
+        if held is not None:
+            b, r = held
+        else:
+            b = load.f_u - self.S_f @ c
+            r = b - self.K_ff @ u_f if carried is None else carried[1] + (b - carried[0])
         u_f, its = self.pcg(self.K_ff.dot, b, u_f, tol, self.config.max_cg, self.lame_ff, r)
         return u_f, its, (b, r)
 
-    def solve_p(self, u_f, c_prev, c0, gamma_prev, load, worker=None):
+    def solve_p(self, u_f, c_prev, c0, gamma_prev, load, worker=None, held=None):
         """Accelerated proximal-gradient solve of the step in c, with u_f eliminated.
 
         Minimizes c -> min_u_f J(u_f, c) from c0.  Each gradient at an
@@ -533,13 +546,17 @@ class DiscreteProblem:
         true residual, later ones the looser INNER_TOL_* schedule from the
         residual the previous one carried.  A gradient makes one A_hat, S_f
         and S_pf product and one K_ff product per CG step, and reuses
-        S_pf u_f after a solve with no CG step.  A ProductWorker makes each
-        A_hat y, reading self.A_hat when it does, while this thread makes
-        the inner solve and the S_pf product; without one, this thread makes
-        it after them.  The sum is the same either way.  Runs in the
-        lumped-mass metric, in which the nodal shrinkage has one uniform
-        threshold; the prox is exact per node.  Returns c, the last inner
-        u_f, the pair (FISTA iterations, inner CG iterations) and its carried.
+        S_pf u_f after a solve with no CG step.  held, when given, is
+        (S_pf u_f, b, r) at (u_f, c0), b = f_u - S_f c0 and r = b - K_ff u_f,
+        as the caller's last pass made them; the call then makes none of
+        them, and its first inner solve takes r as its own.  A
+        ProductWorker makes each A_hat y, reading self.A_hat when it does,
+        while this thread makes the inner solve and the S_pf product;
+        without one, this thread makes it after them.  The sum is the same
+        either way.  Runs in the lumped-mass metric, in which the nodal
+        shrinkage has one uniform threshold; the prox is exact per node.
+        Returns c, the last inner u_f, the pair (FISTA iterations, inner CG
+        iterations) and its carried.
         """
         tol_cg, w = self.config.tol_cg, self.w_seg
         t = 1.0 / self.lipschitz()
@@ -547,20 +564,22 @@ class DiscreteProblem:
         # the minimizer scale; it floors the relative test when the increment
         # is tiny
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing load fails the first solve
-            S_u = np.asarray(self.S_pf @ u_f)
+            S_u = np.asarray(self.S_pf @ u_f) if held is None else held[0]
             data_scale = t * weighted_norm((S_u - load.f_p) / w, w)
         y_last = carried = None
+        at_c0 = None if held is None else held[1:]  # the first gradient is at c0
         cg_its = 0
 
         def gradient(y):
-            nonlocal u_f, y_last, carried, S_u, cg_its
+            nonlocal u_f, y_last, carried, at_c0, S_u, cg_its
             tol_in = tol_cg
             if y_last is not None:
                 move = weighted_norm(y - y_last, w) / max(weighted_norm(y, w), 1e-300)
                 tol_in = max(tol_cg, min(INNER_TOL_CAP, INNER_TOL_FACTOR * move))
             y_last = y
             A_y = beside(worker, lambda: np.asarray(self.A_hat @ y))
-            u_f, its, carried = self.solve_u(u_f, y, load, tol_in, carried)
+            u_f, its, carried = self.solve_u(u_f, y, load, tol_in, carried, at_c0)
+            at_c0 = None
             cg_its += its
             S_u = np.asarray(self.S_pf @ u_f) if its else S_u  # before waiting for A_y
             return A_y() + S_u - load.f_p
@@ -573,7 +592,7 @@ class DiscreteProblem:
     # -- functional evaluation ------------------------------------------------
 
     def products(self, u_f, c):
-        """(K_ff u_f, S_pf u_f, A_hat c): made once per pass, for its test, J and r_hat."""
+        """(K_ff u_f, S_pf u_f, A_hat c): made once per pass, for its test, J, r_hat and the next pass's start."""
         return self.K_ff @ u_f, np.asarray(self.S_pf @ u_f), np.asarray(self.A_hat @ c)
 
     def objective(self, u_f, c, c_prev, gamma_prev, load, products):
@@ -623,13 +642,14 @@ class DiscreteProblem:
             mis = 1.0
         return float(worst), float(mis), float(active.mean())
 
-    def vi_residual(self, u_f, c, c_prev, gamma_prev, load, blocks, r_hat=None):
+    def vi_residual(self, u_f, c, c_prev, gamma_prev, load, blocks, r_hat=None, r_u=None):
         """Worst normalized violation of the incremental inequality.
 
         Random admissible directions (free displacement part, reduced plastic
         part) plus the two canonical probes along +/- the computed increment;
         nonnegative values up to roundoff certify the minimizer.  r_hat is
-        smooth_residual_reduced(u_f, c, load) when the caller already holds it.
+        smooth_residual_reduced(u_f, c, load) and r_u displacement_residual(u_f,
+        c, load), up to roundoff, when the caller already holds them.
 
         blocks are the step's probe blocks, such as probe_blocks gives: a
         probe is one row [dv, dq] of standard normals, scaled to the w-norm
@@ -638,7 +658,8 @@ class DiscreteProblem:
         It writes only into the blocks, so a CertificatePool thread may run it
         while the next step is solved.
         """
-        r_u = self.displacement_residual(u_f, c, load)
+        if r_u is None:
+            r_u = self.displacement_residual(u_f, c, load)
         if r_hat is None:
             r_hat = self.smooth_residual_reduced(u_f, c, load)
         r = np.concatenate([r_u, -r_hat])
@@ -764,17 +785,18 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
         # pass 1 solves the step; pass 2 restarts from its c with an exact
         # first gradient and confirms that J no longer descends
         J_prev = np.inf
-        u_scale = None
+        u_scale = held = None
         recent = deque(maxlen=RESIDUAL_HISTORY)  # (u_res, descent) of the latest passes
         for outer in range(1, cfg.max_outer + 1):
-            c, u_f, (its_p, its_in), carried = problem.solve_p(u_f, c_prev, c, gamma_prev, data, worker)
+            c, u_f, (its_p, its_in), carried = problem.solve_p(u_f, c_prev, c, gamma_prev, data, worker, held)
             u_f, its_u, (b, _) = problem.solve_u(u_f, c, data, cfg.tol_cg, carried)
             cg_total += its_in + its_u
             fista_total += its_p
             if u_scale is None:
                 u_scale = max(data.u_scale, np.linalg.norm(data.f_u - b), 1e-300)  # ||S_f c||
             products = problem.products(u_f, c)
-            u_res = np.linalg.norm(products[0] - b) / u_scale  # the true K_ff u_f + S_f c - f_u
+            r_u = b - products[0]  # the true f_u - S_f c - K_ff u_f
+            u_res = np.linalg.norm(r_u) / u_scale
             J, dissipation = problem.objective(u_f, c, c_prev, gamma_prev, data, products)
             for column, (value, tol) in enumerate(((u_res, cfg.tol_cg), (J, cfg.tol_outer))):
                 if not isfinite(value):  # a NaN or Inf never meets the pass test
@@ -787,6 +809,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
             if u_res <= cfg.tol_cg and J_prev - J <= cfg.tol_outer * scale_J:
                 break
             J_prev = J
+            held = products[1], b, r_u  # the next pass starts at this (u_f, c)
         else:
             # report the criterion that failed, with its latest values
             if u_res > cfg.tol_cg:
@@ -813,7 +836,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     vi = None
     if cfg.vi_probes and variant.has_dissipation:
         rng = np.random.default_rng(probe_seed(cfg.seed, load.level))
-        args = (u_f, c, c_prev, gamma_prev, data, probe_blocks(problem, rng, cfg.vi_probes, pool), r_hat)
+        args = (u_f, c, c_prev, gamma_prev, data, probe_blocks(problem, rng, cfg.vi_probes, pool), r_hat, -r_u)
         vi = problem.vi_residual(*args) if pool is None else pool.submit(problem.vi_residual, *args)
     report = StepReport(
         energy=energy,

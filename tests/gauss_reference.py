@@ -11,7 +11,10 @@ defect form a second way, through the skew-gradient (microforce) pairing
     <Curl X, Curl Y> = 2 sum_i <skew grad X_i, grad Y_i>,
 
 which criterion 11 and the microforce identification run against the
-package's curl-curl form.  Test support only: pytest does not collect it.
+package's curl-curl form.  coo_assemble is the package's assembler on the
+COO route: per stencil offset and type pair, the kept entries as
+(row, column, value) triples, which scipy sorts into CSR; Blocks.assemble
+must equal it bit for bit.  Test support only: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
-from curlplast.grid import _CURL_K, _SEL, Grid, TensorField, VectorField, build_blocks
+from curlplast.grid import _CURL_K, _SEL, ROUNDOFF, Grid, TensorField, VectorField, _nodal_space, build_blocks
 from curlplast.models import ModelVariant, sigma_nodal
 from curlplast.tensors import PROJ_SYM, MaterialParams, curl_from_gradient, dev, elasticity_matrix, sym, trace
 
@@ -198,3 +201,63 @@ def tau_p_microforce(grid: Grid, variant: ModelVariant, u: VectorField, p: Tenso
     cc = (skewgrad_curl_form(grid) @ p.values.reshape(-1)) / blocks.m_lump
     div_m = -mu * variant.params.Lc ** 2 * cc.reshape(-1, 3, 3)
     return dev(sig) + dev(sym(div_m))
+
+
+def coo_assemble(blocks, terms, rows, cols=None):
+    """Blocks.assemble(terms, rows, cols) by the COO route, as a reference.
+
+    For each of the 27 stencil offsets, the pairings of all node pairs are
+    products of 1D-factor diagonals, and each (row type, column type) group
+    of pairs is one dense product with the kernels reduced once per type
+    pair, over the whole block.  The entries above the roundoff bound are
+    joined as COO triples, a symmetric form's J > I ones twice, mirrored,
+    and scipy's COO to CSR conversion sorts each row.
+    """
+    grid = blocks.grid
+    nx, ny, _ = grid.node_shape
+    symmetric = cols is None
+    n_rows, r_first, r_type, r_bases = _nodal_space(rows, grid.node_count)
+    n_cols, c_first, c_type, c_bases = (n_rows, r_first, r_type, r_bases) if symmetric \
+        else _nodal_space(cols, grid.node_count)
+    kernels = np.array([kernel for _, kernel in terms], dtype=float)
+    reduced = {}
+    for tr, Vr in enumerate(r_bases):
+        for tc, Vc in enumerate(c_bases):
+            if len(Vr) and len(Vc):
+                R = (Vr @ kernels @ Vc.T).reshape(len(terms), -1)
+                R_abs = (np.abs(Vr) @ np.abs(kernels) @ np.abs(Vc).T).reshape(len(terms), -1)
+                reduced[tr, tc] = R, R_abs, len(Vr), len(Vc)
+    once, mirrored = [], []
+    for dz, dy, dx in product((-1, 0, 1), repeat=3):
+        shift = dx + nx * (dy + ny * dz)
+        if symmetric and shift < 0:
+            continue
+        ix, iy, iz = (np.arange(max(0, -d), n + 1 - max(0, d)) for n, d in zip(grid.n, (dx, dy, dz)))
+        node = (ix + nx * (iy[:, None] + ny * iz[:, None, None])).ravel()
+        col = node + shift
+        pairing = np.empty((node.size, len(terms)))
+        for t, (names, _) in enumerate(terms):
+            fx, fy, fz = (np.diagonal(f[name], d) for f, name, d in zip(blocks._1d, names, (dx, dy, dz)))
+            pairing[:, t] = (fz[:, None, None] * fy[:, None] * fx).ravel()
+        group = r_type[node] * len(c_bases) + c_type[col]
+        for g in np.unique(group):
+            key = divmod(int(g), len(c_bases))
+            if key not in reduced:
+                continue
+            R, R_abs, mr, mc = reduced[key]
+            sel = group == g
+            S = pairing[sel]
+            vals = (S @ R).reshape(-1, mr, mc)
+            bound = ROUNDOFF * (np.abs(S) @ R_abs).reshape(-1, mr, mc)
+            if symmetric and shift == 0:
+                vals = 0.5 * (vals + vals.transpose(0, 2, 1))
+                bound = 0.5 * (bound + bound.transpose(0, 2, 1))
+            k, a, b = np.nonzero(np.abs(vals) > bound)
+            entry = (r_first[node[sel]][k] + a.astype(np.int32),
+                     c_first[col[sel]][k] + b.astype(np.int32), vals[k, a, b])
+            (mirrored if symmetric and shift > 0 else once).append(entry)
+    parts = once + mirrored + [(c, r, v) for r, c, v in mirrored]
+    if not parts:
+        return sp.csr_matrix((n_rows, n_cols))
+    r, c, v = (np.concatenate(x) for x in zip(*parts))
+    return sp.csr_matrix((v, (r, c)), shape=(n_rows, n_cols))

@@ -251,16 +251,18 @@ class TestRunScenario:
 
     def test_runs_assemble_no_gauss_point_operators(self, tmp_path, monkeypatch):
         # korn applies its forms and assembles none; every variant's run
-        # assembles straight into reduced coordinates, and its one full-space
-        # assembly is the displacement form whose free block DiscreteProblem
-        # keeps as K_ff; the energies and stress recoveries apply their term
-        # lists without assembling them
+        # assembles straight into the spaces its operators act on: the
+        # plastic forms into reduced coordinates, and the displacement form
+        # on the free nodes only, as K_ff, so no full-space block is formed;
+        # the energies and stress recoveries apply their term lists without
+        # assembling them
         calls = []
         assemble = grid_module.Blocks.assemble
 
         def recording(blocks, terms, rows, cols=None):
             reduced = isinstance(rows, PBasis) or isinstance(cols, PBasis)
-            calls.append("reduced" if reduced else (terms is blocks.terms["K_uu"], rows, cols))
+            free = isinstance(rows, tuple) and rows[0] == 3 and not rows[1].all()
+            calls.append("reduced" if reduced else (terms is blocks.terms["K_uu"], "free" if free else rows, cols))
             return assemble(blocks, terms, rows, cols)
 
         monkeypatch.setattr(grid_module.Blocks, "assemble", recording)
@@ -270,7 +272,7 @@ class TestRunScenario:
         for tag in VARIANT_TAGS:
             calls.clear()
             run_scenario(parse_scenario(json.dumps(base_doc(variant=tag, material=material))), str(tmp_path / tag))
-            assert sorted(calls, key=str) == [(True, 3, None), "reduced", "reduced"], tag
+            assert sorted(calls, key=str) == [(True, "free", None), "reduced", "reduced"], tag
 
     @staticmethod
     def run_with_and_without_guesses(tmp_path, amplitudes):
@@ -422,11 +424,11 @@ class TestCertificatePool:
             step_of[blocks] = len(draws) - 1
             return blocks
 
-        def checked_score(prob, u_f, c, c_prev, gamma_prev, load, blocks, r_hat=None):
-            got = score(prob, u_f, c, c_prev, gamma_prev, load, blocks, r_hat)
+        def checked_score(prob, u_f, c, c_prev, gamma_prev, load, blocks, r_hat=None, r_u=None):
+            got = score(prob, u_f, c, c_prev, gamma_prev, load, blocks, r_hat, r_u)
             k = step_of[blocks]
             own = probe_blocks(prob, np.random.default_rng(probe_seed(5, levels[k])), probes)
-            calls.append((k, got, score(prob, u_f, c, c_prev, gamma_prev, load, own, r_hat),
+            calls.append((k, got, score(prob, u_f, c, c_prev, gamma_prev, load, own, r_hat, r_u),
                           prob.K_ff.shape[0] + prob.basis.size))
             return got
 

@@ -658,12 +658,16 @@ class TestProductsPerStep:
         rep = self.plastic_step(prob, count)
         passes = rep.outer_iterations
         assert 0 in inner and max(inner) > 0  # both kinds of inner solve occur
-        # one true start residual per plastic solve and one per pass test
-        assert ops["K_ff"].count <= rep.cg_iterations + 2 * passes
-        # a solve with no CG step makes no S_pf product: one per plastic
-        # solve's entry, per inner solve that moved u_f, and per pass
-        assert ops["S_pf"].count == 2 * passes + sum(its > 0 for its in inner)
-        assert ops["S_f"].count == len(solves)
+        # one true start residual for the first plastic solve and one per
+        # pass test: a later pass's plastic solve starts from the residual,
+        # S_f c and S_pf u_f that the previous pass's test made at its start
+        assert ops["K_ff"].count <= rep.cg_iterations + passes + 1
+        # a solve with no CG step makes no S_pf product: one for the first
+        # plastic solve's entry, one per inner solve that moved u_f, and one
+        # per pass
+        assert ops["S_pf"].count == passes + 1 + sum(its > 0 for its in inner)
+        # every solve but the first inner one of each later pass forms S_f c
+        assert ops["S_f"].count == len(solves) - (passes - 1)
         # r_hat takes the last pass's products and makes none
         assert ops["A_hat"].count == rep.fista_iterations + passes
 
@@ -882,6 +886,19 @@ class TestVIResidual:
         assert abs(got - want) <= 1e-14
         # the same number of draws: the next probe set starts at the same place
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_handed_over_residuals_score_as_its_own(self, solved_step):
+        # time_step hands the certificate r_hat and its last pass's residual
+        # f_u - S_f c - K_ff u_f, which differ from the products the
+        # certificate would make by roundoff only
+        prob, U, c, c_prev, gamma_prev, F = solved_step
+        load, u_f = prob.step_load(U, F), U[prob.free]
+        r_hat = prob.smooth_residual_reduced(u_f, c, load)
+        r_u = -((load.f_u - prob.S_f @ c) - prob.K_ff @ u_f)
+        own, handed = (prob.vi_residual(u_f, c, c_prev, gamma_prev, load,
+                                        probe_blocks(prob, np.random.default_rng(3), 130), *held)
+                       for held in ((), (r_hat, r_u)))
+        assert abs(handed - own) <= 1e-12
 
     def test_peak_memory_does_not_grow_with_probe_count(self):
         prob, U, c, c_prev, gamma_prev, F = vi_case("iso_irrot")
