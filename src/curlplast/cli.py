@@ -12,7 +12,6 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import Future
-from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -25,10 +24,9 @@ from .oracles import selftest
 from .scenario import Scenario, ValidationError, parse_scenario
 from .solver import (
     CERT_WORKERS,
-    CertificatePool,
     DiscreteProblem,
     NoConvergence,
-    ProductWorker,
+    RunPool,
     extrapolate,
     time_step,
 )
@@ -73,15 +71,14 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
     The micromorphic variant has no history, so its program collapses to the
     final load level: exactly one step is executed and reported.  Each step
     starts from the extrapolation of the last three states (the zero state
-    at level 0 included) to its level, when there is one.  Each step's VI
-    certificate runs on a CertificatePool while later steps are solved, at
-    most CERT_WORKERS at a time; its row and VTK file follow in step order,
-    and a failing step has every step before it written first.  A run whose
-    steps have no certificate (no VI probes, or a variant without
-    dissipation) leaves those threads idle, and instead opens a
-    ProductWorker that makes the A_hat products of its solves beside the
-    displacement products.  The pool and the worker are joined before the
-    call returns or raises.
+    at level 0 included) to its level, when there is one.  The run opens one
+    RunPool and hands it to every step.  Each step's VI certificate runs on
+    it while later steps are solved, at most CERT_WORKERS at a time; its row
+    and VTK file follow in step order, and a failing step has every step
+    before it written first.  A step with no certificate (no VI probes, or a
+    variant without dissipation) makes the A_hat products of its solves on
+    the pool instead, beside the displacement products.  The pool is joined
+    before the call returns or raises.
     """
     problem = DiscreteProblem(scenario.grid, scenario.boundary, scenario.variant,
                               scenario.dirichlet_array(), scenario.solver)
@@ -96,9 +93,7 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
     # written fails the run before any solve
     csv_path = os.path.join(out_dir, scenario.output.csv)
     os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)
-    certified = scenario.solver.vi_probes and scenario.variant.has_dissipation
-    with CertificatePool() as pool, (nullcontext() if certified else ProductWorker()) as worker, \
-            open(csv_path, "w", newline="\n") as csv_file:
+    with RunPool() as pool, open(csv_path, "w", newline="\n") as csv_file:
         csv_file.write(_csv_line(CSV_COLUMNS))
         vtk_dir = None
         if scenario.output.vtk_dir:
@@ -150,7 +145,7 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
             if len(pending) == CERT_WORKERS:
                 write_oldest()
             try:
-                state, report = time_step(problem, state, load, extrapolate(recent, load.level), pool, worker)
+                state, report = time_step(problem, state, load, extrapolate(recent, load.level), pool)
             except Exception as e:  # the steps before a failing one are written first
                 while pending:
                     write_oldest()
@@ -357,7 +352,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except MemoryError as e:  # also one raised on a certificate or product thread, read with its result
+    except MemoryError as e:  # also one raised on a pool thread by a certificate or a product, read with its result
         print(f"error: {_reason(e)}", file=sys.stderr)
         return 2
 

@@ -41,20 +41,20 @@ recovery, its test's true residual, J and r_hat; the next pass starts at
 the same (u_f, c), so its p iteration takes the first three as its entry
 S_pf u_f and its first inner solve's right-hand side and residual, and the
 certificate takes the last pass's residual.  The p iteration stops on
-the gradient-mapping residual of the step it has just taken.  The A_hat
-product and the inner solve depend only on the iterate, so in a run without
-certificates a ProductWorker thread makes the product while the calling
-thread makes the solve; scipy's sparse products release the GIL, and the
-sum is the one an inline gradient makes.  S <= A_hat in the Loewner order,
-so the step 1/L(A_hat) is safe for the reduced functional too.
+the gradient-mapping residual of the step it has just taken.  S <= A_hat
+in the Loewner order, so the step 1/L(A_hat) is safe for the reduced
+functional too.
 
 vi_residual certifies a step's inequality on random admissible probes from
-a generator seeded by the step; in a run, a CertificatePool thread draws
-and scores them while the next step is solved, with a serial run's values.
+a generator seeded by the step.  A run hands each step its RunPool, whose
+threads do the step's work beside the calling thread: a certified step's
+certificate, drawn and scored while the next step is solved, or else each
+A_hat product, which depends only on the iterate, while the calling thread
+makes the same iterate's inner solve; scipy's sparse products release the
+GIL.  Either way the values are a serial step's, bit for bit.
 """
 from __future__ import annotations
 
-import threading
 from collections import deque
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -109,8 +109,8 @@ LIPSCHITZ_SAFETY = 1.1
 # each block before it draws the next one into the same memory
 VI_PROBE_BLOCK = 64
 
-# Threads of a CertificatePool, each certifying one step at a time; a run
-# keeps at most this many certificates pending
+# Threads of a RunPool, each certifying one step or making one A_hat product
+# at a time; a run keeps at most this many certificates pending
 CERT_WORKERS = 2
 
 # Residuals an iteration keeps, one bounded append per iteration, for the
@@ -168,7 +168,7 @@ class StepReport:
     energy: EnergySplit
     dissipation_increment: float  # discrete pairing of the generalized stress with dp
     dissipation_functional: float  # sigma_y * integral |dp|, the dissipated work
-    vi_residual: float | None  # or, from a CertificatePool, the Future of the float
+    vi_residual: float | None  # or, from a RunPool, the Future of the float
     kkt_max_violation: float
     kkt_max_misalignment: float
     active_node_fraction: float
@@ -227,87 +227,21 @@ def probe_blocks(problem, rng, probes, pool=None):
         yield block[:probes - start]
 
 
-class CertificatePool(ThreadPoolExecutor):
-    """CERT_WORKERS threads, each scoring one step's vi_residual on the
-    probe_blocks it draws.  The threads start with the first certificate, so
-    a run without one starts none.  Leaving the context cancels the
-    certificates no thread has taken, stops a running one at its next block
-    and joins the threads."""
+class RunPool(ThreadPoolExecutor):
+    """The CERT_WORKERS threads of one run.  time_step hands each one a
+    certified step's vi_residual, scored on the probe_blocks it draws, or
+    else each A_hat product of a step without a certificate.  The threads
+    start with the first task, so a run that hands them none starts none.
+    Leaving the context cancels the tasks no thread has taken, stops a
+    running certificate at its next block and joins the threads."""
 
     def __init__(self):
-        super().__init__(CERT_WORKERS, thread_name_prefix="vi-certificate")
+        super().__init__(CERT_WORKERS, thread_name_prefix="run-pool")
         self.stopped = False
 
     def __exit__(self, *exc):
         self.stopped = True
         self.shutdown(cancel_futures=True)
-
-
-class ProductWorker:
-    """One thread that makes one product at a time beside the calling thread.
-
-    submit(product) hands the callable to the thread and returns the getter
-    of its value, which waits for it and raises what it raised.  Two locks
-    make the hand-off, each released by one side and acquired by the other.
-    A product whose value was never collected, as when the caller raised
-    while it ran, is waited for by the next submit or on leaving the
-    context, so neither lock is released twice.  Leaving the context joins
-    the thread.
-    """
-
-    def __init__(self):
-        self._todo, self._done = threading.Lock(), threading.Lock()
-        self._todo.acquire()
-        self._done.acquire()
-        self._product = self._outcome = None
-        self._pending = False
-        self._thread = threading.Thread(target=self._serve, name="plastic-product", daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while True:
-            self._todo.acquire()
-            if self._product is None:  # the context was left
-                return
-            try:
-                self._outcome = self._product(), None
-            except BaseException as e:  # raised again on the calling thread
-                self._outcome = None, e
-            self._done.release()
-
-    def _collect(self):
-        self._done.acquire()
-        self._pending = False
-        (value, error), self._outcome = self._outcome, None
-        return value, error
-
-    def submit(self, product):
-        if self._pending:
-            self._collect()
-        self._product, self._pending = product, True
-        self._todo.release()
-        return self._result
-
-    def _result(self):
-        value, error = self._collect()
-        if error is not None:
-            raise error
-        return value
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._pending:
-            self._collect()
-        self._product = None
-        self._todo.release()
-        self._thread.join()
-
-
-def beside(worker, product):
-    """Getter of product(): made now on worker, or without one on the calling thread when got."""
-    return product if worker is None else worker.submit(product)
 
 
 def accelerated_prox_gradient(gradient, w, prox, c0, step, tol, maxiter, scale_floor=0.0):
@@ -536,7 +470,7 @@ class DiscreteProblem:
         u_f, its = self.pcg(self.K_ff.dot, b, u_f, tol, self.config.max_cg, self.lame_ff, r)
         return u_f, its, (b, r)
 
-    def solve_p(self, u_f, c_prev, c0, gamma_prev, load, worker=None, held=None):
+    def solve_p(self, u_f, c_prev, c0, gamma_prev, load, pool=None, held=None):
         """Accelerated proximal-gradient solve of the step in c, with u_f eliminated.
 
         Minimizes c -> min_u_f J(u_f, c) from c0.  Each gradient at an
@@ -549,12 +483,12 @@ class DiscreteProblem:
         S_pf u_f after a solve with no CG step.  held, when given, is
         (S_pf u_f, b, r) at (u_f, c0), b = f_u - S_f c0 and r = b - K_ff u_f,
         as the caller's last pass made them; the call then makes none of
-        them, and its first inner solve takes r as its own.  A
-        ProductWorker makes each A_hat y, reading self.A_hat when it does,
-        while this thread makes the inner solve and the S_pf product;
-        without one, this thread makes it after them.  The sum is the same
-        either way.  Runs in the lumped-mass metric, in which the nodal
-        shrinkage has one uniform threshold; the prox is exact per node.
+        them, and its first inner solve takes r as its own.  A pool makes
+        each A_hat y, reading self.A_hat when it does, while this thread
+        makes the inner solve and the S_pf product; without one, this
+        thread makes it after them.  The sum is the same either way.  Runs
+        in the lumped-mass metric, in which the nodal shrinkage has one
+        uniform threshold; the prox is exact per node.
         Returns c, the last inner u_f, the pair (FISTA iterations, inner CG
         iterations) and its carried.
         """
@@ -577,7 +511,11 @@ class DiscreteProblem:
                 move = weighted_norm(y - y_last, w) / max(weighted_norm(y, w), 1e-300)
                 tol_in = max(tol_cg, min(INNER_TOL_CAP, INNER_TOL_FACTOR * move))
             y_last = y
-            A_y = beside(worker, lambda: np.asarray(self.A_hat @ y))
+
+            def product():
+                return np.asarray(self.A_hat @ y)
+
+            A_y = product if pool is None else pool.submit(product).result
             u_f, its, carried = self.solve_u(u_f, y, load, tol_in, carried, at_c0)
             at_c0 = None
             cg_its += its
@@ -655,7 +593,7 @@ class DiscreteProblem:
         probe is one row [dv, dq] of standard normals, scaled to the w-norm
         of the increment.  Each block is scored in place, D @ r first and then
         the squares of dc + dq, so the scoring makes no block-sized temporary.
-        It writes only into the blocks, so a CertificatePool thread may run it
+        It writes only into the blocks, so a RunPool thread may run it
         while the next step is solved.
         """
         if r_u is None:
@@ -726,7 +664,7 @@ def extrapolate(history, level):
 
 
 def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, guess: SimState | None = None,
-              pool: CertificatePool | None = None, worker: ProductWorker | None = None):
+              pool: RunPool | None = None):
     """Advance one load step; returns the new state and its report.
 
     The step starts from guess, a state near the step's solution, or else
@@ -737,10 +675,11 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     the calling thread, or with a pool on one of its threads, and then the
     report's vi_residual is the Future of the score.  A step without
     dissipation has no inequality to certify and reports no vi_residual.
-    With a worker, the A_hat product of each FISTA gradient, or of each
-    micromorphic joint CG iteration, is made on it beside the other products
-    of the same iterate; without one it is made on the calling thread, and
-    the report and state are the same bit for bit.
+    A step without a certificate makes the A_hat product of each FISTA
+    gradient, or of each micromorphic joint CG iteration, on the pool beside
+    the other products of the same iterate; a certified step, or one without
+    a pool, makes it on the calling thread.  The report and state are the
+    same bit for bit either way.
     """
     cfg = problem.config
     variant = problem.variant
@@ -756,6 +695,9 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     gamma_prev = state_prev.gamma.values
     cg_total = fista_total = 0
     uphill = 0.0
+    certified = cfg.vi_probes and variant.has_dissipation
+    # a certified step leaves the pool's threads to its certificates
+    products_on = None if certified else pool
 
     if not variant.has_dissipation:
         # single monolithic SPD solve replaces the flow law; the joint matrix
@@ -764,7 +706,11 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
 
         def joint(x):
             x_f, x_c = x[:nf], x[nf:]
-            A_x = beside(worker, lambda: problem.A_hat @ x_c)
+
+            def product():
+                return problem.A_hat @ x_c
+
+            A_x = product if products_on is None else products_on.submit(product).result
             top = problem.K_ff @ x_f + problem.S_f @ x_c
             return np.concatenate([top, problem.S_pf @ x_f + A_x()])
 
@@ -788,7 +734,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
         u_scale = held = None
         recent = deque(maxlen=RESIDUAL_HISTORY)  # (u_res, descent) of the latest passes
         for outer in range(1, cfg.max_outer + 1):
-            c, u_f, (its_p, its_in), carried = problem.solve_p(u_f, c_prev, c, gamma_prev, data, worker, held)
+            c, u_f, (its_p, its_in), carried = problem.solve_p(u_f, c_prev, c, gamma_prev, data, products_on, held)
             u_f, its_u, (b, _) = problem.solve_u(u_f, c, data, cfg.tol_cg, carried)
             cg_total += its_in + its_u
             fista_total += its_p
@@ -834,7 +780,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     kkt_viol, kkt_mis, active = problem.kkt_check(r_hat, dc, gamma_new)
     energy = total_energy(problem.grid, variant, state, load.body_force)
     vi = None
-    if cfg.vi_probes and variant.has_dissipation:
+    if certified:
         rng = np.random.default_rng(probe_seed(cfg.seed, load.level))
         args = (u_f, c, c_prev, gamma_prev, data, probe_blocks(problem, rng, cfg.vi_probes, pool), r_hat, -r_u)
         vi = problem.vi_residual(*args) if pool is None else pool.submit(problem.vi_residual, *args)

@@ -24,17 +24,20 @@ def minor_faults(fn):
 
 
 class CountingOperator:
-    """A matrix whose products with vectors, by @ or by dot, are counted in count."""
+    """A matrix whose products with vectors, by @ or by dot, are counted in
+    count; threads names the thread that made each, in order."""
 
     def __init__(self, matrix):
-        self.matrix, self.count = matrix, 0
+        self.matrix, self.count, self.threads = matrix, 0, []
 
     def __matmul__(self, v):
         self.count += 1
+        self.threads.append(threading.current_thread().name)
         return self.matrix @ v
 
     def dot(self, v):
         self.count += 1
+        self.threads.append(threading.current_thread().name)
         return self.matrix.dot(v)
 
     def __getattr__(self, name):

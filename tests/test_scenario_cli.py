@@ -28,15 +28,15 @@ from curlplast.solver import (
     CERT_WORKERS,
     VI_PROBE_BLOCK,
     VI_PROBES_MAX,
-    CertificatePool,
     DiscreteProblem,
-    ProductWorker,
+    RunPool,
     extrapolate,
     probe_blocks,
     probe_seed,
     time_step,
 )
 from curlplast.tensors import MaterialParams, dev, sym
+from conftest import CountingOperator
 from vtk_reader import read_structured_points_arrays, read_structured_points_header
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -390,7 +390,7 @@ class TestRunScenario:
 
 
 def pool_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("vi-certificate")]
+    return [t for t in threading.enumerate() if t.name.startswith("run-pool")]
 
 
 def program_doc(steps, probes, **overrides):
@@ -456,26 +456,30 @@ class TestCertificatePool:
         # the draws themselves, each made on a pool thread
         width = calls[0][3]
         for drawn, level in zip(draws, levels):
-            assert all(name.startswith("vi-certificate") for name, _ in drawn)
+            assert all(name.startswith("run-pool") for name, _ in drawn)
             blocks = np.vstack([block for _, block in drawn])
             assert np.array_equal(blocks, np.random.default_rng(probe_seed(5, level)).standard_normal((probes, width)))
 
-    def test_csv_matches_inline_scoring_under_fast_switching(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("variant, probes", [("kin_spin", 5000), ("kin_spin", 0), ("micromorphic", 0)],
+                             ids=["certified", "uncertified", "micromorphic"])
+    def test_csv_matches_inline_scoring_under_fast_switching(self, tmp_path, monkeypatch, variant, probes):
         # a thread switch every microsecond, and certificates that take longer
         # than a solve, so that two run at once: a block drawn over while it
-        # is scored, or a certificate read before it is in, would change a byte
-        s = parse_scenario(json.dumps(program_doc(6, 5000, output={"csv": "timeseries.csv", "vtk_dir": "fields"})))
+        # is scored, a certificate read before it is in, or a product read
+        # before it is made, would change a byte
+        doc = program_doc(6, probes, variant=variant, output={"csv": "timeseries.csv", "vtk_dir": "fields"})
+        s = parse_scenario(json.dumps(doc))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             run_scenario(s, str(tmp_path / "pool"))
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(cli, "time_step", lambda problem, state, load, guess, pool, worker: time_step(
+        monkeypatch.setattr(cli, "time_step", lambda problem, state, load, guess, *_: time_step(
             problem, state, load, guess))
         run_scenario(s, str(tmp_path / "inline"))
         files = sorted(p.relative_to(tmp_path / "inline") for p in (tmp_path / "inline").rglob("*.*"))
-        assert len(files) == 1 + 6
+        assert len(files) == 1 + (1 if variant == "micromorphic" else 6)
         for f in files:
             assert (tmp_path / "pool" / f).read_bytes() == (tmp_path / "inline" / f).read_bytes()
 
@@ -496,17 +500,21 @@ class TestCertificatePool:
         assert pool_threads() == []
 
     def test_no_probes_start_no_certificate_thread(self, tmp_path, monkeypatch):
-        # the one thread such a run adds is its ProductWorker's
-        seen = []
+        # such a run scores no certificate; the only threads it adds are its
+        # pool's, which the first step's products start
+        seen, scored = [], []
 
         def step(*args):
-            seen.append((threading.active_count(), pool_threads(), len(product_threads())))
+            seen.append((threading.active_count(), len(pool_threads())))
             return time_step(*args)
 
         monkeypatch.setattr(cli, "time_step", step)
+        monkeypatch.setattr(DiscreteProblem, "vi_residual", lambda *args: scored.append(args))
         before = threading.active_count()
-        run_scenario(parse_scenario(json.dumps(base_doc())), str(tmp_path))
-        assert seen == [(before + 1, [], 1)] * 3
+        res = run_scenario(parse_scenario(json.dumps(base_doc())), str(tmp_path))
+        assert scored == [] and [r.vi_residual for r in res.reports] == [None] * 3
+        assert seen[0] == (before, 0)
+        assert all(count == before + n and 1 <= n <= CERT_WORKERS for count, n in seen[1:])
         assert threading.active_count() == before
 
     def test_non_convergence_mid_run_joins_the_pool(self, tmp_path, capsys):
@@ -569,7 +577,7 @@ class TestCertificatePool:
             return n
 
         with pytest.raises(RuntimeError, match="step failed"):
-            with CertificatePool() as pool:
+            with RunPool() as pool:
                 futures = [pool.submit(certificate, seed) for seed in range(CERT_WORKERS + 1)]
                 for _ in range(CERT_WORKERS):
                     assert started.acquire(timeout=60.0)
@@ -579,26 +587,31 @@ class TestCertificatePool:
         assert pool_threads() == []
 
 
-def product_threads():
-    return [t for t in threading.enumerate() if t.name == "plastic-product"]
-
-
 class TestProductWorker:
-    """A run without certificates makes its A_hat products on one worker thread, beside the other products."""
+    """A run without certificates makes its A_hat products on its RunPool's
+    threads, beside the other products."""
 
     @staticmethod
-    def record_products(monkeypatch):
-        """Thread names of the products handed to any ProductWorker."""
-        made, submit = [], ProductWorker.submit
+    def off_the_caller(monkeypatch, action):
+        """Call action with the thread name of each A_hat product that the
+        problems set up from now on make off the calling thread."""
+        init, caller = DiscreteProblem.__init__, threading.current_thread()
 
-        def recording(worker, product):
-            def recorded():
-                made.append(threading.current_thread().name)
-                return product()
+        class Watched(CountingOperator):
+            def __matmul__(self, v):
+                if threading.current_thread() is not caller:
+                    action(threading.current_thread().name)
+                return self.matrix @ v
 
-            return submit(worker, recorded)
+        def watched(problem, *args):
+            init(problem, *args)
+            problem.A_hat = Watched(problem.A_hat)
 
-        monkeypatch.setattr(ProductWorker, "submit", recording)
+        monkeypatch.setattr(DiscreteProblem, "__init__", watched)
+
+    def record_products(self, monkeypatch):
+        made = []
+        self.off_the_caller(monkeypatch, made.append)
         return made
 
     @pytest.mark.parametrize("variant", ["kin_spin", "micromorphic"])
@@ -611,8 +624,11 @@ class TestProductWorker:
             assert len(made) == res.reports[0].cg_iterations + 1
         else:
             assert len(made) == sum(r.fista_iterations for r in res.reports)
-        assert set(made) == {"plastic-product"}
+        # on one or two pool threads: a submit may race the first thread's
+        # return to idle and start the second
+        assert all(name.startswith("run-pool") for name in made) and 1 <= len(set(made)) <= CERT_WORKERS
         # the same steps as library calls, each product made inline
+        made.clear()
         problem = DiscreteProblem(s.grid, s.boundary, s.variant, s.dirichlet_array(), s.solver)
         state = SimState.zeros(s.grid)
         recent = [state]
@@ -625,8 +641,7 @@ class TestProductWorker:
             for a, b in zip((got_state.u, got_state.p, got_state.gamma), (state.u, state.p, state.gamma)):
                 assert np.array_equal(a.values, b.values)
         # and the rows and VTK files of a run whose steps are library calls
-        made.clear()
-        monkeypatch.setattr(cli, "time_step", lambda problem, state, load, guess, pool, worker: time_step(
+        monkeypatch.setattr(cli, "time_step", lambda problem, state, load, guess, *_: time_step(
             problem, state, load, guess))
         run_scenario(s, str(tmp_path / "inline"))
         assert made == []
@@ -636,34 +651,44 @@ class TestProductWorker:
             assert (tmp_path / "worker" / f).read_bytes() == (tmp_path / "inline" / f).read_bytes()
 
     def test_a_run_with_probes_starts_no_product_thread(self, tmp_path, monkeypatch):
-        made, seen = self.record_products(monkeypatch), []
+        # its pool threads score certificates, which make no A_hat product
+        made = self.record_products(monkeypatch)
+        res = run_scenario(parse_scenario(json.dumps(base_doc(solver={"vi_probes": 130}))), str(tmp_path))
+        assert all(isinstance(r.vi_residual, float) for r in res.reports) and len(res.reports) == 3
+        assert made == []
 
-        def step(*args):
-            seen.append((args[5], product_threads()))
-            return time_step(*args)
+    def test_memory_error_in_a_product_exits_2(self, tmp_path, capsys, monkeypatch):
+        # raised on a pool thread and read with the product's result
+        def out_of_memory(thread):
+            raise MemoryError("Unable to allocate 3.20 GiB for an array")
 
-        monkeypatch.setattr(cli, "time_step", step)
-        run_scenario(parse_scenario(json.dumps(base_doc(solver={"vi_probes": 130}))), str(tmp_path))
-        assert seen == [(None, [])] * 3 and made == []
+        self.off_the_caller(monkeypatch, out_of_memory)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_doc()))
+        assert main(["--quiet", "--out", str(tmp_path), "run", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 3.20 GiB for an array\n"
+        assert pool_threads() == []
 
     def test_joined_after_a_run_and_a_sweep(self, tmp_path, monkeypatch):
         seen = []
 
         def step(*args):
-            seen.append(len(product_threads()))
+            seen.append(len(pool_threads()))
             return time_step(*args)
 
         monkeypatch.setattr(cli, "time_step", step)
         s = parse_scenario(json.dumps(base_doc()))
         run_scenario(s, str(tmp_path / "run"))
-        assert product_threads() == []
+        assert pool_threads() == []
         results = sweep(s, "Lc", [0.1, 0.2], str(tmp_path / "sweep"))
         assert [r["status"] for r in results] == ["ok", "ok"]
-        assert seen == [1] * 9 and product_threads() == []
+        # each run's pool starts with its first step's products
+        assert seen[::3] == [0] * 3 and all(1 <= n <= CERT_WORKERS for k, n in enumerate(seen) if k % 3)
+        assert len(seen) == 9 and pool_threads() == []
 
     def test_non_convergence_mid_gradient_joins_the_worker(self, tmp_path, capsys):
         # the inner CG of step 1's first gradient fails while that gradient's
-        # A_hat product is on the worker
+        # A_hat product is on the pool
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(base_doc(solver={"tol_cg": 1e-16, "max_cg": 2})))
         codes = []
@@ -673,7 +698,7 @@ class TestProductWorker:
         runner.join(60.0)
         assert not runner.is_alive() and codes == [3]
         assert capsys.readouterr().err.startswith("error: step 1: conjugate gradients did not converge in 2 ")
-        assert product_threads() == []
+        assert pool_threads() == []
         assert (tmp_path / "timeseries.csv").read_text().count("\n") == 1
 
 

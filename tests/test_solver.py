@@ -25,7 +25,7 @@ from curlplast.solver import (
     InfeasibleBC,
     LoadStep,
     NoConvergence,
-    ProductWorker,
+    RunPool,
     SolverConfig,
     accelerated_prox_gradient,
     extrapolate,
@@ -912,9 +912,10 @@ class TestVIResidual:
         assert peak(1000) <= 2 * peak(64)
 
     def test_step_without_a_pool_scores_on_the_calling_thread(self, monkeypatch):
-        # a library call of time_step starts no thread
+        # a library call of time_step starts no thread: a certified step
+        # scores here, and a certified, an uncertified and a micromorphic
+        # step make every A_hat product here
         grid = Grid.unit_cube(2)
-        prob = DiscreteProblem(grid, full_dirichlet(), KIN, SHEAR01, SolverConfig(vi_probes=130))
         score, seen = DiscreteProblem.vi_residual, []
 
         def recording_score(*args):
@@ -923,8 +924,13 @@ class TestVIResidual:
 
         monkeypatch.setattr(DiscreteProblem, "vi_residual", recording_score)
         before = threading.active_count()
-        _, rep = time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.01))
-        assert isinstance(rep.vi_residual, float)
+        for variant, probes in ((KIN, 130), (KIN, 0), (ModelVariant("micromorphic", PARAMS), 0)):
+            prob = DiscreteProblem(grid, full_dirichlet(), variant, SHEAR01, SolverConfig(vi_probes=probes))
+            prob.A_hat = CountingOperator(prob.A_hat)
+            _, rep = time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.01))
+            assert isinstance(rep.vi_residual, float) if probes else rep.vi_residual is None
+            assert prob.A_hat.count > 0 and set(prob.A_hat.threads) == {threading.current_thread().name}
+            assert threading.active_count() == before
         assert seen == [(threading.current_thread(), before)]
 
 
@@ -964,66 +970,58 @@ def within_a_minute(fn):
 
 
 class TestProductWorker:
-    """A worker thread makes each A_hat product beside the inner solve; its values are the inline ones."""
-
-    def test_values_and_errors_reach_the_caller(self):
-        before = threading.active_count()
-
-        def use():
-            with ProductWorker() as worker:
-                assert worker.submit(lambda: threading.current_thread().name)() == "plastic-product"
-                with pytest.raises(ZeroDivisionError):
-                    worker.submit(lambda: 1 / 0)()
-                worker.submit(lambda: 1 / 0)  # never collected: the next submit waits for it
-                assert worker.submit(lambda: 2)() == 2
-                worker.submit(lambda: 3)  # never collected: leaving the context waits for it
-
-        assert within_a_minute(use) == ("value", None)
-        assert threading.active_count() == before
+    """A RunPool thread makes each A_hat product of a step without a certificate
+    beside the inner solve; its values are the inline ones."""
 
     def test_failing_product_raises_in_the_step(self):
-        # the A_hat product of the first gradient fails on the worker
+        # the A_hat product of the first gradient fails on a pool thread
         grid = Grid.unit_cube(2)
         prob = DiscreteProblem(grid, BoundaryConfig(("zmin", "zmax")), KIN, SHEAR01)
         prob.lipschitz()
+        made = []
 
         class Failing:
             def __matmul__(self, v):
+                made.append(threading.current_thread().name)
                 raise MemoryError("Unable to allocate 3.20 GiB for an array")
 
         prob.A_hat = Failing()
         before = threading.active_count()
 
         def step():
-            with ProductWorker() as worker:
-                time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.05), worker=worker)
+            with RunPool() as pool:
+                time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.05), pool=pool)
 
         kind, error = within_a_minute(step)
         assert kind == "error" and isinstance(error, MemoryError) and "3.20 GiB" in str(error)
+        assert len(made) == 1 and made[0].startswith("run-pool")
         assert threading.active_count() == before
 
     def test_step_that_fails_mid_gradient_leaves_the_worker_usable(self):
         # the inner CG of the first gradient fails while its A_hat product is
-        # on the worker; the next step on the same worker still hands off in
-        # step, and both are joined on leaving
+        # on the pool; the next step on the same pool still hands its
+        # products off in step, and the pool is joined on leaving
         grid = Grid.unit_cube(2)
         bc = BoundaryConfig(("zmin", "zmax"))
         failing = DiscreteProblem(grid, bc, KIN, SHEAR01, SolverConfig(tol_cg=1e-16, max_cg=2))
         prob = DiscreteProblem(grid, bc, KIN, SHEAR01)
+        prob.A_hat = CountingOperator(prob.A_hat)
         load = LoadStep(1.0, 0.05)
         before = threading.active_count()
 
         def steps():
-            with ProductWorker() as worker:
+            with RunPool() as pool:
                 with pytest.raises(NoConvergence) as info:
-                    time_step(failing, SimState.zeros(grid), load, worker=worker)
+                    time_step(failing, SimState.zeros(grid), load, pool=pool)
                 assert info.value.what == "conjugate gradients"
-                return time_step(prob, SimState.zeros(grid), load, worker=worker)
+                return time_step(prob, SimState.zeros(grid), load, pool=pool)
 
         kind, outcome = within_a_minute(steps)
         assert kind == "value", outcome
         assert threading.active_count() == before
         state, report = outcome
+        on_pool = [name for name in prob.A_hat.threads if name.startswith("run-pool")]
+        assert len(on_pool) == report.fista_iterations
         want_state, want = time_step(prob, SimState.zeros(grid), load)
         assert report == want
         for got, ref in zip((state.u, state.p, state.gamma), (want_state.u, want_state.p, want_state.gamma)):
