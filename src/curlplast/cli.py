@@ -75,10 +75,9 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
     RunPool and hands it to every step.  Each step's VI certificate runs on
     it while later steps are solved, at most CERT_WORKERS at a time; its row
     and VTK file follow in step order, and a failing step has every step
-    before it written first.  A step with no certificate (no VI probes, or a
-    variant without dissipation) makes the A_hat products of its solves on
-    the pool instead, beside the displacement products.  The pool is joined
-    before the call returns or raises.
+    before it written first.  Every solve runs on the calling thread, so a
+    run with no certificate (no VI probes, or a variant without dissipation)
+    starts no thread.  The pool is joined before the call returns or raises.
     """
     problem = DiscreteProblem(scenario.grid, scenario.boundary, scenario.variant,
                               scenario.dirichlet_array(), scenario.solver)
@@ -352,7 +351,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except MemoryError as e:  # also one raised on a pool thread by a certificate or a product, read with its result
+    except MemoryError as e:  # also one raised on a pool thread by a certificate, read with its result
         print(f"error: {_reason(e)}", file=sys.stderr)
         return 2
 

@@ -897,11 +897,12 @@ class PBasis:
         if self._uniform:  # the columns of each coordinate are views: no strided reduceat
             block = x.reshape(x.shape[:-1] + (len(self.node_type), -1))
             return _segment_sums([block[..., i] for i in range(block.shape[-1])])
+        if len(self._nodes) == len(self.node_type):  # every node holds coordinates
+            return np.ascontiguousarray(np.add.reduceat(x.T, self._starts).T)
         out = np.zeros(x.shape[:-1] + (len(self.offsets) - 1,))
-        if len(self._starts):
-            # reduce over the first axis of the transpose: for a vector this
-            # is the plain indexing, which costs less per call than out[..., nodes]
-            out.T[self._nodes] = np.add.reduceat(x.T, self._starts)
+        # reduce over the first axis of the transpose: for a vector this
+        # is the plain indexing, which costs less per call than out[..., nodes]
+        out.T[self._nodes] = np.add.reduceat(x.T, self._starts)
         return out
 
     def node_dots(self, a, b):

@@ -122,21 +122,27 @@ class ModelVariant:
         g = np.asarray(gamma_prev)
         return self.params.sigma_y * n + 0.5 * self.drag * ((g + n) ** 2 - g ** 2)
 
-    def shrink(self, n, tau, gamma_prev):
-        """Factor m / n by which the proximal map of tau * dissipation scales a
-        point of magnitude n, and 0 at n = 0.
+    def shrink(self, tau, gamma_prev):
+        """The factor m / n by which the proximal map of tau * dissipation scales a
+        point of magnitude n, and 0 at n = 0, as a function of n.
 
         m = max(0, n - tau sigma_y - tau h gamma) / (1 + tau h): plain
         shrinkage by tau sigma_y plus the linear drag that the scalar
         optimality condition of the eliminated internal variable adds.
         Micromorphic dissipates nothing, so its map is the identity, factor 1.
+        tau sigma_y, tau h gamma and 1 + tau h are formed once, for every n.
         """
-        n = np.asarray(n, dtype=float)
         if not self.has_dissipation:
-            return np.ones(n.shape)
+            return lambda n: np.ones(np.shape(n))
         h = self.drag
-        m = np.maximum(0.0, (n - tau * self.params.sigma_y - tau * h * np.asarray(gamma_prev)) / (1.0 + tau * h))
-        return np.where(n > 0.0, m / np.maximum(n, 1e-300), 0.0)
+        threshold, drag, scale = tau * self.params.sigma_y, tau * h * np.asarray(gamma_prev), 1.0 + tau * h
+
+        def factor(n):
+            n = np.asarray(n, dtype=float)
+            m = np.maximum(0.0, (n - threshold - drag) / scale)
+            return np.where(n > 0.0, m / np.maximum(n, 1e-300), 0.0)
+
+        return factor
 
 
 @dataclass

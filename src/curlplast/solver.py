@@ -46,12 +46,9 @@ in the Loewner order, so the step 1/L(A_hat) is safe for the reduced
 functional too.
 
 vi_residual certifies a step's inequality on random admissible probes from
-a generator seeded by the step.  A run hands each step its RunPool, whose
-threads do the step's work beside the calling thread: a certified step's
-certificate, drawn and scored while the next step is solved, or else each
-A_hat product, which depends only on the iterate, while the calling thread
-makes the same iterate's inner solve; scipy's sparse products release the
-GIL.  Either way the values are a serial step's, bit for bit.
+a generator seeded by the step; a run's RunPool threads score it while the
+next step is solved, with a serial step's values bit for bit.  Every product
+of the solve is made on the thread that calls time_step.
 """
 from __future__ import annotations
 
@@ -109,8 +106,8 @@ LIPSCHITZ_SAFETY = 1.1
 # each block before it draws the next one into the same memory
 VI_PROBE_BLOCK = 64
 
-# Threads of a RunPool, each certifying one step or making one A_hat product
-# at a time; a run keeps at most this many certificates pending
+# Threads of a RunPool, each certifying one step at a time; a run keeps at
+# most this many certificates pending
 CERT_WORKERS = 2
 
 # Residuals an iteration keeps, one bounded append per iteration, for the
@@ -195,16 +192,11 @@ class ReducedLoad(NamedTuple):
 
 def prox_dissipation(variant: ModelVariant, z, tau, gamma_prev=0.0):
     """Proximal map of tau * D_inc on 3x3 tensors: z scaled by
-    ModelVariant.shrink of its norm (ties at the threshold give 0)."""
+    ModelVariant.shrink at its norm (ties at the threshold give 0)."""
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     z = np.asarray(z, dtype=float)
-    return z * variant.shrink(frob_norm(z), tau, gamma_prev)[..., None, None]
-
-
-def jacobi(diagonal):
-    """Jacobi preconditioner of an operator's diagonal: its reciprocal, 1 where not positive."""
-    return 1.0 / np.where(diagonal > 0.0, diagonal, 1.0)
+    return z * variant.shrink(tau, gamma_prev)(frob_norm(z))[..., None, None]
 
 
 def weighted_norm(x, w):
@@ -229,9 +221,9 @@ def probe_blocks(problem, rng, probes, pool=None):
 
 class RunPool(ThreadPoolExecutor):
     """The CERT_WORKERS threads of one run.  time_step hands each one a
-    certified step's vi_residual, scored on the probe_blocks it draws, or
-    else each A_hat product of a step without a certificate.  The threads
-    start with the first task, so a run that hands them none starts none.
+    certified step's vi_residual, scored on the probe_blocks it draws, and
+    nothing else.  The threads start with the first certificate, so a run
+    without one starts no thread.
     Leaving the context cancels the tasks no thread has taken, stops a
     running certificate at its next block and joins the threads."""
 
@@ -257,19 +249,22 @@ def accelerated_prox_gradient(gradient, w, prox, c0, step, tol, maxiter, scale_f
     subgradient of the objective at T(y), so 0 is within (1/step + L)
     ||T(y) - y||_w of the subdifferential, L being the Lipschitz constant of
     grad f in the metric w.  A non-finite residual raises NoConvergence.
+    prox may return the vector it is handed, overwritten, or a new one; gradient may keep each y.
     """
     c = c0.copy()
     y = c0.copy()
     step_w = step / w
+    point, taken, taken_w, moved = (np.empty_like(c0) for _ in range(4))
     tk = 1.0
     res = 0.0
     recent = deque(maxlen=RESIDUAL_HISTORY)
     # an iterate that overflows gives a residual that is not finite, which fails below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(maxiter):
-            c_new = prox(y - step_w * gradient(y))
-            taken = c_new - y
-            taken_w = taken * w
+            np.multiply(step_w, gradient(y), out=point)
+            c_new = prox(np.subtract(y, point, out=point))
+            np.subtract(c_new, y, out=taken)
+            np.multiply(taken, w, out=taken_w)
             res = float(np.sqrt(taken @ taken_w))
             recent.append(res)
             if not np.isfinite(res):
@@ -277,12 +272,13 @@ def accelerated_prox_gradient(gradient, w, prox, c0, step, tol, maxiter, scale_f
             scale = max(weighted_norm(c_new, w), scale_floor)
             if res <= tol * max(scale, 1e-300):
                 return c_new, it + 1
-            moved = c_new - c
+            np.subtract(c_new, c, out=moved)
             if float(taken_w @ moved) < 0.0:
                 tk = 1.0  # adaptive restart: momentum points uphill
             tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-            y = c_new + ((tk - 1.0) / tk_next) * moved
-            c, tk = c_new, tk_next
+            moved *= (tk - 1.0) / tk_next
+            y = c_new + moved
+            point, c, tk = c, c_new, tk_next  # the old c takes the next gradient step
     raise NoConvergence("proximal gradient", maxiter, res, tol, recent)
 
 
@@ -362,11 +358,10 @@ class DiscreteProblem:
         residual into out and returns it.  r0, when given, is b - A x0, which
         the call does not form and keeps, in place, the residual of the
         returned x: the recurrence's, or b - A x after maxiter steps.  A start
-        that meets tol, tested before the preconditioner is first applied,
-        allocates no work vector.  Each step makes one product; x, r, z and p
-        are updated in place: p *= beta; p += z gives the bits of z + beta * p.
+        that meets tol is tested first and returned as a copy of x0.  Each step
+        makes one product; x, r, z and p are updated in place: p *= beta;
+        p += z gives the bits of z + beta * p.
         """
-        recent = deque(maxlen=RESIDUAL_HISTORY)  # relative residuals
         # a norm or an iterate that overflows is not finite, which fails below
         with np.errstate(over="ignore", invalid="ignore"):
             nb = sqrt(float(b @ b))
@@ -376,25 +371,27 @@ class DiscreteProblem:
                 if r0 is not None:
                     np.copyto(r0, b)
                 return np.zeros_like(b), 0
-            x = x0.copy()
-            r = b - matvec(x) if r0 is None else r0
-            p = None
+            r = b - matvec(x0) if r0 is None else r0
+            res = sqrt(float(r @ r))
+            if res <= tol * nb:
+                return x0.copy(), 0
+            x, z, step, p = x0.copy(), np.empty_like(r), np.empty_like(r), None
+            recent = deque(maxlen=RESIDUAL_HISTORY)  # relative residuals
             for it in range(maxiter):
-                res = sqrt(float(r @ r))
-                if res <= tol * nb:
-                    return x, it
+                if it:  # the start's residual is tested above
+                    res = sqrt(float(r @ r))
+                    if res <= tol * nb:
+                        return x, it
                 recent.append(res / nb)
                 if not isfinite(res):
                     raise NoConvergence("conjugate gradients", it, res / nb, tol, recent)
-                if p is None:  # the first direction, with the work vectors
-                    z, step = np.empty_like(r), np.empty_like(r)
-                    rz = float(r @ precond(r, z))
+                rz_new = float(r @ precond(r, z))
+                if p is None:  # the first direction
                     p = z.copy()
                 else:
-                    rz_new = float(r @ precond(r, z))
                     p *= rz_new / rz
                     p += z
-                    rz = rz_new
+                rz = rz_new
                 Ap = matvec(p)
                 pAp = float(p @ Ap)
                 if not (pAp > 0.0 and rz > 0.0):  # no curvature left along p, or roundoff took it
@@ -446,11 +443,12 @@ class DiscreteProblem:
         """Lumped-quadrature value of the incremental dissipation functional."""
         return float(self.variant.dissipation(self.basis.node_norms(dc), gamma_prev) @ self.w_node)
 
-    def _prox_reduced(self, x, c_prev, tau, gamma_prev):
-        """Exact nodewise prox in reduced coordinates (uniform threshold tau)."""
+    def prox_reduced(self, x, c_prev, shrink):
+        """Exact nodewise prox in reduced coordinates (uniform threshold), shrink being a
+        ModelVariant.shrink: c_prev + d * shrink(node norms of d), d = x - c_prev, written into d."""
         d = x - c_prev
-        factor = self.variant.shrink(self.basis.node_norms(d), tau, gamma_prev)
-        return c_prev + d * self.basis.scatter_per_node(factor)
+        d *= self.basis.scatter_per_node(shrink(self.basis.node_norms(d)))
+        return np.add(d, c_prev, out=d)
 
     # -- displacement and plastic solves ---------------------------------------
 
@@ -460,17 +458,23 @@ class DiscreteProblem:
         call.  It makes S_f c, one K_ff product per CG step and one for the start's residual,
         none when carried is the (b_prev, r) returned with u_f: that residual is r + b - b_prev.
         held, when given, is this c's b and u_f's residual b - K_ff u_f, and the call makes
-        neither S_f c nor the start's residual.
+        neither S_f c nor the start's residual.  b and r are formed in place, in carried's arrays.
         Returns (u_f, CG iterations, (b, r)), r the residual of u_f that the CG kept."""
         if held is not None:
             b, r = held
         else:
-            b = load.f_u - self.S_f @ c
-            r = b - self.K_ff @ u_f if carried is None else carried[1] + (b - carried[0])
+            b = self.S_f @ c
+            np.subtract(load.f_u, b, out=b)
+            if carried is None:
+                r = self.K_ff @ u_f
+                np.subtract(b, r, out=r)
+            else:
+                b_prev, r = carried
+                r += np.subtract(b, b_prev, out=b_prev)
         u_f, its = self.pcg(self.K_ff.dot, b, u_f, tol, self.config.max_cg, self.lame_ff, r)
         return u_f, its, (b, r)
 
-    def solve_p(self, u_f, c_prev, c0, gamma_prev, load, pool=None, held=None):
+    def solve_p(self, u_f, c_prev, c0, gamma_prev, load, held=None):
         """Accelerated proximal-gradient solve of the step in c, with u_f eliminated.
 
         Minimizes c -> min_u_f J(u_f, c) from c0.  Each gradient at an
@@ -483,12 +487,10 @@ class DiscreteProblem:
         S_pf u_f after a solve with no CG step.  held, when given, is
         (S_pf u_f, b, r) at (u_f, c0), b = f_u - S_f c0 and r = b - K_ff u_f,
         as the caller's last pass made them; the call then makes none of
-        them, and its first inner solve takes r as its own.  A pool makes
-        each A_hat y, reading self.A_hat when it does, while this thread
-        makes the inner solve and the S_pf product; without one, this
-        thread makes it after them.  The sum is the same either way.  Runs
-        in the lumped-mass metric, in which the nodal shrinkage has one
-        uniform threshold; the prox is exact per node.
+        them, and its first inner solve takes r as its own.  Every product
+        is made on the calling thread.  Runs in the lumped-mass metric, in
+        which the nodal shrinkage has one uniform threshold; the prox is
+        exact per node, its shrink formed once per call.
         Returns c, the last inner u_f, the pair (FISTA iterations, inner CG
         iterations) and its carried.
         """
@@ -511,19 +513,17 @@ class DiscreteProblem:
                 move = weighted_norm(y - y_last, w) / max(weighted_norm(y, w), 1e-300)
                 tol_in = max(tol_cg, min(INNER_TOL_CAP, INNER_TOL_FACTOR * move))
             y_last = y
-
-            def product():
-                return np.asarray(self.A_hat @ y)
-
-            A_y = product if pool is None else pool.submit(product).result
             u_f, its, carried = self.solve_u(u_f, y, load, tol_in, carried, at_c0)
             at_c0 = None
             cg_its += its
-            S_u = np.asarray(self.S_pf @ u_f) if its else S_u  # before waiting for A_y
-            return A_y() + S_u - load.f_p
+            S_u = np.asarray(self.S_pf @ u_f) if its else S_u
+            g = np.asarray(self.A_hat @ y)
+            g += S_u
+            return np.subtract(g, load.f_p, out=g)
 
+        shrink = self.variant.shrink(t, gamma_prev)
         c, its = accelerated_prox_gradient(
-            gradient, w, lambda z: self._prox_reduced(z, c_prev, t, gamma_prev), c0, t,
+            gradient, w, lambda z: self.prox_reduced(z, c_prev, shrink), c0, t,
             self.config.tol_fista, self.config.max_fista, max(weighted_norm(c_prev, w), data_scale))
         return c, u_f, (its, cg_its), carried
 
@@ -675,11 +675,9 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     the calling thread, or with a pool on one of its threads, and then the
     report's vi_residual is the Future of the score.  A step without
     dissipation has no inequality to certify and reports no vi_residual.
-    A step without a certificate makes the A_hat product of each FISTA
-    gradient, or of each micromorphic joint CG iteration, on the pool beside
-    the other products of the same iterate; a certified step, or one without
-    a pool, makes it on the calling thread.  The report and state are the
-    same bit for bit either way.
+    Every product of the solve is made on the calling thread, so a step
+    without a certificate starts no thread, and the report and state are
+    the same bit for bit with or without a pool.
     """
     cfg = problem.config
     variant = problem.variant
@@ -695,9 +693,6 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     gamma_prev = state_prev.gamma.values
     cg_total = fista_total = 0
     uphill = 0.0
-    certified = cfg.vi_probes and variant.has_dissipation
-    # a certified step leaves the pool's threads to its certificates
-    products_on = None if certified else pool
 
     if not variant.has_dissipation:
         # single monolithic SPD solve replaces the flow law; the joint matrix
@@ -706,15 +701,10 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
 
         def joint(x):
             x_f, x_c = x[:nf], x[nf:]
+            return np.concatenate([problem.K_ff @ x_f + problem.S_f @ x_c, problem.S_pf @ x_f + problem.A_hat @ x_c])
 
-            def product():
-                return problem.A_hat @ x_c
-
-            A_x = product if products_on is None else products_on.submit(product).result
-            top = problem.K_ff @ x_f + problem.S_f @ x_c
-            return np.concatenate([top, problem.S_pf @ x_f + A_x()])
-
-        jacobi_c = jacobi(problem.A_hat.diagonal())
+        diagonal = problem.A_hat.diagonal()
+        jacobi_c = 1.0 / np.where(diagonal > 0.0, diagonal, 1.0)  # 1 where not positive
 
         def precond(r, out):
             problem.lame_ff(r[:nf], out[:nf])
@@ -734,7 +724,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
         u_scale = held = None
         recent = deque(maxlen=RESIDUAL_HISTORY)  # (u_res, descent) of the latest passes
         for outer in range(1, cfg.max_outer + 1):
-            c, u_f, (its_p, its_in), carried = problem.solve_p(u_f, c_prev, c, gamma_prev, data, products_on, held)
+            c, u_f, (its_p, its_in), carried = problem.solve_p(u_f, c_prev, c, gamma_prev, data, held)
             u_f, its_u, (b, _) = problem.solve_u(u_f, c, data, cfg.tol_cg, carried)
             cg_total += its_in + its_u
             fista_total += its_p
@@ -780,7 +770,7 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     kkt_viol, kkt_mis, active = problem.kkt_check(r_hat, dc, gamma_new)
     energy = total_energy(problem.grid, variant, state, load.body_force)
     vi = None
-    if certified:
+    if cfg.vi_probes and variant.has_dissipation:
         rng = np.random.default_rng(probe_seed(cfg.seed, load.level))
         args = (u_f, c, c_prev, gamma_prev, data, probe_blocks(problem, rng, cfg.vi_probes, pool), r_hat, -r_u)
         vi = problem.vi_residual(*args) if pool is None else pool.submit(problem.vi_residual, *args)

@@ -55,4 +55,4 @@ def test_micromorphic_prox_is_the_identity():
     variant = ModelVariant("micromorphic", PARAMS)
     z = 0.1 * np.diag([1.0, -1.0, 0.0])
     assert np.array_equal(prox_dissipation(variant, z, 1.0), z)
-    assert np.array_equal(variant.shrink(np.array([0.0, 0.2, 5.0]), 1.0, 0.0), np.ones(3))
+    assert np.array_equal(variant.shrink(1.0, 0.0)(np.array([0.0, 0.2, 5.0])), np.ones(3))

@@ -465,8 +465,8 @@ class TestCertificatePool:
     def test_csv_matches_inline_scoring_under_fast_switching(self, tmp_path, monkeypatch, variant, probes):
         # a thread switch every microsecond, and certificates that take longer
         # than a solve, so that two run at once: a block drawn over while it
-        # is scored, a certificate read before it is in, or a product read
-        # before it is made, would change a byte
+        # is scored, or a certificate read before it is in, would change a
+        # byte; the uncertified runs make every product inline either way
         doc = program_doc(6, probes, variant=variant, output={"csv": "timeseries.csv", "vtk_dir": "fields"})
         s = parse_scenario(json.dumps(doc))
         interval = sys.getswitchinterval()
@@ -500,22 +500,23 @@ class TestCertificatePool:
         assert pool_threads() == []
 
     def test_no_probes_start_no_certificate_thread(self, tmp_path, monkeypatch):
-        # such a run scores no certificate; the only threads it adds are its
-        # pool's, which the first step's products start
+        # such a run scores no certificate and makes every product on the
+        # calling thread: no thread besides the caller's runs at any step
         seen, scored = [], []
 
         def step(*args):
-            seen.append((threading.active_count(), len(pool_threads())))
-            return time_step(*args)
+            seen.append(threading.active_count())
+            try:
+                return time_step(*args)
+            finally:
+                seen.append(threading.active_count())
 
         monkeypatch.setattr(cli, "time_step", step)
         monkeypatch.setattr(DiscreteProblem, "vi_residual", lambda *args: scored.append(args))
         before = threading.active_count()
         res = run_scenario(parse_scenario(json.dumps(base_doc())), str(tmp_path))
         assert scored == [] and [r.vi_residual for r in res.reports] == [None] * 3
-        assert seen[0] == (before, 0)
-        assert all(count == before + n and 1 <= n <= CERT_WORKERS for count, n in seen[1:])
-        assert threading.active_count() == before
+        assert seen == [before] * 6 and threading.active_count() == before
 
     def test_non_convergence_mid_run_joins_the_pool(self, tmp_path, capsys):
         # step 3 fails while the certificates of steps 1 and 2 may still run;
@@ -588,47 +589,45 @@ class TestCertificatePool:
 
 
 class TestProductWorker:
-    """A run without certificates makes its A_hat products on its RunPool's
-    threads, beside the other products."""
+    """A run makes every A_hat product of its steps on the calling thread,
+    with certificates or without."""
 
     @staticmethod
-    def off_the_caller(monkeypatch, action):
-        """Call action with the thread name of each A_hat product that the
-        problems set up from now on make off the calling thread."""
-        init, caller = DiscreteProblem.__init__, threading.current_thread()
+    def watch_products(monkeypatch, action):
+        """Call action with the thread of each A_hat product of the solves of
+        the problems set up from now on; their power iteration runs first."""
+        init = DiscreteProblem.__init__
 
         class Watched(CountingOperator):
             def __matmul__(self, v):
-                if threading.current_thread() is not caller:
-                    action(threading.current_thread().name)
+                action(threading.current_thread())
                 return self.matrix @ v
 
         def watched(problem, *args):
             init(problem, *args)
+            problem.lipschitz()
             problem.A_hat = Watched(problem.A_hat)
 
         monkeypatch.setattr(DiscreteProblem, "__init__", watched)
 
     def record_products(self, monkeypatch):
         made = []
-        self.off_the_caller(monkeypatch, made.append)
+        self.watch_products(monkeypatch, made.append)
         return made
 
     @pytest.mark.parametrize("variant", ["kin_spin", "micromorphic"])
     def test_rows_match_inline_library_steps(self, tmp_path, monkeypatch, variant):
         s = parse_scenario(json.dumps(base_doc(variant=variant, output={"csv": "timeseries.csv", "vtk_dir": "vtk"})))
         made = self.record_products(monkeypatch)
-        res = run_scenario(s, str(tmp_path / "worker"), keep_states=True)
-        # one product per FISTA gradient; the joint CG makes one more than its iterations
+        res = run_scenario(s, str(tmp_path / "run"), keep_states=True)
+        # one product per FISTA gradient and one per pass; the joint CG makes
+        # one more than its iterations, and its step one for the report
         if variant == "micromorphic":
-            assert len(made) == res.reports[0].cg_iterations + 1
+            assert len(made) == res.reports[0].cg_iterations + 1 + 1
         else:
-            assert len(made) == sum(r.fista_iterations for r in res.reports)
-        # on one or two pool threads: a submit may race the first thread's
-        # return to idle and start the second
-        assert all(name.startswith("run-pool") for name in made) and 1 <= len(set(made)) <= CERT_WORKERS
-        # the same steps as library calls, each product made inline
-        made.clear()
+            assert len(made) == sum(r.fista_iterations + r.outer_iterations for r in res.reports)
+        assert set(made) == {threading.current_thread()}
+        # the same steps as library calls
         problem = DiscreteProblem(s.grid, s.boundary, s.variant, s.dirichlet_array(), s.solver)
         state = SimState.zeros(s.grid)
         recent = [state]
@@ -644,61 +643,56 @@ class TestProductWorker:
         monkeypatch.setattr(cli, "time_step", lambda problem, state, load, guess, *_: time_step(
             problem, state, load, guess))
         run_scenario(s, str(tmp_path / "inline"))
-        assert made == []
         files = sorted(p.relative_to(tmp_path / "inline") for p in (tmp_path / "inline").rglob("*.*"))
         assert len(files) == 1 + len(program)
         for f in files:
-            assert (tmp_path / "worker" / f).read_bytes() == (tmp_path / "inline" / f).read_bytes()
+            assert (tmp_path / "run" / f).read_bytes() == (tmp_path / "inline" / f).read_bytes()
 
     def test_a_run_with_probes_starts_no_product_thread(self, tmp_path, monkeypatch):
         # its pool threads score certificates, which make no A_hat product
         made = self.record_products(monkeypatch)
         res = run_scenario(parse_scenario(json.dumps(base_doc(solver={"vi_probes": 130}))), str(tmp_path))
         assert all(isinstance(r.vi_residual, float) for r in res.reports) and len(res.reports) == 3
-        assert made == []
+        assert made and set(made) == {threading.current_thread()}
 
     def test_memory_error_in_a_product_exits_2(self, tmp_path, capsys, monkeypatch):
-        # raised on a pool thread and read with the product's result
+        # raised on the calling thread by step 1's first A_hat product
         def out_of_memory(thread):
             raise MemoryError("Unable to allocate 3.20 GiB for an array")
 
-        self.off_the_caller(monkeypatch, out_of_memory)
+        self.watch_products(monkeypatch, out_of_memory)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(base_doc()))
+        before = threading.active_count()
         assert main(["--quiet", "--out", str(tmp_path), "run", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: out of memory: Unable to allocate 3.20 GiB for an array\n"
-        assert pool_threads() == []
+        assert threading.active_count() == before
 
     def test_joined_after_a_run_and_a_sweep(self, tmp_path, monkeypatch):
+        # nothing runs beside a step, and nothing is left running after either
         seen = []
 
         def step(*args):
-            seen.append(len(pool_threads()))
+            seen.append(threading.active_count())
             return time_step(*args)
 
         monkeypatch.setattr(cli, "time_step", step)
         s = parse_scenario(json.dumps(base_doc()))
+        before = threading.active_count()
         run_scenario(s, str(tmp_path / "run"))
-        assert pool_threads() == []
+        assert threading.active_count() == before
         results = sweep(s, "Lc", [0.1, 0.2], str(tmp_path / "sweep"))
         assert [r["status"] for r in results] == ["ok", "ok"]
-        # each run's pool starts with its first step's products
-        assert seen[::3] == [0] * 3 and all(1 <= n <= CERT_WORKERS for k, n in enumerate(seen) if k % 3)
-        assert len(seen) == 9 and pool_threads() == []
+        assert seen == [before] * 9 and threading.active_count() == before
 
-    def test_non_convergence_mid_gradient_joins_the_worker(self, tmp_path, capsys):
-        # the inner CG of step 1's first gradient fails while that gradient's
-        # A_hat product is on the pool
+    def test_non_convergence_mid_gradient_leaves_no_thread(self, tmp_path, capsys):
+        # the inner CG of step 1's first gradient fails
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(base_doc(solver={"tol_cg": 1e-16, "max_cg": 2})))
-        codes = []
-        runner = threading.Thread(target=lambda: codes.append(main(["--quiet", "--out", str(tmp_path), "run",
-                                                                    str(cfg)])))
-        runner.start()
-        runner.join(60.0)
-        assert not runner.is_alive() and codes == [3]
+        before = threading.active_count()
+        assert main(["--quiet", "--out", str(tmp_path), "run", str(cfg)]) == 3
         assert capsys.readouterr().err.startswith("error: step 1: conjugate gradients did not converge in 2 ")
-        assert pool_threads() == []
+        assert threading.active_count() == before
         assert (tmp_path / "timeseries.csv").read_text().count("\n") == 1
 
 

@@ -95,7 +95,7 @@ class TestProxDissipation:
         for _ in range(5):
             zn = rng.uniform(0.0, 3.0)
             g0 = rng.uniform(0.0, 2.0)
-            got = zn * ISO.shrink(zn, tau, g0)
+            got = zn * ISO.shrink(tau, g0)(zn)
 
             def f(m):
                 return (0.5 * (m - zn) ** 2 / tau + PARAMS.sigma_y * m
@@ -335,6 +335,25 @@ class TestSolveU:
         x, its = prob.pcg(prob.K_ff.dot, b, x0, 1e-10, needed, prob.lame_ff, r0)
         assert its == needed and np.array_equal(r0, b - prob.K_ff @ x)
 
+    def test_warm_start_that_meets_tol_is_returned_as_a_copy(self):
+        # tested before anything else: no preconditioner, a new array, and
+        # r0, when given, still the start's residual
+        prob = DiscreteProblem(Grid.unit_cube(3), BoundaryConfig(("zmin",)), KIN, None, TIGHT)
+        b = np.random.default_rng(13).standard_normal(prob.K_ff.shape[0])
+        x0, _ = prob.pcg(prob.K_ff.dot, b, np.zeros_like(b), 1e-12, 1000, prob.lame_ff)
+        kept = x0.copy()
+
+        def unreachable(r, out):
+            raise AssertionError("preconditioner applied to a start that meets tol")
+
+        for r0 in (None, b - prob.K_ff @ x0):
+            start_residual = None if r0 is None else r0.copy()
+            x, its = prob.pcg(prob.K_ff.dot, b, x0, 1e-10, 1000, unreachable, r0)
+            assert its == 0 and x is not x0 and not np.shares_memory(x, x0)
+            assert np.array_equal(x, kept) and np.array_equal(x0, kept)
+            if r0 is not None:
+                assert np.array_equal(r0, start_residual)
+
 
 class TestLamePreconditioner:
     @pytest.mark.parametrize("grid", [Grid.unit_cube(6), Grid.unit_cube(10), Grid.unit_cube(16),
@@ -417,6 +436,55 @@ class TestSolveP:
         z = np.zeros(prob.basis.size)
         c, _, _, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, np.zeros_like(U)))
         assert np.all(c == 0.0)
+
+
+def prox_per_point(prob, x, c_prev, tau, gamma_prev):
+    """Reference of DiscreteProblem.prox_reduced: the nodewise prox with the
+    shrink's threshold, drag and scale formed anew at every point."""
+    d = x - c_prev
+    n = prob.basis.node_norms(d)
+    h = prob.variant.drag
+    m = np.maximum(0.0, (n - tau * prob.variant.params.sigma_y - tau * h * np.asarray(gamma_prev)) / (1.0 + tau * h))
+    factor = np.where(n > 0.0, m / np.maximum(n, 1e-300), 0.0)
+    return c_prev + d * prob.basis.scatter_per_node(factor)
+
+
+class TestProxReduced:
+    @pytest.mark.parametrize("tag, micro_hard, nodes", [
+        ("kin_spin", FACES, "some empty"),  # corner and edge nodes hold no coordinates
+        ("kin_spin", ("zmin", "zmax"), "all held"),  # not all the same number
+        ("iso_spin", ("zmin",), "all held"),
+        ("iso_irrot", (), "uniform"),
+        ("kin_irrot", ("xmin", "ymax"), "some empty"),
+    ])
+    def test_shrink_formed_once_gives_the_per_point_bits(self, tag, micro_hard, nodes):
+        grid = Grid.unit_cube(3)
+        prob = DiscreteProblem(grid, BoundaryConfig(FACES, micro_hard), ModelVariant(tag, PARAMS))
+        basis, rng = prob.basis, np.random.default_rng(21)
+        dims = basis.dims()
+        assert nodes == ("uniform" if dims.min() == dims.max() else "all held" if dims.min() > 0 else "some empty")
+        assert (prob.variant.drag > 0.0) == tag.startswith("iso")
+        tau = 0.37 / prob.lipschitz()
+        threshold = tau * PARAMS.sigma_y
+        # one node's increment is zero and one's lies exactly on the
+        # threshold, its gamma_prev zero; the others fall inside and outside
+        zero, tie = np.flatnonzero(dims > 0)[:2]
+        at_tie = slice(basis.offsets[tie], basis.offsets[tie + 1])
+        gamma_prev = rng.uniform(0.0, 0.02, grid.node_count)
+        gamma_prev[tie] = 0.0
+        c_prev = rng.standard_normal(basis.size)
+        c_prev[at_tie] = 0.0
+        shrink = prob.variant.shrink(tau, gamma_prev)  # formed once for every point
+        for scale in (0.1, 1.0, 10.0):
+            d = rng.standard_normal(basis.size) * scale * threshold
+            d[basis.offsets[zero]:basis.offsets[zero + 1]] = 0.0
+            d[at_tie] = 0.0
+            d[basis.offsets[tie]] = threshold
+            x = c_prev + d
+            assert basis.node_norms(x - c_prev)[zero] == 0.0 and basis.node_norms(x - c_prev)[tie] == threshold
+            want = prox_per_point(prob, x, c_prev, tau, gamma_prev)
+            got = prob.prox_reduced(x, c_prev, shrink)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 class TestTimeStep:
@@ -952,29 +1020,13 @@ class TestMicromorphic:
         assert np.abs(state.p.values).max() > 0.0
 
 
-def within_a_minute(fn):
-    """Run fn on a helper thread: a hand-off that hangs fails the test instead of hanging it."""
-    outcome = []
-
-    def run():
-        try:
-            outcome.append(("value", fn()))
-        except BaseException as e:
-            outcome.append(("error", e))
-
-    runner = threading.Thread(target=run)
-    runner.start()
-    runner.join(60.0)
-    assert not runner.is_alive(), "the hand-off hangs"
-    return outcome[0]
-
-
 class TestProductWorker:
-    """A RunPool thread makes each A_hat product of a step without a certificate
-    beside the inner solve; its values are the inline ones."""
+    """Every A_hat product of a step is made on the thread that calls
+    time_step, with or without a RunPool, and a step without a certificate
+    starts no thread; its values are those of a step without a pool."""
 
     def test_failing_product_raises_in_the_step(self):
-        # the A_hat product of the first gradient fails on a pool thread
+        # the A_hat product of the first gradient fails on the calling thread
         grid = Grid.unit_cube(2)
         prob = DiscreteProblem(grid, BoundaryConfig(("zmin", "zmax")), KIN, SHEAR01)
         prob.lipschitz()
@@ -982,46 +1034,37 @@ class TestProductWorker:
 
         class Failing:
             def __matmul__(self, v):
-                made.append(threading.current_thread().name)
+                made.append((threading.current_thread(), threading.active_count()))
                 raise MemoryError("Unable to allocate 3.20 GiB for an array")
 
         prob.A_hat = Failing()
         before = threading.active_count()
-
-        def step():
+        with pytest.raises(MemoryError, match="3.20 GiB"):
             with RunPool() as pool:
                 time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.05), pool=pool)
-
-        kind, error = within_a_minute(step)
-        assert kind == "error" and isinstance(error, MemoryError) and "3.20 GiB" in str(error)
-        assert len(made) == 1 and made[0].startswith("run-pool")
+        assert made == [(threading.current_thread(), before)]
         assert threading.active_count() == before
 
-    def test_step_that_fails_mid_gradient_leaves_the_worker_usable(self):
-        # the inner CG of the first gradient fails while its A_hat product is
-        # on the pool; the next step on the same pool still hands its
-        # products off in step, and the pool is joined on leaving
+    def test_step_that_fails_mid_gradient_leaves_the_pool_usable(self):
+        # the inner CG of the first gradient fails; the next step on the same
+        # pool makes one A_hat product per FISTA gradient and one per pass,
+        # each on the calling thread, and equals a step without a pool
         grid = Grid.unit_cube(2)
         bc = BoundaryConfig(("zmin", "zmax"))
         failing = DiscreteProblem(grid, bc, KIN, SHEAR01, SolverConfig(tol_cg=1e-16, max_cg=2))
         prob = DiscreteProblem(grid, bc, KIN, SHEAR01)
+        prob.lipschitz()  # the power iteration's products, made once per problem
         prob.A_hat = CountingOperator(prob.A_hat)
         load = LoadStep(1.0, 0.05)
         before = threading.active_count()
-
-        def steps():
-            with RunPool() as pool:
-                with pytest.raises(NoConvergence) as info:
-                    time_step(failing, SimState.zeros(grid), load, pool=pool)
-                assert info.value.what == "conjugate gradients"
-                return time_step(prob, SimState.zeros(grid), load, pool=pool)
-
-        kind, outcome = within_a_minute(steps)
-        assert kind == "value", outcome
-        assert threading.active_count() == before
-        state, report = outcome
-        on_pool = [name for name in prob.A_hat.threads if name.startswith("run-pool")]
-        assert len(on_pool) == report.fista_iterations
+        with RunPool() as pool:
+            with pytest.raises(NoConvergence) as info:
+                time_step(failing, SimState.zeros(grid), load, pool=pool)
+            assert info.value.what == "conjugate gradients"
+            state, report = time_step(prob, SimState.zeros(grid), load, pool=pool)
+            assert threading.active_count() == before
+        assert prob.A_hat.count == report.fista_iterations + report.outer_iterations
+        assert set(prob.A_hat.threads) == {threading.current_thread().name}
         want_state, want = time_step(prob, SimState.zeros(grid), load)
         assert report == want
         for got, ref in zip((state.u, state.p, state.gamma), (want_state.u, want_state.p, want_state.gamma)):
