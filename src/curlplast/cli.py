@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import deque
-from concurrent.futures import Future
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -22,14 +20,7 @@ from .korn import KornProblem, estimate_min_quotient
 from .models import SimState, sigma_nodal, eshelby_stress
 from .oracles import selftest
 from .scenario import Scenario, ValidationError, parse_scenario
-from .solver import (
-    CERT_WORKERS,
-    DiscreteProblem,
-    NoConvergence,
-    RunPool,
-    extrapolate,
-    time_step,
-)
+from .solver import DiscreteProblem, NoConvergence, extrapolate, time_step
 from .tensors import dev
 from .vtk_io import write_structured_points
 
@@ -71,13 +62,9 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
     The micromorphic variant has no history, so its program collapses to the
     final load level: exactly one step is executed and reported.  Each step
     starts from the extrapolation of the last three states (the zero state
-    at level 0 included) to its level, when there is one.  The run opens one
-    RunPool and hands it to every step.  Each step's VI certificate runs on
-    it while later steps are solved, at most CERT_WORKERS at a time; its row
-    and VTK file follow in step order, and a failing step has every step
-    before it written first.  Every solve runs on the calling thread, so a
-    run with no certificate (no VI probes, or a variant without dissipation)
-    starts no thread.  The pool is joined before the call returns or raises.
+    at level 0 included) to its level, when there is one.  Each step's row
+    and VTK file are written as soon as it is solved, so a failing step has
+    every step before it written.  The run starts no thread.
     """
     problem = DiscreteProblem(scenario.grid, scenario.boundary, scenario.variant,
                               scenario.dirichlet_array(), scenario.solver)
@@ -86,23 +73,24 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
         program = (program[-1],)
     state = SimState.zeros(scenario.grid)
     recent = [state]  # the newest states, for the starting guess
-    pending = deque()  # (k, load, state, report) of the steps solved and not yet written
     rows, states, reports, sig12 = [], [], [], []
     # the CSV is opened before the first step, so that a path that cannot be
     # written fails the run before any solve
     csv_path = os.path.join(out_dir, scenario.output.csv)
     os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)
-    with RunPool() as pool, open(csv_path, "w", newline="\n") as csv_file:
+    with open(csv_path, "w", newline="\n") as csv_file:
         csv_file.write(_csv_line(CSV_COLUMNS))
         vtk_dir = None
         if scenario.output.vtk_dir:
             vtk_dir = os.path.join(out_dir, scenario.output.vtk_dir)
             os.makedirs(vtk_dir, exist_ok=True)
 
-        def write_oldest():
-            k, load, state, report = pending.popleft()
-            if isinstance(report.vi_residual, Future):
-                report.vi_residual = report.vi_residual.result()
+        for k, load in enumerate(program):
+            try:
+                state, report = time_step(problem, state, load, extrapolate(recent, load.level))
+            except NoConvergence as e:
+                raise NoConvergence(f"step {k + 1}: {e.what}", e.iterations, e.residual, e.tol, e.history) from e
+            recent = recent[-2:] + [state]
             sig_e = eshelby_stress(scenario.grid, scenario.variant, state.u, state.p)
             dev_norm = np.linalg.norm(dev(sig_e), axis=(1, 2))
             sig = sigma_nodal(scenario.grid, scenario.variant.params, state.u, state.p)
@@ -118,7 +106,7 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
                 max_dev_eshelby=float(np.max(dev_norm)),
                 mean_gamma=float(np.mean(state.gamma.values)),
                 active_fraction=report.active_node_fraction,
-                vi_residual=float(report.vi_residual) if report.vi_residual is not None else 0.0,
+                vi_residual=report.vi_residual if report.vi_residual is not None else 0.0,
             )
             rows.append(row)
             csv_file.write(_csv_line(vars(row).values()))
@@ -139,22 +127,6 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
                     fields={"plastic_distortion": state.p.values.reshape(-1, 9)},
                     title=f"load level {load.level}",
                 )
-
-        for k, load in enumerate(program):
-            if len(pending) == CERT_WORKERS:
-                write_oldest()
-            try:
-                state, report = time_step(problem, state, load, extrapolate(recent, load.level), pool)
-            except Exception as e:  # the steps before a failing one are written first
-                while pending:
-                    write_oldest()
-                if isinstance(e, NoConvergence):
-                    raise NoConvergence(f"step {k + 1}: {e.what}", e.iterations, e.residual, e.tol, e.history) from e
-                raise
-            recent = recent[-2:] + [state]
-            pending.append((k, load, state, report))
-        while pending:
-            write_oldest()
     if not states:
         states = [state]
     return RunResult(scenario, rows, states, reports, sig12)
@@ -351,7 +323,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except MemoryError as e:  # also one raised on a pool thread by a certificate, read with its result
+    except MemoryError as e:  # a failed allocation anywhere in a run, certificates included
         print(f"error: {_reason(e)}", file=sys.stderr)
         return 2
 

@@ -45,15 +45,14 @@ the gradient-mapping residual of the step it has just taken.  S <= A_hat
 in the Loewner order, so the step 1/L(A_hat) is safe for the reduced
 functional too.
 
-vi_residual certifies a step's inequality on random admissible probes from
-a generator seeded by the step; a run's RunPool threads score it while the
-next step is solved, with a serial step's values bit for bit.  Every product
-of the solve is made on the thread that calls time_step.
+vi_residual certifies a step's inequality on random admissible probes,
+int8 rows from the bytes of a generator seeded by the step.  Every product
+and every certificate is made on the thread that calls time_step, so the
+package starts no thread.
 """
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isfinite, prod, sqrt
 from typing import NamedTuple
@@ -103,19 +102,16 @@ LIPSCHITZ_SAFETY = 1.1
 # VI probes drawn and scored per block: enough rows that numpy, not the
 # interpreter, does the work, and a fixed count so that the memory of the
 # certificate does not grow with the number of probes: a certificate scores
-# each block before it draws the next one into the same memory
+# each block before it draws the next one into the same memory.  The probes
+# themselves do not depend on it (probe_blocks)
 VI_PROBE_BLOCK = 64
-
-# Threads of a RunPool, each certifying one step at a time; a run keeps at
-# most this many certificates pending
-CERT_WORKERS = 2
 
 # Residuals an iteration keeps, one bounded append per iteration, for the
 # NoConvergence it may raise
 RESIDUAL_HISTORY = 5
 
-# Most VI probes a step may ask for: a million probes already take about a
-# minute per step on a 6^3 grid
+# Most VI probes a step may ask for: a million probes take about 13 s per
+# step on a 6^3 grid, on one core
 VI_PROBES_MAX = 10 ** 6
 
 # Inner displacement solves of the reduced p iteration: the first gradient
@@ -165,7 +161,7 @@ class StepReport:
     energy: EnergySplit
     dissipation_increment: float  # discrete pairing of the generalized stress with dp
     dissipation_functional: float  # sigma_y * integral |dp|, the dissipated work
-    vi_residual: float | None  # or, from a RunPool, the Future of the float
+    vi_residual: float | None  # None when the step certifies nothing
     kkt_max_violation: float
     kkt_max_misalignment: float
     active_node_fraction: float
@@ -204,36 +200,22 @@ def weighted_norm(x, w):
     return float(np.sqrt(x @ (w * x))) if x.size else 0.0
 
 
-def probe_blocks(problem, rng, probes, pool=None):
-    """`probes` rows of standard normals from rng, one entry per unknown of
-    problem, drawn VI_PROBE_BLOCK rows at a time into one reused block.
-    numpy's Generator gives the same values for one (k, n) draw as for k
-    draws of n, and the same into out as into a new array, so the probes do
-    not depend on the block size.  Once pool is stopped, the next block
-    raises CancelledError instead."""
-    block = np.empty((min(VI_PROBE_BLOCK, probes), problem.K_ff.shape[0] + problem.basis.size))
+def probe_blocks(problem, rng, probes):
+    """`probes` rows of int8 values from rng.bytes, one entry per unknown of
+    problem, drawn VI_PROBE_BLOCK rows at a time and converted into one
+    reused float block.  Each row is drawn pad bytes wide, its width rounded
+    up to a multiple of 8, and keeps its first width entries.
+    Generator.bytes draws 32-bit words and drops the rest of its last one,
+    and PCG64 makes those words two to a 64-bit output, so a draw of whole
+    64-bit outputs continues exactly where the last one stopped: the probes
+    and the generator's state afterwards do not depend on the block size."""
+    width = problem.K_ff.shape[0] + problem.basis.size
+    pad = -(-width // 8) * 8
+    block = np.empty((min(VI_PROBE_BLOCK, probes), width))
     for start in range(0, probes, VI_PROBE_BLOCK):
-        if pool is not None and pool.stopped:
-            raise CancelledError
-        rng.standard_normal(out=block[:probes - start])
-        yield block[:probes - start]
-
-
-class RunPool(ThreadPoolExecutor):
-    """The CERT_WORKERS threads of one run.  time_step hands each one a
-    certified step's vi_residual, scored on the probe_blocks it draws, and
-    nothing else.  The threads start with the first certificate, so a run
-    without one starts no thread.
-    Leaving the context cancels the tasks no thread has taken, stops a
-    running certificate at its next block and joins the threads."""
-
-    def __init__(self):
-        super().__init__(CERT_WORKERS, thread_name_prefix="run-pool")
-        self.stopped = False
-
-    def __exit__(self, *exc):
-        self.stopped = True
-        self.shutdown(cancel_futures=True)
+        rows = min(VI_PROBE_BLOCK, probes - start)
+        block[:rows] = np.frombuffer(rng.bytes(rows * pad), np.int8).reshape(rows, pad)[:, :width]
+        yield block[:rows]
 
 
 def accelerated_prox_gradient(gradient, w, prox, c0, step, tol, maxiter, scale_floor=0.0):
@@ -590,11 +572,10 @@ class DiscreteProblem:
         c, load), up to roundoff, when the caller already holds them.
 
         blocks are the step's probe blocks, such as probe_blocks gives: a
-        probe is one row [dv, dq] of standard normals, scaled to the w-norm
-        of the increment.  Each block is scored in place, D @ r first and then
-        the squares of dc + dq, so the scoring makes no block-sized temporary.
-        It writes only into the blocks, so a RunPool thread may run it
-        while the next step is solved.
+        probe is one row [dv, dq], of any distribution, scaled to the w-norm
+        of the increment; the inequality holds in every admissible direction.
+        Each block is scored in place, D @ r first and then the squares of
+        dc + dq, so the scoring makes no block-sized temporary.
         """
         if r_u is None:
             r_u = self.displacement_residual(u_f, c, load)
@@ -663,21 +644,16 @@ def extrapolate(history, level):
     return SimState(VectorField(u), TensorField(p), nodes[0].gamma, level)
 
 
-def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, guess: SimState | None = None,
-              pool: RunPool | None = None):
+def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, guess: SimState | None = None):
     """Advance one load step; returns the new state and its report.
 
     The step starts from guess, a state near the step's solution, or else
     from state_prev.  Its functional is strictly convex, so the start
     changes the work and not the minimizer.  Every solve works in (u_f, c)
     on the step's ReducedLoad, formed once.  A dissipative step with VI
-    probes scores the probe_blocks of the generator probe_seed gives it: on
-    the calling thread, or with a pool on one of its threads, and then the
-    report's vi_residual is the Future of the score.  A step without
-    dissipation has no inequality to certify and reports no vi_residual.
-    Every product of the solve is made on the calling thread, so a step
-    without a certificate starts no thread, and the report and state are
-    the same bit for bit with or without a pool.
+    probes scores the probe_blocks of the generator probe_seed gives it.  A
+    step without dissipation has no inequality to certify and reports no
+    vi_residual.  Everything runs on the calling thread.
     """
     cfg = problem.config
     variant = problem.variant
@@ -772,8 +748,8 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     vi = None
     if cfg.vi_probes and variant.has_dissipation:
         rng = np.random.default_rng(probe_seed(cfg.seed, load.level))
-        args = (u_f, c, c_prev, gamma_prev, data, probe_blocks(problem, rng, cfg.vi_probes, pool), r_hat, -r_u)
-        vi = problem.vi_residual(*args) if pool is None else pool.submit(problem.vi_residual, *args)
+        vi = problem.vi_residual(u_f, c, c_prev, gamma_prev, data, probe_blocks(problem, rng, cfg.vi_probes),
+                                 r_hat, -r_u)
     report = StepReport(
         energy=energy,
         dissipation_increment=float(r_hat @ dc),

@@ -46,7 +46,7 @@ class CountingOperator:
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_its_test():
-    """Fail a test that leaves a thread running, such as a VI certificate pool's that was never joined."""
+    """Fail a test that leaves a thread running: the package starts none, so such a thread is a leak."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

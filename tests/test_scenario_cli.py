@@ -5,7 +5,6 @@ import sys
 import threading
 import time
 import warnings
-from concurrent.futures import CancelledError, Future
 
 import numpy as np
 import pytest
@@ -25,11 +24,8 @@ from curlplast.scenario import (
 )
 from curlplast.models import VARIANT_TAGS, SimState, eshelby_stress
 from curlplast.solver import (
-    CERT_WORKERS,
-    VI_PROBE_BLOCK,
     VI_PROBES_MAX,
     DiscreteProblem,
-    RunPool,
     extrapolate,
     probe_blocks,
     probe_seed,
@@ -322,7 +318,7 @@ class TestRunScenario:
         assert loud == quiet
 
     def test_bitwise_determinism(self, tmp_path):
-        # 25 probes fit in one block; 130 span three, scored on the run's certificate pool
+        # 25 probes fit in one block; 130 span three
         for probes in (25, 130):
             doc = base_doc()
             doc["solver"] = {"vi_probes": probes}
@@ -332,6 +328,28 @@ class TestRunScenario:
             a = (tmp_path / f"a{probes}" / "timeseries.csv").read_bytes()
             b = (tmp_path / f"b{probes}" / "timeseries.csv").read_bytes()
             assert a == b
+
+    def test_certified_cycle_with_vtk_is_byte_identical(self, tmp_path):
+        # the 2^3 homogeneous load-reverse cycle with 1000 probes and a VTK
+        # file every step: two runs write the same bytes to every file
+        a_y = 0.3 / (np.sqrt(2) * 80.0)
+        doc = base_doc(
+            variant="iso_irrot",
+            material={"mu": 80.0, "lambda": 110.0, "k2": 0.4, "Lc": 0.0, "sigma_y": 0.3},
+            boundary={"gamma_faces": list(FACES), "micro_hard_faces": [],
+                      "dirichlet": {"matrix": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]}},
+            load_program=[{"level": 1, "amplitude": 3.0 * a_y}, {"level": 2, "amplitude": -1.5 * a_y}],
+            solver={"tol_outer": 1e-13, "tol_cg": 1e-12, "tol_fista": 1e-12, "vi_probes": 1000, "seed": 0},
+            output={"csv": "timeseries.csv", "vtk_dir": "fields", "vtk_stride": 1},
+        )
+        s = parse_scenario(json.dumps(doc))
+        for run in ("a", "b"):
+            res = run_scenario(s, str(tmp_path / run))
+        assert all(r.vi_residual >= -1e-8 for r in res.reports)
+        files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*.*"))
+        assert [str(f) for f in files] == ["fields/fields_0001.vtk", "fields/fields_0002.vtk", "timeseries.csv"]
+        for f in files:
+            assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
 
     def test_shear_cycle_shows_bauschinger_signature(self, tmp_path):
         # homogeneous configuration compared against the pointwise update
@@ -389,18 +407,22 @@ class TestRunScenario:
         assert slopes[0] <= slopes[1] <= slopes[2]
 
 
-def pool_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("run-pool")]
-
-
 def program_doc(steps, probes, **overrides):
     """base_doc with a monotone program of `steps` steps and `probes` VI probes."""
     return base_doc(load_program=[{"level": k, "amplitude": 0.002 * k} for k in range(1, steps + 1)],
                     solver={"vi_probes": probes}, **overrides)
 
 
+def byte_probes(seed, probes, width):
+    """The probes of the generator seeded by seed: rows of int8 drawn from its
+    bytes, each padded to whole 64-bit outputs, and cut to width."""
+    pad = -(-width // 8) * 8
+    drawn = np.frombuffer(np.random.default_rng(seed).bytes(probes * pad), np.int8)
+    return drawn.reshape(probes, pad)[:, :width]
+
+
 class TestCertificatePool:
-    """A run certifies each step on a pool thread that draws and scores the step's own probes."""
+    """A run certifies each step on the calling thread, which draws and scores the step's own probes."""
 
     @pytest.mark.parametrize("variant, probes", [("kin_spin", 25), ("kin_spin", 130), ("micromorphic", 130)])
     def test_each_step_draws_its_own_probes(self, tmp_path, monkeypatch, variant, probes):
@@ -410,14 +432,14 @@ class TestCertificatePool:
         blocks_of, score = solver.probe_blocks, DiscreteProblem.vi_residual
         draws, step_of, calls, threads = [], {}, [], []
 
-        def recording_blocks(problem, rng, n, pool=None):
-            # made on the main thread in step order, drawn on the thread that scores them
+        def recording_blocks(problem, rng, n):
+            # made in step order, drawn on the thread that scores them
             drawn = []
             draws.append(drawn)
 
             def record():
-                for block in blocks_of(problem, rng, n, pool):
-                    drawn.append((threading.current_thread().name, block.copy()))
+                for block in blocks_of(problem, rng, n):
+                    drawn.append((threading.current_thread(), block.copy()))
                     yield block
 
             blocks = record()
@@ -433,71 +455,79 @@ class TestCertificatePool:
             return got
 
         def step(*args):
-            threads.append(pool_threads())
+            threads.append(threading.active_count())
             return time_step(*args)
 
         monkeypatch.setattr(solver, "probe_blocks", recording_blocks)
         monkeypatch.setattr(DiscreteProblem, "vi_residual", checked_score)
         monkeypatch.setattr(cli, "time_step", step)
+        before = threading.active_count()
         res = run_scenario(s, str(tmp_path))
         if variant == "micromorphic":
             # the program collapses to its final level, whose step has no
-            # inequality to certify: no pool thread, no draw, a 0.0 column
-            assert len(res.reports) == 1 and threads == [[]]
+            # inequality to certify: no draw, a 0.0 column
+            assert len(res.reports) == 1 and threads == [before]
             assert calls == [] and draws == [] and res.reports[0].vi_residual is None
             last = (tmp_path / "timeseries.csv").read_text().splitlines()[-1]
             assert float(last.split(",")[-1]) == 0.0
             return
         assert len(calls) == len(draws) == len(levels) == len(res.reports)
-        calls.sort()
         assert [k for k, *_ in calls] == list(range(len(levels)))
         assert [got for _, got, _, _ in calls] == [want for _, _, want, _ in calls]
         assert [r.vi_residual for r in res.reports] == [got for _, got, _, _ in calls]
-        # the draws themselves, each made on a pool thread
+        assert threads == [before] * len(levels)
+        # the draws themselves, each made on the calling thread
         width = calls[0][3]
         for drawn, level in zip(draws, levels):
-            assert all(name.startswith("run-pool") for name, _ in drawn)
+            assert {thread for thread, _ in drawn} == {threading.current_thread()}
             blocks = np.vstack([block for _, block in drawn])
-            assert np.array_equal(blocks, np.random.default_rng(probe_seed(5, level)).standard_normal((probes, width)))
+            assert np.array_equal(blocks, byte_probes(probe_seed(5, level), probes, width))
 
     @pytest.mark.parametrize("variant, probes", [("kin_spin", 5000), ("kin_spin", 0), ("micromorphic", 0)],
                              ids=["certified", "uncertified", "micromorphic"])
     def test_csv_matches_inline_scoring_under_fast_switching(self, tmp_path, monkeypatch, variant, probes):
-        # a thread switch every microsecond, and certificates that take longer
-        # than a solve, so that two run at once: a block drawn over while it
-        # is scored, or a certificate read before it is in, would change a
-        # byte; the uncertified runs make every product inline either way
+        # a thread switch every microsecond changes no byte of a run's files:
+        # they are those of a run whose steps are library calls
         doc = program_doc(6, probes, variant=variant, output={"csv": "timeseries.csv", "vtk_dir": "fields"})
         s = parse_scenario(json.dumps(doc))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            run_scenario(s, str(tmp_path / "pool"))
+            run_scenario(s, str(tmp_path / "run"))
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(cli, "time_step", lambda problem, state, load, guess, *_: time_step(
+        monkeypatch.setattr(cli, "time_step", lambda problem, state, load, guess: time_step(
             problem, state, load, guess))
         run_scenario(s, str(tmp_path / "inline"))
         files = sorted(p.relative_to(tmp_path / "inline") for p in (tmp_path / "inline").rglob("*.*"))
         assert len(files) == 1 + (1 if variant == "micromorphic" else 6)
         for f in files:
-            assert (tmp_path / "pool" / f).read_bytes() == (tmp_path / "inline" / f).read_bytes()
+            assert (tmp_path / "run" / f).read_bytes() == (tmp_path / "inline" / f).read_bytes()
 
-    def test_at_most_cert_workers_pending_and_joined(self, tmp_path, monkeypatch):
-        returned, unresolved, threads = [], [], []
+    def test_a_certified_run_starts_no_thread(self, tmp_path, monkeypatch):
+        # each certificate is scored on the calling thread, inside its step
+        seen, scored = [], []
+        score = DiscreteProblem.vi_residual
 
         def step(*args):
-            state, report = time_step(*args)
-            returned.append(report)
-            unresolved.append(sum(isinstance(r.vi_residual, Future) for r in returned))
-            threads.append(len(pool_threads()))
-            return state, report
+            seen.append(threading.active_count())
+            try:
+                return time_step(*args)
+            finally:
+                seen.append(threading.active_count())
+
+        def recording_score(*args):
+            scored.append((threading.current_thread(), threading.active_count()))
+            return score(*args)
 
         monkeypatch.setattr(cli, "time_step", step)
-        res = run_scenario(parse_scenario(json.dumps(program_doc(6, 1000))), str(tmp_path))
-        assert max(unresolved) == CERT_WORKERS and max(threads) <= CERT_WORKERS
-        assert all(isinstance(r.vi_residual, float) for r in res.reports)
-        assert pool_threads() == []
+        monkeypatch.setattr(DiscreteProblem, "vi_residual", recording_score)
+        before = threading.active_count()
+        res = run_scenario(parse_scenario(json.dumps(program_doc(6, 130))), str(tmp_path))
+        assert len(res.reports) == 6 and all(isinstance(r.vi_residual, float) for r in res.reports)
+        assert seen == [before] * 12
+        assert scored == [(threading.current_thread(), before)] * 6
+        assert threading.active_count() == before
 
     def test_no_probes_start_no_certificate_thread(self, tmp_path, monkeypatch):
         # such a run scores no certificate and makes every product on the
@@ -518,74 +548,30 @@ class TestCertificatePool:
         assert scored == [] and [r.vi_residual for r in res.reports] == [None] * 3
         assert seen == [before] * 6 and threading.active_count() == before
 
-    def test_non_convergence_mid_run_joins_the_pool(self, tmp_path, capsys):
-        # step 3 fails while the certificates of steps 1 and 2 may still run;
-        # both steps are written before the run ends
+    def test_non_convergence_mid_run_writes_the_steps_before(self, tmp_path, capsys):
+        # step 3 fails after the certified steps 1 and 2 are written
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(base_doc(solver={"vi_probes": 1000, "max_fista": 3})))
-        codes = []
-        runner = threading.Thread(target=lambda: codes.append(main(["--quiet", "--out", str(tmp_path), "run",
-                                                                    str(cfg)])))
-        runner.start()
-        runner.join(60.0)
-        assert not runner.is_alive() and codes == [3]
+        assert main(["--quiet", "--out", str(tmp_path), "run", str(cfg)]) == 3
         assert capsys.readouterr().err.startswith("error: step 3: ")
-        assert pool_threads() == []
         assert (tmp_path / "timeseries.csv").read_text().count("\n") == 1 + 2
 
-    def test_failing_draw_stops_the_next_certificate(self, tmp_path, monkeypatch):
-        # step 2's draw fails once step 3's certificate runs; step 3's draws
-        # would not end by themselves, and the pool stops them at a block
-        blocks_of, made, step3_runs, step3_end = solver.probe_blocks, [], threading.Event(), []
+    def test_draw_error_fails_the_step_after_earlier_rows_are_written(self, tmp_path, monkeypatch):
+        # step 2's draw raises: step 1's row is written, and the error is the run's
+        blocks_of, made = solver.probe_blocks, []
 
-        def blocks(problem, rng, probes, pool=None):
+        def blocks(problem, rng, probes):
             made.append(rng)
-            step = len(made)
-
-            def draw():
-                if step == 2:
-                    assert step3_runs.wait(60.0)
-                    raise RuntimeError("draw failed")
-                if step == 1:
-                    yield from blocks_of(problem, rng, probes, pool)
-                    return
-                try:
-                    for n in range(10 ** 5):
-                        step3_runs.set()
-                        yield from blocks_of(problem, rng, VI_PROBE_BLOCK, pool)
-                except CancelledError:
-                    step3_end.append(n)
-                    raise
-
-            return draw()
+            if len(made) == 2:
+                raise RuntimeError("draw failed")
+            return blocks_of(problem, rng, probes)
 
         monkeypatch.setattr(solver, "probe_blocks", blocks)
         with pytest.raises(RuntimeError, match="draw failed"):
             run_scenario(parse_scenario(json.dumps(base_doc(solver={"vi_probes": 130}))), str(tmp_path))
-        assert pool_threads() == []
-        assert len(step3_end) == 1 and step3_end[0] < 10 ** 5
-        assert (tmp_path / "timeseries.csv").read_text().count("\n") == 1 + 1
-
-    def test_exit_cancels_waiting_and_stops_running_ones(self):
-        s = parse_scenario(json.dumps(base_doc()))
-        prob = DiscreteProblem(s.grid, s.boundary, s.variant, s.dirichlet_array(), s.solver)
-        started = threading.Semaphore(0)
-
-        def certificate(seed):
-            for n, _ in enumerate(probe_blocks(prob, np.random.default_rng(seed), VI_PROBES_MAX, pool), 1):
-                if n == 1:
-                    started.release()
-            return n
-
-        with pytest.raises(RuntimeError, match="step failed"):
-            with RunPool() as pool:
-                futures = [pool.submit(certificate, seed) for seed in range(CERT_WORKERS + 1)]
-                for _ in range(CERT_WORKERS):
-                    assert started.acquire(timeout=60.0)
-                raise RuntimeError("step failed")
-        assert futures[-1].cancelled()
-        assert all(isinstance(f.exception(), CancelledError) for f in futures[:-1])
-        assert pool_threads() == []
+        assert len(made) == 2
+        lines = (tmp_path / "timeseries.csv").read_text().splitlines()
+        assert len(lines) == 1 + 1 and lines[1].startswith("1,")
 
 
 class TestProductWorker:
@@ -640,7 +626,7 @@ class TestProductWorker:
             for a, b in zip((got_state.u, got_state.p, got_state.gamma), (state.u, state.p, state.gamma)):
                 assert np.array_equal(a.values, b.values)
         # and the rows and VTK files of a run whose steps are library calls
-        monkeypatch.setattr(cli, "time_step", lambda problem, state, load, guess, *_: time_step(
+        monkeypatch.setattr(cli, "time_step", lambda problem, state, load, guess: time_step(
             problem, state, load, guess))
         run_scenario(s, str(tmp_path / "inline"))
         files = sorted(p.relative_to(tmp_path / "inline") for p in (tmp_path / "inline").rglob("*.*"))
@@ -649,7 +635,7 @@ class TestProductWorker:
             assert (tmp_path / "run" / f).read_bytes() == (tmp_path / "inline" / f).read_bytes()
 
     def test_a_run_with_probes_starts_no_product_thread(self, tmp_path, monkeypatch):
-        # its pool threads score certificates, which make no A_hat product
+        # its certificates are scored on the calling thread and make no A_hat product
         made = self.record_products(monkeypatch)
         res = run_scenario(parse_scenario(json.dumps(base_doc(solver={"vi_probes": 130}))), str(tmp_path))
         assert all(isinstance(r.vi_residual, float) for r in res.reports) and len(res.reports) == 3
@@ -865,8 +851,7 @@ class TestCliEntry:
 
     @pytest.mark.parametrize("where", ["__init__", "vi_residual"], ids=["setup", "certificate"])
     def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch, where):
-        # a failed allocation in the operator setup, or on a certificate
-        # thread, whose error the run reads with the certificate
+        # a failed allocation in the operator setup, or in a certificate
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 3.20 GiB for an array")
 
@@ -875,7 +860,6 @@ class TestCliEntry:
         assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == 2
         err = capsys.readouterr().err
         assert err == "error: out of memory: Unable to allocate 3.20 GiB for an array\n"
-        assert pool_threads() == []
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

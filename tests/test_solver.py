@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from conftest import CountingOperator, traced_peak
 
+from curlplast import solver
 from curlplast.grid import (
     FACES,
     BoundaryConfig,
@@ -25,7 +26,6 @@ from curlplast.solver import (
     InfeasibleBC,
     LoadStep,
     NoConvergence,
-    RunPool,
     SolverConfig,
     accelerated_prox_gradient,
     extrapolate,
@@ -891,10 +891,11 @@ def vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng, r_hat=
     size = max(weighted_norm(dc, prob.w_seg), 1e-8)
     nf = int(prob.free.sum())
     m = prob.basis.size
+    pad = -(-(nf + m) // 8) * 8  # whole 64-bit generator outputs per row
     directions = [(np.zeros(nf), -dc), (np.zeros(nf), dc.copy())]
     for _ in range(probes):
-        dv = rng.standard_normal(nf)
-        dq = rng.standard_normal(m)
+        row = np.frombuffer(rng.bytes(pad), np.int8)[:nf + m].astype(float)
+        dv, dq = row[:nf], row[nf:]
         nrm = np.sqrt(dv @ dv + dq @ dq)
         if nrm > 0:
             dv *= size / nrm
@@ -910,9 +911,9 @@ def vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng, r_hat=
     return float(worst)
 
 
-def vi_case(name):
-    """(problem, U, c, c_prev, gamma_prev, F) after a solved step on a 3^3 grid."""
-    grid = Grid.unit_cube(3)
+def vi_case(name, cells=3):
+    """(problem, U, c, c_prev, gamma_prev, F) after a solved step on a cells^3 grid."""
+    grid = Grid.unit_cube(cells)
     a = 3 * PARAMS.sigma_y / (np.sqrt(2) * PARAMS.mu)
     if name == "micromorphic":
         prob = DiscreteProblem(grid, BoundaryConfig(("zmin",)), ModelVariant("micromorphic", PARAMS),
@@ -954,6 +955,28 @@ class TestVIResidual:
         assert abs(got - want) <= 1e-14
         # the same number of draws: the next probe set starts at the same place
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_probes_do_not_depend_on_the_block_size(self, monkeypatch):
+        # on 2^3 a probe has 3 + 135 entries: a row of whole 32-bit words
+        # would need no padding to give the same draws in any block size
+        prob, U, c, c_prev, gamma_prev, F = vi_case("iso_irrot", cells=2)
+        assert (prob.K_ff.shape[0] + prob.basis.size) % 4
+        load = prob.step_load(U, F)
+        seen = []
+        for size in (1, 7, 64):
+            monkeypatch.setattr(solver, "VI_PROBE_BLOCK", size)
+            rng = np.random.default_rng(23)
+            drawn = np.vstack([block.copy() for block in probe_blocks(prob, rng, 130)])
+            score = prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, load,
+                                     probe_blocks(prob, np.random.default_rng(23), 130))
+            seen.append((drawn, score, rng.bit_generator.state))
+        # the draws are the same bit for bit; BLAS scores a block of one row
+        # with another kernel than a block of many, which moves D @ r by
+        # roundoff, so the score agrees to the bound of the per-probe reference
+        for drawn, score, state in seen[:2]:
+            assert np.array_equal(drawn, seen[2][0])
+            assert abs(score - seen[2][1]) <= 1e-14
+            assert state == seen[2][2]
 
     def test_handed_over_residuals_score_as_its_own(self, solved_step):
         # time_step hands the certificate r_hat and its last pass's residual
@@ -1022,8 +1045,7 @@ class TestMicromorphic:
 
 class TestProductWorker:
     """Every A_hat product of a step is made on the thread that calls
-    time_step, with or without a RunPool, and a step without a certificate
-    starts no thread; its values are those of a step without a pool."""
+    time_step, and a step starts no thread."""
 
     def test_failing_product_raises_in_the_step(self):
         # the A_hat product of the first gradient fails on the calling thread
@@ -1040,15 +1062,14 @@ class TestProductWorker:
         prob.A_hat = Failing()
         before = threading.active_count()
         with pytest.raises(MemoryError, match="3.20 GiB"):
-            with RunPool() as pool:
-                time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.05), pool=pool)
+            time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.05))
         assert made == [(threading.current_thread(), before)]
         assert threading.active_count() == before
 
-    def test_step_that_fails_mid_gradient_leaves_the_pool_usable(self):
-        # the inner CG of the first gradient fails; the next step on the same
-        # pool makes one A_hat product per FISTA gradient and one per pass,
-        # each on the calling thread, and equals a step without a pool
+    def test_step_after_a_failed_one_makes_each_product_here(self):
+        # the inner CG of the first gradient fails; the next step makes one
+        # A_hat product per FISTA gradient and one per pass, each on the
+        # calling thread, and equals a repeat of itself
         grid = Grid.unit_cube(2)
         bc = BoundaryConfig(("zmin", "zmax"))
         failing = DiscreteProblem(grid, bc, KIN, SHEAR01, SolverConfig(tol_cg=1e-16, max_cg=2))
@@ -1057,12 +1078,11 @@ class TestProductWorker:
         prob.A_hat = CountingOperator(prob.A_hat)
         load = LoadStep(1.0, 0.05)
         before = threading.active_count()
-        with RunPool() as pool:
-            with pytest.raises(NoConvergence) as info:
-                time_step(failing, SimState.zeros(grid), load, pool=pool)
-            assert info.value.what == "conjugate gradients"
-            state, report = time_step(prob, SimState.zeros(grid), load, pool=pool)
-            assert threading.active_count() == before
+        with pytest.raises(NoConvergence) as info:
+            time_step(failing, SimState.zeros(grid), load)
+        assert info.value.what == "conjugate gradients"
+        state, report = time_step(prob, SimState.zeros(grid), load)
+        assert threading.active_count() == before
         assert prob.A_hat.count == report.fista_iterations + report.outer_iterations
         assert set(prob.A_hat.threads) == {threading.current_thread().name}
         want_state, want = time_step(prob, SimState.zeros(grid), load)
