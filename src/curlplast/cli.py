@@ -21,7 +21,7 @@ from .models import SimState, sigma_nodal, eshelby_stress
 from .oracles import selftest
 from .scenario import Scenario, ValidationError, parse_scenario
 from .solver import DiscreteProblem, NoConvergence, extrapolate, time_step
-from .tensors import dev
+from .tensors import dev, sym
 from .vtk_io import write_structured_points
 
 
@@ -53,7 +53,7 @@ class RunResult:
     rows: list
     states: list
     reports: list
-    sigma12_max: list  # per step, feeds the apparent hardening slope
+    driven_stress_max: list  # per step, max |sigma_ij| of the component that sym(D) drives most
 
 
 def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False) -> RunResult:
@@ -73,7 +73,10 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
         program = (program[-1],)
     state = SimState.zeros(scenario.grid)
     recent = [state]  # the newest states, for the starting guess
-    rows, states, reports, sig12 = [], [], [], []
+    rows, states, reports, driven = [], [], [], []
+    # the stress component that the load drives most, (0, 1) when there is no load
+    loaded = np.abs(sym(scenario.dirichlet_array()))
+    i, j = np.unravel_index(np.argmax(loaded), loaded.shape) if loaded.any() else (0, 1)
     # the CSV is opened before the first step, so that a path that cannot be
     # written fails the run before any solve
     csv_path = os.path.join(out_dir, scenario.output.csv)
@@ -94,7 +97,7 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
             sig_e = eshelby_stress(scenario.grid, scenario.variant, state.u, state.p)
             dev_norm = np.linalg.norm(dev(sig_e), axis=(1, 2))
             sig = sigma_nodal(scenario.grid, scenario.variant.params, state.u, state.p)
-            sig12.append(float(np.max(np.abs(sig[:, 0, 1]))))
+            driven.append(float(np.max(np.abs(sig[:, i, j]))))
             row = TimeSeriesRow(
                 step=k + 1,
                 level=load.level,
@@ -129,7 +132,7 @@ def run_scenario(scenario: Scenario, out_dir=".", quiet=True, keep_states=False)
                 )
     if not states:
         states = [state]
-    return RunResult(scenario, rows, states, reports, sig12)
+    return RunResult(scenario, rows, states, reports, driven)
 
 
 SWEEP_PARAMS = ("Lc", "k1", "k2", "grid")
@@ -168,15 +171,16 @@ def apply_sweep_value(scenario: Scenario, parameter: str, value) -> Scenario:
         raise ValidationError(f"{parameter}={value}: {e}") from e
 
 
-def hardening_slope(rows, sigma12):
-    """Finite-difference slope of max |sigma_12| vs load level over the last
-    two plastically active steps; nan when fewer than two exist."""
+def hardening_slope(rows, driven_stress):
+    """Finite-difference slope of the driven stress component's max |sigma_ij|
+    (RunResult.driven_stress_max) vs load level over the last two
+    plastically active steps; nan when fewer than two exist."""
     idx = [i for i, r in enumerate(rows) if r.active_fraction > 0.0]
     if len(idx) < 2:
         return float("nan")
     i, j = idx[-2], idx[-1]
     dl = rows[j].level - rows[i].level
-    return (sigma12[j] - sigma12[i]) / dl if dl else float("nan")
+    return (driven_stress[j] - driven_stress[i]) / dl if dl else float("nan")
 
 
 def _reason(error):
@@ -216,7 +220,7 @@ def sweep(scenario: Scenario, parameter: str, values, out_dir=".", quiet=True):
                     "defect_energy": last.defect_energy,
                     "hardening_energy": last.hardening_energy,
                     "cumulative_dissipation": last.cumulative_dissipation,
-                    "hardening_slope": hardening_slope(res.rows, res.sigma12_max),
+                    "hardening_slope": hardening_slope(res.rows, res.driven_stress_max),
                     "outer_iterations": sum(r.outer_iterations for r in res.reports),
                     "cg_iterations": sum(r.cg_iterations for r in res.reports),
                     "fista_iterations": sum(r.fista_iterations for r in res.reports),

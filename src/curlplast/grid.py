@@ -13,8 +13,11 @@ assembly without storing its roundoff in analytically zero entries.  A term
 list is applied to full nodal components one 1D factor at a time, or
 assembled on demand into a sparse matrix between two nodal spaces: full
 nodal components, those of a subset of the nodes, or the reduced
-coordinates below.  The Gauss-point assembly, and the assembly through
-COO triples, are kept only as test references (tests/gauss_reference.py).
+coordinates below.  The forms are translation-invariant, so the assembly
+reduces the blocks of each class of nodes (one node type, and the same
+types of neighbours) once, into a stencil template that every node of
+the class writes.  The Gauss-point assembly, and the assembly through COO
+triples, are kept only as test references (tests/gauss_reference.py).
 
 Pointwise constraints on the plastic field (trace-free, symmetric, rows
 parallel to the outward normal on micro-hard faces) are realized through a
@@ -34,6 +37,7 @@ from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensors import PROJ_SYM, MaterialParams, elasticity_matrix
 
@@ -47,8 +51,8 @@ def face_axis_side(face):
     return idx // 2, idx % 2
 
 
-# Most bytes setup_bytes may estimate for a grid: fourteen times the whole
-# setup peak of a 24^3 run (306 MB), whose estimate is 1.7 MB, and half the
+# Most bytes setup_bytes may estimate for a grid: seventeen times the whole
+# setup peak of a 24^3 run (243 MB), whose estimate is 1.7 MB, and half the
 # memory of a small host
 SETUP_BYTES_MAX = 2 ** 32
 
@@ -252,10 +256,12 @@ ROUNDOFF = 64.0 * np.finfo(float).eps
 
 _MASS = ("M", "M", "M")
 
-# Node pairs that Blocks.assemble reduces at once: enough that numpy, not the
-# interpreter, does the work on small grids, and few enough that the
-# temporaries of a chunk stay small beside the assembled matrix on large ones
-ASSEMBLY_CHUNK = 2048
+# CSR entries that Blocks.assemble writes at once, as whole nodes' class
+# templates: enough that numpy, not the interpreter, does the work, and few
+# enough that the index temporaries of a chunk stay small beside the
+# assembled matrix (at 10^3, 2^16 let a run operator peak at 1.98 times its
+# arrays, 2^13 at 1.36 times)
+ASSEMBLY_CHUNK = 2 ** 13
 
 
 def _pair_names(a, b):
@@ -468,39 +474,6 @@ def _nodal_space(space, node_count):
     return k * int(kept[-1]), k * (kept - nodes), (~nodes).astype(np.intp), [np.eye(k), np.empty((0, k))]
 
 
-class _Pattern:
-    """A type pair's reduced kernels on the entries (a, b) of its blocks that they reach.
-
-    R_full and R_abs_full are the reduced kernels and their magnitudes,
-    (terms, entries of a block); R and R_abs are their columns `flat` of the
-    reached entries, in row-major order, and `order` lists those entries in
-    column-major order: that of the transposed block.  rows and cols are the
-    distinct a and b, and counting sums a block's kept entries by row, then
-    by column.  When the reached set is closed under transposition,
-    transposed maps each entry to the one at (b, a).
-    """
-
-    def __init__(self, R_full, R_abs_full, reached):
-        if np.count_nonzero(reached) == 1:  # a one-column product would round as a vector product
-            diagonal = 1 if reached[0, 0] else 0
-            reached[diagonal, diagonal] = True
-        a, b = np.nonzero(reached)
-        index = np.full(reached.shape, -1)
-        index[a, b] = np.arange(a.size)
-        self.order = index.T[reached.T]
-        self.R_full, self.R_abs_full = R_full, R_abs_full
-        self.flat = a * reached.shape[1] + b
-        self.R, self.R_abs = (np.ascontiguousarray(M[:, self.flat]) for M in (R_full, R_abs_full))
-        self.b, self.a_mirrored = b.astype(np.int32), a[self.order].astype(np.int32)
-        has_row, has_col = reached.any(axis=1), reached.any(axis=0)
-        self.rows, self.cols = np.flatnonzero(has_row), np.flatnonzero(has_col)
-        self.counting = np.zeros((a.size, self.rows.size + self.cols.size))
-        entry = np.arange(a.size)
-        self.counting[entry, (np.cumsum(has_row) - 1)[a]] = 1.0
-        self.counting[entry, self.rows.size + (np.cumsum(has_col) - 1)[b]] = 1.0
-        self.transposed = index.T[a, b] if reached.shape[0] == reached.shape[1] else None
-
-
 class Blocks:
     """The quadratic forms of one grid and elastic moduli, as Kronecker term lists.
 
@@ -521,7 +494,9 @@ class Blocks:
     shares their 1D-factor products.  assemble() is the one assembler: it
     turns any term list into CSR between two nodal spaces, the identity on
     all nodes or on some of them, or a PBasis's per-node bases, so callers
-    get free and reduced operators without forming a full-space block.
+    get free and reduced operators without forming a full-space block.  It
+    reduces the blocks of each class of alike nodes once, as a stencil
+    template, and writes every node's rows from its class's template.
     Blocks keeps no assembled form.  Every form equals the 2x2x2 Gauss-point
     assembly, and analytically zero entries are never stored.  The defect
     form K_curl_cc composes the discrete row-wise curl with itself.
@@ -599,30 +574,38 @@ class Blocks:
 
         rows and cols are nodal spaces (see _nodal_space); the block of node
         pair (I, J) is sum_t pairing_t[I, J] V_I kernel_t V_J'.  The pairing
-        of a pair is a product of three 1D-factor entries, one per axis.  The
-        pairs of each (row type, column type) are reduced ASSEMBLY_CHUNK at a
-        time, by one dense product of their pairings with the kernels reduced
-        once per type pair, on the entries some reduced kernel reaches.
-        numpy's matrix product gives an entry the same bits whatever its
-        number of rows and columns, as long as each is at least two; a
-        one-row product is a vector product, which rounds differently.  So a
-        pair alone in its type pair at its offset is reduced alone, against
-        every entry of its block, and each entry has the bits of one product
-        per offset and type pair.  An entry within ROUNDOFF * sum_t
-        |pairing_t| |V_I| |kernel_t| |V_J|' of zero is analytically zero and
-        is not stored; a non-finite entry raises ValueError.  cols=None
-        assembles a symmetric form on rows: only node pairs with J >= I are
-        computed, the lower half mirrors them and the diagonal blocks are
+        of a pair is a product of three 1D-factor entries, one per axis, and
+        on the uniform grid an entry depends only on the offset and on
+        whether the node is at either end of its axis.  So the nodes with
+        coordinates fall into classes: those of one row type whose 27
+        neighbours, at the offsets of _stencil, have the same column types,
+        a missing neighbour counting as a type of its own.  The nodes of a
+        class have the same blocks, and each class's blocks are reduced
+        once, from its first node: by one dense product per (row type,
+        column type) of the pairings with the kernels reduced once per type
+        pair, against every entry of a block, as on the COO route of
+        tests/gauss_reference.py.  numpy's matrix product gives an entry the
+        same bits whatever its number of rows, as long as it is at least
+        two; a one-row product is a vector product, which rounds
+        differently.  So every product has one spare row, and a pair alone
+        in its type pair at its offset in the whole grid is reduced alone,
+        as a vector product: each entry has the bits of one product per
+        offset and type pair over all node pairs.  An entry within
+        ROUNDOFF * sum_t |pairing_t| |V_I| |kernel_t| |V_J|' of zero is
+        analytically zero and is not stored; a non-finite entry raises
+        ValueError.  cols=None assembles a symmetric form on rows: a block
+        at an offset with J < I is reduced as the (J, I) pair at the
+        opposite offset and transposed, and the diagonal blocks are
         symmetrized, so the result is exactly symmetric.
 
-        The kept entries are written straight into the CSR arrays.  Each
-        chunk counts its kept entries per stencil offset J - I and row.  A
-        row's entries run through the 27 offsets in ascending order of their
-        column node, and within a block in column order, a mirrored block
-        being the transpose of its J > I block placed at the opposite offset.
-        So the prefix sums of the counts give every kept entry its place, and
-        each row's columns are written in sorted order, with no conversion
-        and no sort.  Indices are int32.
+        A class's kept entries, in the order (row, offset, column), are its
+        template.  A row's offsets run in ascending order of their column
+        node, so the template's rows are sorted, and a node's rows are
+        contiguous, so the templates' row lengths give indptr and each node
+        writes its class's template at the start of its first row, its
+        columns shifted to its neighbours' first coordinates,
+        ASSEMBLY_CHUNK entries at a time.  There is no conversion and no
+        sort.  Indices are int32.
         """
         grid = self.grid
         symmetric = cols is None
@@ -630,122 +613,93 @@ class Blocks:
         n_cols, c_first, c_type, c_bases = (n_rows, r_first, r_type, r_bases) if symmetric \
             else _nodal_space(cols, grid.node_count)
         kernels = np.array([kernel for _, kernel in terms], dtype=float)
-        reduced = {}  # (row type, column type) -> _Pattern
-        for tr, Vr in enumerate(r_bases):
-            for tc, Vc in enumerate(c_bases):
-                if len(Vr) and len(Vc):
-                    # a non-finite or overflowing kernel gives non-finite entries, rejected below
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        R = Vr @ kernels @ Vc.T
-                        R_abs = np.abs(Vr) @ np.abs(kernels) @ np.abs(Vc).T
-                    reached = np.any(R_abs, axis=0)  # a NaN reaches its entry, which is rejected below
-                    if symmetric and tr == tc:  # closed under transposition, for the symmetrization
-                        reached |= reached.T
-                    if reached.any():
-                        reduced[tr, tc] = _Pattern(R.reshape(len(terms), -1), R_abs.reshape(len(terms), -1), reached)
-        offsets, shifts, inside, ijk = self._stencil
-        inside = inside & np.array([len(V) > 0 for V in r_bases])[r_type, None]  # and I has a coordinate
-        axis_names = [{names[axis] for names, _ in terms} for axis in range(3)]
-        # kept entries per offset and row: at most 9 each, a kernel's most
-        # columns, so at most 243 a row
-        counts = np.zeros((len(offsets), n_rows), dtype=np.uint8)
-        chunks = []  # per chunk: (offsets, first row and column of each pair, pattern, kept, kept entries
-        #              per row and per mirrored row, kept values, and those of the mirrored blocks or None)
-
-        def compute(same, mirrored, batch):
-            """Reduce and count the kept entries of the pairs at the offsets of batch: J = I
-            pairs to symmetrize when same, and J > I pairs to mirror when mirrored."""
-            nodes, offs = np.nonzero(inside & batch)  # row node major
-            group = r_type[nodes] * len(c_bases) + c_type[nodes + shifts[offs]]
-            # alone[p]: pair p is the only one of its type pair at its offset
-            label = offs * (len(r_bases) * len(c_bases)) + group
-            alone = np.bincount(label)[label] == 1
-            offs = offs.astype(np.uint8)
-            for g in np.unique(group):
-                pattern = reduced.get(divmod(int(g), len(c_bases)))
-                if pattern is None:
-                    continue
-                pairs = np.flatnonzero(group == g)
-                for chunk in np.array_split(pairs, -(-pairs.size // ASSEMBLY_CHUNK)):
-                    I, o = nodes[chunk], offs[chunk]
-                    first_row, first_col = r_first[I], c_first[I + shifts[o]]
-                    # entry (i, i + d) of an axis's 1D factors, at the flat index i (n + 2) + d
-                    at = [ijk[I, axis] * (n + 2) + offsets[o, axis] for axis, n in enumerate(grid.n)]
-                    entries = [{name: f[name].take(flat) for name in names}
-                               for f, names, flat in zip(self._1d, axis_names, at)]
-                    S = np.empty((I.size, len(terms)))
-                    for t, (term_names, _) in enumerate(terms):
-                        fx, fy, fz = (entry[name] for entry, name in zip(entries, term_names))
-                        np.multiply(fz * fy, fx, out=S[:, t])
-                    vals = S @ pattern.R
-                    bound = np.abs(S) @ pattern.R_abs
-                    for i in np.flatnonzero(alone[chunk]):  # reduced alone, as a vector product
-                        vals[i] = (S[i:i + 1] @ pattern.R_full)[0, pattern.flat]
-                        bound[i] = (np.abs(S[i:i + 1]) @ pattern.R_abs_full)[0, pattern.flat]
-                    bound *= ROUNDOFF
-                    # NaN would pass the roundoff test below, and an infinite bound would drop every entry
-                    if not (np.all(np.isfinite(S)) and np.all(np.isfinite(vals)) and np.all(np.isfinite(bound))):
-                        raise ValueError("an assembled form has a non-finite entry: the material or grid overflows")
-                    if same:  # the J = I pairs
-                        vals = 0.5 * (vals + vals[:, pattern.transposed])
-                        bound = 0.5 * (bound + bound[:, pattern.transposed])
-                    kept = np.abs(vals) > bound
-                    per_row = (kept @ pattern.counting).astype(np.uint8)
-                    nr = pattern.rows.size
-                    counts[o[:, None], first_row[:, None] + pattern.rows] = per_row[:, :nr]
-                    if mirrored:  # the J < I pairs, at the opposite offsets
-                        counts[len(offsets) - 1 - o[:, None], first_col[:, None] + pattern.cols] = per_row[:, nr:]
-                    mirror = vals[:, pattern.order].take(np.flatnonzero(kept[:, pattern.order])) if mirrored else None
-                    chunks.append((o, first_row, first_col, pattern, kept, per_row,
-                                   vals.take(np.flatnonzero(kept)), mirror))
-
-        # an overflowing pairing or product gives non-finite entries, rejected above
+        offsets, shifts, ijk = self._stencil
+        missing = len(c_bases)  # the column type of a missing neighbour
+        r_dims = np.array([len(V) for V in r_bases])
+        nodes = np.flatnonzero(r_dims[r_type])  # those with rows
+        # each node's type and the column types of its neighbours, the 3x3x3
+        # window around it taken in the order of the offsets
+        padded = np.pad(c_type.astype(np.int8).reshape(grid.node_shape[::-1]), 1, constant_values=missing)
+        signature = np.empty((nodes.size, 1 + len(offsets)), dtype=np.int8)
+        signature[:, 0] = r_type[nodes]
+        signature[:, 1:] = sliding_window_view(padded, (3, 3, 3)).reshape(-1, len(offsets))[nodes]
+        _, first, node_class, size = np.unique(signature.view(np.dtype((np.void, signature.shape[1]))).ravel(),
+                                               return_index=True, return_inverse=True, return_counts=True)
+        signature = signature[first]
+        # node pairs per offset and type pair over the grid
+        pairs = np.zeros((len(offsets), len(r_bases), missing + 1), dtype=np.intp)
+        np.add.at(pairs, (np.arange(len(offsets)), signature[:, :1], signature[:, 1:]), size[:, None])
+        # the pair (I, J) reduced for each class and offset o, I the class's
+        # first node, or for a symmetric form's J < I, the pair (J, I) at off
+        cls, o = np.nonzero(signature[:, 1:] != missing)
+        flip = symmetric & (shifts[o] < 0)
+        I = nodes[first[cls]] + np.where(flip, shifts[o], 0)
+        off = np.where(flip, len(offsets) - 1 - o, o)
+        group = r_type[I] * missing + c_type[I + shifts[off]]
+        # entry (i, i + d) of an axis's 1D factors, at the flat index i (n + 2) + d
+        at = [ijk[I, axis] * (n + 2) + offsets[off, axis] for axis, n in enumerate(grid.n)]
+        m = max(len(V) for V in r_bases + c_bases)  # the most coordinates of a node
+        # each class's kept entries by (row, offset, column); the others are 0
+        templates = np.zeros((len(signature), m, len(offsets), m))
+        # an overflowing pairing or product, or a non-finite kernel, gives non-finite entries, rejected below
         with np.errstate(over="ignore", invalid="ignore"):
-            if symmetric:
-                compute(True, False, shifts == 0)
-                compute(False, True, shifts > 0)
-            else:
-                compute(False, False, np.ones(len(offsets), dtype=bool))
-        # row_ends[o, i]: the entries of row i up to offset o
-        row_ends = np.cumsum(counts, axis=0, dtype=np.uint8)
-        del counts
+            S = np.zeros((I.size + 1, len(terms)))  # the last row is the spare one
+            for t, (names, _) in enumerate(terms):
+                fx, fy, fz = (f[name].take(flat) for f, name, flat in zip(self._1d, names, at))
+                np.multiply(fz * fy, fx, out=S[:-1, t])
+            for g in np.unique(group):
+                tr, tc = divmod(g, missing)
+                Vr, Vc = r_bases[tr], c_bases[tc]
+                R = (Vr @ kernels @ Vc.T).reshape(len(terms), -1)
+                R_abs = (np.abs(Vr) @ np.abs(kernels) @ np.abs(Vc).T).reshape(len(terms), -1)
+                if not R_abs.any():  # an empty basis, or kernels that reach no entry (NaN reaches)
+                    continue
+                p = np.flatnonzero(group == g)
+                v, bound = ((A[np.append(p, -1)] @ B)[:-1] for A, B in ((S, R), (np.abs(S), R_abs)))
+                for i in np.flatnonzero(pairs[off[p], tr, tc] == 1):
+                    v[i], bound[i] = S[p[i]:p[i] + 1] @ R, np.abs(S[p[i]:p[i] + 1]) @ R_abs
+                bound *= ROUNDOFF
+                # NaN would pass the roundoff test below, and an infinite bound would drop every
+                # entry; a non-finite pairing makes its values non-finite
+                if not (np.all(np.isfinite(v)) and np.all(np.isfinite(bound))):
+                    raise ValueError("an assembled form has a non-finite entry: the material or grid overflows")
+                v, bound = v.reshape(-1, len(Vr), len(Vc)), bound.reshape(-1, len(Vr), len(Vc))
+                if symmetric and tr == tc:  # and the J = I blocks
+                    same = shifts[off[p]] == 0
+                    v[same], bound[same] = (0.5 * (A[same] + A[same].transpose(0, 2, 1)) for A in (v, bound))
+                v = np.where(np.abs(v) > bound, v, 0.0)
+                for sel, A in ((~flip[p], v), (flip[p], v.transpose(0, 2, 1))):
+                    templates[cls[p[sel]], :A.shape[1], o[p[sel]], :A.shape[2]] = A[sel]
+        template_class, template_row, template_offset, template_col = np.nonzero(templates)
+        template_value = templates[templates != 0]
+        row_lengths = np.bincount(template_class * m + template_row, minlength=len(signature) * m)
+        row_lengths = row_lengths.reshape(len(signature), m)
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(row_ends[-1], out=indptr[1:])
+        np.cumsum(row_lengths[node_class][np.arange(m) < r_dims[r_type[nodes], None]], out=indptr[1:])
         data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
-
-        def write(o, rows, per_row, columns, kept, kept_vals):
-            """Write a block's kept entries: rows and per_row of each pair's rows, columns of its entries."""
-            per_row = per_row.ravel()
-            local = np.cumsum(per_row, dtype=np.intp)  # the end of each row's entries within the block
-            place = np.repeat((indptr[rows] + row_ends[o[:, None], rows]).ravel() - local, per_row)
-            place += np.arange(place.size)
-            data[place] = kept_vals
-            indices[place] = columns.take(np.flatnonzero(kept))
-
-        chunks.reverse()  # popped in order, each released once written
-        while chunks:
-            o, first_row, first_col, pattern, kept, per_row, forward, mirror = chunks.pop()
-            nr = pattern.rows.size
-            write(o, first_row[:, None] + pattern.rows, per_row[:, :nr], first_col[:, None] + pattern.b, kept,
-                  forward)
-            if mirror is not None:
-                write(len(offsets) - 1 - o, first_col[:, None] + pattern.cols, per_row[:, nr:],
-                      first_row[:, None] + pattern.a_mirrored, kept[:, pattern.order], mirror)
+        starts = indptr[r_first[nodes]]  # where each node's entries begin
+        members = np.split(np.argsort(node_class, kind="stable"), np.cumsum(size)[:-1])
+        sizes = row_lengths.sum(axis=1)  # of each class's template
+        for members_k, end, entries in zip(members, np.cumsum(sizes), sizes):
+            e = slice(end - entries, end)
+            shift, col, value = shifts[template_offset[e]], template_col[e].astype(np.int32), template_value[e]
+            step = max(1, ASSEMBLY_CHUNK // max(1, entries))
+            for lo in range(0, members_k.size, step):
+                J = members_k[lo:lo + step]
+                place = starts[J][:, None] + np.arange(entries)
+                data[place] = value
+                indices[place] = c_first[nodes[J][:, None] + shift] + col
         return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
 
     @cached_property
     def _stencil(self):
-        """(offsets, shifts, inside, ijk): the 27 offsets (dx, dy, dz) of a node's
-        neighbours, in ascending order of J - I, so that offset 13 is J = I; the
-        J - I of each; inside[I, o], node I has a neighbour at offset o; and
-        every node's lattice coordinates, x fastest."""
+        """(offsets, shifts, ijk): the 27 offsets (dx, dy, dz) of a node's
+        neighbours, in ascending order of J - I, so that offset 13 is J = I,
+        dx fastest; the J - I of each; and every node's lattice coordinates,
+        x fastest."""
         nx, ny, _ = self.grid.node_shape
         offsets = np.array(list(product((-1, 0, 1), repeat=3)))[:, ::-1]
-        within = [(np.arange(n + 1)[:, None] + (-1, 0, 1) >= 0) & (np.arange(n + 1)[:, None] + (-1, 0, 1) <= n)
-                  for n in self.grid.n]
-        inside = (within[2][:, None, None, :, None, None] & within[1][:, None, None, :, None]
-                  & within[0][:, None, None, :]).reshape(self.grid.node_count, len(offsets))
-        return offsets, offsets @ (1, nx, nx * ny), inside, self.grid.node_ijk()
+        return offsets, offsets @ (1, nx, nx * ny), self.grid.node_ijk()
 
     @cached_property
     def w_node(self):

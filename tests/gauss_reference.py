@@ -12,9 +12,11 @@ defect form a second way, through the skew-gradient (microforce) pairing
 
 which criterion 11 and the microforce identification run against the
 package's curl-curl form.  coo_assemble is the package's assembler on the
-COO route: per stencil offset and type pair, the kept entries as
-(row, column, value) triples, which scipy sorts into CSR; Blocks.assemble
-must equal it bit for bit.  Test support only: pytest does not collect it.
+COO route: it reduces every node pair, and joins the kept entries of each
+stencil offset and type pair as (row, column, value) triples, which scipy
+sorts into CSR.  Blocks.assemble reduces one node of each class of alike
+nodes and writes the class's template at every node of it, and must equal
+coo_assemble bit for bit.  Test support only: pytest does not collect it.
 """
 
 from __future__ import annotations

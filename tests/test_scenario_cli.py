@@ -22,7 +22,7 @@ from curlplast.scenario import (
     canonical_text,
     parse_scenario,
 )
-from curlplast.models import VARIANT_TAGS, SimState, eshelby_stress
+from curlplast.models import VARIANT_TAGS, SimState, eshelby_stress, sigma_nodal
 from curlplast.solver import (
     VI_PROBES_MAX,
     DiscreteProblem,
@@ -373,7 +373,7 @@ class TestRunScenario:
         # column grows exactly when flow occurs
         rows = res.rows
         g = np.array([row.mean_gamma for row in rows])
-        s12 = np.array(res.sigma12_max)
+        s12 = np.array(res.driven_stress_max)
         fwd = next(s12[i] for i in range(1, len(up)) if g[i] > g[i - 1] + 1e-14)
         rev = next(s12[i] for i in range(len(up), len(cycle)) if g[i] > g[i - 1] + 1e-14)
         assert rev < fwd  # reverse yielding starts below the forward onset
@@ -405,6 +405,23 @@ class TestRunScenario:
         slopes = [r["hardening_slope"] for r in results]
         assert all(np.isfinite(slopes))
         assert slopes[0] <= slopes[1] <= slopes[2]
+
+    def test_hardening_slope_follows_the_driven_component(self, tmp_path):
+        # base_doc shears x-z, where sigma_12 is roundoff: the sweep's slope
+        # is the finite difference of max |sigma_13| over the last two
+        # plastically active steps
+        a_y = 0.3 / (np.sqrt(2) * 80.0)
+        doc = base_doc(load_program=[{"level": i + 1, "amplitude": float(a)}
+                                     for i, a in enumerate(np.linspace(0, 6 * a_y, 7)[1:])])
+        s = parse_scenario(json.dumps(doc))
+        (result,) = sweep(s, "Lc", [0.2], str(tmp_path / "sweep"))
+        res = run_scenario(s, str(tmp_path / "run"), keep_states=True)
+        s13 = [float(np.max(np.abs(sigma_nodal(s.grid, s.variant.params, st.u, st.p)[:, 0, 2]))) for st in res.states]
+        assert res.driven_stress_max == s13
+        i, j = [k for k, row in enumerate(res.rows) if row.active_fraction > 0.0][-2:]
+        want = (s13[j] - s13[i]) / (res.rows[j].level - res.rows[i].level)
+        assert want > 1e-3
+        assert result["hardening_slope"] == pytest.approx(want, rel=1e-12)
 
 
 def program_doc(steps, probes, **overrides):
