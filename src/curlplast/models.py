@@ -109,18 +109,27 @@ class ModelVariant:
         """Yield radius sigma_y + h gamma at accumulated plastic strain gamma."""
         return self.params.sigma_y + self.drag * np.asarray(gamma)
 
+    def dissipation_weights(self, gamma_prev=0.0):
+        """(a, b) with dissipation(n, gamma_prev) = n a + b n^2: the yield
+        radius sigma_y + h gamma_prev and h / 2, both 0 for micromorphic."""
+        if not self.has_dissipation:
+            return np.zeros(np.shape(gamma_prev)), 0.0
+        return self.radius(gamma_prev), 0.5 * self.drag
+
     def dissipation(self, n, gamma_prev=0.0):
         """Dissipation density of an increment of magnitude n from gamma_prev.
 
-        sigma_y n plus the hardening-energy growth h ((gamma + n)^2 - gamma^2) / 2,
+        n (sigma_y + h gamma) + h n^2 / 2 (dissipation_weights): sigma_y n
+        plus the hardening-energy growth h ((gamma + n)^2 - gamma^2) / 2,
         the internal variable eliminated through d gamma = n (the constraint
-        |q| <= xi is active at the minimum).  Micromorphic dissipates nothing,
-        whatever its sigma_y.
+        |q| <= xi is active at the minimum), written without that difference
+        of squares, which cancels for n << gamma.  With h = 0 it is sigma_y n
+        bit for bit.  Micromorphic dissipates nothing, whatever its sigma_y.
         """
         if not self.has_dissipation:
             return np.zeros(np.shape(n))
-        g = np.asarray(gamma_prev)
-        return self.params.sigma_y * n + 0.5 * self.drag * ((g + n) ** 2 - g ** 2)
+        a, b = self.dissipation_weights(gamma_prev)
+        return n * a + b * n * n
 
     def shrink(self, tau, gamma_prev):
         """The factor m / n by which the proximal map of tau * dissipation scales a

@@ -46,9 +46,11 @@ in the Loewner order, so the step 1/L(A_hat) is safe for the reduced
 functional too.
 
 vi_residual certifies a step's inequality on random admissible probes,
-int8 rows from the bytes of a generator seeded by the step.  Every product
-and every certificate is made on the thread that calls time_step, so the
-package starts no thread.
+int8 rows from the 64-bit outputs of a generator seeded by the step, whose
+plastic parts lie in the basis's component order, so that a block of probes
+scores by four matrix-vector products and passes over contiguous memory.
+Every product and every certificate is made on the thread that calls
+time_step, so the package starts no thread.
 """
 from __future__ import annotations
 
@@ -110,7 +112,7 @@ VI_PROBE_BLOCK = 64
 # NoConvergence it may raise
 RESIDUAL_HISTORY = 5
 
-# Most VI probes a step may ask for: a million probes take about 13 s per
+# Most VI probes a step may ask for: a million probes take about 7 s per
 # step on a 6^3 grid, on one core
 VI_PROBES_MAX = 10 ** 6
 
@@ -201,21 +203,24 @@ def weighted_norm(x, w):
 
 
 def probe_blocks(problem, rng, probes):
-    """`probes` rows of int8 values from rng.bytes, one entry per unknown of
-    problem, drawn VI_PROBE_BLOCK rows at a time and converted into one
-    reused float block.  Each row is drawn pad bytes wide, its width rounded
-    up to a multiple of 8, and keeps its first width entries.
-    Generator.bytes draws 32-bit words and drops the rest of its last one,
-    and PCG64 makes those words two to a 64-bit output, so a draw of whole
-    64-bit outputs continues exactly where the last one stopped: the probes
-    and the generator's state afterwards do not depend on the block size."""
-    width = problem.K_ff.shape[0] + problem.basis.size
-    pad = -(-width // 8) * 8
-    block = np.empty((min(VI_PROBE_BLOCK, probes), width))
+    """`probes` rows of int8 values from the generator's 64-bit outputs, one
+    entry per unknown of problem, drawn VI_PROBE_BLOCK rows at a time as
+    pairs (U, Q) of two reused float blocks: U holds the free displacement
+    part, and Q the plastic part with its columns in the basis's component
+    order (PBasis.component_order).  Each row is drawn as whole 64-bit
+    outputs, its width rounded up to a multiple of 8 bytes, and keeps its
+    first width entries.  Generator.bytes takes its 32-bit words two to a
+    PCG64 output, low word first, so these are its bytes and the generator
+    ends where it would: the probes do not depend on the block size."""
+    nf, m = problem.K_ff.shape[0], problem.basis.size
+    pad = -(-(nf + m) // 8) * 8
+    U, Q = np.empty((min(VI_PROBE_BLOCK, probes), nf)), np.empty((min(VI_PROBE_BLOCK, probes), m))
     for start in range(0, probes, VI_PROBE_BLOCK):
         rows = min(VI_PROBE_BLOCK, probes - start)
-        block[:rows] = np.frombuffer(rng.bytes(rows * pad), np.int8).reshape(rows, pad)[:, :width]
-        yield block[:rows]
+        drawn = rng.bit_generator.random_raw(rows * pad // 8).astype("<u8", copy=False).view(np.int8).reshape(rows, pad)
+        U[:rows] = drawn[:, :nf]
+        Q[:rows] = drawn[:, nf:nf + m]
+        yield U[:rows], Q[:rows]
 
 
 def accelerated_prox_gradient(gradient, w, prox, c0, step, tol, maxiter, scale_floor=0.0):
@@ -571,41 +576,48 @@ class DiscreteProblem:
         smooth_residual_reduced(u_f, c, load) and r_u displacement_residual(u_f,
         c, load), up to roundoff, when the caller already holds them.
 
-        blocks are the step's probe blocks, such as probe_blocks gives: a
-        probe is one row [dv, dq], of any distribution, scaled to the w-norm
-        of the increment; the inequality holds in every admissible direction.
-        Each block is scored in place, D @ r first and then the squares of
-        dc + dq, so the scoring makes no block-sized temporary.
+        blocks are the step's probe blocks, such as probe_blocks gives: pairs
+        (U, Q) whose rows are the probes [dv, dq], dq in the basis's component
+        order, of any distribution, each scaled to the w-norm of the
+        increment; the inequality holds in every admissible direction.  A
+        block with row scales s scores as s (U r_u + Q r_q), two products,
+        and then Q <- (s Q + dc)^2 in place, whose node sums S give the
+        dissipation of every probe as two more products, sqrt(S) (w a) + S
+        (w b) with ModelVariant.dissipation_weights.  The canonical probes
+        score as a block of two rows of scale 1.
         """
         if r_u is None:
             r_u = self.displacement_residual(u_f, c, load)
         if r_hat is None:
             r_hat = self.smooth_residual_reduced(u_f, c, load)
-        r = np.concatenate([r_u, -r_hat])
-        nf = r_u.size
+        order, nodes = self.basis.component_order, self.basis.component_nodes
+        r_q = -r_hat[order]
         dc = c - c_prev
         j0 = self.dissipation_value(dc, gamma_prev)
         size = max(weighted_norm(dc, self.w_seg), 1e-8)
+        dc = dc[order]
+        a, b = self.variant.dissipation_weights(gamma_prev)
+        w_a, w_b = (self.w_node * a)[nodes], b * self.w_node[nodes]
 
-        def worst_of(D):
-            """Worst score of the rows of D, whose plastic part it overwrites."""
-            lin = D @ r
-            Q = D[:, nf:]
+        def worst_of(U, Q, s):
+            """Worst score of the probes with row scales s, whose Q it overwrites."""
+            lin = U @ r_u
+            lin += Q @ r_q
+            lin *= s
+            Q *= s[:, None]
             Q += dc
-            np.multiply(Q, Q, out=Q)
-            jq = self.variant.dissipation(np.sqrt(self.basis.node_sums(Q)), gamma_prev) @ self.w_node
+            np.square(Q, out=Q)
+            S = self.basis.component_sums(Q)
+            jq = S @ w_b
+            jq += np.sqrt(S, out=S) @ w_a
             viol = lin + jq - j0
             scale = np.abs(lin) + jq + j0 + 1e-300
             return float(np.min(viol / scale))
 
-        canonical = np.zeros((2, r.size))
-        canonical[0, nf:] = -dc
-        canonical[1, nf:] = dc
-        worst = worst_of(canonical)
-        for D in blocks:
-            nrm = np.sqrt(np.einsum("ij,ij->i", D, D))
-            D *= np.divide(size, nrm, out=np.ones_like(nrm), where=nrm > 0.0)[:, None]
-            worst = min(worst, worst_of(D))
+        worst = worst_of(np.zeros((2, r_u.size)), np.stack([-dc, dc]), np.ones(2))
+        for U, Q in blocks:
+            nrm = np.sqrt(np.einsum("ij,ij->i", U, U) + np.einsum("ij,ij->i", Q, Q))
+            worst = min(worst, worst_of(U, Q, np.divide(size, nrm, out=np.ones_like(nrm), where=nrm > 0.0)))
         return worst
 
 

@@ -545,6 +545,32 @@ class TestPBasis:
             # a vector may round by
             assert np.array_equal(got, want) and got.flags.c_contiguous
 
+    @pytest.mark.parametrize("mode", ["sl", "sym_sl", "none"])
+    @pytest.mark.parametrize("faces", [(), ("xmin", "ymin", "zmin"), FACES], ids=["uniform", "corner", "all"])
+    def test_component_order_runs_each_types_nodes_in_ascending_order(self, mode, faces):
+        # node type by node type, then component by component, then node by
+        # node; with xmin, ymin and zmin micro-hard, the nodes on two or three
+        # of them have no coordinates
+        b = build_p_basis(Grid.unit_cube(3), faces, mode)
+        order = b.component_order
+        assert np.array_equal(np.sort(order), np.arange(b.size))
+        node_of = np.repeat(np.arange(len(b.node_type)), b.dims())
+        component_of = np.arange(b.size) - b.offsets[node_of]
+        start, listed = 0, []
+        for t, V in enumerate(b.type_bases):
+            nodes = np.flatnonzero(b.node_type == t)
+            for k in range(len(V)):
+                run = order[start:start + nodes.size]
+                assert np.array_equal(node_of[run], nodes) and np.all(component_of[run] == k)
+                start += nodes.size
+            listed.append(nodes)
+        assert start == b.size
+        assert np.array_equal(b.component_nodes, np.concatenate(listed))
+        x = np.random.default_rng(7).standard_normal((4, b.size))
+        got = b.component_sums(x[:, order])
+        assert np.abs(got - b.node_sums(x)[:, b.component_nodes]).max() <= 1e-14 * np.abs(x).max()
+        assert np.all(got[:, b.dims()[b.component_nodes] == 0] == 0.0)
+
     def test_node_norms_match_frobenius(self):
         g = Grid.unit_cube(2)
         b = build_p_basis(g, ("zmin",), "sl")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from gauss_reference import cauchy_stress, tau_p_microforce
@@ -246,6 +248,27 @@ class TestIncrementalDissipation:
     def test_micromorphic_zero(self):
         var = ModelVariant("micromorphic", PARAMS)
         assert incremental_dissipation(var, np.ones((3, 3))) == 0.0
+
+    @pytest.mark.parametrize("gamma", [1.0, 1e3])
+    @pytest.mark.parametrize("n", [1e-9, 1e-12])
+    def test_small_increment_after_large_gamma_is_exact(self, n, gamma):
+        # sigma_y n + h ((gamma + n)^2 - gamma^2) / 2 in exact arithmetic on
+        # the same floats; the difference of squares, formed in floating
+        # point, cancels all but a few digits of an increment n << gamma
+        h, sy = Fraction(ISO.drag), Fraction(PARAMS.sigma_y)
+        exact = sy * Fraction(n) + h / 2 * ((Fraction(gamma) + Fraction(n)) ** 2 - Fraction(gamma) ** 2)
+        got = Fraction(float(ISO.dissipation(n, gamma)))
+        assert abs(got - exact) <= Fraction(1e-15) * exact
+
+    @pytest.mark.parametrize("tag", ["kin_spin", "kin_irrot"])
+    def test_without_drag_is_sigma_y_n_bit_for_bit(self, tag):
+        var = ModelVariant(tag, PARAMS)
+        assert var.drag == 0.0
+        rng = np.random.default_rng(12)
+        n = np.abs(rng.standard_normal(200)) * 10.0 ** rng.integers(-12, 12, 200)
+        n = np.concatenate([[0.0, 1e-300, 1e300], n])
+        for gamma in (0.0, 1e3, rng.uniform(0.0, 5.0, n.size)):
+            assert var.dissipation(n, gamma).tobytes() == (PARAMS.sigma_y * n).tobytes()
 
 
 class TestFlowRuleConsistency:

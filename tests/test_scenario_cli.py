@@ -432,7 +432,9 @@ def program_doc(steps, probes, **overrides):
 
 def byte_probes(seed, probes, width):
     """The probes of the generator seeded by seed: rows of int8 drawn from its
-    bytes, each padded to whole 64-bit outputs, and cut to width."""
+    bytes, each padded to whole 64-bit outputs, and cut to width.  It draws
+    with Generator.bytes, so it also pins that probe_blocks' draws of 64-bit
+    outputs are the same stream."""
     pad = -(-width // 8) * 8
     drawn = np.frombuffer(np.random.default_rng(seed).bytes(probes * pad), np.int8)
     return drawn.reshape(probes, pad)[:, :width]
@@ -456,7 +458,7 @@ class TestCertificatePool:
 
             def record():
                 for block in blocks_of(problem, rng, n):
-                    drawn.append((threading.current_thread(), block.copy()))
+                    drawn.append((threading.current_thread(), np.hstack(block)))
                     yield block
 
             blocks = record()
