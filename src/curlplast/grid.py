@@ -294,15 +294,6 @@ def _factors_1d(n, h):
     return {**factors, **{f"|{name}|": np.abs(f) for name, f in factors.items()}}
 
 
-def _kron_apply(fx, fy, fz, x):
-    """kron(fz, kron(fy, fx)) @ x for x shaped (z, y, x, ...), trailing axes flattened."""
-    nz, ny, nx = x.shape[:3]
-    y = fx @ x.reshape(nz * ny, nx, -1)
-    y = fy @ y.reshape(nz, ny, -1)
-    y = fz @ y.reshape(nz, -1)
-    return y.reshape(len(fz), len(fy), len(fx), -1)
-
-
 def pencil_1d(n, h, a, b):
     """Eigenpairs of the 1D factors K v = lam M v of n cells of size h on the nodes a <= i < b, in closed form.
 
@@ -777,16 +768,6 @@ def _node_basis(allowed, mode):
     return vecs
 
 
-def _segment_sums(columns):
-    """columns[0] + (columns[1] + ... + columns[-1]) in the order np.add.reduceat
-    adds a segment: numpy's pairwise sum of the rest chains up to 7 terms and
-    adds 8, the most a node has after its first, as a balanced tree."""
-    first, rest = columns[0], columns[1:]
-    if len(rest) == 8:
-        rest = [((rest[0] + rest[1]) + (rest[2] + rest[3])) + ((rest[4] + rest[5]) + (rest[6] + rest[7]))]
-    return first + sum(rest[1:], rest[0]) if rest else first.copy()
-
-
 @dataclass
 class PBasis:
     """Per-node orthonormal bases of the admissible plastic subspace.
@@ -808,7 +789,6 @@ class PBasis:
         self.offsets = np.concatenate([[0], np.cumsum(self._dims)])
         self._nodes = np.nonzero(self._dims > 0)[0]
         self._starts = self.offsets[self._nodes]
-        self._uniform = bool(self._dims.min() > 0 and self._dims.min() == self._dims.max())
         # B straight into CSR: node j's nine rows hold its type's nonzeros in
         # column order, a contiguous run of entries from indptr[9 j]
         per_row = np.array([np.count_nonzero(V, axis=0) for V in self.type_bases]).reshape(-1, 9)
@@ -842,21 +822,9 @@ class PBasis:
         return np.asarray(self.BT @ p_flat)
 
     def node_sums(self, x):
-        """Sum of each node's reduced coordinates.
-
-        x may carry leading dimensions (a block of vectors, one per row, a
-        strided view included); the node axis replaces its last axis.  The
-        sums equal np.add.reduceat's bit for bit.
-        """
-        if self._uniform:  # the columns of each coordinate are views: no strided reduceat
-            block = x.reshape(x.shape[:-1] + (len(self.node_type), -1))
-            return _segment_sums([block[..., i] for i in range(block.shape[-1])])
-        if len(self._nodes) == len(self.node_type):  # every node holds coordinates
-            return np.ascontiguousarray(np.add.reduceat(x.T, self._starts).T)
-        out = np.zeros(x.shape[:-1] + (len(self.offsets) - 1,))
-        # reduce over the first axis of the transpose: for a vector this
-        # is the plain indexing, which costs less per call than out[..., nodes]
-        out.T[self._nodes] = np.add.reduceat(x.T, self._starts)
+        """Sum of each node's reduced coordinates of the vector x by np.add.reduceat, 0 at a node without any."""
+        out = np.zeros(len(self.node_type))
+        out[self._nodes] = np.add.reduceat(x, self._starts)
         return out
 
     @cached_property

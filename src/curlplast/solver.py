@@ -33,17 +33,19 @@ parameterized by load increments.
 The p iteration runs in the lumped-mass metric: gradients are divided by
 the nodal weights and the shrinkage threshold becomes uniform across nodes,
 which both preconditions the iteration and keeps the prox closed-form.
-Each p iteration makes one prox, the products A_hat y, S_f y and S_pf u_f
-(skipped after an inner solve of no CG step) and one K_ff per CG step: an
-inner solve starts from the residual the last one kept, the first from a
-true one.  A pass makes one S_f c, K_ff u_f, S_pf u_f and A_hat c for its
-recovery, its test's true residual, J and r_hat; the next pass starts at
-the same (u_f, c), so its p iteration takes the first three as its entry
-S_pf u_f and its first inner solve's right-hand side and residual, and the
-certificate takes the last pass's residual.  The p iteration stops on
-the gradient-mapping residual of the step it has just taken.  S <= A_hat
-in the Loewner order, so the step 1/L(A_hat) is safe for the reduced
-functional too.
+A dissipative step carries its displacement in one Displacement: u_f at a
+plastic point c, with b = f_u - S_f c, the CG's residual r of u_f and
+S_pf u_f, formed once from the step's start.  solve_u moves it to a new c
+by one S_f c, which changes r by the change of b, solves there by one K_ff
+product per CG step, and re-forms S_pf u_f only after a CG step.  Each p
+iteration makes one prox, one A_hat y and one such solve at y; the first
+is at the state's own point and moves nothing.  A pass makes, besides its
+recovery solve, one K_ff u_f and one A_hat c: the true residual, which the
+pass tests and the next pass starts from, J, and r_hat = f_p - S_pf u_f -
+A_hat c, which the step's checks take with r_u = -r.  The p iteration
+stops on the gradient-mapping residual of the step it has just taken.
+S <= A_hat in the Loewner order, so the step 1/L(A_hat) is safe for the
+reduced functional too.
 
 vi_residual certifies a step's inequality on random admissible probes,
 int8 rows from the 64-bit outputs of a generator seeded by the step, whose
@@ -188,6 +190,18 @@ class ReducedLoad(NamedTuple):
     u_scale: float  # max(||F_f||, ||(K_uu U_p)_f||), the fixed part of the pass test's displacement scale
 
 
+@dataclass(slots=True, eq=False)
+class Displacement:
+    """The free displacement u_f of a load step at a plastic point c, as its solves leave it:
+    DiscreteProblem.displacement makes one, and each solve_u moves it to its c and solves there."""
+
+    u_f: np.ndarray
+    c: np.ndarray
+    b: np.ndarray  # f_u - S_f c
+    r: np.ndarray  # b - K_ff u_f, up to the roundoff of the CG recurrence that keeps it
+    S_u: np.ndarray  # S_pf u_f
+
+
 def prox_dissipation(variant: ModelVariant, z, tau, gamma_prev=0.0):
     """Proximal map of tau * D_inc on 3x3 tensors: z scaled by
     ModelVariant.shrink at its norm (ties at the threshold give 0)."""
@@ -236,10 +250,11 @@ def accelerated_prox_gradient(gradient, w, prox, c0, step, tol, maxiter, scale_f
     subgradient of the objective at T(y), so 0 is within (1/step + L)
     ||T(y) - y||_w of the subdifferential, L being the Lipschitz constant of
     grad f in the metric w.  A non-finite residual raises NoConvergence.
-    prox may return the vector it is handed, overwritten, or a new one; gradient may keep each y.
+    prox may return the vector it is handed, overwritten, or a new one;
+    gradient may keep each y, the first being c0 itself.
     """
     c = c0.copy()
-    y = c0.copy()
+    y = c0  # the first gradient is at c0 itself; no y is written in place
     step_w = step / w
     point, taken, taken_w, moved = (np.empty_like(c0) for _ in range(4))
     tk = 1.0
@@ -439,47 +454,46 @@ class DiscreteProblem:
 
     # -- displacement and plastic solves ---------------------------------------
 
-    def solve_u(self, u_f, c, load, tol, carried=None, held=None):
-        """Free displacement at plastic field c: the CG solve of K_ff u_f = b = f_u - S_f c from
-        the warm start u_f, to tol, preconditioned by lame_ff; every displacement solve is one
-        call.  It makes S_f c, one K_ff product per CG step and one for the start's residual,
-        none when carried is the (b_prev, r) returned with u_f: that residual is r + b - b_prev.
-        held, when given, is this c's b and u_f's residual b - K_ff u_f, and the call makes
-        neither S_f c nor the start's residual.  b and r are formed in place, in carried's arrays.
-        Returns (u_f, CG iterations, (b, r)), r the residual of u_f that the CG kept."""
-        if held is not None:
-            b, r = held
-        else:
+    def displacement(self, u_f, c, load):
+        """The Displacement at (u_f, c): one S_f, one K_ff and one S_pf product."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing load fails the first solve
+            b = load.f_u - self.S_f @ c
+            return Displacement(u_f, c, b, b - self.K_ff @ u_f, np.asarray(self.S_pf @ u_f))
+
+    def solve_u(self, disp, c, load, tol):
+        """Solve the Displacement disp, in place, at plastic field c; every displacement solve is one call.
+
+        Unless c is disp.c itself (a point is known by identity, so an array
+        changed in place is not a new one), disp moves to c: b = f_u - S_f c,
+        one product, and r += b - b_prev.  The CG solve of K_ff u_f = b then
+        runs from the warm start u_f, to tol, preconditioned by lame_ff, with
+        one K_ff product per CG step, and keeps r.  S_u is re-formed when u_f
+        changed: after a CG step, or when b = 0 gave u_f = 0.  Returns the CG
+        iterations.
+        """
+        if c is not disp.c:
             b = self.S_f @ c
             np.subtract(load.f_u, b, out=b)
-            if carried is None:
-                r = self.K_ff @ u_f
-                np.subtract(b, r, out=r)
-            else:
-                b_prev, r = carried
-                r += np.subtract(b, b_prev, out=b_prev)
-        u_f, its = self.pcg(self.K_ff.dot, b, u_f, tol, self.config.max_cg, self.lame_ff, r)
-        return u_f, its, (b, r)
+            disp.r += np.subtract(b, disp.b, out=disp.b)
+            disp.c, disp.b = c, b
+        disp.u_f, its = self.pcg(self.K_ff.dot, disp.b, disp.u_f, tol, self.config.max_cg, self.lame_ff, disp.r)
+        if its or not disp.u_f.any():
+            disp.S_u = np.asarray(self.S_pf @ disp.u_f)
+        return its
 
-    def solve_p(self, u_f, c_prev, c0, gamma_prev, load, held=None):
+    def solve_p(self, disp, c_prev, c0, gamma_prev, load):
         """Accelerated proximal-gradient solve of the step in c, with u_f eliminated.
 
         Minimizes c -> min_u_f J(u_f, c) from c0.  Each gradient at an
-        extrapolated point y is A_hat y + S_pf u_f - f_p, where u_f is
-        solve_u's solution at y, warm-started from the previous one and the
-        first from the given u_f.  The first inner solve meets tol_cg from a
-        true residual, later ones the looser INNER_TOL_* schedule from the
-        residual the previous one carried.  A gradient makes one A_hat, S_f
-        and S_pf product and one K_ff product per CG step, and reuses
-        S_pf u_f after a solve with no CG step.  held, when given, is
-        (S_pf u_f, b, r) at (u_f, c0), b = f_u - S_f c0 and r = b - K_ff u_f,
-        as the caller's last pass made them; the call then makes none of
-        them, and its first inner solve takes r as its own.  Every product
-        is made on the calling thread.  Runs in the lumped-mass metric, in
-        which the nodal shrinkage has one uniform threshold; the prox is
-        exact per node, its shrink formed once per call.
-        Returns c, the last inner u_f, the pair (FISTA iterations, inner CG
-        iterations) and its carried.
+        extrapolated point y is A_hat y + S_pf u_f - f_p, u_f being the
+        solution solve_u leaves in disp at y; the call leaves disp at the
+        last y.  The first gradient is at c0 itself, which moves nothing when
+        disp is at c0, and meets tol_cg; later ones meet the looser
+        INNER_TOL_* schedule.  A gradient makes one A_hat product besides
+        solve_u's, and every product is made on the calling thread.  Runs in
+        the lumped-mass metric, in which the nodal shrinkage has one uniform
+        threshold; the prox is exact per node, its shrink formed once per
+        call.  Returns c and the pair (FISTA iterations, inner CG iterations).
         """
         tol_cg, w = self.config.tol_cg, self.w_seg
         t = 1.0 / self.lipschitz()
@@ -487,60 +501,48 @@ class DiscreteProblem:
         # the minimizer scale; it floors the relative test when the increment
         # is tiny
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing load fails the first solve
-            S_u = np.asarray(self.S_pf @ u_f) if held is None else held[0]
-            data_scale = t * weighted_norm((S_u - load.f_p) / w, w)
-        y_last = carried = None
-        at_c0 = None if held is None else held[1:]  # the first gradient is at c0
-        cg_its = 0
+            data_scale = t * weighted_norm((disp.S_u - load.f_p) / w, w)
+        y_last, cg_its = None, 0
 
         def gradient(y):
-            nonlocal u_f, y_last, carried, at_c0, S_u, cg_its
+            nonlocal y_last, cg_its
             tol_in = tol_cg
             if y_last is not None:
                 move = weighted_norm(y - y_last, w) / max(weighted_norm(y, w), 1e-300)
                 tol_in = max(tol_cg, min(INNER_TOL_CAP, INNER_TOL_FACTOR * move))
             y_last = y
-            u_f, its, carried = self.solve_u(u_f, y, load, tol_in, carried, at_c0)
-            at_c0 = None
-            cg_its += its
-            S_u = np.asarray(self.S_pf @ u_f) if its else S_u
+            cg_its += self.solve_u(disp, y, load, tol_in)
             g = np.asarray(self.A_hat @ y)
-            g += S_u
+            g += disp.S_u
             return np.subtract(g, load.f_p, out=g)
 
         shrink = self.variant.shrink(t, gamma_prev)
         c, its = accelerated_prox_gradient(
             gradient, w, lambda z: self.prox_reduced(z, c_prev, shrink), c0, t,
             self.config.tol_fista, self.config.max_fista, max(weighted_norm(c_prev, w), data_scale))
-        return c, u_f, (its, cg_its), carried
+        return c, (its, cg_its)
 
     # -- functional evaluation ------------------------------------------------
 
-    def products(self, u_f, c):
-        """(K_ff u_f, S_pf u_f, A_hat c): made once per pass, for its test, J, r_hat and the next pass's start."""
-        return self.K_ff @ u_f, np.asarray(self.S_pf @ u_f), np.asarray(self.A_hat @ c)
-
-    def objective(self, u_f, c, c_prev, gamma_prev, load, products):
-        """The step functional J at (u_f, c), given products(u_f, c), and its dissipation term."""
-        K_u, S_u, A_c = products
+    def objective(self, u_f, c, c_prev, gamma_prev, load, K_u, S_u, A_c):
+        """The step functional J at (u_f, c), given K_u = K_ff u_f, S_u = S_pf u_f and A_c = A_hat c, and its
+        dissipation term."""
         smooth = (0.5 * float(u_f @ K_u) + float(c @ S_u) + 0.5 * float(c @ A_c)
                   - float(load.f_u @ u_f) - float(load.f_p @ c) + load.J_g)
         dissipation = self.dissipation_value(c - c_prev, gamma_prev)
         return smooth + dissipation, dissipation
 
-    def smooth_residual_reduced(self, u_f, c, load, products=None):
-        """b - A c in reduced coordinates, the weighted weak generalized stress; from products(u_f, c) if given."""
-        S_u, A_c = (self.S_pf @ u_f, self.A_hat @ c) if products is None else products[1:]
-        return load.f_p - np.asarray(S_u) - np.asarray(A_c)
-
-    def displacement_residual(self, u_f, c, load):
-        """K_ff u_f + S_f c - f_u: the free rows of the displacement equation."""
-        return self.K_ff @ u_f + self.S_f @ c - load.f_u
+    def residuals(self, u_f, c, load):
+        """(r_hat, r_u) at (u_f, c): r_hat = f_p - S_pf u_f - A_hat c, the weighted weak generalized stress in
+        reduced coordinates, and r_u = K_ff u_f + S_f c - f_u, the free rows of the displacement equation.  A
+        step takes both from its last pass; this forms them at any other point."""
+        r_hat = load.f_p - np.asarray(self.S_pf @ u_f) - np.asarray(self.A_hat @ c)
+        return r_hat, self.K_ff @ u_f + self.S_f @ c - load.f_u
 
     def kkt_check(self, r_hat, dc, gamma_new, active_tol=1e-12):
         """Discrete complementarity of the flow law at every node.
 
-        r_hat is smooth_residual_reduced at the solution.  Returns (max radius
+        r_hat is f_p - S_pf u_f - A_hat c at the solution.  Returns (max radius
         violation / sigma_y, max sine of the flow misalignment, active
         fraction).  The generalized stress is the weak recovery projected on
         each node's admissible subspace, its deviator at unconstrained nodes.
@@ -567,40 +569,32 @@ class DiscreteProblem:
             mis = 1.0
         return float(worst), float(mis), float(active.mean())
 
-    def vi_residual(self, u_f, c, c_prev, gamma_prev, load, blocks, r_hat=None, r_u=None):
-        """Worst normalized violation of the incremental inequality.
+    def probe_scores(self, r_hat, r_u, dc, gamma_prev, blocks):
+        """Normalized violation of the incremental inequality along every probe, one array per block.
 
-        Random admissible directions (free displacement part, reduced plastic
-        part) plus the two canonical probes along +/- the computed increment;
-        nonnegative values up to roundoff certify the minimizer.  r_hat is
-        smooth_residual_reduced(u_f, c, load) and r_u displacement_residual(u_f,
-        c, load), up to roundoff, when the caller already holds them.
-
-        blocks are the step's probe blocks, such as probe_blocks gives: pairs
-        (U, Q) whose rows are the probes [dv, dq], dq in the basis's component
-        order, of any distribution, each scaled to the w-norm of the
-        increment; the inequality holds in every admissible direction.  A
-        block with row scales s scores as s (U r_u + Q r_q), two products,
-        and then Q <- (s Q + dc)^2 in place, whose node sums S give the
-        dissipation of every probe as two more products, sqrt(S) (w a) + S
-        (w b) with ModelVariant.dissipation_weights.  The canonical probes
-        score as a block of two rows of scale 1.
+        r_hat and r_u are the residuals at a step's solution (u_f, c), as
+        residuals gives them, and dc = c - c_prev its increment.  The probes
+        are the two canonical ones along +/- dc, scored first as a block of
+        two rows of scale 1, and then the rows of blocks, such as
+        probe_blocks gives: pairs (U, Q) whose rows are the probes [dv, dq],
+        dq in the basis's component order, of any distribution, each scaled
+        to the w-norm of the increment; the inequality holds in every
+        admissible direction.  A block with row scales s scores as
+        s (U r_u + Q r_q), two products, and then Q <- (s Q + dc)^2 in
+        place, whose node sums S give the dissipation of every probe as two
+        more products, sqrt(S) (w a) + S (w b) with
+        ModelVariant.dissipation_weights.
         """
-        if r_u is None:
-            r_u = self.displacement_residual(u_f, c, load)
-        if r_hat is None:
-            r_hat = self.smooth_residual_reduced(u_f, c, load)
         order, nodes = self.basis.component_order, self.basis.component_nodes
         r_q = -r_hat[order]
-        dc = c - c_prev
         j0 = self.dissipation_value(dc, gamma_prev)
         size = max(weighted_norm(dc, self.w_seg), 1e-8)
         dc = dc[order]
         a, b = self.variant.dissipation_weights(gamma_prev)
         w_a, w_b = (self.w_node * a)[nodes], b * self.w_node[nodes]
 
-        def worst_of(U, Q, s):
-            """Worst score of the probes with row scales s, whose Q it overwrites."""
+        def scores(U, Q, s):
+            """The scores of the probes with row scales s, whose Q it overwrites."""
             lin = U @ r_u
             lin += Q @ r_q
             lin *= s
@@ -611,14 +605,16 @@ class DiscreteProblem:
             jq = S @ w_b
             jq += np.sqrt(S, out=S) @ w_a
             viol = lin + jq - j0
-            scale = np.abs(lin) + jq + j0 + 1e-300
-            return float(np.min(viol / scale))
+            return viol / (np.abs(lin) + jq + j0 + 1e-300)
 
-        worst = worst_of(np.zeros((2, r_u.size)), np.stack([-dc, dc]), np.ones(2))
+        yield scores(np.zeros((2, r_u.size)), np.stack([-dc, dc]), np.ones(2))
         for U, Q in blocks:
             nrm = np.sqrt(np.einsum("ij,ij->i", U, U) + np.einsum("ij,ij->i", Q, Q))
-            worst = min(worst, worst_of(U, Q, np.divide(size, nrm, out=np.ones_like(nrm), where=nrm > 0.0)))
-        return worst
+            yield scores(U, Q, np.divide(size, nrm, out=np.ones_like(nrm), where=nrm > 0.0))
+
+    def vi_residual(self, r_hat, r_u, dc, gamma_prev, blocks):
+        """Worst probe_scores value: nonnegative values up to roundoff certify the minimizer."""
+        return min(float(np.min(block)) for block in self.probe_scores(r_hat, r_u, dc, gamma_prev, blocks))
 
 
 def probe_seed(seed, level):
@@ -662,7 +658,8 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
     The step starts from guess, a state near the step's solution, or else
     from state_prev.  Its functional is strictly convex, so the start
     changes the work and not the minimizer.  Every solve works in (u_f, c)
-    on the step's ReducedLoad, formed once.  A dissipative step with VI
+    on the step's ReducedLoad, formed once, and a dissipative step's solves
+    share one Displacement, made at the start.  A dissipative step with VI
     probes scores the probe_blocks of the generator probe_seed gives it.  A
     step without dissipation has no inequality to certify and reports no
     vi_residual.  Everything runs on the calling thread.
@@ -703,25 +700,27 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
                                   cfg.max_cg, precond)
         u_f, c = x[:nf], x[nf:]
         outer = 1
-        products = problem.products(u_f, c)
-        J, _ = problem.objective(u_f, c, c_prev, gamma_prev, data, products)
+        S_u, A_c = np.asarray(problem.S_pf @ u_f), np.asarray(problem.A_hat @ c)
+        J, _ = problem.objective(u_f, c, c_prev, gamma_prev, data, problem.K_ff @ u_f, S_u, A_c)
     else:
         # pass 1 solves the step; pass 2 restarts from its c with an exact
         # first gradient and confirms that J no longer descends
         J_prev = np.inf
-        u_scale = held = None
+        u_scale = None
         recent = deque(maxlen=RESIDUAL_HISTORY)  # (u_res, descent) of the latest passes
+        disp = problem.displacement(u_f, c, data)
         for outer in range(1, cfg.max_outer + 1):
-            c, u_f, (its_p, its_in), carried = problem.solve_p(u_f, c_prev, c, gamma_prev, data, held)
-            u_f, its_u, (b, _) = problem.solve_u(u_f, c, data, cfg.tol_cg, carried)
+            c, (its_p, its_in) = problem.solve_p(disp, c_prev, c, gamma_prev, data)
+            its_u = problem.solve_u(disp, c, data, cfg.tol_cg)
             cg_total += its_in + its_u
             fista_total += its_p
             if u_scale is None:
-                u_scale = max(data.u_scale, np.linalg.norm(data.f_u - b), 1e-300)  # ||S_f c||
-            products = problem.products(u_f, c)
-            r_u = b - products[0]  # the true f_u - S_f c - K_ff u_f
-            u_res = np.linalg.norm(r_u) / u_scale
-            J, dissipation = problem.objective(u_f, c, c_prev, gamma_prev, data, products)
+                u_scale = max(data.u_scale, np.linalg.norm(data.f_u - disp.b), 1e-300)  # ||S_f c||
+            K_u, A_c = problem.K_ff @ disp.u_f, np.asarray(problem.A_hat @ c)
+            # the true residual f_u - S_f c - K_ff u_f: the pass test's, and the next pass's start
+            np.subtract(disp.b, K_u, out=disp.r)
+            u_res = np.linalg.norm(disp.r) / u_scale
+            J, dissipation = problem.objective(disp.u_f, c, c_prev, gamma_prev, data, K_u, disp.S_u, A_c)
             for column, (value, tol) in enumerate(((u_res, cfg.tol_cg), (J, cfg.tol_outer))):
                 if not isfinite(value):  # a NaN or Inf never meets the pass test
                     raise NoConvergence("outer passes", outer, value, tol, [*(v[column] for v in recent), value])
@@ -733,12 +732,12 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
             if u_res <= cfg.tol_cg and J_prev - J <= cfg.tol_outer * scale_J:
                 break
             J_prev = J
-            held = products[1], b, r_u  # the next pass starts at this (u_f, c)
         else:
             # report the criterion that failed, with its latest values
             if u_res > cfg.tol_cg:
                 raise NoConvergence("outer passes", cfg.max_outer, u_res, cfg.tol_cg, [u for u, _ in recent])
             raise NoConvergence("outer passes", cfg.max_outer, descent, cfg.tol_outer, [d for _, d in recent])
+        u_f, S_u = disp.u_f, disp.S_u
 
     U[problem.free] = u_f
     dc = c - c_prev
@@ -753,15 +752,14 @@ def time_step(problem: DiscreteProblem, state_prev: SimState, load: LoadStep, gu
         t=load.level,
     )
 
-    r_hat = problem.smooth_residual_reduced(u_f, c, data, products)
+    r_hat = data.f_p - S_u - A_c
     diss_func = variant.params.sigma_y * float(problem.w_node @ dn) if variant.has_dissipation else 0.0
     kkt_viol, kkt_mis, active = problem.kkt_check(r_hat, dc, gamma_new)
     energy = total_energy(problem.grid, variant, state, load.body_force)
     vi = None
     if cfg.vi_probes and variant.has_dissipation:
         rng = np.random.default_rng(probe_seed(cfg.seed, load.level))
-        vi = problem.vi_residual(u_f, c, c_prev, gamma_prev, data, probe_blocks(problem, rng, cfg.vi_probes),
-                                 r_hat, -r_u)
+        vi = problem.vi_residual(r_hat, -disp.r, dc, gamma_prev, probe_blocks(problem, rng, cfg.vi_probes))
     report = StepReport(
         energy=energy,
         dissipation_increment=float(r_hat @ dc),

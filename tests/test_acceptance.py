@@ -156,8 +156,9 @@ def test_criterion_05_variational_inequality_residual(gradient_run):
     c = problem.basis.to_reduced(state.p.values.reshape(-1))
     c_prev = problem.basis.to_reduced(prev.p.values.reshape(-1))
     F = np.zeros(3 * gradient_run["grid"].node_count)
-    control = problem.vi_residual(U[problem.free], 1.1 * c, c_prev, prev.gamma.values,
-                                  problem.step_load(U, F), probe_blocks(problem, np.random.default_rng(17), 1000))
+    control = problem.vi_residual(*problem.residuals(U[problem.free], 1.1 * c, problem.step_load(U, F)),
+                                  1.1 * c - c_prev, prev.gamma.values,
+                                  probe_blocks(problem, np.random.default_rng(17), 1000))
     ok = worst >= -1e-8 and control < -1e-8
     _report(5, "incremental inequality holds; perturbed state detected", ok,
             f"worst probe {worst:.2e}, negative control {control:.2e}")

@@ -465,11 +465,11 @@ class TestCertificatePool:
             step_of[blocks] = len(draws) - 1
             return blocks
 
-        def checked_score(prob, u_f, c, c_prev, gamma_prev, load, blocks, r_hat=None, r_u=None):
-            got = score(prob, u_f, c, c_prev, gamma_prev, load, blocks, r_hat, r_u)
+        def checked_score(prob, r_hat, r_u, dc, gamma_prev, blocks):
+            got = score(prob, r_hat, r_u, dc, gamma_prev, blocks)
             k = step_of[blocks]
             own = probe_blocks(prob, np.random.default_rng(probe_seed(5, levels[k])), probes)
-            calls.append((k, got, score(prob, u_f, c, c_prev, gamma_prev, load, own, r_hat, r_u),
+            calls.append((k, got, score(prob, r_hat, r_u, dc, gamma_prev, own),
                           prob.K_ff.shape[0] + prob.basis.size))
             return got
 

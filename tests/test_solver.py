@@ -238,9 +238,8 @@ class TestStoredOperators:
             assert not [name for name, value in vars(prob.blocks).items() if sp.issparse(value)], variant.tag
 
     def test_split_products_match_the_full_coupling(self):
-        # every field of the step load, and the free displacement residual
-        # and the objective formed from it (J_g included), equal their
-        # full-space forms
+        # every field of the step load, both residuals and the objective
+        # formed from it (J_g included) equal their full-space forms
         grid = Grid.unit_cube(3)
         prob = DiscreteProblem(grid, BoundaryConfig(("zmin", "zmax")), KIN, SHEAR01)
         rng = np.random.default_rng(3)
@@ -258,11 +257,27 @@ class TestStoredOperators:
         assert load.J_g == pytest.approx(0.5 * U_p @ KU - F @ U_p, rel=1e-13)
         u_scale = max(np.linalg.norm(F[prob.free]), np.linalg.norm(KU[prob.free]))
         assert load.u_scale == pytest.approx(u_scale, rel=1e-13)
-        r_u = (K_uu @ U + S_up @ c - F)[prob.free]
-        assert np.abs(prob.displacement_residual(U[prob.free], c, load) - r_u).max() <= 1e-13 * np.abs(r_u).max()
+        u_f = U[prob.free]
+        wants = (-(S_up.T @ U) - prob.A_hat @ c, (K_uu @ U + S_up @ c - F)[prob.free])  # r_hat, r_u
+        for got, want in zip(prob.residuals(u_f, c, load), wants):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         smooth = 0.5 * U @ (K_uu @ U) + U @ (S_up @ c) + 0.5 * c @ (prob.A_hat @ c) - F @ U
-        J, dissipation = prob.objective(U[prob.free], c, c_prev, gamma_prev, load, prob.products(U[prob.free], c))
+        J, dissipation = prob.objective(u_f, c, c_prev, gamma_prev, load,
+                                        prob.K_ff @ u_f, prob.S_pf @ u_f, prob.A_hat @ c)
         assert J - dissipation == pytest.approx(smooth, rel=1e-13)
+
+
+def solved_u(prob, u_f, c, load):
+    """The free displacement that solve_u gives at c, from u_f, to tol_cg."""
+    disp = prob.displacement(u_f, c, load)
+    prob.solve_u(disp, c, load, prob.config.tol_cg)
+    return disp.u_f
+
+
+def solved_p(prob, U, c_prev, load):
+    """solve_p's (c, (FISTA, CG iterations)) from c_prev and the free part of U, at zero gamma."""
+    disp = prob.displacement(U[prob.free], c_prev, load)
+    return prob.solve_p(disp, c_prev, c_prev, np.zeros(prob.grid.node_count), load)
 
 
 class TestSolveU:
@@ -270,8 +285,7 @@ class TestSolveU:
         grid = Grid.unit_cube(3)
         prob = DiscreteProblem(grid, full_dirichlet(), KIN, SHEAR01, TIGHT)
         U = prob.lift(2.5e-3)
-        c = np.zeros(prob.basis.size)
-        U[prob.free], _, _ = prob.solve_u(U[prob.free], c, prob.step_load(U, np.zeros_like(U)), TIGHT.tol_cg)
+        U[prob.free] = solved_u(prob, U[prob.free], np.zeros(prob.basis.size), prob.step_load(U, np.zeros_like(U)))
         want = 2.5e-3 * grid.node_coords() @ SHEAR01.T
         assert np.max(np.abs(U.reshape(-1, 3) - want)) < 1e-12
 
@@ -283,8 +297,18 @@ class TestSolveU:
         U_star = rng.standard_normal(3 * grid.node_count) * 1e-3
         F = np.asarray(prob.blocks.assemble(prob.blocks.terms["K_uu"], 3) @ U_star)
         U = np.where(prob.presc, U_star, 0.0)
-        U[prob.free], _, _ = prob.solve_u(U[prob.free], np.zeros(prob.basis.size), prob.step_load(U, F), TIGHT.tol_cg)
+        U[prob.free] = solved_u(prob, U[prob.free], np.zeros(prob.basis.size), prob.step_load(U, F))
         assert np.max(np.abs(U - U_star)) < 1e-10 * np.abs(U_star).max()
+
+    def test_zero_right_hand_side_gives_a_zero_state(self):
+        # b = 0 gives u_f = 0 with no CG step, from any start, and S_pf u_f
+        # follows u_f
+        prob = DiscreteProblem(Grid.unit_cube(3), BoundaryConfig(("zmin", "zmax")), KIN, None, TIGHT)
+        load = prob.step_load(np.zeros(3 * prob.grid.node_count), np.zeros(3 * prob.grid.node_count))
+        z = np.zeros(prob.basis.size)
+        disp = prob.displacement(np.random.default_rng(2).standard_normal(prob.K_ff.shape[0]), z, load)
+        assert disp.S_u.any() and prob.solve_u(disp, z, load, TIGHT.tol_cg) == 0
+        assert not (disp.u_f.any() or disp.r.any() or disp.S_u.any())
 
     def test_cg_contract(self):
         grid = Grid.unit_cube(2)
@@ -401,7 +425,7 @@ class TestSolveP:
                                SolverConfig(tol_fista=1e-13))
         U = prob.lift(1e-3)
         z = np.zeros(prob.basis.size)
-        c, _, _, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, np.zeros_like(U)))
+        c, _ = solved_p(prob, U, z, prob.step_load(U, np.zeros_like(U)))
         K = sp.bmat([[prob.K_ff, prob.S_f], [prob.S_pf, prob.A_hat]])
         # U is the lifted prescribed field, zero at the free dofs
         K_uu = prob.blocks.assemble(prob.blocks.terms["K_uu"], 3)
@@ -417,7 +441,7 @@ class TestSolveP:
         prob = DiscreteProblem(grid, full_dirichlet(), var, SHEAR01, SolverConfig())
         U = prob.lift(1e-3)
         z = np.zeros(prob.basis.size)
-        c, _, _, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, np.zeros_like(U)))
+        c, _ = solved_p(prob, U, z, prob.step_load(U, np.zeros_like(U)))
         assert np.all(c == 0.0)
 
     def test_no_force_no_motion(self):
@@ -425,7 +449,7 @@ class TestSolveP:
         prob = DiscreteProblem(grid, full_dirichlet(), KIN, SHEAR01, TIGHT)
         z = np.zeros(prob.basis.size)
         U = np.zeros(3 * grid.node_count)
-        c, _, its, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, U))
+        c, its = solved_p(prob, U, z, prob.step_load(U, U))
         assert np.all(c == 0.0)
 
     def test_elastic_below_yield(self):
@@ -434,7 +458,7 @@ class TestSolveP:
         a = 0.3 * PARAMS.sigma_y / (np.sqrt(2) * PARAMS.mu)
         U = prob.lift(a)
         z = np.zeros(prob.basis.size)
-        c, _, _, _ = prob.solve_p(U[prob.free], z, z, np.zeros(grid.node_count), prob.step_load(U, np.zeros_like(U)))
+        c, _ = solved_p(prob, U, z, prob.step_load(U, np.zeros_like(U)))
         assert np.all(c == 0.0)
 
 
@@ -608,8 +632,8 @@ class TestTimeStep:
         c_prev = prob.basis.to_reduced(prev.p.values.reshape(-1))
         load = prob.step_load(U, np.zeros(3 * grid.node_count))
         rng = np.random.default_rng(9)
-        ok = prob.vi_residual(U[prob.free], c, c_prev, prev.gamma.values, load, probe_blocks(prob, rng, 500))
-        bad = prob.vi_residual(U[prob.free], 1.1 * c, c_prev, prev.gamma.values, load, probe_blocks(prob, rng, 500))
+        ok, bad = (prob.vi_residual(*prob.residuals(U[prob.free], x, load), x - c_prev, prev.gamma.values,
+                                    probe_blocks(prob, rng, 500)) for x in (c, 1.1 * c))
         assert ok >= -1e-8
         assert bad < -1e-8  # detection of a non-minimizer
 
@@ -681,8 +705,8 @@ class TestProductsPerStep:
 
     @staticmethod
     def plastic_step(prob, on_solve_u):
-        """One plastic step from rest; on_solve_u(args, result, inner) sees every
-        solve_u call, inner telling whether solve_p made it."""
+        """One plastic step from rest; on_solve_u(args, its, inner) sees every
+        solve_u call once it returns, inner telling whether solve_p made it."""
         real_u, real_p, inside = prob.solve_u, prob.solve_p, []
 
         def solve_u(*args):
@@ -718,24 +742,23 @@ class TestProductsPerStep:
             setattr(prob, name, op)
         solves, inner = [], []
 
-        def count(args, result, is_inner):
-            solves.append(result[1])
+        def count(args, its, is_inner):
+            solves.append(its)
             if is_inner:
-                inner.append(result[1])
+                inner.append(its)
 
         rep = self.plastic_step(prob, count)
         passes = rep.outer_iterations
         assert 0 in inner and max(inner) > 0  # both kinds of inner solve occur
-        # one true start residual for the first plastic solve and one per
-        # pass test: a later pass's plastic solve starts from the residual,
-        # S_f c and S_pf u_f that the previous pass's test made at its start
+        # one true start residual for the step's Displacement and one per
+        # pass test, which the next pass starts from
         assert ops["K_ff"].count <= rep.cg_iterations + passes + 1
-        # a solve with no CG step makes no S_pf product: one for the first
-        # plastic solve's entry, one per inner solve that moved u_f, and one
-        # per pass
-        assert ops["S_pf"].count == passes + 1 + sum(its > 0 for its in inner)
-        # every solve but the first inner one of each later pass forms S_f c
-        assert ops["S_f"].count == len(solves) - (passes - 1)
+        # one S_pf u_f for the Displacement, and one per solve that took a CG
+        # step, inner or recovery
+        assert ops["S_pf"].count == 1 + sum(its > 0 for its in solves)
+        # one S_f c for the Displacement, and one per solve but the first
+        # inner one of each pass, which is at the state's own point
+        assert ops["S_f"].count == 1 + len(solves) - passes
         # r_hat takes the last pass's products and makes none
         assert ops["A_hat"].count == rep.fista_iterations + passes
 
@@ -743,15 +766,31 @@ class TestProductsPerStep:
         prob = self.problem()
         K_ff, worst = prob.K_ff, []
 
-        def check(args, result, is_inner):
-            u_f, _, (b, r) = result
-            true = b - K_ff @ u_f
-            nb = np.linalg.norm(b)
-            assert np.linalg.norm(r - true) <= 1e-12 * nb
+        def check(args, its, is_inner):
+            disp = args[0]
+            true = disp.b - K_ff @ disp.u_f
+            nb = np.linalg.norm(disp.b)
+            assert np.linalg.norm(disp.r - true) <= 1e-12 * nb
             worst.append(np.linalg.norm(true) / (args[3] * nb))
 
         self.plastic_step(prob, check)
         assert len(worst) > 20 and max(worst) <= 1.0
+
+    def test_state_is_at_the_point_of_every_solve(self):
+        # after every solve the Displacement is at the solve's c, and its b
+        # and S_pf u_f are the bits of the products at its point
+        prob = self.problem()
+        S_f, S_pf, seen = prob.S_f, prob.S_pf, []
+
+        def check(args, its, is_inner):
+            disp, c, load = args[:3]
+            assert disp.c is c
+            assert np.array_equal(disp.b, load.f_u - S_f @ c)
+            assert np.array_equal(disp.S_u, S_pf @ disp.u_f)
+            seen.append(its)
+
+        self.plastic_step(prob, check)
+        assert 0 in seen and max(seen) > 0
 
 
 def field_state(grid, t, coeffs):
@@ -871,23 +910,22 @@ class TestStressRecoveries:
         assert report.active_node_fraction > 0.0
         U = state.u.values.reshape(-1)
         c = prob.basis.to_reduced(state.p.values.reshape(-1))
-        r_hat = prob.smooth_residual_reduced(U[prob.free], c, prob.step_load(U, np.zeros_like(U)))
+        r_hat, _ = prob.residuals(U[prob.free], c, prob.step_load(U, np.zeros_like(U)))
         sig_e = eshelby_stress(grid, prob.variant, state.u, state.p)
         got = prob.basis.to_reduced(sig_e.reshape(-1) * prob.blocks.m_lump)
         assert np.abs(got - r_hat).max() <= 1e-12 * np.abs(r_hat).max()
 
 
-def vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng, r_hat=None):
-    """The certificate with every probe drawn and scored on its own: the
-    reference for DiscreteProblem.vi_residual's blocked scoring.  A probe's
-    plastic bytes go to the reduced coordinates in the basis's component
-    order, and its dissipation is dissipation_value's."""
+def vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng):
+    """The score of every probe, drawn and scored on its own, the two
+    canonical ones first: the reference for DiscreteProblem.probe_scores'
+    blocked scoring.  A probe's plastic bytes go to the reduced coordinates
+    in the basis's component order, and its dissipation is
+    dissipation_value's; both residuals come from the full-space operators."""
     S_up = prob.blocks.assemble(prob.blocks.terms["K_up"], 3, prob.basis)
     K_uu = prob.blocks.assemble(prob.blocks.terms["K_uu"], 3)
     r_u = (np.asarray(K_uu @ U) + np.asarray(S_up @ c) - F)[prob.free]
-    if r_hat is None:
-        r_hat = prob.smooth_residual_reduced(U[prob.free], c, prob.step_load(U, F))
-    r_p = -r_hat
+    r_p = np.asarray(S_up.T @ U) + np.asarray(prob.A_hat @ c)  # -r_hat
     dc = c - c_prev
     j0 = prob.dissipation_value(dc, gamma_prev)
     size = max(weighted_norm(dc, prob.w_seg), 1e-8)
@@ -904,14 +942,13 @@ def vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng, r_hat=
             dv *= size / nrm
             dq *= size / nrm
         directions.append((dv, dq))
-    worst = np.inf
+    scores = []
     for dv, dq in directions:
         lin = float(r_u @ dv) + float(r_p @ dq)
         jq = prob.dissipation_value(dc + dq, gamma_prev)
         viol = lin + jq - j0
-        scale = abs(lin) + jq + j0 + 1e-300
-        worst = min(worst, viol / scale)
-    return float(worst)
+        scores.append(viol / (abs(lin) + jq + j0 + 1e-300))
+    return np.array(scores)
 
 
 def vi_case(name, cells=3):
@@ -960,31 +997,39 @@ def assert_same_position(rng, rng_ref):
     assert np.array_equal(rng.bit_generator.random_raw(8), rng_ref.bit_generator.random_raw(8))
 
 
+def vi_score(prob, U, c, c_prev, gamma_prev, F, blocks):
+    """vi_residual at the state (U, c), with residuals' r_hat and r_u."""
+    return prob.vi_residual(*prob.residuals(U[prob.free], c, prob.step_load(U, F)), c - c_prev, gamma_prev, blocks)
+
+
 class TestVIResidual:
     @pytest.mark.parametrize("probes", [0, 1, 64, 65, 130])
     def test_blocks_match_per_probe_reference(self, solved_step, probes):
+        # every probe's score, not only the worst, which a canonical probe
+        # sets in most of these cases
         prob, U, c, c_prev, gamma_prev, F = solved_step
         rng_ref, rng = np.random.default_rng(17), np.random.default_rng(17)
         want = vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng_ref)
-        got = prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, prob.step_load(U, F),
-                               probe_blocks(prob, rng, probes))
-        assert abs(got - want) <= 1e-14
+        residuals = prob.residuals(U[prob.free], c, prob.step_load(U, F))
+        got = np.concatenate(list(prob.probe_scores(*residuals, c - c_prev, gamma_prev,
+                                                    probe_blocks(prob, rng, probes))))
+        assert got.shape == want.shape and np.abs(got - want).max() <= 1e-14
         # the same number of draws: the next probe set starts at the same place
         assert_same_position(rng, rng_ref)
+        worst = vi_score(prob, U, c, c_prev, gamma_prev, F, probe_blocks(prob, np.random.default_rng(17), probes))
+        assert worst == got.min()
 
     def test_probes_do_not_depend_on_the_block_size(self, monkeypatch):
         # on 2^3 a probe has 3 + 135 entries: a row of whole 32-bit words
         # would need no padding to give the same draws in any block size
         prob, U, c, c_prev, gamma_prev, F = vi_case("iso_irrot", cells=2)
         assert (prob.K_ff.shape[0] + prob.basis.size) % 4
-        load = prob.step_load(U, F)
         seen = []
         for size in (1, 7, 64):
             monkeypatch.setattr(solver, "VI_PROBE_BLOCK", size)
             rng = np.random.default_rng(23)
             drawn = np.vstack([np.hstack(block) for block in probe_blocks(prob, rng, 130)])
-            score = prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, load,
-                                     probe_blocks(prob, np.random.default_rng(23), 130))
+            score = vi_score(prob, U, c, c_prev, gamma_prev, F, probe_blocks(prob, np.random.default_rng(23), 130))
             seen.append((drawn, score, rng.bit_generator.state))
         # the draws are the same bit for bit; BLAS scores a block of one row
         # with another kernel than a block of many, which moves U r_u + Q r_q by
@@ -995,26 +1040,24 @@ class TestVIResidual:
             assert state == seen[2][2]
 
     def test_handed_over_residuals_score_as_its_own(self, solved_step):
-        # time_step hands the certificate r_hat and its last pass's residual
-        # f_u - S_f c - K_ff u_f, which differ from the products the
-        # certificate would make by roundoff only
+        # time_step hands the certificate its last pass's residual
+        # -(f_u - S_f c - K_ff u_f), which differs from residuals' r_u by
+        # roundoff only
         prob, U, c, c_prev, gamma_prev, F = solved_step
         load, u_f = prob.step_load(U, F), U[prob.free]
-        r_hat = prob.smooth_residual_reduced(u_f, c, load)
-        r_u = -((load.f_u - prob.S_f @ c) - prob.K_ff @ u_f)
-        own, handed = (prob.vi_residual(u_f, c, c_prev, gamma_prev, load,
-                                        probe_blocks(prob, np.random.default_rng(3), 130), *held)
-                       for held in ((), (r_hat, r_u)))
+        r_hat, r_u = prob.residuals(u_f, c, load)
+        own, handed = (prob.vi_residual(r_hat, r, c - c_prev, gamma_prev,
+                                        probe_blocks(prob, np.random.default_rng(3), 130))
+                       for r in (r_u, -((load.f_u - prob.S_f @ c) - prob.K_ff @ u_f)))
         assert abs(handed - own) <= 1e-12
 
     def test_peak_memory_does_not_grow_with_probe_count(self):
         prob, U, c, c_prev, gamma_prev, F = vi_case("iso_irrot")
-        load = prob.step_load(U, F)
-        r_hat = prob.smooth_residual_reduced(U[prob.free], c, load)
+        r_hat, r_u = prob.residuals(U[prob.free], c, prob.step_load(U, F))
 
         def peak(probes):
-            return traced_peak(lambda: prob.vi_residual(U[prob.free], c, c_prev, gamma_prev, load,
-                                                        probe_blocks(prob, np.random.default_rng(0), probes), r_hat))
+            return traced_peak(lambda: prob.vi_residual(r_hat, r_u, c - c_prev, gamma_prev,
+                                                        probe_blocks(prob, np.random.default_rng(0), probes)))
 
         assert peak(1000) <= 2 * peak(64)
 
