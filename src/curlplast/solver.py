@@ -48,9 +48,10 @@ S <= A_hat in the Loewner order, so the step 1/L(A_hat) is safe for the
 reduced functional too.
 
 vi_residual certifies a step's inequality on random admissible probes,
-int8 rows from the 64-bit outputs of a generator seeded by the step, whose
-plastic parts lie in the basis's component order, so that a block of probes
-scores by four matrix-vector products and passes over contiguous memory.
+sign vectors from the bits of a generator seeded by the step, all of one
+norm, whose plastic parts lie in the basis's component order: each node's
+dissipation sum is linear in the bits, so that a block of probes scores by
+four matrix-vector products and one weighted pass over contiguous memory.
 Every product and every certificate is made on the thread that calls
 time_step, so the package starts no thread.
 """
@@ -114,8 +115,8 @@ VI_PROBE_BLOCK = 64
 # NoConvergence it may raise
 RESIDUAL_HISTORY = 5
 
-# Most VI probes a step may ask for: a million probes take about 7 s per
-# step on a 6^3 grid, on one core
+# Most VI probes a step may ask for: a million sign probes take about 3.5 s
+# per step on a 6^3 grid, on one core
 VI_PROBES_MAX = 10 ** 6
 
 # Inner displacement solves of the reduced p iteration: the first gradient
@@ -217,23 +218,22 @@ def weighted_norm(x, w):
 
 
 def probe_blocks(problem, rng, probes):
-    """`probes` rows of int8 values from the generator's 64-bit outputs, one
-    entry per unknown of problem, drawn VI_PROBE_BLOCK rows at a time as
-    pairs (U, Q) of two reused float blocks: U holds the free displacement
+    """`probes` rows of bits from the generator's 64-bit outputs, one bit per
+    unknown of problem, drawn VI_PROBE_BLOCK rows at a time as pairs (U, Q)
+    of two reused float blocks of 0.0 and 1.0: U holds the free displacement
     part, and Q the plastic part with its columns in the basis's component
     order (PBasis.component_order).  Each row is drawn as whole 64-bit
-    outputs, its width rounded up to a multiple of 8 bytes, and keeps its
-    first width entries.  Generator.bytes takes its 32-bit words two to a
-    PCG64 output, low word first, so these are its bytes and the generator
-    ends where it would: the probes do not depend on the block size."""
+    outputs, its width rounded up to a multiple of 64 bits, and keeps its
+    first width bits, least significant first: bit j of a row is bit j mod 64
+    of the row's output j // 64.  So the generator ends where it would: the
+    probes do not depend on the block size."""
     nf, m = problem.K_ff.shape[0], problem.basis.size
-    pad = -(-(nf + m) // 8) * 8
+    words = -(-(nf + m) // 64)
     U, Q = np.empty((min(VI_PROBE_BLOCK, probes), nf)), np.empty((min(VI_PROBE_BLOCK, probes), m))
     for start in range(0, probes, VI_PROBE_BLOCK):
         rows = min(VI_PROBE_BLOCK, probes - start)
-        drawn = rng.bit_generator.random_raw(rows * pad // 8).astype("<u8", copy=False).view(np.int8).reshape(rows, pad)
-        U[:rows] = drawn[:, :nf]
-        Q[:rows] = drawn[:, nf:nf + m]
+        drawn = rng.bit_generator.random_raw(rows * words).astype("<u8", copy=False).view(np.uint8).reshape(rows, -1)
+        U[:rows], Q[:rows] = np.split(np.unpackbits(drawn, axis=1, count=nf + m, bitorder="little"), [nf], axis=1)
         yield U[:rows], Q[:rows]
 
 
@@ -575,15 +575,17 @@ class DiscreteProblem:
         r_hat and r_u are the residuals at a step's solution (u_f, c), as
         residuals gives them, and dc = c - c_prev its increment.  The probes
         are the two canonical ones along +/- dc, scored first as a block of
-        two rows of scale 1, and then the rows of blocks, such as
-        probe_blocks gives: pairs (U, Q) whose rows are the probes [dv, dq],
-        dq in the basis's component order, of any distribution, each scaled
-        to the w-norm of the increment; the inequality holds in every
-        admissible direction.  A block with row scales s scores as
-        s (U r_u + Q r_q), two products, and then Q <- (s Q + dc)^2 in
-        place, whose node sums S give the dissipation of every probe as two
-        more products, sqrt(S) (w a) + S (w b) with
-        ModelVariant.dissipation_weights.
+        two rows, and then the sign vectors s (b - 1/2) of the bit rows b of
+        blocks, such as probe_blocks gives: pairs (U, Q) whose rows are the
+        bits [bv, bq] of the probes [dv, dq], dq in the basis's component
+        order, all with the one scale s = 2 size / sqrt(nf + m) that gives
+        them the w-norm size of the increment; the inequality holds in every
+        admissible direction.  A block scores as s (U r_u + Q r_q - sum / 2),
+        two products.  Since b^2 = b, each node's sum of (s (b - 1/2) + dc)^2
+        is s^2 S with S = 2 sum b d + sum (d - 1/2)^2 and d = dc / s: one
+        weighted pass over Q (PBasis.component_sums) plus a per-node constant.
+        The dissipation of every probe is then two more products,
+        s sqrt(S) (w a) + s^2 S (w b) with ModelVariant.dissipation_weights.
         """
         order, nodes = self.basis.component_order, self.basis.component_nodes
         r_q = -r_hat[order]
@@ -593,24 +595,25 @@ class DiscreteProblem:
         a, b = self.variant.dissipation_weights(gamma_prev)
         w_a, w_b = (self.w_node * a)[nodes], b * self.w_node[nodes]
 
-        def scores(U, Q, s):
-            """The scores of the probes with row scales s, whose Q it overwrites."""
-            lin = U @ r_u
-            lin += Q @ r_q
-            lin *= s
-            Q *= s[:, None]
-            Q += dc
-            np.square(Q, out=Q)
-            S = self.basis.component_sums(Q)
+        def scores(lin, S, s=1.0, const=0.0):
+            """The scores of the probes with linear terms lin and node sums
+            s^2 max(S + const, 0), whose S it overwrites."""
+            S += const
+            np.maximum(S, 0.0, out=S)
             jq = S @ w_b
-            jq += np.sqrt(S, out=S) @ w_a
+            jq *= s * s
+            jq += s * (np.sqrt(S, out=S) @ w_a)
             viol = lin + jq - j0
             return viol / (np.abs(lin) + jq + j0 + 1e-300)
 
-        yield scores(np.zeros((2, r_u.size)), np.stack([-dc, dc]), np.ones(2))
+        pair = np.stack([-dc, dc])
+        yield scores(pair @ r_q, self.basis.component_sums(np.square(pair + dc)))
+        # with no unknown at all a bit row is empty and every score 0
+        s = 2.0 * size / sqrt(max(r_u.size + r_q.size, 1))
+        half, d = 0.5 * (r_u.sum() + r_q.sum()), dc / s
+        const = self.basis.component_sums(np.square(d - 0.5)[None])[0]
         for U, Q in blocks:
-            nrm = np.sqrt(np.einsum("ij,ij->i", U, U) + np.einsum("ij,ij->i", Q, Q))
-            yield scores(U, Q, np.divide(size, nrm, out=np.ones_like(nrm), where=nrm > 0.0))
+            yield scores((U @ r_u + Q @ r_q - half) * s, self.basis.component_sums(Q, 2.0 * d), s, const)
 
     def vi_residual(self, r_hat, r_u, dc, gamma_prev, blocks):
         """Worst probe_scores value: nonnegative values up to roundoff certify the minimizer."""

@@ -571,11 +571,13 @@ class TestPBasis:
             listed.append(nodes)
         assert start == b.size
         assert np.array_equal(b.component_nodes, np.concatenate(listed))
-        x = np.random.default_rng(7).standard_normal((4, b.size))
-        got = b.component_sums(x[:, order])
-        want = np.array([b.node_sums(row)[b.component_nodes] for row in x])
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(x).max()
-        assert np.all(got[:, b.dims()[b.component_nodes] == 0] == 0.0)
+        rng = np.random.default_rng(7)
+        x, w = rng.standard_normal((4, b.size)), rng.standard_normal(b.size)
+        # plain and weighted by w, which is given in the component order too
+        for got, xw in ((b.component_sums(x[:, order]), x), (b.component_sums(x[:, order], w[order]), x * w)):
+            want = np.array([b.node_sums(row)[b.component_nodes] for row in xw])
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(xw).max()
+            assert np.all(got[:, b.dims()[b.component_nodes] == 0] == 0.0)
 
     def test_node_norms_match_frobenius(self):
         g = Grid.unit_cube(2)

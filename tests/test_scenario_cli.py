@@ -430,14 +430,14 @@ def program_doc(steps, probes, **overrides):
                     solver={"vi_probes": probes}, **overrides)
 
 
-def byte_probes(seed, probes, width):
-    """The probes of the generator seeded by seed: rows of int8 drawn from its
-    bytes, each padded to whole 64-bit outputs, and cut to width.  It draws
-    with Generator.bytes, so it also pins that probe_blocks' draws of 64-bit
-    outputs are the same stream."""
-    pad = -(-width // 8) * 8
-    drawn = np.frombuffer(np.random.default_rng(seed).bytes(probes * pad), np.int8)
-    return drawn.reshape(probes, pad)[:, :width]
+def bit_probes(seed, probes, width):
+    """The probes of the generator seeded by seed, each row drawn on its own:
+    the width lowest bits of the little-endian integer that its whole 64-bit
+    outputs make.  It draws with Generator.bytes, so it also pins that
+    probe_blocks' draws of 64-bit outputs are the same stream."""
+    rng, words = np.random.default_rng(seed), -(-width // 64)
+    rows = [int.from_bytes(rng.bytes(8 * words), "little") for _ in range(probes)]
+    return np.array([[(row >> j) & 1 for j in range(width)] for row in rows], dtype=float)
 
 
 class TestCertificatePool:
@@ -500,7 +500,7 @@ class TestCertificatePool:
         for drawn, level in zip(draws, levels):
             assert {thread for thread, _ in drawn} == {threading.current_thread()}
             blocks = np.vstack([block for _, block in drawn])
-            assert np.array_equal(blocks, byte_probes(probe_seed(5, level), probes, width))
+            assert np.array_equal(blocks, bit_probes(probe_seed(5, level), probes, width))
 
     @pytest.mark.parametrize("variant, probes", [("kin_spin", 5000), ("kin_spin", 0), ("micromorphic", 0)],
                              ids=["certified", "uncertified", "micromorphic"])

@@ -919,9 +919,13 @@ class TestStressRecoveries:
 def vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng):
     """The score of every probe, drawn and scored on its own, the two
     canonical ones first: the reference for DiscreteProblem.probe_scores'
-    blocked scoring.  A probe's plastic bytes go to the reduced coordinates
-    in the basis's component order, and its dissipation is
-    dissipation_value's; both residuals come from the full-space operators."""
+    blocked scoring.  A probe's row is the nf + m lowest bits of the
+    little-endian integer its whole 64-bit generator outputs make (bit j is
+    bit j mod 64 of output j // 64), drawn with Generator.bytes; the bits b
+    give the direction b - 1/2, scaled to the w-norm of the increment, whose
+    plastic part goes to the reduced coordinates in the basis's component
+    order.  Its dissipation is dissipation_value's, and both residuals come
+    from the full-space operators."""
     S_up = prob.blocks.assemble(prob.blocks.terms["K_up"], 3, prob.basis)
     K_uu = prob.blocks.assemble(prob.blocks.terms["K_uu"], 3)
     r_u = (np.asarray(K_uu @ U) + np.asarray(S_up @ c) - F)[prob.free]
@@ -931,10 +935,11 @@ def vi_residual_per_probe(prob, U, c, c_prev, gamma_prev, F, probes, rng):
     size = max(weighted_norm(dc, prob.w_seg), 1e-8)
     nf = int(prob.free.sum())
     m = prob.basis.size
-    pad = -(-(nf + m) // 8) * 8  # whole 64-bit generator outputs per row
+    words = -(-(nf + m) // 64)  # whole 64-bit generator outputs per row
     directions = [(np.zeros(nf), -dc), (np.zeros(nf), dc.copy())]
     for _ in range(probes):
-        row = np.frombuffer(rng.bytes(pad), np.int8)[:nf + m].astype(float)
+        bits = int.from_bytes(rng.bytes(8 * words), "little")
+        row = np.array([(bits >> j) & 1 for j in range(nf + m)], dtype=float) - 0.5
         dv, dq = row[:nf], np.empty(m)
         dq[prob.basis.component_order] = row[nf:]
         nrm = np.sqrt(dv @ dv + dq @ dq)
@@ -959,6 +964,12 @@ def vi_case(name, cells=3):
         prob = DiscreteProblem(grid, BoundaryConfig(("zmin",)), ModelVariant("micromorphic", PARAMS),
                                None, SolverConfig(tol_cg=1e-12))
         loads = [LoadStep(1.0, 0.0, (0.0, 0.0, -5.0))]
+    elif name == "iso_spin_body_force":
+        # the micromorphic case's loading on a dissipative variant: its
+        # scores weigh magnitudes, where micromorphic's zero dissipation
+        # weights leave each score the sign of its linear term
+        prob = DiscreteProblem(grid, BoundaryConfig(("zmin",)), ISO, None, TIGHT)
+        loads = [LoadStep(1.0, 0.0, (0.0, 0.0, -2.5)), LoadStep(2.0, 0.0, (0.0, 0.0, -5.0))]
     elif name in ("kin_spin_micro_hard", "kin_spin_corner"):
         # the corner case's micro-hard xmin, ymin and zmin leave five node
         # types, one of them (the edge and corner nodes') with no coordinates
@@ -982,7 +993,8 @@ def vi_case(name, cells=3):
     return prob, U, c, c_prev, prev.gamma.values, F
 
 
-@pytest.fixture(scope="module", params=["kin_spin_micro_hard", "kin_spin_corner", "iso_irrot", "micromorphic"])
+@pytest.fixture(scope="module", params=["kin_spin_micro_hard", "kin_spin_corner", "iso_irrot",
+                                                "iso_spin_body_force", "micromorphic"])
 def solved_step(request):
     return vi_case(request.param)
 
@@ -1020,10 +1032,10 @@ class TestVIResidual:
         assert worst == got.min()
 
     def test_probes_do_not_depend_on_the_block_size(self, monkeypatch):
-        # on 2^3 a probe has 3 + 135 entries: a row of whole 32-bit words
-        # would need no padding to give the same draws in any block size
+        # on 2^3 a probe has 3 + 135 bits, not whole 64-bit outputs: each
+        # row drops the rest of its last output, in any block size
         prob, U, c, c_prev, gamma_prev, F = vi_case("iso_irrot", cells=2)
-        assert (prob.K_ff.shape[0] + prob.basis.size) % 4
+        assert (prob.K_ff.shape[0] + prob.basis.size) % 64
         seen = []
         for size in (1, 7, 64):
             monkeypatch.setattr(solver, "VI_PROBE_BLOCK", size)
@@ -1038,6 +1050,21 @@ class TestVIResidual:
             assert np.array_equal(drawn, seen[2][0])
             assert abs(score - seen[2][1]) <= 1e-14
             assert state == seen[2][2]
+
+    def test_probes_without_unknowns_score_zero(self):
+        # a 1^3 grid with every face Dirichlet and micro-hard has no free
+        # displacement and no plastic coordinate: every probe row is empty,
+        # and the certificate reads 0.0 without a warning
+        grid = Grid.unit_cube(1)
+        prob = DiscreteProblem(grid, BoundaryConfig(FACES, FACES), KIN, SHEAR01, SolverConfig(vi_probes=130))
+        assert prob.K_ff.shape[0] == prob.basis.size == 0
+        _, rep = time_step(prob, SimState.zeros(grid), LoadStep(1.0, 0.01))
+        assert rep.vi_residual == 0.0
+        empty = np.zeros(0)
+        blocks = probe_blocks(prob, np.random.default_rng(0), 130)
+        scores = list(prob.probe_scores(empty, empty, empty, np.zeros(grid.node_count), blocks))
+        assert [len(block) for block in scores] == [2, 64, 64, 2]
+        assert all(np.all(block == 0.0) for block in scores)
 
     def test_handed_over_residuals_score_as_its_own(self, solved_step):
         # time_step hands the certificate its last pass's residual
