@@ -827,36 +827,6 @@ class PBasis:
         out[self._nodes] = np.add.reduceat(x, self._starts)
         return out
 
-    @cached_property
-    def component_order(self):
-        """The reduced coordinates node type by node type, then component by
-        component, then node by node in ascending order, built on first use:
-        each component of a type is one contiguous run (component_sums)."""
-        node = np.repeat(np.arange(len(self.node_type)), self._dims)
-        return np.lexsort((node, np.arange(self.size) - self.offsets[node], self.node_type[node]))
-
-    @cached_property
-    def component_nodes(self):
-        """The nodes type by type, each type's in ascending order: the order of component_sums' columns."""
-        return np.argsort(self.node_type, kind="stable")
-
-    def component_sums(self, x, weights=None):
-        """node_sums of a block whose columns are reduced coordinates in the
-        component order, x[:, i] holding coordinate component_order[i]:
-        column k of the result sums node component_nodes[k]'s coordinates,
-        0 for a node without any.  With weights, a vector in the same order,
-        it sums weights[i] x[:, i] instead, one np.einsum per node type."""
-        out = np.empty((len(x), len(self.node_type)))
-        start = col = 0
-        for m, n in zip(map(len, self.type_bases), np.bincount(self.node_type, minlength=len(self.type_bases))):
-            run = x[:, start:start + m * n].reshape(len(x), m, n)
-            if weights is None:
-                np.sum(run, axis=1, out=out[:, col:col + n])
-            else:
-                np.einsum("rkn,kn->rn", run, weights[start:start + m * n].reshape(m, n), out=out[:, col:col + n])
-            start, col = start + m * n, col + n
-        return out
-
     def node_dots(self, a, b):
         """Inner product of each node's tensors from reduced coordinates, as node_sums."""
         return self.node_sums(a * b)

@@ -550,35 +550,6 @@ class TestPBasis:
             want[nodes] = np.add.reduceat(x, b.offsets[nodes])
             assert np.array_equal(b.node_sums(x), want)
 
-    @pytest.mark.parametrize("mode", ["sl", "sym_sl", "none"])
-    @pytest.mark.parametrize("faces", [(), ("xmin", "ymin", "zmin"), FACES], ids=["uniform", "corner", "all"])
-    def test_component_order_runs_each_types_nodes_in_ascending_order(self, mode, faces):
-        # node type by node type, then component by component, then node by
-        # node; with xmin, ymin and zmin micro-hard, the nodes on two or three
-        # of them have no coordinates
-        b = build_p_basis(Grid.unit_cube(3), faces, mode)
-        order = b.component_order
-        assert np.array_equal(np.sort(order), np.arange(b.size))
-        node_of = np.repeat(np.arange(len(b.node_type)), b.dims())
-        component_of = np.arange(b.size) - b.offsets[node_of]
-        start, listed = 0, []
-        for t, V in enumerate(b.type_bases):
-            nodes = np.flatnonzero(b.node_type == t)
-            for k in range(len(V)):
-                run = order[start:start + nodes.size]
-                assert np.array_equal(node_of[run], nodes) and np.all(component_of[run] == k)
-                start += nodes.size
-            listed.append(nodes)
-        assert start == b.size
-        assert np.array_equal(b.component_nodes, np.concatenate(listed))
-        rng = np.random.default_rng(7)
-        x, w = rng.standard_normal((4, b.size)), rng.standard_normal(b.size)
-        # plain and weighted by w, which is given in the component order too
-        for got, xw in ((b.component_sums(x[:, order]), x), (b.component_sums(x[:, order], w[order]), x * w)):
-            want = np.array([b.node_sums(row)[b.component_nodes] for row in xw])
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(xw).max()
-            assert np.all(got[:, b.dims()[b.component_nodes] == 0] == 0.0)
-
     def test_node_norms_match_frobenius(self):
         g = Grid.unit_cube(2)
         b = build_p_basis(g, ("zmin",), "sl")

@@ -27,8 +27,6 @@ from curlplast.solver import (
     VI_PROBES_MAX,
     DiscreteProblem,
     extrapolate,
-    probe_blocks,
-    probe_seed,
     time_step,
 )
 from curlplast.tensors import MaterialParams, dev, sym
@@ -318,7 +316,6 @@ class TestRunScenario:
         assert loud == quiet
 
     def test_bitwise_determinism(self, tmp_path):
-        # 25 probes fit in one block; 130 span three
         for probes in (25, 130):
             doc = base_doc()
             doc["solver"] = {"vi_probes": probes}
@@ -345,11 +342,15 @@ class TestRunScenario:
         s = parse_scenario(json.dumps(doc))
         for run in ("a", "b"):
             res = run_scenario(s, str(tmp_path / run))
+        # any positive probe count switches the certificate on, and the seed
+        # changes nothing: a third run with others writes the same bytes
+        doc["solver"].update(vi_probes=1, seed=7)
+        run_scenario(parse_scenario(json.dumps(doc)), str(tmp_path / "c"))
         assert all(r.vi_residual >= -1e-8 for r in res.reports)
         files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*.*"))
         assert [str(f) for f in files] == ["fields/fields_0001.vtk", "fields/fields_0002.vtk", "timeseries.csv"]
         for f in files:
-            assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+            assert len({(tmp_path / run / f).read_bytes() for run in "abc"}) == 1
 
     def test_shear_cycle_shows_bauschinger_signature(self, tmp_path):
         # homogeneous configuration compared against the pointwise update
@@ -430,77 +431,37 @@ def program_doc(steps, probes, **overrides):
                     solver={"vi_probes": probes}, **overrides)
 
 
-def bit_probes(seed, probes, width):
-    """The probes of the generator seeded by seed, each row drawn on its own:
-    the width lowest bits of the little-endian integer that its whole 64-bit
-    outputs make.  It draws with Generator.bytes, so it also pins that
-    probe_blocks' draws of 64-bit outputs are the same stream."""
-    rng, words = np.random.default_rng(seed), -(-width // 64)
-    rows = [int.from_bytes(rng.bytes(8 * words), "little") for _ in range(probes)]
-    return np.array([[(row >> j) & 1 for j in range(width)] for row in rows], dtype=float)
-
-
 class TestCertificatePool:
-    """A run certifies each step on the calling thread, which draws and scores the step's own probes."""
+    """A run certifies each step on the calling thread, at the step's own increment."""
 
-    @pytest.mark.parametrize("variant, probes", [("kin_spin", 25), ("kin_spin", 130), ("micromorphic", 130)])
-    def test_each_step_draws_its_own_probes(self, tmp_path, monkeypatch, variant, probes):
-        doc = base_doc(variant=variant, solver={"vi_probes": probes, "seed": 5})
-        s = parse_scenario(json.dumps(doc))
-        levels = [load.level for load in s.load_program]
-        blocks_of, score = solver.probe_blocks, DiscreteProblem.vi_residual
-        draws, step_of, calls, threads = [], {}, [], []
+    @pytest.mark.parametrize("variant", ["kin_spin", "micromorphic"])
+    def test_each_step_scores_its_own_increment(self, tmp_path, monkeypatch, variant):
+        # one score per step, in step order, of the increment from the state
+        # before it with that state's gamma; the score is the step's row
+        s = parse_scenario(json.dumps(base_doc(variant=variant, solver={"vi_probes": 130, "seed": 5})))
+        score, calls = DiscreteProblem.vi_residual, []
 
-        def recording_blocks(problem, rng, n):
-            # made in step order, drawn on the thread that scores them
-            drawn = []
-            draws.append(drawn)
-
-            def record():
-                for block in blocks_of(problem, rng, n):
-                    drawn.append((threading.current_thread(), np.hstack(block)))
-                    yield block
-
-            blocks = record()
-            step_of[blocks] = len(draws) - 1
-            return blocks
-
-        def checked_score(prob, r_hat, r_u, dc, gamma_prev, blocks):
-            got = score(prob, r_hat, r_u, dc, gamma_prev, blocks)
-            k = step_of[blocks]
-            own = probe_blocks(prob, np.random.default_rng(probe_seed(5, levels[k])), probes)
-            calls.append((k, got, score(prob, r_hat, r_u, dc, gamma_prev, own),
-                          prob.K_ff.shape[0] + prob.basis.size))
+        def recording_score(prob, r_hat, r_u, dc, gamma_prev):
+            got = score(prob, r_hat, r_u, dc, gamma_prev)
+            calls.append((threading.current_thread(), prob.basis.to_full(dc), gamma_prev, got))
             return got
 
-        def step(*args):
-            threads.append(threading.active_count())
-            return time_step(*args)
-
-        monkeypatch.setattr(solver, "probe_blocks", recording_blocks)
-        monkeypatch.setattr(DiscreteProblem, "vi_residual", checked_score)
-        monkeypatch.setattr(cli, "time_step", step)
-        before = threading.active_count()
-        res = run_scenario(s, str(tmp_path))
+        monkeypatch.setattr(DiscreteProblem, "vi_residual", recording_score)
+        res = run_scenario(s, str(tmp_path), keep_states=True)
         if variant == "micromorphic":
             # the program collapses to its final level, whose step has no
-            # inequality to certify: no draw, a 0.0 column
-            assert len(res.reports) == 1 and threads == [before]
-            assert calls == [] and draws == [] and res.reports[0].vi_residual is None
+            # inequality to certify: no score, a 0.0 column
+            assert calls == [] and len(res.reports) == 1 and res.reports[0].vi_residual is None
             last = (tmp_path / "timeseries.csv").read_text().splitlines()[-1]
             assert float(last.split(",")[-1]) == 0.0
             return
-        assert len(calls) == len(draws) == len(levels) == len(res.reports)
-        assert [k for k, *_ in calls] == list(range(len(levels)))
-        assert [got for _, got, _, _ in calls] == [want for _, _, want, _ in calls]
-        assert [r.vi_residual for r in res.reports] == [got for _, got, _, _ in calls]
-        assert threads == [before] * len(levels)
-        # the draws themselves, each made on the calling thread
-        width = calls[0][3]
-        for drawn, level in zip(draws, levels):
-            assert {thread for thread, _ in drawn} == {threading.current_thread()}
-            blocks = np.vstack([block for _, block in drawn])
-            assert np.array_equal(blocks, bit_probes(probe_seed(5, level), probes, width))
+        assert len(calls) == len(s.load_program) == len(res.reports)
+        before = [SimState.zeros(s.grid)] + res.states[:-1]
+        for (thread, dp, gamma_prev, got), prev, state, report in zip(calls, before, res.states, res.reports):
+            assert thread is threading.current_thread() and report.vi_residual == got
+            assert np.array_equal(gamma_prev, prev.gamma.values)
+            step = (state.p.values - prev.p.values).reshape(-1)
+            assert np.abs(dp - step).max() <= 1e-15 * np.abs(state.p.values).max()
 
     @pytest.mark.parametrize("variant, probes", [("kin_spin", 5000), ("kin_spin", 0), ("micromorphic", 0)],
                              ids=["certified", "uncertified", "micromorphic"])
@@ -575,18 +536,18 @@ class TestCertificatePool:
         assert capsys.readouterr().err.startswith("error: step 3: ")
         assert (tmp_path / "timeseries.csv").read_text().count("\n") == 1 + 2
 
-    def test_draw_error_fails_the_step_after_earlier_rows_are_written(self, tmp_path, monkeypatch):
-        # step 2's draw raises: step 1's row is written, and the error is the run's
-        blocks_of, made = solver.probe_blocks, []
+    def test_certificate_error_keeps_the_rows_before_it(self, tmp_path, monkeypatch):
+        # step 2's certificate raises: step 1's row is written, and the error is the run's
+        score, made = DiscreteProblem.vi_residual, []
 
-        def blocks(problem, rng, probes):
-            made.append(rng)
+        def failing(*args):
+            made.append(args)
             if len(made) == 2:
-                raise RuntimeError("draw failed")
-            return blocks_of(problem, rng, probes)
+                raise RuntimeError("certificate failed")
+            return score(*args)
 
-        monkeypatch.setattr(solver, "probe_blocks", blocks)
-        with pytest.raises(RuntimeError, match="draw failed"):
+        monkeypatch.setattr(DiscreteProblem, "vi_residual", failing)
+        with pytest.raises(RuntimeError, match="certificate failed"):
             run_scenario(parse_scenario(json.dumps(base_doc(solver={"vi_probes": 130}))), str(tmp_path))
         assert len(made) == 2
         lines = (tmp_path / "timeseries.csv").read_text().splitlines()
@@ -940,7 +901,7 @@ class TestCliEntry:
         assert "step 1: outer passes did not converge" in err and "residual inf" in err
 
     def test_huge_level_with_probes_exits_zero(self, tmp_path, capsys):
-        # level * 1e6 overflows to infinity; the probe seed must not raise
+        # level * 1e6 overflows to infinity, which no part of a certified step may trip on
         doc = base_doc(load_program=[{"level": 1e303, "amplitude": 0.001}], solver={"vi_probes": 1})
         cfg = self.write(tmp_path, doc)
         assert main(["--quiet", "--out", str(tmp_path), "run", cfg]) == 0
