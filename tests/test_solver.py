@@ -1,5 +1,6 @@
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -937,7 +938,8 @@ def probe_scores_reference(prob, U, c, c_prev, gamma_prev):
 
 
 def vi_case(name, cells=3):
-    """(problem, U, c, c_prev, gamma_prev, F) after a solved step on a cells^3 grid."""
+    """(problem, U, c, c_prev, gamma_prev, F, state_prev, load) after a solved
+    step on a cells^3 grid, state_prev and load being that step's inputs."""
     grid = Grid.unit_cube(cells)
     a = 3 * PARAMS.sigma_y / (np.sqrt(2) * PARAMS.mu)
     if name == "micromorphic":
@@ -970,7 +972,7 @@ def vi_case(name, cells=3):
     c = prob.basis.to_reduced(state.p.values.reshape(-1))
     c_prev = prob.basis.to_reduced(prev.p.values.reshape(-1))
     F = prob.blocks.body_force_vector(loads[-1].body_force)
-    return prob, U, c, c_prev, prev.gamma.values, F
+    return prob, U, c, c_prev, prev.gamma.values, F, prev, loads[-1]
 
 
 @pytest.fixture(scope="module", params=["kin_spin_micro_hard", "kin_spin_corner", "iso_irrot",
@@ -989,12 +991,15 @@ def perturbed(prob, load, u_f, c, size, seed):
 
 
 class TestVIResidual:
-    def test_scores_match_full_space_reference(self, solved_step):
-        # at the solution, and 1e-3 away from it, where the gradient-mapping
-        # probe is far from zero
-        prob, U, c, c_prev, gamma_prev, F = solved_step
+    @pytest.mark.parametrize("probes", [0, 1, 64, 65, 130])
+    def test_blocks_match_per_probe_reference(self, solved_step, probes, monkeypatch):
+        # probe_scores forms the three scores as one block; the reference forms
+        # each probe on its own from full-space fields, at the solution and
+        # 1e-3 away from it, where the gradient-mapping probe is far from zero
+        prob, U, c, c_prev, gamma_prev, F, prev, step = solved_step
         load = prob.step_load(U, F)
         u_f = U[prob.free]
+        worst = []
         for x_u, x in ((u_f, c), perturbed(prob, load, u_f, c, 1e-3, 11)):
             X = U.copy()
             X[prob.free] = x_u
@@ -1003,6 +1008,17 @@ class TestVIResidual:
             got = prob.probe_scores(r_hat, x - c_prev, gamma_prev)
             assert got.shape == (3,) and np.abs(got - want).max() <= 1e-14
             assert prob.vi_residual(r_hat, r_u, x - c_prev, gamma_prev) == got.min()
+            worst.append(want.min())
+        # the step itself at vi_probes = probes: the same solution, and a
+        # certificate of its own residual, the same for every positive count
+        # and none at 0 or where the variant has no inequality
+        monkeypatch.setattr(prob, "config", replace(prob.config, vi_probes=probes))
+        state, rep = time_step(prob, prev, step)
+        assert np.array_equal(state.u.values.reshape(-1), U)
+        if probes == 0 or not prob.variant.has_dissipation:
+            assert rep.vi_residual is None
+        else:
+            assert abs(rep.vi_residual - worst[0]) <= 1e-12
 
     def test_probes_without_unknowns_score_zero(self):
         # a 1^3 grid with every face Dirichlet and micro-hard has no free
@@ -1043,7 +1059,7 @@ class TestVIResidual:
         # time_step hands the certificate its last pass's residual
         # -(f_u - S_f c - K_ff u_f) as r_u, which differs from residuals' by
         # roundoff; no probe has a displacement part, so r_u changes nothing
-        prob, U, c, c_prev, gamma_prev, F = solved_step
+        prob, U, c, c_prev, gamma_prev, F, *_ = solved_step
         load, u_f = prob.step_load(U, F), U[prob.free]
         r_hat, r_u = prob.residuals(u_f, c, load)
         handed = -((load.f_u - prob.S_f @ c) - prob.K_ff @ u_f)
